@@ -36,8 +36,6 @@ def _parser() -> argparse.ArgumentParser:
                    help="output path prefix")
     p.add_argument("--seed", type=int, default=None,
                    help="override the scenario seed")
-    p.add_argument("--deterministic", action="store_true",
-                   help="force deterministic solves")
     p.add_argument("--force", action="store_true",
                    help="overwrite existing output files")
     sub = p.add_subparsers(dest="command", required=True)
@@ -62,9 +60,6 @@ def _load(args):
     scenario = load_scenario(args.config)
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
-    if args.deterministic:
-        scenario = replace(scenario,
-                           solve=replace(scenario.solve, deterministic=True))
     return scenario
 
 
@@ -97,8 +92,8 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     from dataclasses import replace
 
-    from .scenario import (compare_scenarios, export, render_comparison,
-                           render_report, run_scenario)
+    from .scenario import (AutoPlace, compare_scenarios, export,
+                           render_comparison, render_report, run_scenario)
     from .stack import validate_stack
 
     scenario = _load(args)
@@ -132,20 +127,13 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "place-sensors":
-        from .power import power_density_field
-        from .sensors import (place_sensors_greedy, placement_to_csv,
-                              tile_center_candidates)
-        from .solver import assemble, solve_steady
-        from .stack import discretize
+        from .sensors import placement_to_csv
 
-        grid = discretize(scenario.stack, scenario.grid.nx, scenario.grid.ny,
-                          scenario.grid.sub_slabs_per_layer)
-        system = assemble(grid, scenario.stack)
-        steady = solve_steady(
-            system, power_density_field(scenario.power, grid, 0.0),
-            scenario.solve)
-        candidates = tile_center_candidates(grid)
-        chosen = place_sensors_greedy(candidates, args.k, [steady], grid)
+        scenario = replace(scenario, sensors=AutoPlace(args.k),
+                           transient=None, policy=None, pdn=None,
+                           reliability=None)
+        report = run_scenario(scenario)
+        chosen = [s.site for s in report.scenario.sensors.sensors]
         path = f"{args.out}_placement.csv"
         if os.path.exists(path) and not args.force:
             print(f"io error: refusing to overwrite {path}", file=sys.stderr)

@@ -17,10 +17,9 @@ from .pdn import PdnParams
 from .power import (Constant, Periodic, PowerMap, Step, BUILTIN_PRESETS,
                     load_trace_csv)
 from .reliability import ReliabilityParams
-from .scenario import (CoreSwapPolicy, GridSpec, Scenario, ThrottlePolicy,
-                       TransientSpec)
-from .sensors import SensorNetwork, SensorSpec, tile_center_candidates
-from .solver import SolveOptions
+from .scenario import (AutoPlace, CoreSwapPolicy, GridSpec, Scenario,
+                       SolveOptions, ThrottlePolicy, TransientSpec)
+from .sensors import SensorNetwork, SensorSpec
 from .stack import (LayerRole, LayerSpec, StackConfig, TsvFarmSpec,
                     preset_stack)
 
@@ -129,16 +128,21 @@ def _power(spec: dict | None, stack: StackConfig, base_dir: str) -> PowerMap:
     return pmap
 
 
-def _sensors(spec: dict | None, seed: int) -> SensorNetwork | None:
+def _sensors(spec: dict | None,
+             seed: int) -> SensorNetwork | AutoPlace | None:
     if not spec:
         return None
     kwargs = {k: spec[k] for k in ("noise_sigma", "quantization_step",
                                    "sample_period") if k in spec}
+    if "auto_place" in spec:
+        if "placements" in spec:
+            raise ConfigError("sensors takes 'placements' or 'auto_place', "
+                              "not both")
+        return AutoPlace(k=spec["auto_place"]["k"], **kwargs)
     sensors = tuple(
         SensorSpec(layer=p["layer"], x_mm=p["x_mm"], y_mm=p["y_mm"], **kwargs)
         for p in spec.get("placements", ()))
-    auto = spec.get("auto_place")
-    return SensorNetwork(sensors=sensors, rng_seed=seed), auto
+    return SensorNetwork(sensors=sensors, rng_seed=seed)
 
 
 def _from_dataclass(cls, spec: dict | None):
@@ -175,10 +179,7 @@ def scenario_from_document(doc: dict, base_dir: str = ".") -> Scenario:
                     sub_slabs_per_layer=doc["grid"].get(
                         "sub_slabs_per_layer", 1))
     power = _power(doc.get("power"), stack, base_dir)
-    sensors_auto = _sensors(doc.get("sensors"), seed)
-    sensors = auto = None
-    if sensors_auto is not None:
-        sensors, auto = sensors_auto
+    sensors = _sensors(doc.get("sensors"), seed)
 
     transient = doc.get("transient")
     if transient == "steady-only":
@@ -188,7 +189,7 @@ def scenario_from_document(doc: dict, base_dir: str = ".") -> Scenario:
 
     policy, period = _policy(doc.get("policy"))
 
-    scenario = Scenario(
+    return Scenario(
         name=doc["name"],
         stack=stack,
         power=power,
@@ -203,37 +204,6 @@ def scenario_from_document(doc: dict, base_dir: str = ".") -> Scenario:
         policy=policy,
         policy_period=period,
         seed=seed)
-    if auto:
-        scenario = _auto_place(scenario, auto["k"], doc.get("sensors", {}))
-    return scenario
-
-
-def _auto_place(scenario: Scenario, k: int, sensor_spec: dict) -> Scenario:
-    """Greedy-place k sensors on tile centers, trained on the scenario's
-    own steady field."""
-    from dataclasses import replace
-
-    from .sensors import place_sensors_greedy
-    from .solver import assemble, solve_steady
-    from .power import power_density_field
-    from .stack import discretize
-
-    grid = discretize(scenario.stack, scenario.grid.nx, scenario.grid.ny,
-                      scenario.grid.sub_slabs_per_layer)
-    system = assemble(grid, scenario.stack)
-    steady = solve_steady(system, power_density_field(scenario.power, grid,
-                                                      0.0), scenario.solve)
-    candidates = tile_center_candidates(grid)
-    chosen = place_sensors_greedy(candidates, k, [steady], grid)
-    kwargs = {kk: sensor_spec[kk] for kk in
-              ("noise_sigma", "quantization_step", "sample_period")
-              if kk in sensor_spec}
-    sensors = tuple(SensorSpec(layer=l, x_mm=x, y_mm=y, **kwargs)
-                    for l, x, y in chosen)
-    network = SensorNetwork(sensors=sensors,
-                            candidate_sites=tuple(candidates),
-                            rng_seed=scenario.seed)
-    return replace(scenario, sensors=network)
 
 
 def load_scenario(path) -> Scenario:

@@ -251,16 +251,11 @@ def _overlap_weights(n_cells: int, cell_size: float, n_tiles: int,
                      extent: float) -> np.ndarray:
     """(n_cells, n_tiles) fractional overlap of each grid cell with each
     tile interval along one axis; rows sum to 1."""
-    tile_size = extent / n_tiles
-    w = np.zeros((n_cells, n_tiles))
-    for i in range(n_cells):
-        lo, hi = i * cell_size, (i + 1) * cell_size
-        for j in range(n_tiles):
-            tlo, thi = j * tile_size, (j + 1) * tile_size
-            ov = min(hi, thi) - max(lo, tlo)
-            if ov > 0:
-                w[i, j] = ov / cell_size
-    return w
+    cells = np.arange(n_cells + 1) * cell_size
+    tiles = np.arange(n_tiles + 1) * (extent / n_tiles)
+    ov = (np.minimum(cells[1:, None], tiles[None, 1:])
+          - np.maximum(cells[:-1, None], tiles[None, :-1]))
+    return np.where(ov > 0, ov / cell_size, 0.0)
 
 
 def power_density_field(pmap: PowerMap, grid: VoxelGrid,

@@ -9,7 +9,7 @@ temperatures, so placement quality is visible in management outcomes.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -20,8 +20,9 @@ from .pdn import (PdnGrid, PdnParams, build_pdn, currents_from_power,
 from .power import PowerMap, power_density_field, total_power
 from .reliability import (ReliabilityParams, ReliabilityReport,
                           reliability_report)
-from .sensors import (SensorNetwork, hotspot_error, placement_to_csv,
-                      read_sensors)
+from .sensors import (SensorNetwork, SensorSpec, hotspot_error,
+                      place_sensors_greedy, placement_to_csv, read_sensors,
+                      tile_center_candidates)
 from .solver import (LayerStats, SolveOptions, TemperatureField, assemble,
                      layer_summary, solve_steady, step_transient)
 from .stack import StackConfig, discretize, validate_stack
@@ -83,12 +84,23 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
+class AutoPlace:
+    """Greedy placement of k sensors on the tile centers, trained on the
+    run's own steady field; the other fields apply to every placed sensor."""
+
+    k: int
+    noise_sigma: float = SensorSpec.noise_sigma
+    quantization_step: float = SensorSpec.quantization_step
+    sample_period: float = SensorSpec.sample_period
+
+
+@dataclass(frozen=True)
 class Scenario:
     name: str
     stack: StackConfig
     power: PowerMap
     grid: GridSpec = GridSpec()
-    sensors: SensorNetwork | None = None
+    sensors: SensorNetwork | AutoPlace | None = None
     pdn: PdnParams | None = None
     reliability: ReliabilityParams | None = None
     solve: SolveOptions = SolveOptions()
@@ -215,10 +227,24 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
 
     # The scenario seed governs all stochastic behavior, including sensor noise.
     network = scenario.sensors
-    if network is not None:
-        network = SensorNetwork(sensors=network.sensors,
-                                candidate_sites=network.candidate_sites,
-                                rng_seed=scenario.seed)
+    try:
+        if isinstance(network, AutoPlace):
+            candidates = tile_center_candidates(grid)
+            sites = place_sensors_greedy(candidates, network.k, [steady], grid)
+            network = SensorNetwork(
+                sensors=tuple(SensorSpec(
+                    layer=l, x_mm=x, y_mm=y, noise_sigma=network.noise_sigma,
+                    quantization_step=network.quantization_step,
+                    sample_period=network.sample_period)
+                    for l, x, y in sites),
+                candidate_sites=tuple(candidates), rng_seed=scenario.seed)
+            scenario = replace(scenario, sensors=network)
+        elif network is not None:
+            network = SensorNetwork(sensors=network.sensors,
+                                    candidate_sites=network.candidate_sites,
+                                    rng_seed=scenario.seed)
+    except Exception as e:
+        raise StageError("sensors", e)
 
     final_field = None
     final_stats = None

@@ -38,8 +38,6 @@ class SolveOptions:
     tolerance: float = 1e-8       # relative residual
     max_iterations: int | None = None
     sor_omega: float = 1.8
-    dt: float | None = None
-    deterministic: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.tolerance < 1.0:
@@ -270,18 +268,11 @@ def solve_transient(system: DiscreteSystem, t0_field: TemperatureField,
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
     n_steps = int(np.ceil(t_end / dt))
-    cap = system.C / dt
-    A = (system.G + sp.diags(cap)).tocsr()
     field_t = t0_field
     samples: list[TemperatureField] = []
-    t = t0_field.time or 0.0
     for step in range(n_steps):
-        source = power_density_field(pmap, system.grid, t)
-        b = system.rhs(source) + cap * field_t.flat()
-        x = _solve_linear(A, b, field_t.flat(), options)
-        t += dt
-        field_t = TemperatureField(values=x.reshape(system.grid.shape),
-                                   grid=system.grid, time=t)
+        source = power_density_field(pmap, system.grid, field_t.time or 0.0)
+        field_t = step_transient(system, field_t, source, dt, options)
         if (step + 1) % sample_stride == 0 or step == n_steps - 1:
             samples.append(field_t)
     return samples

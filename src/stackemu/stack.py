@@ -267,12 +267,6 @@ class VoxelGrid:
     def device_layer_indices(self) -> tuple[int, ...]:
         return self.config.device_layer_indices
 
-    def device_slab_mask(self, device_ordinal: int) -> np.ndarray:
-        """Boolean (nz,) mask of the slabs of the device layer with the
-        given bottom-up ordinal."""
-        layer_index = self.config.device_layer_indices[device_ordinal]
-        return self.slab_layer == layer_index
-
     @property
     def voxel_volume(self) -> np.ndarray:
         """(nz, ny, nx) voxel volumes, m^3."""

@@ -8,12 +8,13 @@ from stackemu.cli import main
 from stackemu.config import ConfigError, load_scenario, scenario_from_document
 from stackemu.fields_io import field_from_csv
 from stackemu.power import Constant, PowerMap
-from stackemu.scenario import (CoreSwapPolicy, ExportError, GridSpec,
-                               Scenario, StageError, ThrottlePolicy,
+from stackemu.scenario import (AutoPlace, CoreSwapPolicy, ExportError,
+                               GridSpec, Scenario, StageError, ThrottlePolicy,
                                TransientSpec, compare_scenarios, export,
                                render_comparison, render_report, run_scenario,
                                scenario_hash)
-from stackemu.sensors import SensorNetwork, SensorSpec
+from stackemu.sensors import (SensorNetwork, SensorSpec, place_sensors_greedy,
+                              tile_center_candidates)
 from stackemu.stack import discretize, preset_stack
 
 
@@ -270,9 +271,40 @@ def test_config_auto_place(tmp_path):
     yaml_text = BASE_YAML.replace(
         "  placements:\n    - {layer: 0, x_mm: 6.0, y_mm: 3.0}\n",
         "  auto_place: {k: 3}\n")
-    sc = load_scenario(write_yaml(tmp_path, yaml_text))
+    sc = run_scenario(load_scenario(write_yaml(tmp_path, yaml_text))).scenario
     assert len(sc.sensors.sensors) == 3
     assert len(set(s.site for s in sc.sensors.sensors)) == 3
+
+
+def test_config_rejects_placements_with_auto_place(tmp_path, capsys):
+    yaml_text = BASE_YAML.replace("  placements:\n",
+                                  "  auto_place: {k: 3}\n  placements:\n")
+    path = write_yaml(tmp_path, yaml_text)
+    with pytest.raises(ConfigError, match="auto_place"):
+        load_scenario(path)
+    assert main(["--config", path, "validate"]) == 1
+    assert "validation error" in capsys.readouterr().err
+
+
+def test_auto_place_is_one_stage_of_the_run(tmp_path):
+    demo = os.path.join(os.path.dirname(__file__), "..", "scenarios",
+                        "demo_2layer.yaml")
+    sc = load_scenario(demo)
+    assert sc.sensors == AutoPlace(k=6, noise_sigma=0.5,
+                                   quantization_step=0.25)
+    report = run_scenario(sc)
+    grid = report.steady_field.grid
+    expected = place_sensors_greedy(tile_center_candidates(grid), 6,
+                                    [report.steady_field], grid)
+    assert [s.site for s in report.scenario.sensors.sensors] == expected
+    assert report.scenario.sensors.rng_seed == sc.seed
+
+    out = str(tmp_path / "demo")
+    assert main(["--config", demo, "--out", out, "report"]) == 0
+    assert main(["--config", demo, "--out", out, "place-sensors",
+                 "--k", "6"]) == 0
+    with open(f"{out}_sensors.csv") as a, open(f"{out}_placement.csv") as b:
+        assert a.read() == b.read()
 
 
 def test_cli_validate_ok(tmp_path, capsys):

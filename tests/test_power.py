@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stackemu.power import (BUILTIN_PRESETS, Constant, CoreProxyPreset,
-                            Periodic, PowerMap, Step, Trace, load_trace_csv,
-                            power_density_field, total_power)
+                            Periodic, PowerMap, Step, Trace, _overlap_weights,
+                            load_trace_csv, power_density_field, total_power)
 from stackemu.stack import discretize, preset_stack
 
 from conftest import random_power_map
@@ -101,6 +101,30 @@ def test_step_profile_field_case_split(cfg):
         PowerMap.zeros(cfg).set_tile_power(0, 0, 0, Constant(3.0)), grid, 0.0)
     np.testing.assert_array_equal(before, p0)
     np.testing.assert_array_equal(after, p1)
+
+
+def _overlap_weights_loop(n_cells, cell_size, n_tiles, extent):
+    """Reference: the per-cell, per-tile interval intersection."""
+    tile_size = extent / n_tiles
+    w = np.zeros((n_cells, n_tiles))
+    for i in range(n_cells):
+        lo, hi = i * cell_size, (i + 1) * cell_size
+        for j in range(n_tiles):
+            tlo, thi = j * tile_size, (j + 1) * tile_size
+            ov = min(hi, thi) - max(lo, tlo)
+            if ov > 0:
+                w[i, j] = ov / cell_size
+    return w
+
+
+@pytest.mark.parametrize("n_cells,n_tiles,extent", [
+    (32, 8, 12e-3), (16, 4, 6e-3), (7, 3, 12e-3), (13, 5, 6e-3),
+    (3, 8, 10e-3), (1, 1, 1e-3), (128, 8, 12e-3), (11, 7, 7.3e-3)])
+def test_overlap_weights_match_loop_exactly(n_cells, n_tiles, extent):
+    cell_size = extent / n_cells
+    got = _overlap_weights(n_cells, cell_size, n_tiles, extent)
+    assert np.array_equal(got, _overlap_weights_loop(n_cells, cell_size,
+                                                     n_tiles, extent))
 
 
 def test_total_power_uniform_layer(cfg):
