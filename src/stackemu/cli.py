@@ -2,8 +2,8 @@
 
 Subcommands: validate, steady, transient, place-sensors, pdn, compare,
 report. Exit codes: 0 success, 1 validation failure, 2 numerical
-failure, 3 IO failure. STACKEMU_THREADS caps BLAS worker count
-(0 = auto).
+failure, 3 IO failure. STACKEMU_THREADS caps BLAS worker count and
+overrides an already-set OMP_NUM_THREADS and the like (0 = auto).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ def _apply_thread_cap():
     if cap and cap != "0":
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
+            os.environ[var] = cap
 
 
 def _parser() -> argparse.ArgumentParser:

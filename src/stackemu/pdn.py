@@ -3,21 +3,22 @@
 One resistive plane per device layer (sheet-resistance lateral grid),
 vertical uC4+TSV resistors between adjacent planes wherever the lower die
 carries TSVs, package supply through C4+package resistance under the
-bottom die. Nodal analysis reuses the thermal module's SPD solver.
+bottom die. Nodal analysis reuses the thermal module's SPD solver; every
+plane is a uniform sheet, so its layered preconditioner is the exact
+inverse of the nodal matrix.
 Droop is a first-order closed-form surrogate, not a transient circuit
 simulation.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from .power import PowerMap
-from .solver import SolveOptions, _solve_linear
+from .solver import LayeredPreconditioner, SolveOptions, _solve_linear
 from .stack import StackConfig
 
 
@@ -63,6 +64,7 @@ class PdnGrid:
     supply_g: np.ndarray = field(repr=False)  # (n,) conductance to Vdd rail
     params: PdnParams = field(repr=False)
     config: StackConfig = field(repr=False)
+    precond: LayeredPreconditioner = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -104,15 +106,17 @@ def build_pdn(config: StackConfig, params: PdnParams = PdnParams()) -> PdnGrid:
         add(idx[:, :-1, :], idx[:, 1:, :], g_y)
 
     # Vertical uC4+TSV resistors where the lower die has TSVs.
-    g_vert = 1.0 / (params.r_uc4 + params.r_tsv)
-    for p in range(n_planes - 1):
-        if device[p].has_tsvs:
-            add(idx[p], idx[p + 1], g_vert)
+    g_vert = np.array([1.0 / (params.r_uc4 + params.r_tsv)
+                       if layer.has_tsvs else 0.0 for layer in device[:-1]])
+    for p in np.nonzero(g_vert)[0]:
+        add(idx[p], idx[p + 1], g_vert[p])
 
     # Package supply under the bottom die, every node.
+    g_supply = 1.0 / (params.r_c4 + params.r_pkg)
     supply_g = np.zeros(n)
-    supply_g[idx[0].reshape(-1)] = 1.0 / (params.r_c4 + params.r_pkg)
+    supply_g[idx[0].reshape(-1)] = g_supply
 
+    _check_connected(g_vert, ny, nx)
     if rows:
         r = np.concatenate(rows)
         c = np.concatenate(cols)
@@ -123,30 +127,26 @@ def build_pdn(config: StackConfig, params: PdnParams = PdnParams()) -> PdnGrid:
     diag = -np.asarray(off.sum(axis=1)).reshape(-1) + supply_g
     G = (off + sp.diags(diag)).tocsr()
 
-    _check_connected(off, supply_g, n_planes, ny, nx)
-    return PdnGrid(n_planes=n_planes, nx=nx, ny=ny, G=G,
-                   supply_g=supply_g, params=params, config=config)
+    plane_supply = np.zeros(n_planes)
+    plane_supply[0] = g_supply
+    precond = LayeredPreconditioner(np.full(n_planes, g_x),
+                                    np.full(n_planes, g_y), g_vert,
+                                    plane_supply, ny, nx)
+    return PdnGrid(n_planes=n_planes, nx=nx, ny=ny, G=G, supply_g=supply_g,
+                   params=params, config=config, precond=precond)
 
 
-def _check_connected(off: sp.csr_matrix, supply_g: np.ndarray,
-                     n_planes: int, ny: int, nx: int) -> None:
-    n = off.shape[0]
-    seen = supply_g > 0
-    queue = deque(np.nonzero(seen)[0].tolist())
-    indptr, indices = off.indptr, off.indices
-    while queue:
-        i = queue.popleft()
-        for jj in range(indptr[i], indptr[i + 1]):
-            j = indices[jj]
-            if not seen[j]:
-                seen[j] = True
-                queue.append(j)
-    if not seen.all():
-        bad = np.nonzero(~seen)[0]
-        coords = [(int(b) // (ny * nx), (int(b) // nx) % ny, int(b) % nx)
-                  for b in bad]
+def _check_connected(g_vert: np.ndarray, ny: int, nx: int) -> None:
+    """Each plane is a connected lattice and plane 0 is all supplied, so
+    plane p+1 reaches the supply iff every die below it has TSVs."""
+    cut = np.nonzero(g_vert == 0.0)[0]
+    if len(cut):
+        first, n_planes = int(cut[0]) + 1, len(g_vert) + 1
+        coords = [(p, y, x) for p in range(first, n_planes)
+                  for y in range(ny) for x in range(nx)]
         raise PdnConfigError(
-            f"{len(bad)} PDN nodes have no path to the supply", nodes=coords)
+            f"{len(coords)} PDN nodes have no path to the supply",
+            nodes=coords)
 
 
 def currents_from_power(pmap: PowerMap, pdn: PdnGrid, t: float) -> np.ndarray:
@@ -181,7 +181,7 @@ def solve_ir_drop(pdn: PdnGrid, currents: np.ndarray,
         raise ValueError("currents must be >= 0")
     b = pdn.supply_g * pdn.params.vdd - i_draw
     x0 = np.full(pdn.n, pdn.params.vdd)
-    v = _solve_linear(pdn.G, b, x0, options)
+    v = _solve_linear(pdn.G, b, x0, options, pdn.precond)
     return (pdn.params.vdd - v).reshape(pdn.n_planes, pdn.ny, pdn.nx)
 
 
@@ -211,7 +211,7 @@ def coupling_report(pdn: PdnGrid, aggressor_plane: int, step: float,
     # Delta-current solve: drop contribution is linear, so solve G v = -dI
     # and read the induced drop directly.
     b = -delta.reshape(-1)
-    v = _solve_linear(pdn.G, b, np.zeros(pdn.n), options) if step > 0 \
-        else np.zeros(pdn.n)
+    v = (_solve_linear(pdn.G, b, np.zeros(pdn.n), options, pdn.precond)
+         if step > 0 else np.zeros(pdn.n))
     induced = (-v).reshape(pdn.n_planes, pdn.ny, pdn.nx)
     return induced.reshape(pdn.n_planes, -1).max(axis=1)

@@ -70,8 +70,8 @@ class TransientSpec:
     sample_stride: int = 1
 
     def __post_init__(self):
-        if self.t_end <= 0 or self.dt <= 0:
-            raise ValueError("t_end and dt must be positive")
+        if not (0 < self.t_end < np.inf and 0 < self.dt < np.inf):
+            raise ValueError("t_end and dt must be positive and finite")
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
 

@@ -51,3 +51,48 @@ def random_power_map(rng: np.random.Generator, cfg):
             pmap = pmap.set_tile_power(layer, r, c,
                                        Constant(float(rng.uniform(0, 20))))
     return pmap
+
+
+def random_farm_stack(rng: np.random.Generator, max_unknowns=1000):
+    """random_stack with TSV farms: every die that carries TSVs gets a Cu
+    farm in the left half of the die and a W farm with an SiO2 liner in
+    the right half, each aligned to whole cells so that every farm covers
+    at least one voxel column."""
+    from stackemu.materials import COPPER, SIO2, TUNGSTEN
+    from stackemu.stack import TsvFarmSpec, preset_stack, with_layer
+
+    n_layers = int(rng.integers(2, 5))
+    cfg = preset_stack(n_layers)
+    n_slabs = len(cfg.layers)
+    while True:
+        nx = int(rng.integers(2, 9))
+        ny = int(rng.integers(2, 6))
+        sub = int(rng.integers(1, 3))
+        if nx * ny * n_slabs * sub <= max_unknowns:
+            break
+
+    w, l = cfg.die_width_mm, cfg.die_length_mm
+
+    def farm(ix_lo, ix_hi, *spec):
+        """Farm over cells [x0, x1) x [y0, y1) with ix_lo <= x0 < ix_hi."""
+        x0 = int(rng.integers(ix_lo, ix_hi))
+        x1 = int(rng.integers(x0 + 1, ix_hi + 1))
+        y0 = int(rng.integers(0, ny))
+        y1 = int(rng.integers(y0 + 1, ny + 1))
+        return TsvFarmSpec(w * x0 / nx, l * y0 / ny, w * x1 / nx, l * y1 / ny,
+                           *spec)
+
+    for index in cfg.device_layer_indices:
+        if not cfg.layers[index].has_tsvs:
+            continue
+        d_cu = float(rng.uniform(2.0, 8.0))
+        d_w = float(rng.uniform(2.0, 8.0))
+        liner = float(rng.uniform(0.1, 1.0))
+        farms = (farm(0, nx // 2, d_cu, d_cu + float(rng.uniform(0.5, 10.0)),
+                      COPPER),
+                 farm(nx // 2, nx, d_w,
+                      d_w + 2 * liner + float(rng.uniform(0.5, 10.0)),
+                      TUNGSTEN, liner, SIO2))
+        cfg = with_layer(cfg, index, tsv_farms=farms)
+    grid = discretize(cfg, nx, ny, sub)
+    return cfg, grid

@@ -4,7 +4,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from stackemu.cli import main
+from stackemu.cli import _apply_thread_cap, main
 from stackemu.config import ConfigError, load_scenario, scenario_from_document
 from stackemu.fields_io import field_from_csv
 from stackemu.power import Constant, PowerMap
@@ -345,6 +345,37 @@ def test_cli_transient_requires_section(tmp_path, capsys):
     path = write_yaml(tmp_path, BASE_YAML)
     assert main(["--config", path, "transient"]) == 1
     assert "no transient section" in capsys.readouterr().err
+
+
+def test_cli_nan_power_exit_2(tmp_path, capsys):
+    demo = os.path.join(os.path.dirname(__file__), "..", "scenarios",
+                        "demo_2layer.yaml")
+    with open(demo) as fh:
+        text = fh.read()
+    assert "p_high: 60.0" in text
+    path = write_yaml(tmp_path, text.replace("p_high: 60.0", "p_high: .nan"))
+    out = str(tmp_path / "run")
+    assert main(["--config", path, "--out", out, "steady"]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not os.path.exists(f"{out}_report.txt")
+
+
+def test_transient_spec_rejects_non_finite():
+    for t_end, dt in ((1.0, float("nan")), (1.0, float("inf")),
+                      (float("nan"), 0.1), (float("inf"), 0.1)):
+        with pytest.raises(ValueError, match="finite"):
+            TransientSpec(t_end=t_end, dt=dt)
+
+
+def test_stackemu_threads_overrides_blas_variables(monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "4")
+    monkeypatch.setenv("STACKEMU_THREADS", "1")
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    _apply_thread_cap()
+    assert [os.environ[var] for var in ("OMP_NUM_THREADS",
+                                        "OPENBLAS_NUM_THREADS",
+                                        "MKL_NUM_THREADS")] == ["1", "1", "1"]
 
 
 def test_cli_seed_override_changes_hash(tmp_path, capsys):

@@ -101,6 +101,17 @@ def test_disconnected_plane_rejected():
     assert all(plane == 1 for plane, _, _ in exc.value.nodes)
 
 
+def test_planes_above_die_without_tsvs_rejected():
+    cfg = preset_stack(4)
+    bad = with_layer(cfg, cfg.device_layer_indices[1], has_tsvs=False,
+                     tsv_farms=())
+    with pytest.raises(PdnConfigError) as exc:
+        build_pdn(bad, PdnParams(nx=3, ny=2))
+    # planes 0 and 1 stay supplied; exactly planes 2 and 3, in index order
+    assert exc.value.nodes == tuple((p, y, x) for p in (2, 3)
+                                    for y in range(2) for x in range(3))
+
+
 def test_currents_from_power_conserve_total():
     cfg = preset_stack(2)
     pdn = build_pdn(cfg)
@@ -215,3 +226,22 @@ def test_drop_bounded_by_worst_series_path(seed, n_layers):
                + (n_layers - 1) * (params.r_uc4 + params.r_tsv))
     assert drop.max() <= i_tot * r_worst + 1e-12
     assert drop.min() >= -1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_layers=st.sampled_from([2, 3, 4]),
+       nx=st.integers(1, 12), ny=st.integers(1, 8))
+def test_ir_drop_matches_dense_oracle(seed, n_layers, nx, ny):
+    rng = np.random.default_rng(seed)
+    params = PdnParams(nx=nx, ny=ny,
+                       sheet_ohm_sq=float(rng.uniform(0.005, 0.1)),
+                       r_c4=float(rng.uniform(0.001, 0.02)),
+                       r_uc4=float(rng.uniform(0.001, 0.05)),
+                       r_tsv=float(rng.uniform(0.001, 0.05)))
+    pdn = build_pdn(preset_stack(n_layers), params)
+    currents = rng.uniform(0, 0.2, (n_layers, ny, nx))
+    drop = solve_ir_drop(pdn, currents, SolveOptions(tolerance=1e-12))
+    v = np.linalg.solve(pdn.G.toarray(),
+                        pdn.supply_g * params.vdd - currents.reshape(-1))
+    np.testing.assert_allclose(drop.reshape(-1), params.vdd - v,
+                               rtol=0, atol=1e-10)

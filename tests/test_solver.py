@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
-from stackemu.materials import Material, SILICON
+from stackemu.materials import COPPER, Material, SILICON
 from stackemu.power import Constant, Periodic, PowerMap, power_density_field, \
     total_power
-from stackemu.solver import (ConvergenceError, SolveOptions, TemperatureField,
-                             assemble, layer_summary, solve_steady,
-                             solve_transient, step_transient)
-from stackemu.stack import (LayerRole, LayerSpec, StackConfig, discretize,
-                            preset_stack)
+from stackemu.solver import (ConvergenceError, NumericalError, SolveOptions,
+                             TemperatureField, assemble, layer_summary,
+                             solve_steady, solve_transient, step_transient)
+from stackemu.stack import (LayerRole, LayerSpec, StackConfig, TsvFarmSpec,
+                            discretize, preset_stack, with_layer)
 
-from conftest import column_stack, random_power_map, random_stack
+from conftest import (column_stack, random_farm_stack, random_power_map,
+                      random_stack)
 
 TIGHT = SolveOptions(tolerance=1e-13)
 
@@ -113,7 +115,11 @@ def test_steady_matches_dense_oracle_3x3x3():
 
 
 def test_nonconvergence_raises():
+    # The layered preconditioner inverts a farm-free stack exactly, so a
+    # Cu farm on SP keeps CG from converging in two iterations.
     cfg = preset_stack(2)
+    farm = TsvFarmSpec(3.0, 1.5, 9.0, 4.5, 5.0, 10.0, COPPER)
+    cfg = with_layer(cfg, cfg.device_layer_indices[0], tsv_farms=(farm,))
     grid = discretize(cfg, 4, 3, 1)
     system = assemble(grid, cfg)
     source = np.full(grid.shape, 1e7)
@@ -316,3 +322,62 @@ def test_superposition_linearity():
     np.testing.assert_allclose(t12, t1 + t2, rtol=1e-6, atol=1e-8)
     t_scaled = solve_steady(system, 3.0 * s1, TIGHT).values - cfg.ambient_c
     np.testing.assert_allclose(t_scaled, 3.0 * t1, rtol=1e-6, atol=1e-8)
+
+
+def test_non_finite_inputs_rejected():
+    cfg = preset_stack(2)
+    grid = discretize(cfg, 4, 3, 1)
+    system = assemble(grid, cfg)
+    source = np.full(grid.shape, 1e7)
+    source[0, 1, 2] = np.nan
+    with pytest.raises(NumericalError, match="non-finite"):
+        solve_steady(system, source)
+    t0 = TemperatureField(values=np.full(grid.shape, 25.0), grid=grid,
+                          time=0.0)
+    for dt in (np.nan, np.inf, 0.0):
+        with pytest.raises(ValueError, match="dt"):
+            step_transient(system, t0, np.zeros(grid.shape), dt)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_farm_stacks_match_dense_oracle(seed):
+    """Steady solve and one backward-Euler step on random stacks with Cu
+    and W+SiO2-liner farms, where the preconditioner is approximate."""
+    rng = np.random.default_rng(seed)
+    cfg, grid = random_farm_stack(rng)
+    assert any(grid.farm_lateral_mask(i).any()
+               for i in cfg.device_layer_indices)
+    system = assemble(grid, cfg)
+    source = power_density_field(random_power_map(rng, cfg), grid, 0.0)
+    options = SolveOptions(tolerance=1e-12)
+    G = system.G.toarray()
+
+    oracle = np.linalg.solve(G, system.rhs(source))
+    scale = max(1.0, np.max(np.abs(oracle - cfg.ambient_c)))
+    steady = solve_steady(system, source, options)
+    assert np.max(np.abs(steady.flat() - oracle)) <= 1e-8 * scale
+
+    dt = float(10 ** rng.uniform(-5, 0))
+    t0 = TemperatureField(values=rng.uniform(25.0, 90.0, grid.shape),
+                          grid=grid, time=0.0)
+    cap = system.C / dt
+    oracle = np.linalg.solve(G + np.diag(cap),
+                             system.rhs(source) + cap * t0.flat())
+    stepped = step_transient(system, t0, source, dt, options)
+    assert np.max(np.abs(stepped.flat() - oracle)) \
+        <= 1e-8 * np.max(np.abs(oracle))
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_preconditioner_inverts_farm_free_operator(seed):
+    rng = np.random.default_rng(seed)
+    cfg, grid = random_stack(rng, max_unknowns=400)
+    system = assemble(grid, cfg)
+    for dt in (None, float(10 ** rng.uniform(-5, 0))):
+        A, precond = system.operator(dt)
+        # A is symmetric: its rows are its columns.
+        product = np.column_stack([precond(col) for col in A.toarray()])
+        np.testing.assert_allclose(product, np.eye(system.n),
+                                   rtol=0, atol=1e-10)
