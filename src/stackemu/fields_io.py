@@ -39,10 +39,19 @@ def field_from_csv(path, grid: VoxelGrid,
         for row in reader:
             if not row:
                 continue
-            _, iz, iy, ix, t = row
-            iz, iy, ix = int(iz), int(iy), int(ix)
-            values[iz, iy, ix] = float(t)
-            seen[iz, iy, ix] = True
+            layer, iz, iy, ix, t = row
+            voxel = (int(iz), int(iy), int(ix))
+            if not all(0 <= i < n for i, n in zip(voxel, grid.shape)):
+                raise ValueError(f"{path}: voxel {voxel} is outside the "
+                                 f"grid {grid.shape}")
+            if seen[voxel]:
+                raise ValueError(f"{path}: duplicate voxel {voxel}")
+            if int(layer) != grid.slab_layer[voxel[0]]:
+                raise ValueError(f"{path}: voxel {voxel} has layer {layer}, "
+                                 f"slab {voxel[0]} is layer "
+                                 f"{grid.slab_layer[voxel[0]]}")
+            values[voxel] = float(t)
+            seen[voxel] = True
     if not seen.all():
         raise ValueError(f"{path}: field is missing voxels")
     return TemperatureField(values=values, grid=grid, time=time)

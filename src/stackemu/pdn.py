@@ -3,9 +3,9 @@
 One resistive plane per device layer (sheet-resistance lateral grid),
 vertical uC4+TSV resistors between adjacent planes wherever the lower die
 carries TSVs, package supply through C4+package resistance under the
-bottom die. Nodal analysis reuses the thermal module's SPD solver; every
-plane is a uniform sheet, so its layered preconditioner is the exact
-inverse of the nodal matrix.
+bottom die. The nodal matrix comes from the thermal module's lattice
+builder and is solved by its CG; every plane is a uniform sheet, so the
+layered preconditioner is the exact inverse of the nodal matrix.
 Droop is a first-order closed-form surrogate, not a transient circuit
 simulation.
 """
@@ -18,7 +18,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .power import PowerMap
-from .solver import LayeredPreconditioner, SolveOptions, _solve_linear
+from .solver import (LayeredPreconditioner, SolveOptions, lattice_matrix,
+                     solve_cg)
 from .stack import StackConfig
 
 
@@ -82,58 +83,33 @@ def build_pdn(config: StackConfig, params: PdnParams = PdnParams()) -> PdnGrid:
         raise PdnConfigError("stack has no device layers")
     n_planes = len(device)
     nx, ny = params.nx, params.ny
-    n = n_planes * ny * nx
-    idx = np.arange(n).reshape(n_planes, ny, nx)
-
-    rows, cols, vals = [], [], []
-
-    def add(i_idx, j_idx, g):
-        i = i_idx.reshape(-1)
-        j = j_idx.reshape(-1)
-        gg = np.broadcast_to(g, i.shape).reshape(-1)
-        rows.extend([i, j])
-        cols.extend([j, i])
-        vals.extend([-gg, -gg])
 
     # Lateral sheet resistors; cell aspect ratio sets squares per segment.
     pitch_x = config.die_width_mm / nx
     pitch_y = config.die_length_mm / ny
     g_x = 1.0 / (params.sheet_ohm_sq * pitch_x / pitch_y)
     g_y = 1.0 / (params.sheet_ohm_sq * pitch_y / pitch_x)
-    if nx > 1:
-        add(idx[:, :, :-1], idx[:, :, 1:], g_x)
-    if ny > 1:
-        add(idx[:, :-1, :], idx[:, 1:, :], g_y)
 
     # Vertical uC4+TSV resistors where the lower die has TSVs.
     g_vert = np.array([1.0 / (params.r_uc4 + params.r_tsv)
                        if layer.has_tsvs else 0.0 for layer in device[:-1]])
-    for p in np.nonzero(g_vert)[0]:
-        add(idx[p], idx[p + 1], g_vert[p])
+    _check_connected(g_vert, ny, nx)
 
     # Package supply under the bottom die, every node.
     g_supply = 1.0 / (params.r_c4 + params.r_pkg)
-    supply_g = np.zeros(n)
-    supply_g[idx[0].reshape(-1)] = g_supply
-
-    _check_connected(g_vert, ny, nx)
-    if rows:
-        r = np.concatenate(rows)
-        c = np.concatenate(cols)
-        v = np.concatenate(vals)
-        off = sp.coo_matrix((v, (r, c)), shape=(n, n)).tocsr()
-    else:
-        off = sp.csr_matrix((n, n))
-    diag = -np.asarray(off.sum(axis=1)).reshape(-1) + supply_g
-    G = (off + sp.diags(diag)).tocsr()
-
-    plane_supply = np.zeros(n_planes)
-    plane_supply[0] = g_supply
+    supply_g = np.zeros((n_planes, ny, nx))
+    supply_g[0] = g_supply
+    G = lattice_matrix(np.full((n_planes, ny, nx - 1), g_x),
+                       np.full((n_planes, ny - 1, nx), g_y),
+                       np.broadcast_to(g_vert[:, None, None],
+                                       (n_planes - 1, ny, nx)),
+                       supply_g)
     precond = LayeredPreconditioner(np.full(n_planes, g_x),
                                     np.full(n_planes, g_y), g_vert,
-                                    plane_supply, ny, nx)
-    return PdnGrid(n_planes=n_planes, nx=nx, ny=ny, G=G, supply_g=supply_g,
-                   params=params, config=config, precond=precond)
+                                    supply_g[:, 0, 0], ny, nx)
+    return PdnGrid(n_planes=n_planes, nx=nx, ny=ny, G=G,
+                   supply_g=supply_g.reshape(-1), params=params,
+                   config=config, precond=precond)
 
 
 def _check_connected(g_vert: np.ndarray, ny: int, nx: int) -> None:
@@ -181,7 +157,7 @@ def solve_ir_drop(pdn: PdnGrid, currents: np.ndarray,
         raise ValueError("currents must be >= 0")
     b = pdn.supply_g * pdn.params.vdd - i_draw
     x0 = np.full(pdn.n, pdn.params.vdd)
-    v = _solve_linear(pdn.G, b, x0, options, pdn.precond)
+    v = solve_cg(pdn.G, b, x0, pdn.precond, options)
     return (pdn.params.vdd - v).reshape(pdn.n_planes, pdn.ny, pdn.nx)
 
 
@@ -211,7 +187,7 @@ def coupling_report(pdn: PdnGrid, aggressor_plane: int, step: float,
     # Delta-current solve: drop contribution is linear, so solve G v = -dI
     # and read the induced drop directly.
     b = -delta.reshape(-1)
-    v = (_solve_linear(pdn.G, b, np.zeros(pdn.n), options, pdn.precond)
+    v = (solve_cg(pdn.G, b, np.zeros(pdn.n), pdn.precond, options)
          if step > 0 else np.zeros(pdn.n))
     induced = (-v).reshape(pdn.n_planes, pdn.ny, pdn.nx)
     return induced.reshape(pdn.n_planes, -1).max(axis=1)

@@ -13,7 +13,9 @@ operator, which leaves one tridiagonal system through the stack per
 in-plane mode (the fast Poisson solver of Buzbee, Golub & Nielsen, SIAM
 J. Numer. Anal. 7, 1970). On farm-free stacks the preconditioner is the
 exact inverse and CG stops after one or two iterations; TSV-farm voxels
-make it approximate. SOR is kept as an independent verification path.
+make it approximate. `lattice_matrix` is the one builder of a 7-point
+conductance lattice over stacked planes and `solve_cg` the one linear
+solve; the PDN uses both.
 """
 
 from __future__ import annotations
@@ -42,18 +44,12 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveOptions:
-    method: str = "cg"            # "cg" or "sor"
     tolerance: float = 1e-8       # relative residual
     max_iterations: int | None = None
-    sor_omega: float = 1.8
 
     def __post_init__(self):
         if not 0.0 < self.tolerance < 1.0:
             raise ValueError("tolerance must be in (0, 1)")
-        if not 0.0 < self.sor_omega < 2.0:
-            raise ValueError("sor_omega must be in (0, 2)")
-        if self.method not in ("cg", "sor"):
-            raise ValueError(f"unknown method {self.method!r}")
 
     def iteration_cap(self, n: int) -> int:
         if self.max_iterations is not None:
@@ -137,8 +133,11 @@ def _boundary_conductance(grid: VoxelGrid, kz: np.ndarray) -> np.ndarray:
     dz = grid.dz_m
     a_cell = grid.dx_m * grid.dy_m
     boundary_g = np.zeros(kz.shape)
-    boundary_g[-1] = a_cell / (dz[-1] / (2 * kz[-1]) + 1.0 / config.heat_sink_h)
-    boundary_g[0] = a_cell / (dz[0] / (2 * kz[0]) + config.package_resistance)
+    # Both add, so a one-slab grid keeps the heat sink and the package.
+    boundary_g[-1] += a_cell / (dz[-1] / (2 * kz[-1])
+                                + 1.0 / config.heat_sink_h)
+    boundary_g[0] += a_cell / (dz[0] / (2 * kz[0])
+                               + config.package_resistance)
     return boundary_g
 
 
@@ -206,59 +205,54 @@ class LayeredPreconditioner:
         return (y.reshape(nz * ny, nx) @ self.qx.T).reshape(-1)
 
 
+def lattice_matrix(gx: np.ndarray, gy: np.ndarray, gz: np.ndarray,
+                   ground: np.ndarray) -> sp.csr_matrix:
+    """SPD nodal matrix of a 7-point lattice of nz planes of ny x nx nodes,
+    node index (iz * ny + iy) * nx + ix. Face conductances gx (nz, ny,
+    nx-1), gy (nz, ny-1, nx) and gz (nz-1, ny, nx) couple neighbours;
+    ground (nz, ny, nx) ties each node to a fixed potential."""
+    _, ny, nx = ground.shape
+    n = ground.size
+    bands, offsets = [], []
+    for g, axis, step in ((gx, 2, 1), (gy, 1, nx), (gz, 0, nx * ny)):
+        if g.size:      # an empty face set would repeat another offset
+            pad = [(0, 0)] * 3
+            pad[axis] = (0, 1)
+            band = -np.pad(g, pad).reshape(-1)[:n - step]
+            bands += [band, band]
+            offsets += [step, -step]
+    off = (sp.diags(bands, offsets, shape=(n, n), format="csr") if bands
+           else sp.csr_matrix((n, n)))
+    off.eliminate_zeros()      # the band padding at row and plane ends
+    diag = -np.asarray(off.sum(axis=1)).reshape(-1) + ground.reshape(-1)
+    return (off + sp.diags(diag)).tocsr()
+
+
 def assemble(grid: VoxelGrid, config: StackConfig) -> DiscreteSystem:
     if grid.config != config:
         raise ValueError("grid was not built from this config")
-    nz, ny, nx = grid.shape
-    n = grid.n
-    idx = np.arange(n).reshape(nz, ny, nx)
     dx, dy = grid.dx_m, grid.dy_m
-    dz = grid.dz_m
-
-    rows, cols, vals = [], [], []
-
-    def add_faces(i_idx, j_idx, g):
-        rows.append(i_idx.reshape(-1))
-        cols.append(j_idx.reshape(-1))
-        vals.append(-g.reshape(-1))
-        rows.append(j_idx.reshape(-1))
-        cols.append(i_idx.reshape(-1))
-        vals.append(-g.reshape(-1))
-
-    # x faces
-    if nx > 1:
-        g = _face_conductance(grid.kx[:, :, :-1], grid.kx[:, :, 1:], dx, dx,
-                              dy * dz[:, None, None])
-        add_faces(idx[:, :, :-1], idx[:, :, 1:], g)
-    # y faces
-    if ny > 1:
-        g = _face_conductance(grid.kx[:, :-1, :], grid.kx[:, 1:, :], dy, dy,
-                              dx * dz[:, None, None])
-        add_faces(idx[:, :-1, :], idx[:, 1:, :], g)
-    # z faces
-    if nz > 1:
-        g = _face_conductance(grid.kz[:-1], grid.kz[1:], dz[:-1, None, None],
-                              dz[1:, None, None], dx * dy)
-        add_faces(idx[:-1], idx[1:], g)
-
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    off = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    diag = -np.asarray(off.sum(axis=1)).reshape(-1)
-
-    boundary_g = _boundary_conductance(grid, grid.kz).reshape(-1)
-
-    G = off + sp.diags(diag + boundary_g)
+    dz = grid.dz_m[:, None, None]
+    kx, kz = grid.kx, grid.kz
+    gx = _face_conductance(kx[:, :, :-1], kx[:, :, 1:], dx, dx, dy * dz)
+    gy = _face_conductance(kx[:, :-1], kx[:, 1:], dy, dy, dx * dz)
+    gz = _face_conductance(kz[:-1], kz[1:], dz[:-1], dz[1:], dx * dy)
+    boundary_g = _boundary_conductance(grid, kz)
+    G = lattice_matrix(gx, gy, gz, boundary_g)
     C = (grid.vhc * grid.voxel_volume).reshape(-1)
-    return DiscreteSystem(G=G.tocsr(), boundary_g=boundary_g, C=C,
+    return DiscreteSystem(G=G, boundary_g=boundary_g.reshape(-1), C=C,
                           grid=grid, ambient_c=config.ambient_c)
 
 
-def _cg(A, b, x0, tol, max_iter, precond):
-    """CG preconditioned by precond(r) ~ A^-1 r, natural (row-major)
-    ordering throughout; bit-reproducible for fixed inputs. Non-finite
-    input raises instead of slipping past the `res > tol` test."""
+def solve_cg(A, b: np.ndarray, x0: np.ndarray, precond,
+             options: SolveOptions = SolveOptions()) -> np.ndarray:
+    """Solve the SPD system A x = b from x0 to relative residual
+    options.tolerance by CG preconditioned with precond(r) ~ A^-1 r;
+    natural (row-major) ordering throughout, so bit-reproducible for fixed
+    inputs. Non-finite input raises instead of slipping past the
+    `res > tol` test."""
+    tol = options.tolerance
+    max_iter = options.iteration_cap(len(b))
     x = x0.copy()
     r = b - A @ x
     bnorm = np.linalg.norm(b)
@@ -292,46 +286,13 @@ def _cg(A, b, x0, tol, max_iter, precond):
     return x
 
 
-def _sor(A, b, x0, tol, max_iter, omega):
-    """Gauss-Seidel successive over-relaxation, natural row order."""
-    A = A.tocsr()
-    x = x0.copy()
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        bnorm = 1.0
-    indptr, indices, data = A.indptr, A.indices, A.data
-    diag = A.diagonal()
-    n = len(b)
-    for it in range(max_iter):
-        for i in range(n):
-            s = 0.0
-            for jj in range(indptr[i], indptr[i + 1]):
-                j = indices[jj]
-                if j != i:
-                    s += data[jj] * x[j]
-            x[i] = (1.0 - omega) * x[i] + omega * (b[i] - s) / diag[i]
-        res = np.linalg.norm(b - A @ x) / bnorm
-        if not np.isfinite(res):
-            raise NumericalError("SOR produced non-finite residual")
-        if res <= tol:
-            return x
-    raise ConvergenceError(res, max_iter)
-
-
-def _solve_linear(A, b, x0, options: SolveOptions, precond):
-    cap = options.iteration_cap(len(b))
-    if options.method == "sor":
-        return _sor(A, b, x0, options.tolerance, cap, options.sor_omega)
-    return _cg(A, b, x0, options.tolerance, cap, precond)
-
-
 def solve_steady(system: DiscreteSystem, source: np.ndarray,
                  options: SolveOptions = SolveOptions()) -> TemperatureField:
     """Steady temperatures in deg C; relative residual <= tolerance."""
     b = system.rhs(source)
     x0 = np.full(system.n, system.ambient_c)
     A, precond = system.operator()
-    x = _solve_linear(A, b, x0, options, precond)
+    x = solve_cg(A, b, x0, precond, options)
     return TemperatureField(values=x.reshape(system.grid.shape),
                             grid=system.grid, time=None)
 
@@ -344,7 +305,7 @@ def step_transient(system: DiscreteSystem, field_t: TemperatureField,
         raise ValueError("dt must be positive and finite")
     A, precond = system.operator(dt)
     b = system.rhs(source) + (system.C / dt) * field_t.flat()
-    x = _solve_linear(A, b, field_t.flat(), options, precond)
+    x = solve_cg(A, b, field_t.flat(), precond, options)
     t_new = (field_t.time or 0.0) + dt
     return TemperatureField(values=x.reshape(system.grid.shape),
                             grid=system.grid, time=t_new)

@@ -286,17 +286,21 @@ class VoxelGrid:
         edges = np.concatenate([[0.0], np.cumsum(self.dz_m)])
         return 0.5 * (edges[:-1] + edges[1:])
 
+    def farm_mask(self, farm: TsvFarmSpec) -> np.ndarray:
+        """Boolean (ny, nx) mask of voxel centers inside one farm
+        footprint."""
+        xc = self.x_centers_m() * 1e3
+        yc = self.y_centers_m() * 1e3
+        in_x = (xc >= farm.x0_mm) & (xc < farm.x1_mm)
+        in_y = (yc >= farm.y0_mm) & (yc < farm.y1_mm)
+        return np.outer(in_y, in_x)
+
     def farm_lateral_mask(self, layer_index: int) -> np.ndarray:
         """Boolean (ny, nx) mask of voxel centers inside any farm footprint
         of the given layer."""
-        layer = self.config.layers[layer_index]
         mask = np.zeros((self.ny, self.nx), dtype=bool)
-        xc = self.x_centers_m() * 1e3
-        yc = self.y_centers_m() * 1e3
-        for farm in layer.tsv_farms:
-            in_x = (xc >= farm.x0_mm) & (xc < farm.x1_mm)
-            in_y = (yc >= farm.y0_mm) & (yc < farm.y1_mm)
-            mask |= np.outer(in_y, in_x)
+        for farm in self.config.layers[layer_index].tsv_farms:
+            mask |= self.farm_mask(farm)
         return mask
 
 
@@ -340,17 +344,12 @@ def discretize(config: StackConfig, nx: int, ny: int,
         kx[slabs] = layer.material.kxy
         kz[slabs] = layer.material.kz
         vhc[slabs] = layer.material.volumetric_heat_capacity
-        if layer.tsv_farms:
-            xc = grid.x_centers_m() * 1e3
-            yc = grid.y_centers_m() * 1e3
-            for farm in layer.tsv_farms:
-                eff = effective_conductivity(farm, layer.material)
-                in_x = (xc >= farm.x0_mm) & (xc < farm.x1_mm)
-                in_y = (yc >= farm.y0_mm) & (yc < farm.y1_mm)
-                fmask = np.outer(in_y, in_x)
-                for iz in slabs:
-                    kx[iz][fmask] = eff.kxy
-                    kz[iz][fmask] = eff.kz
+        for farm in layer.tsv_farms:
+            eff = effective_conductivity(farm, layer.material)
+            fmask = grid.farm_mask(farm)
+            for iz in slabs:
+                kx[iz][fmask] = eff.kxy
+                kz[iz][fmask] = eff.kz
     return grid
 
 

@@ -89,3 +89,42 @@ def test_layer_pgm_takes_max_over_slabs(grid, tmp_path):
     assert "max=60.0" in lines[1]
     pix = [int(v) for line in lines[4:] for v in line.split()]
     assert pix[0] == 255 and all(v == 0 for v in pix[1:])
+
+
+@pytest.fixture
+def csv_path(grid, tmp_path):
+    field = TemperatureField(values=np.full(grid.shape, 30.0), grid=grid)
+    path = tmp_path / "field.csv"
+    field_to_csv(field, path)
+    return path
+
+
+def _append_row(path, row):
+    with open(path, "a") as fh:
+        fh.write(row + "\n")
+
+
+@pytest.mark.parametrize("voxel", [(-1, 0, 0), (0, -1, 0), (0, 0, -1),
+                                   (5, 0, 0), (0, 3, 0), (0, 0, 6)])
+def test_csv_rejects_out_of_range_voxel(grid, csv_path, voxel):
+    # A negative index would wrap and silently overwrite another voxel.
+    z, y, x = voxel
+    _append_row(csv_path, f"{grid.slab_layer[z % grid.nz]},{z},{y},{x},999")
+    with pytest.raises(ValueError, match="outside the grid"):
+        field_from_csv(csv_path, grid)
+
+
+def test_csv_rejects_duplicate_voxel(grid, csv_path):
+    _append_row(csv_path, "0,0,0,0,31.0")
+    with pytest.raises(ValueError, match="duplicate"):
+        field_from_csv(csv_path, grid)
+
+
+def test_csv_rejects_wrong_layer(grid, csv_path):
+    assert grid.slab_layer[0] != 1
+    lines = csv_path.read_text().splitlines()
+    assert lines[1] == "0,0,0,0,30.0"
+    lines[1] = "1,0,0,0,30.0"
+    csv_path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="layer"):
+        field_from_csv(csv_path, grid)

@@ -1,13 +1,17 @@
 import os
 import textwrap
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from stackemu.cli import _apply_thread_cap, main
-from stackemu.config import ConfigError, load_scenario, scenario_from_document
+from stackemu.config import (ConfigError, _schema, load_scenario,
+                             scenario_from_document)
 from stackemu.fields_io import field_from_csv
+from stackemu.pdn import PdnParams
 from stackemu.power import Constant, PowerMap
+from stackemu.reliability import ReliabilityParams
 from stackemu.scenario import (AutoPlace, CoreSwapPolicy, ExportError,
                                GridSpec, Scenario, StageError, ThrottlePolicy,
                                TransientSpec, compare_scenarios, export,
@@ -15,6 +19,7 @@ from stackemu.scenario import (AutoPlace, CoreSwapPolicy, ExportError,
                                scenario_hash)
 from stackemu.sensors import (SensorNetwork, SensorSpec, place_sensors_greedy,
                               tile_center_candidates)
+from stackemu.solver import SolveOptions
 from stackemu.stack import discretize, preset_stack
 
 
@@ -315,6 +320,25 @@ def test_cli_validate_ok(tmp_path, capsys):
 
 def test_cli_invalid_config_exit_1(tmp_path, capsys):
     path = write_yaml(tmp_path, BASE_YAML + "bogus_key: 1\n")
+    assert main(["--config", path, "validate"]) == 1
+    assert "validation error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("block, cls", [("solve", SolveOptions),
+                                        ("pdn", PdnParams),
+                                        ("reliability", ReliabilityParams),
+                                        ("transient", TransientSpec)])
+def test_schema_blocks_match_dataclass_fields(block, cls):
+    """A schema key without a field fails every load that sets it; a field
+    without a schema key is a knob that YAML cannot reach."""
+    spec = _schema()["properties"][block]
+    (obj,) = [b for b in spec.get("oneOf", [spec]) if b["type"] == "object"]
+    assert set(obj["properties"]) == {f.name for f in fields(cls)}
+
+
+@pytest.mark.parametrize("solve", ["{method: cg}", "{sor_omega: 1.5}"])
+def test_cli_rejects_retired_solve_keys(tmp_path, capsys, solve):
+    path = write_yaml(tmp_path, BASE_YAML + f"solve: {solve}\n")
     assert main(["--config", path, "validate"]) == 1
     assert "validation error" in capsys.readouterr().err
 
