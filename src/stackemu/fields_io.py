@@ -1,5 +1,7 @@
 """Field export/import: CSV (full precision, round-trippable) and
-PGM P2 grayscale heatmaps per layer."""
+PGM P2 grayscale heatmaps per layer. The CSV has the header
+`layer,z,y,x,temperature_c`, one row per voxel in (z, y, x) order, CRLF
+line ends and temperatures as `repr` floats (finite, so never quoted)."""
 
 from __future__ import annotations
 
@@ -15,15 +17,14 @@ FIELD_CSV_HEADER = ["layer", "z", "y", "x", "temperature_c"]
 
 def field_to_csv(field_t: TemperatureField, path) -> None:
     grid = field_t.grid
+    cells = [f"{iy},{ix}," for iy in range(grid.ny) for ix in range(grid.nx)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FIELD_CSV_HEADER)
-        for iz in range(grid.nz):
-            layer = int(grid.slab_layer[iz])
-            for iy in range(grid.ny):
-                for ix in range(grid.nx):
-                    writer.writerow([layer, iz, iy, ix,
-                                     repr(float(field_t.values[iz, iy, ix]))])
+        fh.write(",".join(FIELD_CSV_HEADER) + "\r\n")
+        for iz, layer in enumerate(grid.slab_layer.tolist()):
+            zh = f"{layer},{iz},"
+            temps = field_t.values[iz].astype(float).ravel().tolist()
+            fh.write("".join([f"{zh}{c}{t!r}\r\n"  # one slab per write
+                              for c, t in zip(cells, temps)]))
 
 
 def field_from_csv(path, grid: VoxelGrid,
@@ -70,8 +71,7 @@ def plane_to_pgm(plane: np.ndarray, path, floor: float,
     ny, nx = plane.shape
     lines = [f"P2", f"# max={vmax!r} floor={floor!r} unit={unit}",
              f"{nx} {ny}", "255"]
-    for iy in range(ny):
-        lines.append(" ".join(str(v) for v in pix[iy]))
+    lines.extend(" ".join(map(str, row)) for row in pix.tolist())
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

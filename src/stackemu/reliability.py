@@ -147,10 +147,10 @@ def stress_proxy(field_t: TemperatureField, grid: VoxelGrid,
     threshold = np.percentile(flat, params.stress_percentile)
     # floor filters gradient roundoff on (near-)isothermal fields
     above = np.nonzero((flat > threshold) & (flat > 1e-9))[0]
-    order = sorted(above, key=lambda i: (-flat[i], i))
-    return [StressHotspot(
-        voxel=tuple(int(v) for v in np.unravel_index(i, grid.shape)),
-        score=float(flat[i])) for i in order]
+    order = above[np.argsort(-flat[above], kind="stable")]
+    zs, ys, xs = (c.tolist() for c in np.unravel_index(order, grid.shape))
+    return [StressHotspot(voxel=(z, y, x), score=s)
+            for z, y, x, s in zip(zs, ys, xs, flat[order].tolist())]
 
 
 @dataclass(frozen=True)

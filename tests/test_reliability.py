@@ -5,10 +5,12 @@ from hypothesis import given, settings, strategies as st
 from stackemu.reliability import (ReliabilityParams, cycling_damage,
                                   em_acceleration, extract_extrema,
                                   rainflow_cycles, reliability_report,
-                                  stress_proxy)
+                                  StressHotspot, stress_proxy)
 from stackemu.solver import LayerStats, TemperatureField
 from stackemu.stack import TsvFarmSpec, discretize, preset_stack, with_layer
 from stackemu.materials import COPPER
+
+from conftest import random_farm_stack, random_stack
 
 
 def rainflow_oracle(extrema):
@@ -209,6 +211,81 @@ def test_stress_invariant_to_constant_shift(farm_grid):
     assert [h.voxel for h in h1] == [h.voxel for h in h2]
     np.testing.assert_allclose([h.score for h in h1],
                                [h.score for h in h2], rtol=1e-9)
+
+
+def reference_stress_proxy(field_t, grid, config,
+                           params=ReliabilityParams()):
+    """stress_proxy with its former tail: a Python sort keyed on
+    (-score, linear index) and one unravel_index per hotspot."""
+    z_mm = grid.z_centers_m() * 1e3
+    y_mm = grid.y_centers_m() * 1e3
+    x_mm = grid.x_centers_m() * 1e3
+    if grid.nz > 1:
+        gz = np.gradient(field_t.values, z_mm, axis=0)
+    else:
+        gz = np.zeros(grid.shape)
+    gy = np.gradient(field_t.values, y_mm, axis=1)
+    gx = np.gradient(field_t.values, x_mm, axis=2)
+    score = np.sqrt(gx**2 + gy**2 + gz**2)
+    weight = np.ones(grid.shape)
+    for i, layer in enumerate(config.layers):
+        if not layer.tsv_farms:
+            continue
+        mask = grid.farm_lateral_mask(i)
+        ring = mask.copy()
+        ring[1:, :] |= mask[:-1, :]
+        ring[:-1, :] |= mask[1:, :]
+        ring[:, 1:] |= mask[:, :-1]
+        ring[:, :-1] |= mask[:, 1:]
+        for iz in grid.layer_slabs(i):
+            weight[iz][ring] = params.stress_cte_weight
+    score = score * weight
+    flat = score.reshape(-1)
+    threshold = np.percentile(flat, params.stress_percentile)
+    above = np.nonzero((flat > threshold) & (flat > 1e-9))[0]
+    order = sorted(above, key=lambda i: (-flat[i], i))
+    return [StressHotspot(
+        voxel=tuple(int(v) for v in np.unravel_index(i, grid.shape)),
+        score=float(flat[i])) for i in order]
+
+
+def assert_same_hotspots(got, want):
+    assert got == want
+    for h in got:
+        assert type(h.voxel) is tuple
+        assert all(type(v) is int for v in h.voxel)
+        assert type(h.score) is float
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_stress_order_matches_reference_on_random_fields(seed):
+    rng = np.random.default_rng(200 + seed)
+    for cfg, grid in (random_stack(rng), random_farm_stack(rng)):
+        field = TemperatureField(
+            values=40.0 + rng.uniform(0, 30, grid.shape), grid=grid)
+        for pct in (50.0, 99.0):
+            params = ReliabilityParams(stress_percentile=pct)
+            got = stress_proxy(field, grid, cfg, params)
+            assert got
+            assert_same_hotspots(
+                got, reference_stress_proxy(field, grid, cfg, params))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_stress_ties_keep_linear_index_order(seed):
+    """Integer temperature steps on a uniform lateral pitch give many
+    exactly equal scores; ties must come out in linear-index order."""
+    rng = np.random.default_rng(300 + seed)
+    cfg, grid = random_farm_stack(rng)
+    field = TemperatureField(
+        values=40.0 + rng.integers(0, 3, grid.shape).astype(float),
+        grid=grid)
+    params = ReliabilityParams(stress_percentile=20.0)
+    got = stress_proxy(field, grid, cfg, params)
+    scores = [h.score for h in got]
+    assert len(set(scores)) < len(scores), "expected tied scores"
+    assert_same_hotspots(
+        got, reference_stress_proxy(field, grid, cfg, params))
 
 
 def test_report_min_mttf_is_hottest_layer(farm_grid):
