@@ -110,8 +110,7 @@ def _dispatch(args) -> int:
     if args.command == "steady":
         scenario = replace(scenario, transient=None, policy=None)
         report = run_scenario(scenario)
-        export(report, "text", args.out, args.force)
-        export(report, "csv", args.out, args.force)
+        export(report, ("text", "csv"), args.out, args.force)
         print(render_report(report), end="")
         return EXIT_OK
 
@@ -121,8 +120,7 @@ def _dispatch(args) -> int:
                   file=sys.stderr)
             return EXIT_VALIDATION
         report = run_scenario(scenario)
-        export(report, "text", args.out, args.force)
-        export(report, "csv", args.out, args.force)
+        export(report, ("text", "csv"), args.out, args.force)
         print(render_report(report), end="")
         return EXIT_OK
 
@@ -151,8 +149,7 @@ def _dispatch(args) -> int:
         scenario = replace(scenario, transient=None, policy=None,
                            sensors=None, reliability=None)
         report = run_scenario(scenario)
-        export(report, "text", args.out, args.force)
-        export(report, "pgm", args.out, args.force)
+        export(report, ("text", "pgm"), args.out, args.force)
         for p, d in enumerate(report.pdn_summary.max_drop_per_plane):
             print(f"plane {p}: max_drop_v={d!r}")
         return EXIT_OK
@@ -173,8 +170,7 @@ def _dispatch(args) -> int:
 
     if args.command == "report":
         report = run_scenario(scenario)
-        for fmt in ("text", "csv", "pgm"):
-            export(report, fmt, args.out, args.force)
+        export(report, ("text", "csv", "pgm"), args.out, args.force)
         print(render_report(report), end="")
         return EXIT_OK
 

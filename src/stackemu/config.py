@@ -1,11 +1,19 @@
 """YAML scenario configuration: schema-validated (unknown keys rejected)
 and mapped one-to-one onto the domain types. Units are fixed: um, mm,
-W/(m K), W/cm^2, deg C, seconds, ohms, farads."""
+W/(m K), W/cm^2, deg C, seconds, ohms, farads.
+
+The schema validator is built once per process. Its type checker is
+stricter than JSON Schema's: a "number" must be finite (nan and +-inf
+pass every `minimum` comparison, so they would otherwise reach the
+model), and an "integer" must be written as one (1.0 is rejected, not
+converted)."""
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import json
+import math
 import os
 from dataclasses import fields as dc_fields
 
@@ -34,12 +42,29 @@ def _schema() -> dict:
     return json.loads(ref.read_text())
 
 
+@functools.cache
+def _validator():
+    """The bundled schema's validator with the strict number types. The
+    schema itself is checked against its meta-schema by the tests, not on
+    every load."""
+    schema = _schema()
+    base = jsonschema.validators.validator_for(schema)
+    is_type = base.TYPE_CHECKER.is_type
+    types = base.TYPE_CHECKER.redefine_many({
+        "number": lambda _, x: is_type(x, "number") and (
+            isinstance(x, int) or math.isfinite(x)),
+        "integer": lambda _, x: isinstance(x, int) and not isinstance(
+            x, bool)})
+    return jsonschema.validators.extend(base, type_checker=types)(schema)
+
+
 def validate_document(doc: dict) -> None:
-    try:
-        jsonschema.validate(doc, _schema())
-    except jsonschema.ValidationError as e:
-        path = "/".join(str(p) for p in e.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {path}: {e.message}")
+    """Raise ConfigError with the error jsonschema.validate would raise
+    (its best match), located by its path in the document."""
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
+    if error is not None:
+        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"config invalid at {path}: {error.message}")
 
 
 def _material(spec) -> Material:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .power import PowerMap
+from .power import PowerMap, areal_density, tile_weights
 from .solver import (LayeredPreconditioner, SolveOptions, lattice_matrix,
                      solve_cg)
 from .stack import StackConfig
@@ -128,22 +128,14 @@ def _check_connected(g_vert: np.ndarray, ny: int, nx: int) -> None:
 def currents_from_power(pmap: PowerMap, pdn: PdnGrid, t: float) -> np.ndarray:
     """Per-node current draw (n_planes, ny, nx), A: tile power / Vdd,
     spread uniformly over the nodes whose cells overlap the tile."""
-    from .power import _overlap_weights
     config = pdn.config
-    params = pdn.params
     out = np.zeros((pdn.n_planes, pdn.ny, pdn.nx))
     w_m = config.die_width_mm * 1e-3
     l_m = config.die_length_mm * 1e-3
     cell_area = (w_m / pdn.nx) * (l_m / pdn.ny)
-    for ordinal, layer_index in enumerate(config.device_layer_indices):
-        layer = config.layers[layer_index]
-        dens = pmap.densities(ordinal, t) * 1e4  # W/m^2
-        if not dens.any():
-            continue
-        wx = _overlap_weights(pdn.nx, w_m / pdn.nx, layer.tile_cols, w_m)
-        wy = _overlap_weights(pdn.ny, l_m / pdn.ny, layer.tile_rows, l_m)
-        areal = wy @ dens @ wx.T                 # W/m^2 at node cells
-        out[ordinal] = areal * cell_area / params.vdd
+    weights = tile_weights(config, pdn.nx, pdn.ny)
+    for ordinal, areal in areal_density(pmap, weights, t):
+        out[ordinal] = areal * cell_area / pdn.params.vdd
     return out
 
 
@@ -161,17 +153,27 @@ def solve_ir_drop(pdn: PdnGrid, currents: np.ndarray,
     return (pdn.params.vdd - v).reshape(pdn.n_planes, pdn.ny, pdn.nx)
 
 
+def droop_from_drop(drop_after: np.ndarray, currents_before: np.ndarray,
+                    currents_after: np.ndarray,
+                    params: PdnParams) -> np.ndarray:
+    """Per-plane peak transient droop, V, from the static drop
+    (n_planes, ny, nx) already solved for currents_after: that drop plus a
+    sqrt(L/C) surge term on nodes whose draw increased."""
+    delta = np.asarray(currents_after) - np.asarray(currents_before)
+    surge = np.maximum(delta, 0.0) * np.sqrt(
+        params.l_loop_proxy / params.decap_per_node)
+    droop = drop_after + surge.reshape(drop_after.shape)
+    return droop.reshape(drop_after.shape[0], -1).max(axis=1)
+
+
 def worst_case_droop(pdn: PdnGrid, currents_before: np.ndarray,
                      currents_after: np.ndarray,
                      options: SolveOptions = SolveOptions()) -> np.ndarray:
-    """Per-plane peak transient droop, V: static drop after the step plus
-    a sqrt(L/C) surge term on nodes whose draw increased."""
+    """Per-plane peak transient droop, V, for a step from currents_before
+    to currents_after; see droop_from_drop."""
     drop_after = solve_ir_drop(pdn, currents_after, options)
-    delta = np.asarray(currents_after) - np.asarray(currents_before)
-    surge = np.maximum(delta, 0.0) * np.sqrt(
-        pdn.params.l_loop_proxy / pdn.params.decap_per_node)
-    droop = drop_after + surge.reshape(drop_after.shape)
-    return droop.reshape(pdn.n_planes, -1).max(axis=1)
+    return droop_from_drop(drop_after, currents_before, currents_after,
+                           pdn.params)
 
 
 def coupling_report(pdn: PdnGrid, aggressor_plane: int, step: float,

@@ -11,6 +11,7 @@ resolution.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,6 +31,8 @@ class Constant(Profile):
     p: float = 0.0
 
     def __post_init__(self):
+        if not math.isfinite(self.p):
+            raise ValueError("power density must be finite")
         if self.p < 0:
             raise ValueError("power density must be >= 0")
 
@@ -44,6 +47,8 @@ class Step(Profile):
     t_switch: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.p0, self.p1, self.t_switch))):
+            raise ValueError("power densities and t_switch must be finite")
         if self.p0 < 0 or self.p1 < 0:
             raise ValueError("power densities must be >= 0")
 
@@ -61,6 +66,10 @@ class Periodic(Profile):
     duty: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.p_low, self.p_high, self.period,
+                                        self.duty))):
+            raise ValueError("power densities, period and duty must be "
+                             "finite")
         if self.p_low < 0 or self.p_high < 0:
             raise ValueError("power densities must be >= 0")
         if self.period <= 0:
@@ -83,6 +92,8 @@ class Trace(Profile):
         object.__setattr__(self, "samples", tuple(map(tuple, self.samples)))
         if not self.samples:
             raise ValueError("trace needs at least one sample")
+        if not all(math.isfinite(v) for s in self.samples for v in s):
+            raise ValueError("trace samples must be finite")
         ts = [s[0] for s in self.samples]
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("trace timestamps must be strictly increasing")
@@ -258,30 +269,50 @@ def _overlap_weights(n_cells: int, cell_size: float, n_tiles: int,
     return np.where(ov > 0, ov / cell_size, 0.0)
 
 
+def tile_weights(config: StackConfig, nx: int,
+                 ny: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per device layer, the overlap weights (wy (ny, tile_rows), wx (nx,
+    tile_cols)) of an nx x ny cell grid over the die with the layer's
+    tiles."""
+    w_m = config.die_width_mm * 1e-3
+    l_m = config.die_length_mm * 1e-3
+    return tuple((_overlap_weights(ny, l_m / ny, layer.tile_rows, l_m),
+                  _overlap_weights(nx, w_m / nx, layer.tile_cols, w_m))
+                 for layer in config.device_layers)
+
+
+def areal_density(pmap: PowerMap, weights, t: float):
+    """Yield (device ordinal, (ny, nx) areal power density in W/m^2) for
+    every device layer that draws power at time t; weights come from
+    tile_weights."""
+    for ordinal, (wy, wx) in enumerate(weights):
+        dens = pmap.densities(ordinal, t) * 1e4  # W/cm^2 -> W/m^2
+        if dens.any():
+            yield ordinal, wy @ dens @ wx.T
+
+
+def _raster_plan(grid: VoxelGrid):
+    """Tile weights, slabs and thickness (m) of each device layer."""
+    config = grid.config
+    device = config.device_layer_indices
+    return (tile_weights(config, grid.nx, grid.ny),
+            tuple(grid.layer_slabs(i) for i in device),
+            tuple(config.layers[i].thickness_um * 1e-6 for i in device))
+
+
 def power_density_field(pmap: PowerMap, grid: VoxelGrid,
                         t: float) -> np.ndarray:
     """Volumetric heat source (nz, ny, nx), W/m^3; nonzero only in device
     slabs. Tile areal density spreads through the full die thickness."""
     if t < 0:
         raise ValueError("time must be >= 0")
-    config = grid.config
-    if config is not pmap.config and config != pmap.config:
+    if grid.config is not pmap.config and grid.config != pmap.config:
         raise ValueError("power map and grid come from different stacks")
+    weights, slabs, thickness = grid.cached("raster",
+                                            lambda: _raster_plan(grid))
     field = np.zeros(grid.shape)
-    w_m = config.die_width_mm * 1e-3
-    l_m = config.die_length_mm * 1e-3
-    for ordinal, layer_index in enumerate(config.device_layer_indices):
-        layer = config.layers[layer_index]
-        dens = pmap.densities(ordinal, t) * 1e4  # W/cm^2 -> W/m^2
-        if not dens.any():
-            continue
-        wx = _overlap_weights(grid.nx, grid.dx_m, layer.tile_cols, w_m)
-        wy = _overlap_weights(grid.ny, grid.dy_m, layer.tile_rows, l_m)
-        areal = wy @ dens @ wx.T  # (ny, nx), W/m^2
-        thickness = layer.thickness_um * 1e-6
-        slabs = grid.layer_slabs(layer_index)
-        for iz in slabs:
-            field[iz] += areal / thickness
+    for ordinal, areal in areal_density(pmap, weights, t):
+        field[slabs[ordinal]] += areal / thickness[ordinal]
     return field
 
 

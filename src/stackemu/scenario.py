@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from .fields_io import field_to_csv, layer_to_pgm, plane_to_pgm
 from .pdn import (PdnGrid, PdnParams, build_pdn, currents_from_power,
-                  solve_ir_drop, worst_case_droop)
+                  droop_from_drop, solve_ir_drop)
 from .power import PowerMap, power_density_field, total_power
 from .reliability import (ReliabilityParams, ReliabilityReport,
                           reliability_report)
@@ -160,7 +160,9 @@ def _layer_readings(network: SensorNetwork, readings: list[float]):
 
 
 class _PolicyState:
-    """Hysteresis state machine evaluated on sensor readings."""
+    """Hysteresis state machine evaluated on sensor readings. The effective
+    map depends only on the throttle and swap state, so it is rebuilt only
+    when that state changes, not on every step."""
 
     def __init__(self, policy, base_map: PowerMap):
         self.policy = policy
@@ -168,8 +170,15 @@ class _PolicyState:
         self.throttled: set[int] = set()
         self.swapped = False
         self.events: list[PolicyEvent] = []
+        self._map_state = self._map = None
 
     def effective_map(self) -> PowerMap:
+        state = (frozenset(self.throttled), self.swapped)
+        if state != self._map_state:
+            self._map_state, self._map = state, self._build_map()
+        return self._map
+
+    def _build_map(self) -> PowerMap:
         pmap = self.base_map
         if isinstance(self.policy, ThrottlePolicy) and self.throttled:
             pmap = pmap.scaled({layer: self.policy.throttle_factor
@@ -307,8 +316,8 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
             pdn = build_pdn(scenario.stack, scenario.pdn)
             currents = currents_from_power(scenario.power, pdn, 0.0)
             drop = solve_ir_drop(pdn, currents, scenario.solve)
-            idle = np.zeros_like(currents)
-            droop = worst_case_droop(pdn, idle, currents, scenario.solve)
+            droop = droop_from_drop(drop, np.zeros_like(currents), currents,
+                                    pdn.params)
             pdn_summary = PdnSummary(
                 max_drop_per_plane=tuple(
                     float(v) for v in drop.reshape(pdn.n_planes, -1).max(1)),
@@ -460,12 +469,33 @@ class ExportError(OSError):
     pass
 
 
-def export(report: ScenarioReport, fmt: str, prefix: str,
-           force: bool = False) -> list[str]:
-    """Write report artifacts with the given path prefix; refuses to
-    overwrite existing files unless force is set. Returns written paths."""
+def export(report: ScenarioReport, formats: str | tuple[str, ...],
+           prefix: str, force: bool = False) -> list[str]:
+    """Write the report artifacts of one format ("text", "csv" or "pgm")
+    or of a tuple of them with the given path prefix. Unless force is set,
+    any existing target fails the export before a file is written.
+    Returns written paths."""
     import os
 
+    if isinstance(formats, str):
+        formats = (formats,)
+    targets = [t for fmt in formats for t in _targets(report, fmt, prefix)]
+    for path, _ in targets:
+        if os.path.exists(path) and not force:
+            raise ExportError(f"refusing to overwrite {path} without force")
+    written = []
+    for path, writer in targets:
+        try:
+            writer(path)
+        except OSError as e:
+            raise ExportError(f"failed writing {path}: {e}")
+        written.append(path)
+    return written
+
+
+def _targets(report: ScenarioReport, fmt: str,
+             prefix: str) -> list[tuple[str, callable]]:
+    """(path, writer) of every artifact of one format."""
     grid = report.steady_field.grid
     ambient = report.scenario.stack.ambient_c
     targets: list[tuple[str, callable]] = []
@@ -501,18 +531,7 @@ def export(report: ScenarioReport, fmt: str, prefix: str,
                         floor=0.0, unit="mV")))
     else:
         raise ValueError(f"unknown export format {fmt!r}")
-
-    for path, _ in targets:
-        if os.path.exists(path) and not force:
-            raise ExportError(f"refusing to overwrite {path} without force")
-    written = []
-    for path, writer in targets:
-        try:
-            writer(path)
-        except OSError as e:
-            raise ExportError(f"failed writing {path}: {e}")
-        written.append(path)
-    return written
+    return targets
 
 
 def _write_text(path, text):

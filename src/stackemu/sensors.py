@@ -30,6 +30,11 @@ class SensorSpec:
     sample_period: float = 1e-3      # s
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.x_mm, self.y_mm, self.noise_sigma,
+                                        self.quantization_step,
+                                        self.sample_period))):
+            raise ValueError("sensor site, noise, quantization and sample "
+                             "period must be finite")
         if self.noise_sigma < 0 or self.quantization_step < 0:
             raise ValueError("noise_sigma and quantization_step must be >= 0")
         if self.sample_period <= 0:
@@ -64,6 +69,13 @@ def quantize(value: float, step: float) -> float:
 
 def _site_voxel(site: tuple[int, float, float],
                 grid: VoxelGrid) -> tuple[int, int, int]:
+    """(iz, iy, ix) of the voxel a site reads: the middle slab of its
+    layer; computed once per (site, grid)."""
+    site = tuple(site)
+    return grid.cached(("site_voxel", site), lambda: _locate(site, grid))
+
+
+def _locate(site, grid: VoxelGrid) -> tuple[int, int, int]:
     layer, x_mm, y_mm = site
     device = grid.device_layer_indices
     if not 0 <= layer < len(device):
@@ -163,9 +175,10 @@ def place_sensors_greedy(candidates, k: int,
     est = np.full(len(training_fields), -np.inf)
     remaining = list(range(len(candidates)))
     for _ in range(k):
+        objs = np.mean(np.abs(true_max - np.maximum(est, vals[remaining])),
+                       axis=1)
         best_idx, best_obj = None, np.inf
-        for c in remaining:
-            obj = float(np.mean(np.abs(true_max - np.maximum(est, vals[c]))))
+        for c, obj in zip(remaining, objs.tolist()):
             if obj < best_obj - 1e-15:
                 best_idx, best_obj = c, obj
         chosen.append(best_idx)

@@ -101,8 +101,8 @@ class DiscreteSystem:
             raise ValueError("source length does not match system size")
         if (src < 0).any():
             raise ValueError("volumetric sources must be >= 0")
-        q = src * self.grid.voxel_volume.reshape(-1)
-        return q + self.boundary_g * self.ambient_c
+        q = src.reshape(self.grid.shape) * self.grid.voxel_volume
+        return q.reshape(-1) + self.boundary_g * self.ambient_c
 
     def operator(self, dt: float | None = None):
         """(A, preconditioner) for A = G (dt None) or G + diag(C/dt), the

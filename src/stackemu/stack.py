@@ -10,6 +10,7 @@ model, everything else carries its layer material.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -53,6 +54,12 @@ class TsvFarmSpec:
     liner_material: Material | None = None
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (
+                self.x0_mm, self.y0_mm, self.x1_mm, self.y1_mm,
+                self.via_diameter_um, self.via_pitch_um,
+                self.liner_thickness_um))):
+            raise ValueError("farm footprint and via dimensions must be "
+                             "finite")
         if self.x1_mm <= self.x0_mm or self.y1_mm <= self.y0_mm:
             raise ValueError("farm footprint must have positive area")
         if self.via_diameter_um <= 0 or self.via_pitch_um <= 0:
@@ -247,6 +254,11 @@ class VoxelGrid:
     vhc: np.ndarray             # (nz, ny, nx) volumetric heat capacity
     slab_layer: np.ndarray      # (nz,) physical layer index per slab
     config: StackConfig = field(repr=False)
+    # Lookups derived from the fields above (slabs per layer, voxel
+    # volumes, rasterization weights, sensor voxels), built on first use.
+    # Nothing writes to a grid after discretize, so none goes stale.
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @property
     def nz(self) -> int:
@@ -260,18 +272,34 @@ class VoxelGrid:
     def shape(self) -> tuple[int, int, int]:
         return (self.nz, self.ny, self.nx)
 
+    def cached(self, key, build):
+        """build() on the first call per key, the same value on every
+        later one. Arrays come back read-only: every caller shares them."""
+        if key not in self._cache:
+            value = build()
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            self._cache[key] = value
+        return self._cache[key]
+
     def layer_slabs(self, layer_index: int) -> np.ndarray:
-        return np.nonzero(self.slab_layer == layer_index)[0]
+        return self.cached(("slabs", layer_index), lambda: np.nonzero(
+            self.slab_layer == layer_index)[0])
 
     @property
     def device_layer_indices(self) -> tuple[int, ...]:
-        return self.config.device_layer_indices
+        return self.cached("device_layer_indices",
+                           lambda: self.config.device_layer_indices)
 
     @property
     def voxel_volume(self) -> np.ndarray:
-        """(nz, ny, nx) voxel volumes, m^3."""
-        vol = (self.dx_m * self.dy_m) * self.dz_m
-        return np.broadcast_to(vol[:, None, None], self.shape).copy()
+        """(nz, ny, nx) voxel volumes, m^3: a read-only view that
+        broadcasts the (nz,) slab volumes, so it takes no memory per
+        voxel."""
+        def build():
+            vol = (self.dx_m * self.dy_m) * self.dz_m
+            return np.broadcast_to(vol[:, None, None], self.shape)
+        return self.cached("voxel_volume", build)
 
     def total_heat_capacity(self) -> float:
         return float(np.sum(self.vhc * self.voxel_volume))

@@ -1,0 +1,193 @@
+import copy
+import os
+
+import jsonschema
+import pytest
+import yaml
+
+from stackemu.cli import main
+from stackemu.config import (ConfigError, _schema, _validator,
+                             scenario_from_document, validate_document)
+
+DEMO = os.path.join(os.path.dirname(__file__), "..", "scenarios",
+                    "demo_2layer.yaml")
+
+
+def demo_doc() -> dict:
+    with open(DEMO) as fh:
+        return yaml.safe_load(fh)
+
+
+def farm_doc() -> dict:
+    """An explicit four-die stack with a Cu and a lined W farm per thinned
+    die, steady only."""
+    cu = {"x0_mm": 1.0, "y0_mm": 1.0, "x1_mm": 3.0, "y1_mm": 3.0,
+          "via_diameter_um": 5.0, "via_pitch_um": 10.0,
+          "fill_material": "copper"}
+    w = {"x0_mm": 7.0, "y0_mm": 2.0, "x1_mm": 9.0, "y1_mm": 4.0,
+         "via_diameter_um": 5.0, "via_pitch_um": 10.0,
+         "fill_material": "tungsten", "liner_thickness_um": 0.5,
+         "liner_material": "sio2"}
+    layers = [{"role": "package_interface", "thickness_um": 80.0,
+               "material": "package_bumps"}]
+    for role in ("SP", "SN2", "SN1"):
+        layers += [{"role": role, "thickness_um": 50.0, "material": "silicon",
+                    "has_tsvs": True, "tsv_farms": [cu, w]},
+                   {"role": "bond_interface", "thickness_um": 20.0,
+                    "material": "bond_underfill"}]
+    layers += [{"role": "S0", "thickness_um": 500, "material": "silicon"},
+               {"role": "heat_sink_interface", "thickness_um": 30.0,
+                "material": "tim"}]
+    return {"name": "farms", "seed": 7,
+            "stack": {"die_width_mm": 12.0, "die_length_mm": 6.0,
+                      "layers": layers},
+            "grid": {"nx": 24, "ny": 12},
+            "power": {"assignments": [{"layer": 0, "preset": "cpu_core"}]},
+            "sensors": {"auto_place": {"k": 4}},
+            "pdn": {"nx": 24, "ny": 12},
+            "reliability": {},
+            "transient": "steady-only"}
+
+
+def test_bundled_schema_is_valid_for_its_meta_schema():
+    schema = _schema()
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def test_validator_is_built_once():
+    assert _validator() is _validator()
+
+
+@pytest.mark.parametrize("doc", [demo_doc(), farm_doc()],
+                         ids=["demo", "farms"])
+def test_valid_documents_load(doc):
+    validate_document(doc)
+    scenario_from_document(doc)
+
+
+def _unknown_key(doc):
+    doc["bogus_key"] = 1
+
+
+def _wrong_type(doc):
+    doc["grid"]["nx"] = "32"
+
+
+def _below_minimum(doc):
+    doc["grid"]["ny"] = 1
+
+
+def _missing_required(doc):
+    del doc["grid"]
+
+
+def _bad_enum(doc):
+    doc["stack"]["preset"] = 5
+
+
+def _bad_one_of(doc):
+    doc["pdn"] = "enabled"
+
+
+def _farm_missing_pitch(doc):
+    del doc["stack"]["layers"][3]["tsv_farms"][1]["via_pitch_um"]
+
+
+def _farm_negative_diameter(doc):
+    doc["stack"]["layers"][1]["tsv_farms"][0]["via_diameter_um"] = -5.0
+
+
+@pytest.mark.parametrize("base, edit", [
+    (demo_doc, _unknown_key), (demo_doc, _wrong_type),
+    (demo_doc, _below_minimum), (demo_doc, _missing_required),
+    (demo_doc, _bad_enum), (demo_doc, _bad_one_of),
+    (farm_doc, _farm_missing_pitch), (farm_doc, _farm_negative_diameter),
+], ids=lambda v: v.__name__.strip("_"))
+def test_messages_match_jsonschema_validate(base, edit):
+    """The cached validator raises the same error jsonschema.validate
+    raises, so every ConfigError message is unchanged."""
+    doc = base()
+    edit(doc)
+    with pytest.raises(jsonschema.ValidationError) as ref:
+        jsonschema.validate(doc, _schema())
+    path = "/".join(str(p) for p in ref.value.absolute_path) or "<root>"
+    with pytest.raises(ConfigError) as got:
+        validate_document(doc)
+    assert str(got.value) == f"config invalid at {path}: {ref.value.message}"
+
+
+def _numeric_leaves(node, path=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        if isinstance(node, (int, float)) and not isinstance(node, bool):
+            yield path
+        return
+    for key, child in items:
+        yield from _numeric_leaves(child, path + (key,))
+
+
+def _with_leaf(doc, path, value):
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def _leaf(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+NUMERIC_LEAVES = list(_numeric_leaves(demo_doc()))
+INTEGER_LEAVES = [p for p in NUMERIC_LEAVES
+                  if isinstance(_leaf(demo_doc(), p), int)]
+
+
+def _report(tmp_path, doc, capsys):
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    code = main(["--config", str(path), "--out", str(tmp_path / "run"),
+                 "report"])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_demo_has_the_numeric_leaves_the_fuzz_expects():
+    assert len(NUMERIC_LEAVES) == 23 and len(INTEGER_LEAVES) == 12
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("leaf", NUMERIC_LEAVES,
+                         ids=lambda p: "/".join(map(str, p)))
+def test_non_finite_leaf_never_reports(tmp_path, capsys, leaf, value):
+    code, out, err = _report(tmp_path, _with_leaf(demo_doc(), leaf, value),
+                             capsys)
+    assert code in (1, 2)
+    assert ": nan" not in out and "=nan" not in out
+    assert "Traceback" not in err
+    assert not os.path.exists(tmp_path / "run_report.txt")
+
+
+@pytest.mark.parametrize("leaf", INTEGER_LEAVES,
+                         ids=lambda p: "/".join(map(str, p)))
+def test_float_for_integer_rejected_at_load(tmp_path, capsys, leaf):
+    doc = _with_leaf(demo_doc(), leaf, float(_leaf(demo_doc(), leaf)))
+    code, _, err = _report(tmp_path, doc, capsys)
+    assert code == 1
+    path = "/".join(map(str, leaf))
+    assert f"config invalid at {path}: " in err
+    assert "is not of type 'integer'" in err
+
+
+def test_bool_is_not_an_integer():
+    doc = demo_doc()
+    doc["grid"]["sub_slabs_per_layer"] = True
+    with pytest.raises(ConfigError, match="True is not of type 'integer'"):
+        validate_document(doc)

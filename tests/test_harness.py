@@ -114,6 +114,27 @@ def test_policy_without_sensors_rejected():
         run_scenario(make_scenario(transient=tr, policy=policy))
 
 
+def test_policy_map_rebuilt_only_when_state_changes():
+    from stackemu.scenario import _PolicyState
+    stack = preset_stack(2)
+    pmap = PowerMap.zeros(stack).set_uniform(0, Constant(9.0))
+    policy = ThrottlePolicy(trigger_t=30.0, release_t=28.0,
+                            throttle_factor=0.5)
+    state = _PolicyState(policy, pmap)
+    net = hot_sensor_net()
+    assert state.effective_map() is pmap
+    state.evaluate(0.0, net, [29.0])          # below trigger: no event
+    assert not state.events and state.effective_map() is pmap
+    state.evaluate(0.1, net, [31.0])          # throttle
+    throttled = state.effective_map()
+    assert throttled == pmap.scaled({0: 0.5})
+    state.evaluate(0.2, net, [29.0])          # in the hysteresis band
+    assert state.effective_map() is throttled
+    state.evaluate(0.3, net, [27.0])          # release
+    assert [e.action for e in state.events] == ["throttle", "release"]
+    assert state.effective_map() == pmap
+
+
 def test_coreswap_swaps_profiles():
     policy = CoreSwapPolicy(trigger_t=30.0, release_t=28.0,
                             pairing=(((0, 0, 0), (0, 3, 7)),))
@@ -371,17 +392,57 @@ def test_cli_transient_requires_section(tmp_path, capsys):
     assert "no transient section" in capsys.readouterr().err
 
 
-def test_cli_nan_power_exit_2(tmp_path, capsys):
+def _demo_with_p_high(tmp_path, p_high):
     demo = os.path.join(os.path.dirname(__file__), "..", "scenarios",
                         "demo_2layer.yaml")
     with open(demo) as fh:
         text = fh.read()
     assert "p_high: 60.0" in text
-    path = write_yaml(tmp_path, text.replace("p_high: 60.0", "p_high: .nan"))
+    return write_yaml(tmp_path, text.replace("p_high: 60.0",
+                                             f"p_high: {p_high}"))
+
+
+def test_cli_nan_power_exit_1(tmp_path, capsys):
+    """A NaN is rejected when the document is loaded, before any solve."""
+    path = _demo_with_p_high(tmp_path, ".nan")
     out = str(tmp_path / "run")
-    assert main(["--config", path, "--out", out, "steady"]) == 2
+    assert main(["--config", path, "--out", out, "steady"]) == 1
+    assert ("power/assignments/2/profile/p_high: nan is not of type "
+            "'number'") in capsys.readouterr().err
+    assert not os.path.exists(f"{out}_report.txt")
+
+
+def test_cli_overflowing_power_exit_2(tmp_path, capsys):
+    """A finite density whose W/m^2 value overflows reaches the solver as
+    a non-finite source: a numerical failure, and no report."""
+    path = _demo_with_p_high(tmp_path, "1.0e+308")
+    out = str(tmp_path / "run")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["--config", path, "--out", out, "steady"]) == 2
     assert "non-finite" in capsys.readouterr().err
     assert not os.path.exists(f"{out}_report.txt")
+
+
+def test_cli_report_checks_every_target_before_writing(tmp_path, capsys):
+    """A stale PGM fails the report before the text and CSV files, which
+    come first, are written."""
+    yaml_text = BASE_YAML.replace("transient: steady-only",
+                                  "transient: {t_end: 0.02, dt: 0.01}")
+    path = write_yaml(tmp_path, yaml_text)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    stale = out_dir / "run_steady_L1.pgm"
+    stale.write_text("stale")
+    before = {p.name: (p.stat().st_mtime_ns, p.read_bytes())
+              for p in out_dir.iterdir()}
+    assert main(["--config", path, "--out", str(out_dir / "run"),
+                 "report"]) == 3
+    assert "refusing to overwrite" in capsys.readouterr().err
+    assert {p.name: (p.stat().st_mtime_ns, p.read_bytes())
+            for p in out_dir.iterdir()} == before
+    assert main(["--config", path, "--out", str(out_dir / "run"),
+                 "--force", "report"]) == 0
+    assert stale.read_text().startswith("P2")
 
 
 def test_transient_spec_rejects_non_finite():

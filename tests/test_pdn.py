@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stackemu.pdn import (PdnConfigError, PdnParams, build_pdn,
-                          coupling_report, currents_from_power, solve_ir_drop,
-                          worst_case_droop)
+                          coupling_report, currents_from_power,
+                          droop_from_drop, solve_ir_drop, worst_case_droop)
 from stackemu.power import Constant, PowerMap, total_power
 from stackemu.solver import SolveOptions
 from stackemu.stack import preset_stack, with_layer
@@ -175,6 +175,41 @@ def test_droop_no_step_equals_static(pdn2):
     droop = worst_case_droop(pdn2, currents, currents)
     static = solve_ir_drop(pdn2, currents).reshape(2, -1).max(axis=1)
     assert np.allclose(droop, static, atol=1e-15)
+
+
+def test_droop_from_drop_matches_worst_case_droop(pdn2):
+    rng = np.random.default_rng(15)
+    before = rng.uniform(0, 0.2, (2, 8, 16))
+    after = rng.uniform(0, 0.3, (2, 8, 16))
+    drop = solve_ir_drop(pdn2, after)
+    assert np.array_equal(droop_from_drop(drop, before, after, pdn2.params),
+                          worst_case_droop(pdn2, before, after))
+
+
+def test_run_scenario_solves_the_pdn_once(monkeypatch):
+    """The droop reuses the drop the run has already solved."""
+    import stackemu.pdn
+    import stackemu.scenario
+    from stackemu.scenario import GridSpec, Scenario, run_scenario
+    calls = []
+    real = stackemu.pdn.solve_ir_drop
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    for module in (stackemu.pdn, stackemu.scenario):
+        monkeypatch.setattr(module, "solve_ir_drop", counted)
+    cfg = preset_stack(3)
+    pmap = PowerMap.zeros(cfg).set_uniform(0, Constant(30.0)) \
+        .set_uniform(2, Constant(10.0))
+    report = run_scenario(Scenario(name="pdn", stack=cfg, power=pmap,
+                                   grid=GridSpec(nx=8, ny=4),
+                                   pdn=PdnParams(nx=8, ny=4)))
+    assert len(calls) == 1
+    pdn = build_pdn(cfg, PdnParams(nx=8, ny=4))
+    currents = currents_from_power(pmap, pdn, 0.0)
+    assert report.pdn_summary.droop_per_plane == tuple(
+        worst_case_droop(pdn, np.zeros_like(currents), currents).tolist())
 
 
 def test_coupling_aggressor_to_victim_positive():

@@ -208,3 +208,21 @@ def test_negative_time_rejected(cfg):
     grid = discretize(cfg, 4, 2, 1)
     with pytest.raises(ValueError):
         power_density_field(PowerMap.zeros(cfg), grid, -1.0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")])
+@pytest.mark.parametrize("make", [
+    lambda v: Constant(v),
+    lambda v: Step(v, 1.0, 0.1), lambda v: Step(1.0, v, 0.1),
+    lambda v: Step(1.0, 2.0, v),
+    lambda v: Periodic(v, 1.0, 0.1, 0.5), lambda v: Periodic(1.0, v, 0.1, 0.5),
+    lambda v: Periodic(1.0, 2.0, v, 0.5), lambda v: Periodic(1.0, 2.0, 0.1, v),
+    lambda v: Trace(((0.0, v),)), lambda v: Trace(((v, 1.0),)),
+    lambda v: Trace(((0.0, 1.0), (v, 2.0))),
+], ids=["constant", "step-p0", "step-p1", "step-t", "periodic-low",
+        "periodic-high", "periodic-period", "periodic-duty", "trace-p",
+        "trace-t0", "trace-t1"])
+def test_profiles_reject_non_finite(make, value):
+    with pytest.raises(ValueError, match="finite"):
+        make(value)

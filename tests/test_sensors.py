@@ -191,3 +191,90 @@ def test_quantize_nearest_multiple(value, step):
     q = quantize(value, step)
     assert abs(q - value) <= step / 2 + 1e-9
     assert abs(q / step - round(q / step)) < 1e-6
+
+
+def reference_greedy(candidates, k, training_fields, grid):
+    """The former per-candidate loop: one np.mean per candidate and round."""
+    from stackemu.sensors import _true_values
+    candidates = [tuple(c) for c in candidates]
+    true_max = np.array([f.values.max() for f in training_fields])
+    vals = _true_values(candidates, training_fields, grid)
+    chosen = []
+    est = np.full(len(training_fields), -np.inf)
+    remaining = list(range(len(candidates)))
+    for _ in range(k):
+        best_idx, best_obj = None, np.inf
+        for c in remaining:
+            obj = float(np.mean(np.abs(true_max - np.maximum(est, vals[c]))))
+            if obj < best_obj - 1e-15:
+                best_idx, best_obj = c, obj
+        chosen.append(best_idx)
+        est = np.maximum(est, vals[best_idx])
+        remaining.remove(best_idx)
+    return [candidates[i] for i in chosen]
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("n_fields", [1, 3, 9, 130])
+def test_greedy_matches_reference_loop(seed, n_fields):
+    rng = np.random.default_rng(seed)
+    grid = discretize(preset_stack(int(rng.integers(2, 5))),
+                      int(rng.integers(4, 20)), int(rng.integers(2, 10)), 1)
+    fields = [TemperatureField(values=rng.uniform(25.0, 90.0, grid.shape),
+                               grid=grid) for _ in range(n_fields)]
+    candidates = tile_center_candidates(grid)
+    k = int(rng.integers(1, len(candidates) + 1))
+    assert place_sensors_greedy(candidates, k, fields, grid) == \
+        reference_greedy(candidates, k, fields, grid)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_greedy_matches_reference_loop_on_ties(seed):
+    """Integer-step fields over few distinct levels: many candidates score
+    exactly the same, so every round exercises the lowest-index rule."""
+    rng = np.random.default_rng(seed)
+    grid = discretize(preset_stack(3), 16, 8, 1)
+    fields = [TemperatureField(
+        values=25.0 + rng.integers(0, 3, grid.shape).astype(float),
+        grid=grid) for _ in range(int(rng.integers(1, 6)))]
+    candidates = tile_center_candidates(grid)
+    for k in (1, 5, len(candidates)):
+        assert place_sensors_greedy(candidates, k, fields, grid) == \
+            reference_greedy(candidates, k, fields, grid)
+
+
+def test_site_voxel_cached_per_grid(grid):
+    from stackemu.sensors import _locate, _site_voxel
+    site = (1, 6.0, 3.0)
+    first = _site_voxel(site, grid)
+    assert first == _locate(site, grid)
+    assert _site_voxel(list(site), grid) is first
+    other = discretize(preset_stack(2), 8, 4, 1)
+    assert _site_voxel(site, other) == _locate(site, other) != first
+    with pytest.raises(ValueError, match="outside"):
+        _site_voxel((0, 13.0, 1.0), grid)
+
+
+@pytest.mark.parametrize("field_name", ["x_mm", "y_mm", "noise_sigma",
+                                        "quantization_step",
+                                        "sample_period"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")])
+def test_sensor_spec_rejects_non_finite(field_name, value):
+    with pytest.raises(ValueError, match="finite"):
+        SensorSpec(layer=0, **{"x_mm": 1.0, "y_mm": 1.0, field_name: value})
+
+
+def test_greedy_keeps_earlier_candidate_within_tolerance(grid):
+    """A later candidate better by less than 1e-15 does not displace an
+    earlier one: the rule is a scan, not an argmin."""
+    from stackemu.sensors import _site_voxel
+    candidates = tile_center_candidates(grid)[:3]
+    values = np.full(grid.shape, 1.0)
+    values[0, 0, 0] = 3.0                               # the true maximum
+    for site, v in zip(candidates, (2.0, np.nextafter(2.0, 3.0), 1.5)):
+        values[_site_voxel(site, grid)] = v
+    fields = [TemperatureField(values=values, grid=grid)]
+    chosen = place_sensors_greedy(candidates, 2, fields, grid)
+    assert chosen == reference_greedy(candidates, 2, fields, grid)
+    assert chosen[0] == candidates[0]

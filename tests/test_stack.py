@@ -158,3 +158,35 @@ def test_slab_thicknesses_sum_to_stack_thickness():
 def test_farm_spec_rejects_degenerate_pitch():
     with pytest.raises(ValueError, match="pitch"):
         TsvFarmSpec(0.0, 0.0, 1.0, 1.0, 9.0, 10.0, TUNGSTEN, 1.0, SIO2)
+
+
+@pytest.mark.parametrize("index", range(7))
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")])
+def test_farm_spec_rejects_non_finite(index, value):
+    args = [1.0, 1.0, 2.0, 2.0, 5.0, 10.0, TUNGSTEN, 0.5, SIO2]
+    args[index if index < 6 else 7] = value
+    with pytest.raises(ValueError, match="finite"):
+        TsvFarmSpec(*args)
+
+
+def test_grid_lookups_built_once_and_read_only():
+    import dataclasses
+    cfg = preset_stack(3)
+    grid = discretize(cfg, 6, 4, 2)
+    slabs = grid.layer_slabs(3)
+    assert grid.layer_slabs(3) is slabs
+    assert np.array_equal(slabs, np.nonzero(grid.slab_layer == 3)[0])
+    vol = grid.voxel_volume
+    assert grid.voxel_volume is vol
+    expected = np.broadcast_to(
+        ((grid.dx_m * grid.dy_m) * grid.dz_m)[:, None, None], grid.shape)
+    assert np.array_equal(vol, expected)
+    assert grid.device_layer_indices == cfg.device_layer_indices
+    for shared in (slabs, vol):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 0
+    # a replaced grid starts with an empty cache
+    coarse = dataclasses.replace(grid, dx_m=2 * grid.dx_m)
+    assert coarse.voxel_volume is not vol
+    assert np.array_equal(coarse.voxel_volume, 2 * vol)
