@@ -148,8 +148,7 @@ def solve_ir_drop(pdn: PdnGrid, currents: np.ndarray,
     if (i_draw < 0).any():
         raise ValueError("currents must be >= 0")
     b = pdn.supply_g * pdn.params.vdd - i_draw
-    x0 = np.full(pdn.n, pdn.params.vdd)
-    v = solve_cg(pdn.G, b, x0, pdn.precond, options)
+    v = solve_cg(pdn.G, b, pdn.precond, options)
     return (pdn.params.vdd - v).reshape(pdn.n_planes, pdn.ny, pdn.nx)
 
 
@@ -184,12 +183,10 @@ def coupling_report(pdn: PdnGrid, aggressor_plane: int, step: float,
         raise ValueError(f"aggressor plane {aggressor_plane} out of range")
     if step < 0:
         raise ValueError("step must be >= 0")
+    # The drop is linear in the draw and G (Vdd - v) = I, so the induced
+    # drop solves G d = dI.
     delta = np.zeros((pdn.n_planes, pdn.ny, pdn.nx))
     delta[aggressor_plane] = step
-    # Delta-current solve: drop contribution is linear, so solve G v = -dI
-    # and read the induced drop directly.
-    b = -delta.reshape(-1)
-    v = (solve_cg(pdn.G, b, np.zeros(pdn.n), pdn.precond, options)
-         if step > 0 else np.zeros(pdn.n))
-    induced = (-v).reshape(pdn.n_planes, pdn.ny, pdn.nx)
-    return induced.reshape(pdn.n_planes, -1).max(axis=1)
+    drop = (solve_cg(pdn.G, delta.reshape(-1), pdn.precond, options)
+            if step > 0 else delta)
+    return drop.reshape(pdn.n_planes, -1).max(axis=1)

@@ -12,15 +12,16 @@ the orthonormal cosine (DCT-II) basis diagonalize each slab's in-plane
 operator, which leaves one tridiagonal system through the stack per
 in-plane mode (the fast Poisson solver of Buzbee, Golub & Nielsen, SIAM
 J. Numer. Anal. 7, 1970). On farm-free stacks the preconditioner is the
-exact inverse and CG stops after one or two iterations; TSV-farm voxels
-make it approximate. `lattice_matrix` is the one builder of a 7-point
-conductance lattice over stacked planes and `solve_cg` the one linear
-solve; the PDN uses both.
+exact inverse, so a solve is one preconditioner application and one
+true-residual check; TSV-farm voxels make it approximate and CG iterates.
+`lattice_matrix` is the one builder of a 7-point conductance lattice over
+stacked planes and `solve_cg` the one linear solve; the PDN uses both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -75,6 +76,15 @@ class TemperatureField:
         return self.values.reshape(-1)
 
 
+class Operator(NamedTuple):
+    """A = G, or G + diag(cap) with cap = C/dt, and its layered
+    preconditioner: A's exact inverse when no voxel is in a TSV farm."""
+    A: sp.csr_matrix
+    precond: LayeredPreconditioner
+    cap: np.ndarray | None
+    exact: bool
+
+
 @dataclass(frozen=True)
 class DiscreteSystem:
     """G*T = b with G SPD: interior 7-point conductances plus boundary
@@ -85,8 +95,8 @@ class DiscreteSystem:
     C: np.ndarray = field(repr=False)            # (n,) J/K capacitance
     grid: VoxelGrid = field(repr=False)
     ambient_c: float
-    # dt (None for steady) -> (operator, preconditioner); filled on first
-    # use, so each backward-Euler step size is set up once per system.
+    # dt (None for steady) -> Operator; filled on first use, so each
+    # backward-Euler step size is set up once per system.
     _operators: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)
 
@@ -104,19 +114,23 @@ class DiscreteSystem:
         q = src.reshape(self.grid.shape) * self.grid.voxel_volume
         return q.reshape(-1) + self.boundary_g * self.ambient_c
 
-    def operator(self, dt: float | None = None):
-        """(A, preconditioner) for A = G (dt None) or G + diag(C/dt), the
-        backward-Euler step matrix; built on the first call per dt."""
+    def operator(self, dt: float | None = None) -> Operator:
+        """The Operator for steady (dt None) or backward-Euler steps of
+        size dt; built on the first call per dt."""
         if dt not in self._operators:
-            A = self.G
+            A, cap = self.G, None
             cap_slab = np.zeros(self.grid.nz)
             if dt is not None:
-                A = (A + sp.diags(self.C / dt)).tocsr()
+                cap = self.C / dt
+                A = (A + sp.diags(cap)).tocsr()
                 # C is uniform per slab: farms change k, never vhc.
-                cap_slab = self.C.reshape(self.grid.nz, -1)[:, 0] / dt
+                cap_slab = cap.reshape(self.grid.nz, -1)[:, 0]
             gx, gy, gz, bnd = _host_slab_conductances(self.grid)
-            self._operators[dt] = (A, LayeredPreconditioner(
-                gx, gy, gz, bnd + cap_slab, self.grid.ny, self.grid.nx))
+            farms = any(self.grid.farm_lateral_mask(i).any()
+                        for i in range(len(self.grid.config.layers)))
+            self._operators[dt] = Operator(A, LayeredPreconditioner(
+                gx, gy, gz, bnd + cap_slab, self.grid.ny, self.grid.nx),
+                cap, exact=not farms)
         return self._operators[dt]
 
 
@@ -244,22 +258,21 @@ def assemble(grid: VoxelGrid, config: StackConfig) -> DiscreteSystem:
                           grid=grid, ambient_c=config.ambient_c)
 
 
-def solve_cg(A, b: np.ndarray, x0: np.ndarray, precond,
-             options: SolveOptions = SolveOptions()) -> np.ndarray:
-    """Solve the SPD system A x = b from x0 to relative residual
-    options.tolerance by CG preconditioned with precond(r) ~ A^-1 r;
-    natural (row-major) ordering throughout, so bit-reproducible for fixed
-    inputs. Non-finite input raises instead of slipping past the
-    `res > tol` test."""
+def solve_cg(A, b, precond, options: SolveOptions = SolveOptions(),
+             x0: np.ndarray | None = None) -> np.ndarray:
+    """Solve the SPD system A x = b to relative residual options.tolerance
+    by CG preconditioned with precond(r) ~ A^-1 r (a new array), from x0
+    or else from precond(b): where precond is exact, the true-residual
+    check passes before any iteration. Row-major, so bit-reproducible.
+    Non-finite input raises instead of slipping past the `res > tol`
+    test."""
     tol = options.tolerance
     max_iter = options.iteration_cap(len(b))
-    x = x0.copy()
-    r = b - A @ x
-    bnorm = np.linalg.norm(b)
+    bnorm = np.linalg.norm(b) or 1.0
     if not np.isfinite(bnorm):
         raise NumericalError("non-finite right-hand side")
-    if bnorm == 0.0:
-        bnorm = 1.0
+    x = precond(b) if x0 is None else x0.copy()
+    r = b - A @ x
     res = np.linalg.norm(r) / bnorm
     if not np.isfinite(res):
         raise NumericalError("non-finite initial residual")
@@ -289,10 +302,8 @@ def solve_cg(A, b: np.ndarray, x0: np.ndarray, precond,
 def solve_steady(system: DiscreteSystem, source: np.ndarray,
                  options: SolveOptions = SolveOptions()) -> TemperatureField:
     """Steady temperatures in deg C; relative residual <= tolerance."""
-    b = system.rhs(source)
-    x0 = np.full(system.n, system.ambient_c)
-    A, precond = system.operator()
-    x = solve_cg(A, b, x0, precond, options)
+    op = system.operator()
+    x = solve_cg(op.A, system.rhs(source), op.precond, options)
     return TemperatureField(values=x.reshape(system.grid.shape),
                             grid=system.grid, time=None)
 
@@ -300,12 +311,14 @@ def solve_steady(system: DiscreteSystem, source: np.ndarray,
 def step_transient(system: DiscreteSystem, field_t: TemperatureField,
                    source: np.ndarray, dt: float,
                    options: SolveOptions = SolveOptions()) -> TemperatureField:
-    """One backward Euler step: (C/dt + G) T_new = C/dt T + b."""
+    """One backward Euler step: (C/dt + G) T_new = C/dt T + b, started
+    from T only where the preconditioner is inexact (TSV farms)."""
     if not 0 < dt < np.inf:
         raise ValueError("dt must be positive and finite")
-    A, precond = system.operator(dt)
-    b = system.rhs(source) + (system.C / dt) * field_t.flat()
-    x = solve_cg(A, b, field_t.flat(), precond, options)
+    op = system.operator(dt)
+    b = system.rhs(source) + op.cap * field_t.flat()
+    x = solve_cg(op.A, b, op.precond, options,
+                 None if op.exact else field_t.flat())
     t_new = (field_t.time or 0.0) + dt
     return TemperatureField(values=x.reshape(system.grid.shape),
                             grid=system.grid, time=t_new)
@@ -348,7 +361,7 @@ def layer_summary(field_t: TemperatureField,
     out = []
     for layer_index in grid.device_layer_indices:
         slabs = grid.layer_slabs(layer_index)
-        vals = field_t.values[slabs]
+        vals = field_t.values[slabs[0]:slabs[-1] + 1]   # contiguous: a view
         flat_arg = int(np.argmax(vals.reshape(-1)))
         local = np.unravel_index(flat_arg, vals.shape)
         hotspot = (int(slabs[local[0]]), int(local[1]), int(local[2]))

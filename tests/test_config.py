@@ -20,7 +20,8 @@ def demo_doc() -> dict:
 
 def farm_doc() -> dict:
     """An explicit four-die stack with a Cu and a lined W farm per thinned
-    die, steady only."""
+    die, steady only. Each die has its own farm dicts, so editing one leaf
+    edits one die (shared dicts would also dump as YAML aliases)."""
     cu = {"x0_mm": 1.0, "y0_mm": 1.0, "x1_mm": 3.0, "y1_mm": 3.0,
           "via_diameter_um": 5.0, "via_pitch_um": 10.0,
           "fill_material": "copper"}
@@ -32,7 +33,7 @@ def farm_doc() -> dict:
                "material": "package_bumps"}]
     for role in ("SP", "SN2", "SN1"):
         layers += [{"role": role, "thickness_um": 50.0, "material": "silicon",
-                    "has_tsvs": True, "tsv_farms": [cu, w]},
+                    "has_tsvs": True, "tsv_farms": [dict(cu), dict(w)]},
                    {"role": "bond_interface", "thickness_um": 20.0,
                     "material": "bond_underfill"}]
     layers += [{"role": "S0", "thickness_um": 500, "material": "silicon"},
@@ -171,6 +172,39 @@ def test_non_finite_leaf_never_reports(tmp_path, capsys, leaf, value):
                              capsys)
     assert code in (1, 2)
     assert ": nan" not in out and "=nan" not in out
+    assert "Traceback" not in err
+    assert not os.path.exists(tmp_path / "run_report.txt")
+
+
+def small_farm_doc() -> dict:
+    doc = farm_doc()
+    doc["grid"] = {"nx": 12, "ny": 6}
+    doc["pdn"] = {"nx": 12, "ny": 6}
+    return doc
+
+
+FARM_LEAVES = [p for p in _numeric_leaves(small_farm_doc())
+               if "tsv_farms" in p]
+
+
+def test_small_farm_doc_reports(tmp_path, capsys):
+    """The unedited document the farm fuzz starts from reports."""
+    assert len(FARM_LEAVES) == 3 * (6 + 7)
+    code, _, err = _report(tmp_path, small_farm_doc(), capsys)
+    assert code == 0, err
+    assert os.path.exists(tmp_path / "run_report.txt")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("leaf", FARM_LEAVES,
+                         ids=lambda p: "/".join(map(str, p)))
+def test_non_finite_farm_leaf_rejected_at_load(tmp_path, capsys, leaf,
+                                               value):
+    code, _, err = _report(
+        tmp_path, _with_leaf(small_farm_doc(), leaf, value), capsys)
+    assert code == 1
+    assert f"config invalid at {'/'.join(map(str, leaf))}: " in err
     assert "Traceback" not in err
     assert not os.path.exists(tmp_path / "run_report.txt")
 

@@ -1,10 +1,12 @@
 import os
+import re
 import textwrap
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import stackemu
 from stackemu.cli import _apply_thread_cap, main
 from stackemu.config import (ConfigError, _schema, load_scenario,
                              scenario_from_document)
@@ -511,3 +513,12 @@ def test_cli_report_full_pipeline(tmp_path, capsys):
     text = open(f"{out}_report.txt").read()
     assert "== transient final ==" in text
     assert "== policy events ==" in text
+
+
+def test_pyproject_version_is_the_package_version():
+    """Both are bumped by hand whenever reported values move; a regex, not
+    tomllib, so the test runs on Python 3.10."""
+    path = os.path.join(os.path.dirname(__file__), "..", "pyproject.toml")
+    with open(path) as fh:
+        match = re.search(r'^version\s*=\s*"([^"]+)"', fh.read(), re.M)
+    assert match and match.group(1) == stackemu.__version__

@@ -1,0 +1,151 @@
+"""How much work each solve does. The layered preconditioner is the exact
+inverse of every farm-free step operator and of every PDN matrix, so those
+solves start from its answer and end after one preconditioner application
+and one true-residual mat-vec; where TSV farms make it inexact, a
+transient step starts from the previous field instead."""
+
+import dataclasses
+import os
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from stackemu.config import load_scenario
+from stackemu.pdn import (build_pdn, coupling_report, currents_from_power,
+                          solve_ir_drop)
+from stackemu.power import power_density_field
+from stackemu.solver import (DiscreteSystem, SolveOptions, TemperatureField,
+                             assemble, solve_cg, solve_steady,
+                             step_transient)
+from stackemu.stack import discretize
+
+from conftest import random_farm_stack, random_power_map
+
+DEMO = os.path.join(os.path.dirname(__file__), "..", "scenarios",
+                    "demo_2layer.yaml")
+
+
+class Counted:
+    """A matrix or preconditioner that counts its applications and keeps
+    the last preconditioner input and output."""
+
+    def __init__(self, inner):
+        self.inner, self.calls, self.last = inner, 0, None
+
+    def __matmul__(self, x):
+        self.calls += 1
+        return self.inner @ x
+
+    def __call__(self, r):
+        self.calls += 1
+        out = self.inner(r)
+        self.last = (r, out)
+        return out
+
+
+def count_operators(monkeypatch, system):
+    """Operators of system whose A and preconditioner are Counted, by dt."""
+    counted = {}
+    real = DiscreteSystem.operator
+
+    def operator(self, dt=None):
+        if self is not system:
+            return real(self, dt)
+        if dt not in counted:
+            op = real(self, dt)
+            counted[dt] = op._replace(A=Counted(op.A),
+                                      precond=Counted(op.precond))
+        return counted[dt]
+
+    monkeypatch.setattr(DiscreteSystem, "operator", operator)
+    return counted
+
+
+def assert_one_exact_application(A, precond, matrix, options):
+    """One preconditioner application, one product with A, and that
+    application's answer meets the tolerance against the real matrix."""
+    assert (precond.calls, A.calls) == (1, 1)
+    b, x = precond.last
+    residual = np.linalg.norm(b - matrix @ x) / np.linalg.norm(b)
+    assert residual <= options.tolerance
+
+
+@pytest.fixture
+def demo():
+    scenario = load_scenario(DEMO)
+    grid = discretize(scenario.stack, scenario.grid.nx, scenario.grid.ny,
+                      scenario.grid.sub_slabs_per_layer)
+    assert not any(grid.farm_lateral_mask(i).any()
+                   for i in range(len(scenario.stack.layers)))
+    return scenario, grid, assemble(grid, scenario.stack)
+
+
+def test_farm_free_steady_is_one_application(monkeypatch, demo):
+    scenario, grid, system = demo
+    ops = count_operators(monkeypatch, system)
+    source = power_density_field(scenario.power, grid, 0.0)
+    field = solve_steady(system, source, scenario.solve)
+    op = ops[None]
+    assert op.exact
+    assert_one_exact_application(op.A, op.precond, system.G, scenario.solve)
+    np.testing.assert_array_equal(field.flat(), op.precond.last[1])
+
+
+def test_farm_free_step_is_one_application(monkeypatch, demo):
+    scenario, grid, system = demo
+    dt = scenario.transient.dt
+    ops = count_operators(monkeypatch, system)
+    field_t = TemperatureField(
+        values=np.full(grid.shape, scenario.stack.ambient_c), grid=grid,
+        time=0.0)
+    for _ in range(5):
+        source = power_density_field(scenario.power, grid, field_t.time)
+        field_t = step_transient(system, field_t, source, dt, scenario.solve)
+        op = ops[dt]
+        assert op.exact
+        np.testing.assert_array_equal(op.cap, system.C / dt)
+        assert_one_exact_application(
+            op.A, op.precond, system.G + sp.diags(system.C / dt),
+            scenario.solve)
+        np.testing.assert_array_equal(field_t.flat(), op.precond.last[1])
+        op.A.calls = op.precond.calls = 0
+
+
+def test_pdn_solves_are_one_application(demo):
+    scenario = demo[0]
+    pdn = build_pdn(scenario.stack, scenario.pdn)
+    for solve in (
+            lambda p: solve_ir_drop(
+                p, currents_from_power(scenario.power, p, 0.0),
+                scenario.solve),
+            lambda p: coupling_report(p, 1, 0.1, scenario.solve)):
+        counted = dataclasses.replace(pdn, G=Counted(pdn.G),
+                                      precond=Counted(pdn.precond))
+        solve(counted)
+        assert_one_exact_application(counted.G, counted.precond, pdn.G,
+                                     scenario.solve)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_farm_steps_cost_no_more_than_starting_from_previous_field(
+        monkeypatch, seed):
+    """On a farm stack the preconditioner is inexact; 40 steps take no
+    more applications than the same steps started from T_prev."""
+    rng = np.random.default_rng(seed)
+    cfg, grid = random_farm_stack(rng)
+    system = assemble(grid, cfg)
+    source = power_density_field(random_power_map(rng, cfg), grid, 0.0)
+    options, dt = SolveOptions(), 5e-3
+    op = system.operator(dt)
+    assert not op.exact
+    reference = Counted(op.precond)
+    ops = count_operators(monkeypatch, system)
+    field_t = TemperatureField(values=np.full(grid.shape, cfg.ambient_c),
+                               grid=grid, time=0.0)
+    for _ in range(40):
+        b = system.rhs(source) + op.cap * field_t.flat()
+        expected = solve_cg(op.A, b, reference, options, field_t.flat())
+        field_t = step_transient(system, field_t, source, dt, options)
+        np.testing.assert_allclose(field_t.flat(), expected, rtol=1e-7)
+    assert ops[dt].precond.calls <= reference.calls

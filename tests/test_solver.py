@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 from stackemu.materials import COPPER, Material, SILICON
 from stackemu.power import Constant, Periodic, PowerMap, power_density_field, \
     total_power
-from stackemu.solver import (ConvergenceError, NumericalError, SolveOptions,
-                             TemperatureField, assemble, layer_summary,
-                             solve_steady, solve_transient, step_transient)
+from stackemu.solver import (ConvergenceError, LayerStats, NumericalError,
+                             SolveOptions, TemperatureField, assemble,
+                             layer_summary, solve_steady, solve_transient,
+                             step_transient)
 from stackemu.stack import (LayerRole, LayerSpec, StackConfig, TsvFarmSpec,
                             discretize, preset_stack, with_layer)
 
@@ -239,6 +240,29 @@ def test_layer_summary_uniform_field():
         assert stats.mean == stats.max == stats.min == 42.0
 
 
+def test_layer_summary_slice_matches_fancy_indexed_read():
+    """The per-layer slice view gives the stats of the fancy-indexed copy,
+    ties in the hotspot included (coarse values repeat)."""
+    rng = np.random.default_rng(3)
+    subs = set()
+    for _ in range(12):
+        cfg, grid = random_stack(rng)
+        subs.add(len(grid.slab_layer) // len(cfg.layers))
+        values = np.round(rng.uniform(25.0, 90.0, grid.shape), 0)
+        field = TemperatureField(values=values, grid=grid)
+        expected = []
+        for layer_index in grid.device_layer_indices:
+            slabs = grid.layer_slabs(layer_index)
+            vals = values[slabs]
+            local = np.unravel_index(int(np.argmax(vals)), vals.shape)
+            expected.append(LayerStats(
+                layer_index, cfg.layers[layer_index].role.value,
+                float(vals.mean()), float(vals.max()), float(vals.min()),
+                (int(slabs[local[0]]), int(local[1]), int(local[2]))))
+        assert layer_summary(field, grid) == expected
+    assert subs == {1, 2}
+
+
 def test_layer_summary_hotspot_inside_heated_tile():
     cfg = preset_stack(2)
     grid = discretize(cfg, 16, 8, 1)
@@ -365,7 +389,8 @@ def test_preconditioner_inverts_farm_free_operator(seed):
     cfg, grid = random_stack(rng, max_unknowns=400)
     system = assemble(grid, cfg)
     for dt in (None, float(10 ** rng.uniform(-5, 0))):
-        A, precond = system.operator(dt)
+        A, precond, _, exact = system.operator(dt)
+        assert exact
         # A is symmetric: its rows are its columns.
         product = np.column_stack([precond(col) for col in A.toarray()])
         np.testing.assert_allclose(product, np.eye(system.n),
