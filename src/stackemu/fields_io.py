@@ -13,6 +13,8 @@ from .solver import TemperatureField
 from .stack import VoxelGrid
 
 FIELD_CSV_HEADER = ["layer", "z", "y", "x", "temperature_c"]
+# str(v) for every PGM pixel value, looked up per row instead of formatted.
+_PIXEL_TEXT = np.array([str(v) for v in range(256)], dtype=object)
 
 
 def field_to_csv(field_t: TemperatureField, path) -> None:
@@ -71,7 +73,7 @@ def plane_to_pgm(plane: np.ndarray, path, floor: float,
     ny, nx = plane.shape
     lines = [f"P2", f"# max={vmax!r} floor={floor!r} unit={unit}",
              f"{nx} {ny}", "255"]
-    lines.extend(" ".join(map(str, row)) for row in pix.tolist())
+    lines.extend(" ".join(row) for row in _PIXEL_TEXT[pix].tolist())
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -5,15 +5,21 @@ composites), Robin top boundary (convective heat sink), areal-resistance
 bottom boundary (package), adiabatic sidewalls. Transients are backward
 Euler, unconditionally stable.
 
-Solves use conjugate gradients on the SPD operator, preconditioned with
-the exact inverse of its layered approximation: every slab carries its
+Solves use conjugate gradients on the SPD operator A, preconditioned with
+the exact inverse of its layered approximation A_L: every slab carries its
 layer's host material across the whole die. The adiabatic sidewalls make
-the orthonormal cosine (DCT-II) basis diagonalize each slab's in-plane
+the orthonormal cosine (DCT-II) basis Q diagonalize each slab's in-plane
 operator, which leaves one tridiagonal system through the stack per
 in-plane mode (the fast Poisson solver of Buzbee, Golub & Nielsen, SIAM
-J. Numer. Anal. 7, 1970). On farm-free stacks the preconditioner is the
-exact inverse, so a solve is one preconditioner application and one
-true-residual check; TSV-farm voxels make it approximate and CG iterates.
+J. Numer. Anal. 7, 1970). On farm-free stacks A = A_L, so a solve is one
+preconditioner application and one true-residual check. TSV farms add a
+sparse correction E = A - A_L on the farm voxels, their lateral ring and
+the voxels above and below them (the capacitance-matrix setting of
+Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8, 1971). CG then
+iterates on the mode coefficients: its preconditioner is the Thomas sweep
+alone, and its product with E needs Q only at E's rows and columns, so
+each iteration transforms the farm footprint instead of the whole die.
+After a steady solve the boundary outflux must balance the injected power.
 `lattice_matrix` is the one builder of a 7-point conductance lattice over
 stacked planes and `solve_cg` the one linear solve; the PDN uses both.
 """
@@ -78,11 +84,21 @@ class TemperatureField:
 
 class Operator(NamedTuple):
     """A = G, or G + diag(cap) with cap = C/dt, and its layered
-    preconditioner: A's exact inverse when no voxel is in a TSV farm."""
+    preconditioner, which carries E = A - A_L; exact when E is empty (no
+    voxel in a TSV farm), so the preconditioner is A's inverse."""
     A: sp.csr_matrix
     precond: LayeredPreconditioner
     cap: np.ndarray | None
     exact: bool
+
+
+class Correction(NamedTuple):
+    """E = A - A_L, symmetric, over the voxels `index` (sorted flat
+    indices) where the assembled operator and its layered approximation
+    differ: TSV-farm voxels, their lateral ring and the voxels above and
+    below them. The same for every dt, since C/dt is uniform per slab."""
+    index: np.ndarray
+    E: sp.csr_matrix
 
 
 @dataclass(frozen=True)
@@ -95,6 +111,7 @@ class DiscreteSystem:
     C: np.ndarray = field(repr=False)            # (n,) J/K capacitance
     grid: VoxelGrid = field(repr=False)
     ambient_c: float
+    correction: Correction = field(repr=False)
     # dt (None for steady) -> Operator; filled on first use, so each
     # backward-Euler step size is set up once per system.
     _operators: dict = field(default_factory=dict, init=False, repr=False,
@@ -126,11 +143,10 @@ class DiscreteSystem:
                 # C is uniform per slab: farms change k, never vhc.
                 cap_slab = cap.reshape(self.grid.nz, -1)[:, 0]
             gx, gy, gz, bnd = _host_slab_conductances(self.grid)
-            farms = any(self.grid.farm_lateral_mask(i).any()
-                        for i in range(len(self.grid.config.layers)))
             self._operators[dt] = Operator(A, LayeredPreconditioner(
-                gx, gy, gz, bnd + cap_slab, self.grid.ny, self.grid.nx),
-                cap, exact=not farms)
+                gx, gy, gz, bnd + cap_slab, self.grid.ny, self.grid.nx,
+                self.correction), cap,
+                exact=len(self.correction.index) == 0)
         return self._operators[dt]
 
 
@@ -181,42 +197,123 @@ def _cosine_basis(n: int):
 
 
 class LayeredPreconditioner:
-    """Exact inverse of a layered operator on nz planes of ny x nx nodes:
-    plane iz couples its lateral neighbours with gx[iz] / gy[iz], planes
-    iz and iz+1 couple node-to-node with gz[iz], and every node of plane
-    iz has diag[iz] to ground. The cosine basis diagonalizes each plane,
-    leaving one tridiagonal system per (ky, kx) mode, factored once here
-    and solved by a Thomas sweep vectorized over the modes."""
+    """Exact inverse of a layered operator A_L on nz planes of ny x nx
+    nodes: plane iz couples its lateral neighbours with gx[iz] / gy[iz],
+    planes iz and iz+1 couple node-to-node with gz[iz], and every node of
+    plane iz has diag[iz] to ground. The cosine basis Q diagonalizes each
+    plane, leaving one tridiagonal system per (ky, kx) mode, factored once
+    here and solved by a Thomas sweep vectorized over the modes.
 
-    def __init__(self, gx, gy, gz, diag, ny: int, nx: int):
-        self.qx, lam_x = _cosine_basis(nx)
+    It also carries the operator A = A_L + E that CG solves, in mode
+    space: `apply_modes` is Q^T A Q, the tridiagonals plus E's product,
+    which needs Q only at E's rows and columns in each plane."""
+
+    def __init__(self, gx, gy, gz, diag, ny: int, nx: int,
+                 correction: Correction | None = None):
+        self.qx, self.lam_x = _cosine_basis(nx)
         self.qy, lam_y = _cosine_basis(ny)
-        upper = -gz                                # (nz-1,) off-diagonal
+        self.lam_y = lam_y[:, None]
+        self.gx, self.gy, self.upper = gx, gy, -gz   # upper: off-diagonal
         coupling = np.zeros(len(diag))
         coupling[:-1] += gz
         coupling[1:] += gz
-        main = (gx[:, None, None] * lam_x + gy[:, None, None] * lam_y[:, None]
-                + (diag + coupling)[:, None, None])
+        self.center = diag + coupling
         # LDL^T of each mode's tridiagonal: pivots and sub-diagonal factors.
-        self.inv_pivot = np.empty_like(main)
-        self.factor = np.empty_like(main[1:])
-        self.inv_pivot[0] = 1.0 / main[0]
-        for i in range(1, len(main)):
+        nz, upper = len(diag), self.upper
+        self.inv_pivot = np.empty((nz, ny, nx))
+        self.factor = np.empty((nz - 1, ny, nx))
+        self.inv_pivot[0] = 1.0 / self._main(0)
+        for i in range(1, nz):
             self.factor[i - 1] = upper[i - 1] * self.inv_pivot[i - 1]
-            self.inv_pivot[i] = 1.0 / (main[i]
+            self.inv_pivot[i] = 1.0 / (self._main(i)
                                        - self.factor[i - 1] * upper[i - 1])
+        self.E = None
+        self.blocks = []
+        if correction is not None and len(correction.index):
+            self.E = correction.E
+            self._plane_blocks(correction.index)
 
-    def __call__(self, r: np.ndarray) -> np.ndarray:
+    def _main(self, z: int) -> np.ndarray:
+        """Diagonal of plane z's mode tridiagonals, (ny, nx); built per
+        use rather than kept, so a preconditioner stores two arrays of the
+        operator's size, not three."""
+        return self.gx[z] * self.lam_x + self.gy[z] * self.lam_y \
+            + self.center[z]
+
+    def _plane_blocks(self, index):
+        """Per plane of E's voxels: its rows of qy and columns of qx, the
+        positions of the voxels in the rows x columns block, and the order
+        of the two products that costs fewer operations."""
+        nz, ny, nx = self.inv_pivot.shape
+        iz, iy, ix = np.unravel_index(index, (nz, ny, nx))
+        bounds = np.searchsorted(iz, np.arange(nz + 1))
+        for z in range(nz):
+            part = slice(bounds[z], bounds[z + 1])
+            if part.start == part.stop:
+                continue
+            y, x = iy[part], ix[part]
+            in_rows = np.bincount(y, minlength=ny) > 0
+            in_cols = np.bincount(x, minlength=nx) > 0
+            rows, cols = np.flatnonzero(in_rows), np.flatnonzero(in_cols)
+            at_row = (np.cumsum(in_rows) - 1)[y]
+            at_col = (np.cumsum(in_cols) - 1)[x]
+            cols_first = (len(cols) * ny * (nx + len(rows))
+                          <= len(rows) * nx * (ny + len(cols)))
+            self.blocks.append((z, part, at_row * len(cols) + at_col,
+                                rows, cols, cols_first))
+
+    def forward(self, r: np.ndarray) -> np.ndarray:
+        """Mode coefficients Q^T r, shape (nz, ny, nx), of a flat r."""
         nz, ny, nx = self.inv_pivot.shape
         y = (r.reshape(nz * ny, nx) @ self.qx).reshape(nz, ny, nx)
-        y = self.qy.T @ y
-        for i in range(1, nz):
-            y[i] -= self.factor[i - 1] * y[i - 1]
-        y *= self.inv_pivot
-        for i in range(nz - 2, -1, -1):
-            y[i] -= self.factor[i] * y[i + 1]
+        return self.qy.T @ y
+
+    def inverse(self, y: np.ndarray) -> np.ndarray:
+        """Flat Q y of mode coefficients y."""
+        nz, ny, nx = self.inv_pivot.shape
         y = self.qy @ y
         return (y.reshape(nz * ny, nx) @ self.qx.T).reshape(-1)
+
+    def solve_modes(self, y: np.ndarray) -> np.ndarray:
+        """A_L^-1 in mode space: the Thomas sweep, in place on y."""
+        for i in range(1, len(y)):
+            y[i] -= self.factor[i - 1] * y[i - 1]
+        y *= self.inv_pivot
+        for i in range(len(y) - 2, -1, -1):
+            y[i] -= self.factor[i] * y[i + 1]
+        return y
+
+    def apply_modes(self, p: np.ndarray) -> np.ndarray:
+        """Q^T A Q p = (tridiagonals) p + Q^T E Q p, as a new array."""
+        out = np.empty_like(p)
+        for i in range(len(p)):                 # plane by plane: in cache
+            np.multiply(self._main(i), p[i], out=out[i])
+        for i, g in enumerate(self.upper):
+            out[i + 1] += g * p[i]
+            out[i] += g * p[i + 1]
+        if self.E is None:
+            return out
+        # qy and qx at each plane's rows and columns of E's voxels.
+        bases = [(self.qy[rows], self.qx[cols])
+                 for _, _, _, rows, cols, _ in self.blocks]
+        v = np.empty(self.E.shape[0])
+        for (z, part, at, _, _, cols_first), (qy, qx) in zip(self.blocks,
+                                                             bases):
+            block = qy @ (p[z] @ qx.T) if cols_first else (qy @ p[z]) @ qx.T
+            v[part] = block.reshape(-1)[at]
+        w = self.E @ v
+        for (z, part, at, _, _, cols_first), (qy, qx) in zip(self.blocks,
+                                                             bases):
+            block = np.zeros(len(qy) * len(qx))
+            block[at] = w[part]
+            block = block.reshape(len(qy), len(qx))
+            out[z] += ((qy.T @ block) @ qx if cols_first
+                       else qy.T @ (block @ qx))
+        return out
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        """A_L^-1 r for a flat r, as a new flat array."""
+        return self.inverse(self.solve_modes(self.forward(r)))
 
 
 def lattice_matrix(gx: np.ndarray, gy: np.ndarray, gz: np.ndarray,
@@ -227,19 +324,31 @@ def lattice_matrix(gx: np.ndarray, gy: np.ndarray, gz: np.ndarray,
     ground (nz, ny, nx) ties each node to a fixed potential."""
     _, ny, nx = ground.shape
     n = ground.size
-    bands, offsets = [], []
-    for g, axis, step in ((gx, 2, 1), (gy, 1, nx), (gz, 0, nx * ny)):
+    faces = []
+    for g, axis, step in ((gz, 0, nx * ny), (gy, 1, nx), (gx, 2, 1)):
         if g.size:      # an empty face set would repeat another offset
             pad = [(0, 0)] * 3
             pad[axis] = (0, 1)
-            band = -np.pad(g, pad).reshape(-1)[:n - step]
-            bands += [band, band]
-            offsets += [step, -step]
-    off = (sp.diags(bands, offsets, shape=(n, n), format="csr") if bands
-           else sp.csr_matrix((n, n)))
-    off.eliminate_zeros()      # the band padding at row and plane ends
-    diag = -np.asarray(off.sum(axis=1)).reshape(-1) + ground.reshape(-1)
-    return (off + sp.diags(diag)).tocsr()
+            faces.append((step, -np.pad(g, pad).reshape(-1)[:n - step]))
+    # (rows, offset, band) in column order, the order a CSR row stores.
+    columns = ([(slice(step, None), -step, band) for step, band in faces]
+               + [(slice(None, n - step), step, band)
+                  for step, band in reversed(faces)])
+    # The diagonal is ground minus the row sum, with the bits of the CSR
+    # row sum (np.add.reduceat over the stored entries): the first stored
+    # entry plus the sequential sum of the rest. Zeros are not stored.
+    first, rest = np.zeros(n), np.zeros(n)
+    stored = np.zeros(n, dtype=bool)
+    for rows, _, band in columns:
+        np.add(rest[rows], band, out=rest[rows], where=stored[rows])
+        np.copyto(first[rows], band, where=~stored[rows])
+        stored[rows] |= band != 0.0
+    A = sp.diags([band for *_, band in columns]
+                 + [ground.reshape(-1) - (first + rest)],
+                 [offset for _, offset, _ in columns] + [0], shape=(n, n),
+                 format="csr")
+    A.eliminate_zeros()      # the band padding at row and plane ends
+    return A
 
 
 def assemble(grid: VoxelGrid, config: StackConfig) -> DiscreteSystem:
@@ -255,57 +364,158 @@ def assemble(grid: VoxelGrid, config: StackConfig) -> DiscreteSystem:
     G = lattice_matrix(gx, gy, gz, boundary_g)
     C = (grid.vhc * grid.voxel_volume).reshape(-1)
     return DiscreteSystem(G=G, boundary_g=boundary_g.reshape(-1), C=C,
-                          grid=grid, ambient_c=config.ambient_c)
+                          grid=grid, ambient_c=config.ambient_c,
+                          correction=_correction(grid, gx, gy, gz,
+                                                 boundary_g))
 
 
-def solve_cg(A, b, precond, options: SolveOptions = SolveOptions(),
+def _correction(grid: VoxelGrid, gx, gy, gz, boundary_g) -> Correction:
+    """E = G - G_L from the face and boundary conductances that differ
+    from the host slab's. Only TSV-farm slabs and the faces and
+    boundaries that touch them can differ; elsewhere both are computed
+    by the same expression from the same conductivities."""
+    nz, ny, nx = grid.shape
+    plane = ny * nx
+    hx, hy, hz, hb = _host_slab_conductances(grid)
+    farm = np.array([bool(grid.config.layers[layer].tsv_farms)
+                     for layer in grid.slab_layer])
+    rows, cols, vals = [], [], []
+
+    def differ(g, host, first, step=0, voxel=lambda f: f):
+        """Entries of the faces (step > 0) or boundaries of one plane,
+        g[f] != host, whose first voxel is first + voxel(f)."""
+        delta = (g - host).reshape(-1)
+        f = np.flatnonzero(delta)
+        i, d = first + voxel(f), delta[f]
+        if step:
+            # -d off the diagonal both ways, +d on both diagonals.
+            j = i + step
+            rows.extend([i, j, i, j])
+            cols.extend([j, i, i, j])
+            vals.extend([-d, -d, d, d])
+        else:
+            rows.append(i)
+            cols.append(i)
+            vals.append(d)
+
+    for z in np.flatnonzero(farm):
+        differ(gx[z], hx[z], z * plane, 1, lambda f: f + f // (nx - 1))
+        differ(gy[z], hy[z], z * plane, nx)
+        if z in (0, nz - 1):
+            differ(boundary_g[z], hb[z], z * plane)
+    for z in np.flatnonzero(farm[:-1] | farm[1:]):
+        differ(gz[z], hz[z], z * plane, plane)
+    if not rows:
+        return Correction(np.zeros(0, dtype=np.intp), sp.csr_matrix((0, 0)))
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    in_e = np.zeros(grid.n, dtype=bool)
+    in_e[rows] = True
+    index = np.flatnonzero(in_e)
+    local = np.zeros(grid.n, dtype=np.intp)
+    local[index] = np.arange(len(index))
+    E = sp.coo_matrix((np.concatenate(vals), (local[rows], local[cols])),
+                      shape=(len(index),) * 2).tocsr()
+    return Correction(index, E)
+
+
+def solve_cg(A, b, precond: LayeredPreconditioner,
+             options: SolveOptions = SolveOptions(),
              x0: np.ndarray | None = None) -> np.ndarray:
-    """Solve the SPD system A x = b to relative residual options.tolerance
-    by CG preconditioned with precond(r) ~ A^-1 r (a new array), from x0
-    or else from precond(b): where precond is exact, the true-residual
-    check passes before any iteration. Row-major, so bit-reproducible.
-    Non-finite input raises instead of slipping past the `res > tol`
-    test."""
+    """Solve the SPD system A x = b to relative residual options.tolerance,
+    where A = A_L + precond.E. Starts from x0 or else from precond(b) =
+    A_L^-1 b and checks the true residual first: where E is empty it
+    passes with no iteration.
+
+    Otherwise CG preconditioned by A_L^-1 runs on the mode coefficients
+    of the update: z = A_L^-1 r is the Thomas sweep alone and the product
+    with A is precond.apply_modes, whose transforms cover E's voxels
+    only. Q is orthonormal, so dot products and norms are those of the
+    physical CG. One full inverse transform maps the update back, and the
+    true residual is checked again. If it fails, CG restarts from it
+    within the same iteration cap, unless it is within the rounding error
+    of its own evaluation, which no restart can reduce. Row-major, so
+    bit-reproducible. Non-finite input raises instead of slipping past
+    the `res > tol` test."""
     tol = options.tolerance
     max_iter = options.iteration_cap(len(b))
     bnorm = np.linalg.norm(b) or 1.0
     if not np.isfinite(bnorm):
         raise NumericalError("non-finite right-hand side")
     x = precond(b) if x0 is None else x0.copy()
-    r = b - A @ x
-    res = np.linalg.norm(r) / bnorm
-    if not np.isfinite(res):
-        raise NumericalError("non-finite initial residual")
     it = 0
-    rz = None
-    while res > tol:
-        if it >= max_iter:
-            raise ConvergenceError(res, it)
-        z = precond(r)
-        rz_new = float(r @ z)
-        p = z if rz is None else z + (rz_new / rz) * p
-        rz = rz_new
-        Ap = A @ p
-        pAp = float(p @ Ap)
-        if not np.isfinite(pAp) or pAp <= 0.0:
-            raise NumericalError("CG breakdown: non-SPD or non-finite system")
-        alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
+    while True:
+        r = b - A @ x
         res = np.linalg.norm(r) / bnorm
         if not np.isfinite(res):
-            raise NumericalError("CG produced non-finite residual")
-        it += 1
-    return x
+            raise NumericalError("non-finite residual")
+        # After CG, a residual within the rounding error of computing it
+        # (a row has at most 7 entries, plus b) cannot be reduced further.
+        if res <= tol or (it and res * bnorm <= 8 * np.finfo(float).eps
+                          * np.linalg.norm(abs(A) @ np.abs(x) + np.abs(b))):
+            return x
+        r = precond.forward(r)
+        dx = np.zeros_like(r)
+        rz = None
+        while res > tol:
+            if it >= max_iter:
+                raise ConvergenceError(res, it)
+            z = precond.solve_modes(r.copy())
+            rz_new = float(np.vdot(r, z))
+            if rz is None:
+                p = z
+            else:
+                p *= rz_new / rz
+                p += z
+            rz = rz_new
+            Ap = precond.apply_modes(p)
+            pAp = float(np.vdot(p, Ap))
+            if not np.isfinite(pAp) or pAp <= 0.0:
+                raise NumericalError(
+                    "CG breakdown: non-SPD or non-finite system")
+            alpha = rz / pAp
+            r -= np.multiply(alpha, Ap, out=Ap)
+            dx += np.multiply(alpha, p, out=Ap)
+            res = np.linalg.norm(r) / bnorm
+            if not np.isfinite(res):
+                raise NumericalError("CG produced non-finite residual")
+            it += 1
+        x += precond.inverse(dx)
+
+
+# Relative gap between the power put in and the boundary outflux above
+# which a steady field is rejected.
+ENERGY_BALANCE_LIMIT = 1e-6
+
+
+def energy_balance_error(system: DiscreteSystem, source: np.ndarray,
+                         values: np.ndarray) -> float:
+    """|P_in - sum g_b (T - T_amb)| / P_in for the steady field `values`
+    under `source` (W/m^3); with no power in, relative to the scale of
+    the boundary terms, sum g_b (|T| + |T_amb|)."""
+    grid = system.grid
+    injected = float(np.sum(np.reshape(source, grid.shape)
+                            * grid.voxel_volume))
+    t = np.reshape(values, -1)
+    outflux = float(np.dot(system.boundary_g, t - system.ambient_c))
+    scale = injected or float(np.dot(system.boundary_g,
+                                     np.abs(t) + abs(system.ambient_c)))
+    return abs(injected - outflux) / scale if scale else 0.0
 
 
 def solve_steady(system: DiscreteSystem, source: np.ndarray,
                  options: SolveOptions = SolveOptions()) -> TemperatureField:
-    """Steady temperatures in deg C; relative residual <= tolerance."""
+    """Steady temperatures in deg C; relative residual <= tolerance, and
+    the boundary outflux balances the power put in to
+    ENERGY_BALANCE_LIMIT (else NumericalError)."""
     op = system.operator()
     x = solve_cg(op.A, system.rhs(source), op.precond, options)
-    return TemperatureField(values=x.reshape(system.grid.shape),
-                            grid=system.grid, time=None)
+    field_t = TemperatureField(values=x.reshape(system.grid.shape),
+                               grid=system.grid, time=None)
+    gap = energy_balance_error(system, source, x)
+    if not gap <= ENERGY_BALANCE_LIMIT:
+        raise NumericalError(f"steady energy balance off by {gap:.3e} "
+                             f"(limit {ENERGY_BALANCE_LIMIT:.0e})")
+    return field_t
 
 
 def step_transient(system: DiscreteSystem, field_t: TemperatureField,

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -96,3 +98,36 @@ def random_farm_stack(rng: np.random.Generator, max_unknowns=1000):
         cfg = with_layer(cfg, index, tsv_farms=farms)
     grid = discretize(cfg, nx, ny, sub)
     return cfg, grid
+
+
+class Counted:
+    """A matrix or layered preconditioner that counts, by name, its
+    products ("matvec"), applications ("apply"), full-size transforms
+    ("forward", "inverse") and mode-space steps ("solve_modes",
+    "apply_modes"), and keeps the last application's input and output."""
+
+    def __init__(self, inner):
+        self.inner, self.counts, self.last = inner, Counter(), None
+
+    def __getattr__(self, name):
+        attr = getattr(self.inner, name)
+        if name not in ("forward", "inverse", "solve_modes", "apply_modes"):
+            return attr
+
+        def counted(*args):
+            self.counts[name] += 1
+            return attr(*args)
+        return counted
+
+    def __matmul__(self, x):
+        self.counts["matvec"] += 1
+        return self.inner @ x
+
+    def __abs__(self):
+        return abs(self.inner)
+
+    def __call__(self, r):
+        self.counts["apply"] += 1
+        out = self.inverse(self.solve_modes(self.forward(r)))
+        self.last = (r, out)
+        return out

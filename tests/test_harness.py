@@ -425,6 +425,22 @@ def test_cli_overflowing_power_exit_2(tmp_path, capsys):
     assert not os.path.exists(f"{out}_report.txt")
 
 
+def test_cli_unbalanced_steady_field_exit_2(tmp_path, capsys,
+                                            monkeypatch):
+    """A steady field whose boundary outflux misses the injected power
+    (planted: 1 mK added to a converged solve) is a numerical failure,
+    and no report is written."""
+    import stackemu.solver as solver
+    real = solver.solve_cg
+    monkeypatch.setattr(solver, "solve_cg",
+                        lambda *args, **kw: real(*args, **kw) + 1e-3)
+    path = _demo_with_p_high(tmp_path, "60.0")
+    out = str(tmp_path / "run")
+    assert main(["--config", path, "--out", out, "steady"]) == 2
+    assert "energy balance" in capsys.readouterr().err
+    assert not os.path.exists(f"{out}_report.txt")
+
+
 def test_cli_report_checks_every_target_before_writing(tmp_path, capsys):
     """A stale PGM fails the report before the text and CSV files, which
     come first, are written."""

@@ -1,0 +1,229 @@
+"""CG on the mode coefficients of the layered preconditioner against the
+physical-space CG it replaced, kept here as the reference. In exact
+arithmetic both run the same Krylov sequence, so they must take the same
+iterations and agree to rounding, and both must match the dense oracle."""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from stackemu.materials import COPPER, Material, SILICON, SIO2, TUNGSTEN
+from stackemu.power import Constant, PowerMap, power_density_field
+from stackemu.solver import (ConvergenceError, Correction,
+                             LayeredPreconditioner, NumericalError,
+                             SolveOptions, _host_slab_conductances, assemble,
+                             lattice_matrix, solve_cg)
+from stackemu.stack import (LayerRole, LayerSpec, StackConfig, TsvFarmSpec,
+                            discretize)
+
+from conftest import (Counted, column_stack, random_farm_stack,
+                      random_power_map, random_stack)
+
+
+def physical_cg(A, b, precond, options, x0=None):
+    """The physical-space PCG loop: the same start and first true-residual
+    check, then CG on x with precond(r) ~ A^-1 r, ending on the recursive
+    residual. Returns x, the number of precond applications and the
+    final recursive residual."""
+    calls = 0
+
+    def apply(r):
+        nonlocal calls
+        calls += 1
+        return precond(r)
+
+    tol = options.tolerance
+    max_iter = options.iteration_cap(len(b))
+    bnorm = np.linalg.norm(b) or 1.0
+    x = apply(b) if x0 is None else x0.copy()
+    r = b - A @ x
+    res = np.linalg.norm(r) / bnorm
+    it = 0
+    rz = None
+    while res > tol:
+        if it >= max_iter:
+            raise ConvergenceError(res, it)
+        z = apply(r)
+        rz_new = float(r @ z)
+        p = z if rz is None else z + (rz_new / rz) * p
+        rz = rz_new
+        Ap = A @ p
+        pAp = float(p @ Ap)
+        if not np.isfinite(pAp) or pAp <= 0.0:
+            raise NumericalError("CG breakdown")
+        alpha = rz / pAp
+        x += alpha * p
+        r -= alpha * Ap
+        res = np.linalg.norm(r) / bnorm
+        it += 1
+    return x, calls, res
+
+
+def true_residual(A, b, x):
+    return np.linalg.norm(b - A @ x) / np.linalg.norm(b)
+
+
+def assert_same_as_reference(A, b, precond, options, x0=None):
+    """solve_cg and physical_cg take the same number of A_L^-1 applications
+    (Thomas sweeps) and agree to 1e-12 relative; the solve meets the
+    tolerance against A. Returns the solution and solve_cg's counts."""
+    counted = Counted(precond)
+    x = solve_cg(A, b, counted, options, x0)
+    ref, calls, _ = physical_cg(A, b, precond, options, x0)
+    assert counted.counts["solve_modes"] == calls
+    assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert true_residual(A, b, x) <= options.tolerance
+    return x, counted.counts
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_farm_solves_match_physical_cg_and_oracle(seed):
+    """Steady, and a 5 ms step warm-started from a random field."""
+    rng = np.random.default_rng(seed)
+    cfg, grid = random_farm_stack(rng)
+    system = assemble(grid, cfg)
+    source = power_density_field(random_power_map(rng, cfg), grid, 0.0)
+    options = SolveOptions(tolerance=1e-10)
+
+    op = system.operator()
+    assert not op.exact
+    b = system.rhs(source)
+    x, counts = assert_same_as_reference(op.A, b, op.precond, options)
+    assert counts["apply_modes"] == counts["solve_modes"] - 1 >= 1
+    oracle = np.linalg.solve(system.G.toarray(), b)
+    assert np.max(np.abs(x - oracle)) <= 1e-8 * np.max(np.abs(oracle))
+
+    dt = 5e-3
+    op = system.operator(dt)
+    t_prev = rng.uniform(25.0, 90.0, grid.n)
+    b = system.rhs(source) + op.cap * t_prev
+    x, counts = assert_same_as_reference(op.A, b, op.precond, options,
+                                         t_prev)
+    assert counts["apply_modes"] == counts["solve_modes"] >= 1
+    oracle = np.linalg.solve(op.A.toarray(), b)
+    assert np.max(np.abs(x - oracle)) <= 1e-8 * np.max(np.abs(oracle))
+
+
+def blockage_system(farm):
+    """scripts/tsv_blockage_study.py's strip die (bond k = 0.001) at its
+    default 48 x 8 grid, with a 1 W/cm^2 tile next to the farm."""
+    weak = Material("weak_bond", k=0.001, volumetric_heat_capacity=1.8e6)
+    layers = (
+        LayerSpec(LayerRole.PACKAGE_INTERFACE, 80.0, weak),
+        LayerSpec(LayerRole.SP, 10.0, SILICON, has_tsvs=True,
+                  tsv_farms=(farm,), tile_rows=1, tile_cols=6),
+        LayerSpec(LayerRole.BOND_INTERFACE, 20.0, weak),
+        LayerSpec(LayerRole.S0, 500.0, SILICON, tile_rows=1, tile_cols=6),
+    )
+    cfg = StackConfig(6.0, 1.0, layers, ambient_c=25.0, heat_sink_h=8700.0,
+                      package_resistance=1.0)
+    grid = discretize(cfg, 48, 8, 1)
+    system = assemble(grid, cfg)
+    pmap = PowerMap.zeros(cfg).set_tile_power(0, 0, 0, Constant(1.0))
+    return system, system.rhs(power_density_field(pmap, grid, 0.0))
+
+
+@pytest.mark.parametrize("farm, drifts", [
+    (TsvFarmSpec(1.0, 0.0, 2.0, 1.0, 5.0, 10.0, COPPER), False),
+    (TsvFarmSpec(1.0, 0.0, 2.0, 1.0, 5.0, 10.0, TUNGSTEN, 0.5, SIO2), True)],
+    ids=["copper", "tungsten+liner"])
+def test_blockage_study_matches_physical_cg(farm, drifts):
+    """At tolerance 1e-10 the recursive residual of the tungsten case
+    ends at half its true residual (1.0e-13 against 2.0e-13), so the
+    answer rests on the final true-residual check."""
+    system, b = blockage_system(farm)
+    op = system.operator()
+    options = SolveOptions(tolerance=1e-10)
+    x, counts = assert_same_as_reference(op.A, b, op.precond, options)
+    assert counts["forward"] == counts["inverse"] == 2
+    _, _, recursive = physical_cg(op.A, b, op.precond, options)
+    drift = abs(true_residual(op.A, b, x) - recursive) / recursive
+    assert (drift > 0.5) == drifts
+
+
+def test_inexact_correction_restarts_from_true_residual():
+    """With E scaled by 0.9 the mode-space CG solves the wrong system; the
+    final true-residual check fails and CG restarts from the true
+    residual until A's tolerance is met, within the iteration cap."""
+    rng = np.random.default_rng(3)
+    cfg, grid = random_farm_stack(rng)
+    system = assemble(grid, cfg)
+    b = system.rhs(power_density_field(random_power_map(rng, cfg), grid,
+                                       0.0))
+    correction = system.correction
+    gx, gy, gz, bnd = _host_slab_conductances(grid)
+    wrong = Counted(LayeredPreconditioner(
+        gx, gy, gz, bnd, grid.ny, grid.nx,
+        Correction(correction.index, 0.9 * correction.E)))
+    options = SolveOptions(tolerance=1e-10)
+    x = solve_cg(system.G, b, wrong, options)
+    assert true_residual(system.G, b, x) <= options.tolerance
+    assert wrong.counts["inverse"] >= 3       # precond(b) and 2+ rounds
+    assert wrong.counts["forward"] == wrong.counts["inverse"]
+    with pytest.raises(ConvergenceError):
+        solve_cg(system.G, b, wrong, SolveOptions(
+            tolerance=1e-10, max_iterations=wrong.counts["apply_modes"] - 1))
+
+
+def test_residual_at_rounding_floor_ends_the_solve():
+    """A 6-slab copper column at tolerance 1e-13: b - A x cannot be
+    evaluated to better than about 2e-13 there, so after one mode-space
+    iteration the solve returns the oracle's answer instead of restarting
+    until the iteration cap."""
+    cfg = column_stack(k=80.0, h=900.0, package_resistance=2e-3,
+                       thickness_um=600.0)
+    grid = discretize(cfg, 2, 2, 6)
+    system = assemble(grid, cfg)
+    source = np.zeros(grid.shape)
+    source[0] = 5e8
+    op = system.operator()
+    b = system.rhs(source)
+    precond = Counted(op.precond)
+    x = solve_cg(op.A, b, precond, SolveOptions(tolerance=1e-13))
+    assert true_residual(op.A, b, x) > 1e-13
+    assert precond.counts["solve_modes"] == 2
+    oracle = np.linalg.solve(op.A.toarray(), b)
+    assert np.max(np.abs(x - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_correction_is_assembled_minus_layered_operator(seed):
+    """E against G - G_L with G_L built as a second full lattice, and
+    apply_modes against Q^T (A Q p) for a random p."""
+    rng = np.random.default_rng(seed)
+    cfg, grid = random_farm_stack(rng)
+    system = assemble(grid, cfg)
+    gx, gy, gz, bnd = _host_slab_conductances(grid)
+    nz, ny, nx = grid.shape
+    G_L = lattice_matrix(np.broadcast_to(gx[:, None, None], (nz, ny, nx - 1)),
+                         np.broadcast_to(gy[:, None, None], (nz, ny - 1, nx)),
+                         np.broadcast_to(gz[:, None, None], (nz - 1, ny, nx)),
+                         np.broadcast_to(bnd[:, None, None], grid.shape))
+    index, E = system.correction
+    full = sp.coo_matrix(E)
+    full = sp.csr_matrix((full.data, (index[full.row], index[full.col])),
+                         shape=(grid.n, grid.n))
+    diff = (system.G - G_L).toarray()
+    scale = np.max(np.abs(system.G.data))
+    np.testing.assert_allclose(full.toarray(), diff, rtol=0,
+                               atol=1e-13 * scale)
+    outside = np.setdiff1d(np.arange(grid.n), index)
+    assert not diff[outside].any()
+    assert len(index) < grid.n
+
+    for dt in (None, 1e-3):
+        op = system.operator(dt)
+        p = rng.standard_normal(grid.shape)
+        want = op.precond.forward(op.A @ op.precond.inverse(p.copy()))
+        np.testing.assert_allclose(op.precond.apply_modes(p), want, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(want)))
+
+
+def test_farm_free_correction_is_empty():
+    rng = np.random.default_rng(0)
+    cfg, grid = random_stack(rng)
+    system = assemble(grid, cfg)
+    assert len(system.correction.index) == 0
+    assert system.correction.E.shape == (0, 0)
+    assert system.operator().exact
+    assert system.operator().precond.E is None

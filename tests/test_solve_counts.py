@@ -6,6 +6,7 @@ transient step starts from the previous field instead."""
 
 import dataclasses
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,28 +21,10 @@ from stackemu.solver import (DiscreteSystem, SolveOptions, TemperatureField,
                              step_transient)
 from stackemu.stack import discretize
 
-from conftest import random_farm_stack, random_power_map
+from conftest import Counted, random_farm_stack, random_power_map
 
 DEMO = os.path.join(os.path.dirname(__file__), "..", "scenarios",
                     "demo_2layer.yaml")
-
-
-class Counted:
-    """A matrix or preconditioner that counts its applications and keeps
-    the last preconditioner input and output."""
-
-    def __init__(self, inner):
-        self.inner, self.calls, self.last = inner, 0, None
-
-    def __matmul__(self, x):
-        self.calls += 1
-        return self.inner @ x
-
-    def __call__(self, r):
-        self.calls += 1
-        out = self.inner(r)
-        self.last = (r, out)
-        return out
 
 
 def count_operators(monkeypatch, system):
@@ -63,9 +46,12 @@ def count_operators(monkeypatch, system):
 
 
 def assert_one_exact_application(A, precond, matrix, options):
-    """One preconditioner application, one product with A, and that
+    """One preconditioner application (one transform each way and one
+    Thomas sweep), one product with A and no CG iteration, and that
     application's answer meets the tolerance against the real matrix."""
-    assert (precond.calls, A.calls) == (1, 1)
+    assert precond.counts == Counter(apply=1, forward=1, solve_modes=1,
+                                     inverse=1)
+    assert A.counts == Counter(matvec=1)
     b, x = precond.last
     residual = np.linalg.norm(b - matrix @ x) / np.linalg.norm(b)
     assert residual <= options.tolerance
@@ -109,7 +95,8 @@ def test_farm_free_step_is_one_application(monkeypatch, demo):
             op.A, op.precond, system.G + sp.diags(system.C / dt),
             scenario.solve)
         np.testing.assert_array_equal(field_t.flat(), op.precond.last[1])
-        op.A.calls = op.precond.calls = 0
+        op.A.counts.clear()
+        op.precond.counts.clear()
 
 
 def test_pdn_solves_are_one_application(demo):
@@ -131,7 +118,7 @@ def test_pdn_solves_are_one_application(demo):
 def test_farm_steps_cost_no_more_than_starting_from_previous_field(
         monkeypatch, seed):
     """On a farm stack the preconditioner is inexact; 40 steps take no
-    more applications than the same steps started from T_prev."""
+    more Thomas sweeps than the same steps started from T_prev."""
     rng = np.random.default_rng(seed)
     cfg, grid = random_farm_stack(rng)
     system = assemble(grid, cfg)
@@ -148,4 +135,38 @@ def test_farm_steps_cost_no_more_than_starting_from_previous_field(
         expected = solve_cg(op.A, b, reference, options, field_t.flat())
         field_t = step_transient(system, field_t, source, dt, options)
         np.testing.assert_allclose(field_t.flat(), expected, rtol=1e-7)
-    assert ops[dt].precond.calls <= reference.calls
+    assert ops[dt].precond.counts["solve_modes"] \
+        <= reference.counts["solve_modes"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_farm_solve_transforms_full_field_twice_each_way(monkeypatch, seed):
+    """Whatever its iteration count, a farm steady solve does two full
+    transforms each way (its start precond(b), then the residual in and
+    the update out) and a warm-started step one; every CG iteration is a
+    Thomas sweep and a mode-space product."""
+    rng = np.random.default_rng(seed)
+    cfg, grid = random_farm_stack(rng)
+    system = assemble(grid, cfg)
+    source = power_density_field(random_power_map(rng, cfg), grid, 0.0)
+    ops = count_operators(monkeypatch, system)
+    iterations = []
+    for tolerance in (1e-6, 1e-12):
+        options = SolveOptions(tolerance=tolerance)
+        field_t = solve_steady(system, source, options)
+        op = ops[None]
+        assert not op.exact
+        counts = op.precond.counts
+        assert counts["solve_modes"] >= 2
+        assert counts["apply_modes"] == counts["solve_modes"] - 1
+        assert counts["forward"] <= 2 and counts["inverse"] <= 2
+        iterations.append(counts["apply_modes"])
+        op.precond.counts.clear()
+
+        step_transient(system, field_t, 2 * source, 5e-3, options)
+        counts = ops[5e-3].precond.counts
+        assert counts["solve_modes"] >= 1
+        assert counts["apply_modes"] == counts["solve_modes"]
+        assert counts["forward"] <= 1 and counts["inverse"] <= 1
+        ops[5e-3].precond.counts.clear()
+    assert iterations[1] > iterations[0]

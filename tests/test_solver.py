@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 from stackemu.materials import COPPER, Material, SILICON
 from stackemu.power import Constant, Periodic, PowerMap, power_density_field, \
     total_power
-from stackemu.solver import (ConvergenceError, LayerStats, NumericalError,
-                             SolveOptions, TemperatureField, assemble,
-                             layer_summary, solve_steady, solve_transient,
-                             step_transient)
+from stackemu.solver import (ENERGY_BALANCE_LIMIT, ConvergenceError,
+                             LayerStats, NumericalError, SolveOptions,
+                             TemperatureField, assemble,
+                             energy_balance_error, layer_summary, solve_cg,
+                             solve_steady, solve_transient, step_transient)
 from stackemu.stack import (LayerRole, LayerSpec, StackConfig, TsvFarmSpec,
                             discretize, preset_stack, with_layer)
 
@@ -308,6 +309,43 @@ def test_energy_balance_random_stacks():
         outflux = float(np.dot(system.boundary_g,
                                field.flat() - cfg.ambient_c))
         assert outflux == pytest.approx(injected, rel=1e-3)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_energy_balance_check_flags_planted_imbalance(monkeypatch, seed):
+    """Converged steady fields on farm and farm-free stacks balance to
+    far below the limit; the same field with 1 mK added, or with one
+    voxel 1 K off, does not, and solve_steady raises on it."""
+    import stackemu.solver as solver
+    rng = np.random.default_rng(seed)
+    cfg, grid = (random_farm_stack if seed % 2 else random_stack)(rng)
+    system = assemble(grid, cfg)
+    source = power_density_field(random_power_map(rng, cfg), grid, 0.0)
+    field = solve_steady(system, source)
+    assert energy_balance_error(system, source, field.values) <= 1e-10
+    top = grid.n - 1       # a voxel with a heat-sink boundary
+    for plant in (np.full(grid.n, 1e-3), np.eye(1, grid.n, top)[0]):
+        planted = field.flat() + plant
+        assert energy_balance_error(system, source, planted) \
+            > ENERGY_BALANCE_LIMIT
+        monkeypatch.setattr(solver, "solve_cg",
+                            lambda *args, **kw: planted.copy())
+        with pytest.raises(NumericalError, match="energy balance"):
+            solve_steady(system, source)
+        monkeypatch.setattr(solver, "solve_cg", solve_cg)
+
+
+def test_energy_balance_without_power_uses_boundary_scale():
+    """With no power the field is ambient to rounding: the gap is measured
+    against the boundary terms, not divided by zero."""
+    cfg = preset_stack(2)
+    grid = discretize(cfg, 4, 3, 1)
+    system = assemble(grid, cfg)
+    source = np.zeros(grid.shape)
+    field = solve_steady(system, source)
+    assert energy_balance_error(system, source, field.values) <= 1e-12
+    hot = field.values + 1e-3
+    assert energy_balance_error(system, source, hot) > ENERGY_BALANCE_LIMIT
 
 
 def test_maximum_principle():
