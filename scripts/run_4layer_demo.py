@@ -5,9 +5,10 @@ distance-from-heat-sink ordering."""
 
 import argparse
 
-from stackemu.power import Constant, PowerMap, power_density_field, total_power
-from stackemu.solver import SolveOptions, assemble, layer_summary, solve_steady
-from stackemu.stack import discretize, preset_stack
+from stackemu.power import Constant, PowerMap
+from stackemu.scenario import GridSpec, Scenario, run_scenario
+from stackemu.solver import SolveOptions
+from stackemu.stack import preset_stack
 
 
 def main():
@@ -23,15 +24,15 @@ def main():
     for ordinal in range(len(cfg.device_layer_indices)):
         pmap = pmap.set_uniform(ordinal, Constant(args.power))
 
-    grid = discretize(cfg, args.nx, args.ny, 1)
-    system = assemble(grid, cfg)
-    field = solve_steady(system, power_density_field(pmap, grid, 0.0),
-                         SolveOptions(tolerance=1e-10))
+    report = run_scenario(Scenario(
+        name="4layer-demo", stack=cfg, power=pmap,
+        grid=GridSpec(nx=args.nx, ny=args.ny),
+        solve=SolveOptions(tolerance=1e-10)))
 
-    print(f"total power: {total_power(pmap, cfg, 0.0):.2f} W, "
+    print(f"total power: {report.total_power_w:.2f} W, "
           f"ambient {cfg.ambient_c} C")
     print(f"{'layer':>5} {'role':<22} {'mean C':>8} {'max C':>8}")
-    for s in layer_summary(field, grid):
+    for s in report.steady_stats:
         print(f"{s.layer_index:>5} {s.role:<22} {s.mean:>8.2f} {s.max:>8.2f}")
 
 

@@ -7,10 +7,10 @@ spreading and raises the peak; copper lowers it."""
 import argparse
 
 from stackemu.materials import COPPER, Material, SILICON, SIO2, TUNGSTEN
-from stackemu.power import Constant, PowerMap, power_density_field
-from stackemu.solver import SolveOptions, assemble, solve_steady
-from stackemu.stack import (LayerRole, LayerSpec, StackConfig, TsvFarmSpec,
-                            discretize)
+from stackemu.power import Constant, PowerMap
+from stackemu.scenario import GridSpec, Scenario, run_scenario
+from stackemu.solver import SolveOptions
+from stackemu.stack import LayerRole, LayerSpec, StackConfig, TsvFarmSpec
 from stackemu.tsv import effective_conductivity
 
 
@@ -26,12 +26,11 @@ def peak_with_farm(farm, bond_k, nx, ny):
     )
     cfg = StackConfig(6.0, 1.0, layers, ambient_c=25.0, heat_sink_h=8700.0,
                       package_resistance=1.0)
-    grid = discretize(cfg, nx, ny, 1)
-    system = assemble(grid, cfg)
     pmap = PowerMap.zeros(cfg).set_tile_power(0, 0, 0, Constant(1.0))
-    field = solve_steady(system, power_density_field(pmap, grid, 0.0),
-                         SolveOptions(tolerance=1e-10))
-    return float(field.values[grid.layer_slabs(1)].max())
+    report = run_scenario(Scenario(
+        name="tsv-blockage", stack=cfg, power=pmap,
+        grid=GridSpec(nx=nx, ny=ny), solve=SolveOptions(tolerance=1e-10)))
+    return next(s.max for s in report.steady_stats if s.layer_index == 1)
 
 
 def main():

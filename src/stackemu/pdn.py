@@ -165,16 +165,6 @@ def droop_from_drop(drop_after: np.ndarray, currents_before: np.ndarray,
     return droop.reshape(drop_after.shape[0], -1).max(axis=1)
 
 
-def worst_case_droop(pdn: PdnGrid, currents_before: np.ndarray,
-                     currents_after: np.ndarray,
-                     options: SolveOptions = SolveOptions()) -> np.ndarray:
-    """Per-plane peak transient droop, V, for a step from currents_before
-    to currents_after; see droop_from_drop."""
-    drop_after = solve_ir_drop(pdn, currents_after, options)
-    return droop_from_drop(drop_after, currents_before, currents_after,
-                           pdn.params)
-
-
 def coupling_report(pdn: PdnGrid, aggressor_plane: int, step: float,
                     options: SolveOptions = SolveOptions()) -> np.ndarray:
     """Max induced drop per victim plane for a uniform current step

@@ -118,18 +118,17 @@ def stress_proxy(field_t: TemperatureField, grid: VoxelGrid,
     """Gradient-magnitude stress scores, weighted up inside and one voxel
     ring around via-farm footprints. Returns voxels whose score exceeds
     the configured percentile, sorted descending, ties by linear index."""
-    z_mm = grid.z_centers_m() * 1e3
-    y_mm = grid.y_centers_m() * 1e3
-    x_mm = grid.x_centers_m() * 1e3
-    if grid.nz > 1:
-        gz = np.gradient(field_t.values, z_mm, axis=0)
-    else:
-        gz = np.zeros(grid.shape)
-    gy = np.gradient(field_t.values, y_mm, axis=1)
-    gx = np.gradient(field_t.values, x_mm, axis=2)
-    score = np.sqrt(gx**2 + gy**2 + gz**2)
+    # |grad T|^2 = (gx^2 + gy^2) + gz^2 accumulated in one buffer, one
+    # gradient alive at a time; nz == 1 has gz = 0, which adds nothing.
+    score = None
+    for axis, centers_m in ((2, grid.x_centers_m()), (1, grid.y_centers_m()),
+                            (0, grid.z_centers_m())):
+        if grid.shape[axis] > 1:
+            g = np.gradient(field_t.values, centers_m * 1e3, axis=axis)
+            np.square(g, out=g)
+            score = g if score is None else np.add(score, g, out=score)
+    np.sqrt(score, out=score)
 
-    weight = np.ones(grid.shape)
     for i, layer in enumerate(config.layers):
         if not layer.tsv_farms:
             continue
@@ -140,8 +139,7 @@ def stress_proxy(field_t: TemperatureField, grid: VoxelGrid,
         ring[:, 1:] |= mask[:, :-1]
         ring[:, :-1] |= mask[:, 1:]
         for iz in grid.layer_slabs(i):
-            weight[iz][ring] = params.stress_cte_weight
-    score = score * weight
+            score[iz][ring] *= params.stress_cte_weight
 
     flat = score.reshape(-1)
     threshold = np.percentile(flat, params.stress_percentile)

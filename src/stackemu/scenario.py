@@ -23,9 +23,10 @@ from .reliability import (ReliabilityParams, ReliabilityReport,
 from .sensors import (SensorNetwork, SensorSpec, hotspot_error,
                       place_sensors_greedy, placement_to_csv, read_sensors,
                       tile_center_candidates)
-from .solver import (LayerStats, SolveOptions, TemperatureField, assemble,
-                     layer_summary, solve_steady, step_transient)
-from .stack import StackConfig, discretize, validate_stack
+from .solver import (DiscreteSystem, LayerStats, SolveOptions,
+                     TemperatureField, assemble, layer_summary, solve_steady,
+                     step_transient)
+from .stack import StackConfig, discretize
 
 
 class StageError(RuntimeError):
@@ -216,11 +217,36 @@ class _PolicyState:
                                                reading))
 
 
+def solve_transient(system: DiscreteSystem, t0_field: TemperatureField,
+                    pmap, t_end: float, dt: float,
+                    options: SolveOptions = SolveOptions(),
+                    sample_stride: int = 1,
+                    on_step=None) -> list[TemperatureField]:
+    """March backward Euler from t0_field to t_end in ceil(t_end / dt)
+    steps; returns every sample_stride-th field plus the final one.
+
+    pmap is a PowerMap, or a function (step, field) -> PowerMap called at
+    each step start with the field so far, which is how thermal-management
+    policies act. The source is the map's power at the step start time.
+    on_step(field) is called with every new field."""
+    TransientSpec(t_end, dt, sample_stride)
+    n_steps = int(np.ceil(t_end / dt))
+    field_t = t0_field
+    samples: list[TemperatureField] = []
+    for step in range(n_steps):
+        step_map = pmap(step, field_t) if callable(pmap) else pmap
+        source = power_density_field(step_map, system.grid,
+                                     field_t.time or 0.0)
+        field_t = step_transient(system, field_t, source, dt, options)
+        if on_step is not None:
+            on_step(field_t)
+        if (step + 1) % sample_stride == 0 or step == n_steps - 1:
+            samples.append(field_t)
+    return samples
+
+
 def run_scenario(scenario: Scenario) -> ScenarioReport:
     try:
-        violations = validate_stack(scenario.stack)
-        if violations:
-            raise ValueError(f"invalid stack: {violations}")
         grid = discretize(scenario.stack, scenario.grid.nx, scenario.grid.ny,
                           scenario.grid.sub_slabs_per_layer)
     except Exception as e:
@@ -265,35 +291,33 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
     if scenario.transient is not None:
         try:
             tr = scenario.transient
-            state = _PolicyState(scenario.policy, scenario.power) \
-                if scenario.policy is not None else None
-            if state is not None and network is None:
-                raise ValueError("a DTM policy requires a sensor network")
-            field_t = TemperatureField(
-                values=np.full(grid.shape, scenario.stack.ambient_c),
-                grid=grid, time=0.0)
-            n_steps = int(np.ceil(tr.t_end / tr.dt))
-            t = 0.0
-            for step in range(n_steps):
-                if state is not None and step % scenario.policy_period == 0:
-                    readings = read_sensors(network, field_t, grid, t)
-                    state.evaluate(t, network, readings)
-                pmap = state.effective_map() if state is not None \
-                    else scenario.power
-                source = power_density_field(pmap, grid, t)
-                field_t = step_transient(system, field_t, source, tr.dt,
-                                         scenario.solve)
-                t = field_t.time
+            pmap = scenario.power
+            if scenario.policy is not None:
+                if network is None:
+                    raise ValueError("a DTM policy requires a sensor network")
+                state = _PolicyState(scenario.policy, scenario.power)
+
+                def policy_map(step, field_t):
+                    if step % scenario.policy_period == 0:
+                        t = field_t.time
+                        state.evaluate(t, network,
+                                       read_sensors(network, field_t, grid, t))
+                    return state.effective_map()
+                pmap = policy_map
+
+            def trace(field_t):
                 for stats in layer_summary(field_t, grid):
                     layer_traces[stats.layer_index].append(stats.max)
-                if (step + 1) % tr.sample_stride == 0 or step == n_steps - 1:
-                    sampled.append(field_t)
-            final_field = field_t
+
+            t0 = TemperatureField(
+                values=np.full(grid.shape, scenario.stack.ambient_c),
+                grid=grid, time=0.0)
+            sampled = solve_transient(system, t0, pmap, tr.t_end, tr.dt,
+                                      scenario.solve, tr.sample_stride, trace)
+            final_field = sampled[-1]
             final_stats = tuple(layer_summary(final_field, grid))
-            if state is not None:
+            if scenario.policy is not None:
                 events = tuple(state.events)
-        except StageError:
-            raise
         except Exception as e:
             raise StageError("transient", e)
 

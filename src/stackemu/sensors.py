@@ -1,5 +1,5 @@
 """Virtual thermal sensors: noisy, quantized, sampled point probes, plus
-greedy placement for hotspot tracking and max-readout reconstruction.
+greedy placement for hotspot tracking and its noiseless error.
 
 Noise is counter-based: each (network seed, sensor index, sample index)
 triple seeds its own generator, so any reading is reproducible without
@@ -108,28 +108,7 @@ def read_sensors(network: SensorNetwork, field_t: TemperatureField,
     return readings
 
 
-UNOBSERVED = None  # sentinel for layers with no sensors / empty placements
-
-
-@dataclass(frozen=True)
-class Reconstruction:
-    per_layer_max: tuple[float | None, ...]  # indexed by device ordinal
-    hotspot_estimate: float | None
-
-
-def reconstruct_field(network: SensorNetwork, readings: list[float],
-                      n_device_layers: int) -> Reconstruction:
-    """Max-readout estimate: per-layer max over that layer's sensors,
-    global hotspot = max reading; sensorless layers stay unobserved."""
-    if len(readings) != len(network.sensors):
-        raise ValueError("readings length does not match sensor count")
-    per_layer: list[float | None] = [UNOBSERVED] * n_device_layers
-    for sensor, r in zip(network.sensors, readings):
-        cur = per_layer[sensor.layer]
-        per_layer[sensor.layer] = r if cur is None else max(cur, r)
-    observed = [r for r in per_layer if r is not None]
-    return Reconstruction(per_layer_max=tuple(per_layer),
-                          hotspot_estimate=max(observed) if observed else None)
+UNOBSERVED = None  # sentinel for the error of an empty placement
 
 
 def _true_values(sites, fields: list[TemperatureField], grid: VoxelGrid):
@@ -148,10 +127,7 @@ def placement_objective(sites, fields: list[TemperatureField],
     with noiseless readings."""
     if not sites:
         raise ValueError("placement is empty")
-    true_max = np.array([f.values.max() for f in fields])
-    vals = _true_values(sites, fields, grid)
-    est = vals.max(axis=0)
-    return float(np.mean(np.abs(true_max - est)))
+    return hotspot_error(sites, fields, grid)[0]
 
 
 def place_sensors_greedy(candidates, k: int,

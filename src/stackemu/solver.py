@@ -2,8 +2,9 @@
 
 7-point stencil with harmonic-mean face conductances (exact for layered
 composites), Robin top boundary (convective heat sink), areal-resistance
-bottom boundary (package), adiabatic sidewalls. Transients are backward
-Euler, unconditionally stable.
+bottom boundary (package), adiabatic sidewalls. `step_transient` takes
+one backward-Euler step, unconditionally stable; the scenario runner
+marches them.
 
 Solves use conjugate gradients on the SPD operator A, preconditioned with
 the exact inverse of its layered approximation A_L: every slab carries its
@@ -32,7 +33,6 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .power import PowerMap, power_density_field
 from .stack import StackConfig, VoxelGrid
 
 
@@ -532,27 +532,6 @@ def step_transient(system: DiscreteSystem, field_t: TemperatureField,
     t_new = (field_t.time or 0.0) + dt
     return TemperatureField(values=x.reshape(system.grid.shape),
                             grid=system.grid, time=t_new)
-
-
-def solve_transient(system: DiscreteSystem, t0_field: TemperatureField,
-                    pmap: PowerMap, t_end: float, dt: float,
-                    options: SolveOptions = SolveOptions(),
-                    sample_stride: int = 1) -> list[TemperatureField]:
-    """March backward Euler to t_end, re-evaluating the power map at each
-    step start; returns every sample_stride-th field plus the final one."""
-    if not (0 < t_end < np.inf and 0 < dt < np.inf):
-        raise ValueError("t_end and dt must be positive and finite")
-    if sample_stride < 1:
-        raise ValueError("sample_stride must be >= 1")
-    n_steps = int(np.ceil(t_end / dt))
-    field_t = t0_field
-    samples: list[TemperatureField] = []
-    for step in range(n_steps):
-        source = power_density_field(pmap, system.grid, field_t.time or 0.0)
-        field_t = step_transient(system, field_t, source, dt, options)
-        if (step + 1) % sample_stride == 0 or step == n_steps - 1:
-            samples.append(field_t)
-    return samples
 
 
 @dataclass(frozen=True)

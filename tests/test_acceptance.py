@@ -15,12 +15,12 @@ from stackemu.power import Constant, PowerMap, power_density_field, total_power
 from stackemu.reliability import (cycling_damage, em_acceleration,
                                   extract_extrema, rainflow_cycles)
 from stackemu.scenario import (GridSpec, Scenario, ThrottlePolicy,
-                               TransientSpec, render_report, run_scenario)
+                               TransientSpec, render_report, run_scenario,
+                               solve_transient)
 from stackemu.sensors import (SensorNetwork, SensorSpec, place_sensors_greedy,
                               placement_objective)
 from stackemu.solver import (SolveOptions, TemperatureField, assemble,
-                             layer_summary, solve_steady, solve_transient,
-                             step_transient)
+                             layer_summary, solve_steady, step_transient)
 from stackemu.stack import (LayerRole, LayerSpec, StackConfig, TsvFarmSpec,
                             discretize, preset_stack)
 

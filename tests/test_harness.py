@@ -1,7 +1,7 @@
 import os
 import re
 import textwrap
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from stackemu.scenario import (AutoPlace, CoreSwapPolicy, ExportError,
 from stackemu.sensors import (SensorNetwork, SensorSpec, place_sensors_greedy,
                               tile_center_candidates)
 from stackemu.solver import SolveOptions
-from stackemu.stack import discretize, preset_stack
+from stackemu.stack import discretize, preset_stack, with_layer
 
 
 def make_scenario(name="base", n_layers=2, p=20.0, seed=7, transient=None,
@@ -114,6 +114,16 @@ def test_policy_without_sensors_rejected():
                             throttle_factor=0.5)
     with pytest.raises(StageError, match="transient"):
         run_scenario(make_scenario(transient=tr, policy=policy))
+
+
+def test_invalid_stack_fails_in_the_stack_stage():
+    """discretize is the one stack check of a run; its ValueError is what
+    the command line maps to exit code 1."""
+    stack = preset_stack(2)
+    bad = with_layer(stack, stack.device_layer_indices[-1], has_tsvs=True)
+    with pytest.raises(StageError, match="'stack'.*s0-tsv") as info:
+        run_scenario(replace(make_scenario(), stack=bad))
+    assert type(info.value.cause) is ValueError
 
 
 def test_policy_map_rebuilt_only_when_state_changes():

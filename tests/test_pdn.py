@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from stackemu.pdn import (PdnConfigError, PdnParams, build_pdn,
                           coupling_report, currents_from_power,
-                          droop_from_drop, solve_ir_drop, worst_case_droop)
+                          droop_from_drop, solve_ir_drop)
 from stackemu.power import Constant, PowerMap, total_power
 from stackemu.solver import SolveOptions
 from stackemu.stack import preset_stack, with_layer
@@ -152,7 +152,8 @@ def test_droop_at_least_static_drop(pdn2):
     rng = np.random.default_rng(14)
     before = rng.uniform(0, 0.2, (2, 8, 16))
     after = before + rng.uniform(0, 0.2, (2, 8, 16))
-    droop = worst_case_droop(pdn2, before, after)
+    droop = droop_from_drop(solve_ir_drop(pdn2, after), before, after,
+                            pdn2.params)
     static = solve_ir_drop(pdn2, after).reshape(2, -1).max(axis=1)
     assert np.all(droop >= static - 1e-15)
 
@@ -164,7 +165,8 @@ def test_droop_monotone_in_decap():
     prev = None
     for decap in (0.5e-9, 1e-9, 2e-9, 4e-9):
         pdn = build_pdn(cfg, PdnParams(decap_per_node=decap))
-        droop = worst_case_droop(pdn, before, after)
+        droop = droop_from_drop(solve_ir_drop(pdn, after), before, after,
+                                pdn.params)
         if prev is not None:
             assert np.all(droop <= prev + 1e-15)
         prev = droop
@@ -172,18 +174,10 @@ def test_droop_monotone_in_decap():
 
 def test_droop_no_step_equals_static(pdn2):
     currents = np.full((2, 8, 16), 0.05)
-    droop = worst_case_droop(pdn2, currents, currents)
+    droop = droop_from_drop(solve_ir_drop(pdn2, currents), currents,
+                            currents, pdn2.params)
     static = solve_ir_drop(pdn2, currents).reshape(2, -1).max(axis=1)
     assert np.allclose(droop, static, atol=1e-15)
-
-
-def test_droop_from_drop_matches_worst_case_droop(pdn2):
-    rng = np.random.default_rng(15)
-    before = rng.uniform(0, 0.2, (2, 8, 16))
-    after = rng.uniform(0, 0.3, (2, 8, 16))
-    drop = solve_ir_drop(pdn2, after)
-    assert np.array_equal(droop_from_drop(drop, before, after, pdn2.params),
-                          worst_case_droop(pdn2, before, after))
 
 
 def test_run_scenario_solves_the_pdn_once(monkeypatch):
@@ -209,7 +203,8 @@ def test_run_scenario_solves_the_pdn_once(monkeypatch):
     pdn = build_pdn(cfg, PdnParams(nx=8, ny=4))
     currents = currents_from_power(pmap, pdn, 0.0)
     assert report.pdn_summary.droop_per_plane == tuple(
-        worst_case_droop(pdn, np.zeros_like(currents), currents).tolist())
+        droop_from_drop(solve_ir_drop(pdn, currents), np.zeros_like(currents),
+                        currents, pdn.params).tolist())
 
 
 def test_coupling_aggressor_to_victim_positive():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from stackemu.sensors import (SensorNetwork, SensorSpec, UNOBSERVED,
                               hotspot_error, place_sensors_greedy,
                               placement_objective, quantize, read_sensors,
-                              reconstruct_field, tile_center_candidates)
+                              tile_center_candidates)
 from stackemu.solver import TemperatureField
 from stackemu.stack import discretize, preset_stack
 
@@ -86,14 +86,6 @@ def test_out_of_die_site_rejected(grid):
     net = SensorNetwork(sensors=(SensorSpec(layer=0, x_mm=50.0, y_mm=1.0),))
     with pytest.raises(ValueError, match="outside"):
         read_sensors(net, field, grid, 0.0)
-
-
-def test_reconstruct_unobserved_layer(grid):
-    net = SensorNetwork(sensors=(SensorSpec(layer=0, x_mm=1.0, y_mm=1.0),))
-    rec = reconstruct_field(net, [31.0], n_device_layers=2)
-    assert rec.per_layer_max[0] == 31.0
-    assert rec.per_layer_max[1] is UNOBSERVED
-    assert rec.hotspot_estimate == 31.0
 
 
 def test_reconstruct_underestimates_true_max(grid):

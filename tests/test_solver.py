@@ -10,7 +10,8 @@ from stackemu.solver import (ENERGY_BALANCE_LIMIT, ConvergenceError,
                              LayerStats, NumericalError, SolveOptions,
                              TemperatureField, assemble,
                              energy_balance_error, layer_summary, solve_cg,
-                             solve_steady, solve_transient, step_transient)
+                             solve_steady, step_transient)
+from stackemu.scenario import solve_transient
 from stackemu.stack import (LayerRole, LayerSpec, StackConfig, TsvFarmSpec,
                             discretize, preset_stack, with_layer)
 

@@ -1,0 +1,120 @@
+"""The one backward-Euler loop, `scenario.solve_transient`: the runner's
+policies and layer traces go through its per-step hooks, and the
+benchmark's span tracer sees every step through the `stackemu.scenario`
+names it wraps."""
+
+import importlib
+import importlib.util
+import os
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import stackemu.scenario
+from stackemu.config import load_scenario
+from stackemu.power import Constant, PowerMap, power_density_field
+from stackemu.scenario import run_scenario, solve_transient
+from stackemu.solver import (SolveOptions, TemperatureField, assemble,
+                             step_transient)
+from stackemu.stack import discretize, preset_stack
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+DEMO = os.path.join(ROOT, "scenarios", "demo_2layer.yaml")
+
+
+@pytest.fixture
+def small():
+    cfg = preset_stack(2)
+    grid = discretize(cfg, 6, 4, 1)
+    base = PowerMap.zeros(cfg).set_uniform(0, Constant(20.0)) \
+        .set_tile_power(1, 0, 0, Constant(40.0))
+    t0 = TemperatureField(values=np.full(grid.shape, cfg.ambient_c),
+                          grid=grid, time=0.0)
+    return grid, assemble(grid, cfg), base, t0
+
+
+def test_function_pmap_and_on_step_match_a_hand_loop(small):
+    grid, system, base, t0 = small
+    options = SolveOptions(tolerance=1e-10)
+    halved = base.scaled({0: 0.5})
+    seen_at = []
+
+    def pmap(step, field_t):
+        seen_at.append((step, field_t.time))
+        return halved if step % 2 else base
+
+    stepped = []
+    samples = solve_transient(system, t0, pmap, t_end=0.875, dt=0.125,
+                              options=options, sample_stride=3,
+                              on_step=stepped.append)
+
+    field_t, expected = t0, []
+    for step in range(7):
+        step_map = halved if step % 2 else base
+        source = power_density_field(step_map, grid, field_t.time)
+        field_t = step_transient(system, field_t, source, 0.125, options)
+        expected.append(field_t)
+    assert len(stepped) == 7
+    for got, want in zip(stepped, expected):
+        np.testing.assert_array_equal(got.values, want.values)
+        assert got.time == want.time
+    # Each call sees the field the step starts from.
+    assert seen_at == [(s, f.time) for s, f in
+                       enumerate([t0] + expected[:-1])]
+    # Every third field plus the final one.
+    assert [s.time for s in samples] == [expected[i].time for i in (2, 5, 6)]
+    assert all(any(s is f for f in stepped) for s in samples)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(t_end=0.0, dt=0.01), "t_end and dt must be positive and finite"),
+    (dict(t_end=np.inf, dt=0.01), "t_end and dt must be positive and finite"),
+    (dict(t_end=0.1, dt=-0.01), "t_end and dt must be positive and finite"),
+    (dict(t_end=0.1, dt=np.nan), "t_end and dt must be positive and finite"),
+    (dict(t_end=0.1, dt=0.01, sample_stride=0),
+     "sample_stride must be >= 1"),
+])
+def test_invalid_march_raises_the_transient_spec_message(small, kwargs,
+                                                         message):
+    _, system, base, t0 = small
+    with pytest.raises(ValueError, match=message):
+        solve_transient(system, t0, base, **kwargs)
+    with pytest.raises(ValueError, match=message):
+        stackemu.scenario.TransientSpec(**kwargs)
+
+
+def test_benchmark_wrapped_names_see_every_step(monkeypatch):
+    """The span tracer counts calls through these module attributes; the
+    demo's 100 steps under a 5-step policy period must all pass them."""
+    calls = Counter()
+    read_at = []
+    for name in ("step_transient", "power_density_field", "layer_summary",
+                 "read_sensors"):
+        real = getattr(stackemu.scenario, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            if _name == "read_sensors":
+                read_at.append(args[3])
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(stackemu.scenario, name, counted)
+    report = run_scenario(load_scenario(DEMO))
+    assert report.events
+    assert calls == Counter(step_transient=100, power_density_field=101,
+                            layer_summary=102, read_sensors=21)
+    # The policy reads at the start of every 5th step, then the report
+    # reads the final field.
+    np.testing.assert_allclose(read_at, 0.025 * np.arange(21), rtol=1e-12)
+
+
+def test_benchmark_wrapped_targets_resolve():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", os.path.join(ROOT, "perfbench", "spans.py"))
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    targets = [t for names in spans.WRAPPED.values() for t in names]
+    assert "stackemu.scenario.step_transient" in targets
+    for target in targets:
+        module, attr = target.rsplit(".", 1)
+        assert hasattr(importlib.import_module(module), attr), target
