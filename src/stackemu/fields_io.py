@@ -1,7 +1,22 @@
 """Field export/import: CSV (full precision, round-trippable) and
 PGM P2 grayscale heatmaps per layer. The CSV has the header
 `layer,z,y,x,temperature_c`, one row per voxel in (z, y, x) order, CRLF
-line ends and temperatures as `repr` floats (finite, so never quoted)."""
+line ends and temperatures as `repr` floats (finite, so never quoted).
+
+The writer builds the rows of whole slabs as one byte block. A
+temperature's text is `repr(float(v))` byte for byte, but `repr` is
+called only off the fast path. The fast path takes finite 1 <= v < 1e13
+that are not powers of two and finds the shortest digit string that
+reads back as v, which is the rule `repr` follows (Steele & White 1990),
+in exact array arithmetic: for p = 14..17 digits it rounds v * 10**s,
+with s = p - 1 - floor(log10 v), to an integer D_p (Dekker's
+two-product makes the product exact), tests whether D_p / 10**s reads
+back as v, and writes the digits of the smallest p in 15..17 that does,
+with the point after floor(log10 v) + 1 of them. A value goes to `repr`
+when p = 14 reads back (its repr is shorter), when a rounding was an
+exact tie, or when no p reads back; so does every value outside the
+domain: zero, negatives, powers of two, subnormals, >= 1e13, nan and
+inf."""
 
 from __future__ import annotations
 
@@ -15,18 +30,157 @@ from .stack import VoxelGrid
 FIELD_CSV_HEADER = ["layer", "z", "y", "x", "temperature_c"]
 # str(v) for every PGM pixel value, looked up per row instead of formatted.
 _PIXEL_TEXT = np.array([str(v) for v in range(256)], dtype=object)
+# The longest repr of a double: -1.2345678901234567e-308.
+_TEXT_WIDTH = 24
+_SPLIT = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
+_POW10 = 10.0 ** np.arange(18)  # exact doubles
+# "0000" ... "9999" as one uint32 each; the second table writes the
+# trailing zeros of the last group as NULs.
+_GROUPS = np.array([f"{g:04d}" for g in range(10000)],
+                   dtype="S4").view(np.uint32)
+_LAST_GROUPS = np.array([f"{g:04d}".rstrip("0") for g in range(10000)],
+                        dtype="S4").view(np.uint32)
+# The writer formats and writes whole slabs, as many as fit in this many
+# rows and at least one: on small grids the formatter's fixed cost per
+# call dominates, and on large ones a block of one slab bounds the
+# buffers (about 1.5 MB at 32,768 rows).
+_BLOCK_ROWS = 8192
+_CRLF = np.frombuffer(b"\r\n", dtype=np.uint8)
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split: a = hi + lo exactly, each with at most 26 bits."""
+    t = a * _SPLIT
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _round_scaled(x, x_hi, x_lo, half_ulp, even, scale):
+    """(D, reads_back, tie): D is x * scale rounded to an integer, where
+    scale = 10**s makes x * scale >= 1e13. reads_back is D / scale
+    reading back as x, tie an exact half-way rounding."""
+    # x * scale = hi + lo exactly (Dekker's two-product)
+    s_hi, s_lo = _split(scale)
+    hi = x * scale
+    lo = x_hi * s_hi - hi
+    lo = lo + x_hi * s_lo
+    lo = lo + x_lo * s_hi
+    lo = lo + x_lo * s_lo
+    # = d + lo_int + frac_hi + frac_lo, both fractions in [-1/2, 1/2].
+    # hi >= 1e13 has no bits below 2**-9 and w none below 2**-40, so
+    # frac_hi and the sums with 1/2 and with w below are exact: every
+    # comparison is exact.
+    d = np.rint(hi)
+    frac_hi = hi - d
+    lo_int = np.rint(lo)
+    frac_lo = lo - lo_int
+    up_at = 0.5 - frac_hi
+    down_at = -0.5 - frac_hi
+    k = (frac_lo > up_at).astype(np.float64) - (frac_lo < down_at)
+    tie = (frac_lo == up_at) | (frac_lo == down_at)
+    # D - x * scale = gap - frac_lo. D reads back if that is under
+    # w = (half x's ulp) * scale, or equal to it with x's mantissa even.
+    gap = k - frac_hi
+    w = half_ulp * scale
+    low = gap - w
+    high = gap + w
+    reads_back = (frac_lo > low) & (frac_lo < high)
+    reads_back |= even & ((frac_lo == low) | (frac_lo == high))
+    return d.astype(np.int64) + (lo_int + k).astype(np.int64), reads_back, tie
+
+
+def _shortest_digits(x: np.ndarray,
+                     e10: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For x in [1, 1e13), not a power of two, and e10 = floor(log10 x):
+    (digits, ok). digits is D_p for the smallest p in 15..17 that reads
+    back, padded with zeros to 17 digits. ok is False where that is not
+    the repr: p = 14 reads back, a rounding was a tie, or no p does."""
+    bits = x.view(np.uint64)
+    even = (bits & np.uint64(1)) == 0
+    # 2**(q-1) for x = c * 2**q: x's exponent less 53, zero mantissa
+    exponent = bits >> np.uint64(52)
+    half_ulp = ((exponent - np.uint64(53)) << np.uint64(52)).view(np.float64)
+    x_hi, x_lo = _split(x)
+    digits = np.zeros(x.size, dtype=np.int64)
+    found = np.zeros(x.size, dtype=bool)
+    tie = np.zeros(x.size, dtype=bool)
+    for p in (17, 16, 15):
+        d_p, reads_back, p_tie = _round_scaled(x, x_hi, x_lo, half_ulp, even,
+                                               _POW10[p - 1 - e10])
+        digits = np.where(reads_back, d_p * 10 ** (17 - p), digits)
+        found |= reads_back
+        tie |= p_tie
+    # p = 14 reading back means a shorter repr, which is not written here
+    _, shorter, p_tie = _round_scaled(x, x_hi, x_lo, half_ulp, even,
+                                      _POW10[13 - e10])
+    return digits, found & ~shorter & ~(tie | p_tie)
+
+
+def _repr_bytes(values) -> np.ndarray:
+    """(n, 24) uint8: the ASCII of repr(float(v)) for each value in
+    order, NUL-padded on the right. The fast path and its fallback are
+    described in the module docstring."""
+    v = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    mantissa = v.view(np.uint64) & np.uint64((1 << 52) - 1)
+    domain = (v >= 1.0) & (v < 1e13) & (mantissa != 0)
+    # Off the domain the arithmetic runs on 1.5; repr replaces its text.
+    x = np.where(domain, v, 1.5)
+    e10 = np.floor(np.log10(x)).astype(np.int64)
+    e10 -= _POW10[e10] > x
+    e10 += _POW10[e10 + 1] <= x
+    digits, ok = _shortest_digits(x, e10)
+    ok &= domain
+    # The 17 digits as five groups of four, "000d" first. No D_p ends in
+    # 0 (p is the shortest), so the zeros that pad it to 17 digits are
+    # exactly the last group's trailing zeros, which its table drops.
+    groups = np.empty((v.size, 5), dtype=np.uint32)
+    for j, table in ((4, _LAST_GROUPS), (3, _GROUPS), (2, _GROUPS),
+                     (1, _GROUPS), (0, _GROUPS)):
+        top = digits // 10**4
+        groups[:, j] = table[digits - top * 10**4]
+        digits = top
+    chars = groups.view(np.uint8)[:, 3:]
+    # "." after the first e10 + 1 digits: written for the most common
+    # position on every row, then redone on the rows with another one.
+    out = np.zeros((v.size, _TEXT_WIDTH), dtype=np.uint8)
+    point = e10 + 1
+    common = int(np.bincount(point[ok], minlength=1).argmax())
+    for pt in [common] + np.unique(point[ok & (point != common)]).tolist():
+        rows = (slice(None) if pt == common
+                else np.flatnonzero(ok & (point == pt)))
+        out[rows, :pt] = chars[rows, :pt]
+        out[rows, pt] = ord(".")
+        out[rows, pt + 1:18] = chars[rows, pt:]
+    rest = np.flatnonzero(~ok)
+    out[rest] = np.array([repr(t) for t in v[rest].tolist()],
+                         dtype=f"S{_TEXT_WIDTH}").view(np.uint8).reshape(
+                             rest.size, _TEXT_WIDTH)
+    return out
+
+
+def _text_rows(texts: list[str]) -> np.ndarray:
+    """(len(texts), width) uint8: one ASCII text per row, NUL-padded."""
+    return np.array(texts, dtype=bytes).view(np.uint8).reshape(len(texts), -1)
 
 
 def field_to_csv(field_t: TemperatureField, path) -> None:
     grid = field_t.grid
-    cells = [f"{iy},{ix}," for iy in range(grid.ny) for ix in range(grid.nx)]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(FIELD_CSV_HEADER) + "\r\n")
-        for iz, layer in enumerate(grid.slab_layer.tolist()):
-            zh = f"{layer},{iz},"
-            temps = field_t.values[iz].astype(float).ravel().tolist()
-            fh.write("".join([f"{zh}{c}{t!r}\r\n"  # one slab per write
-                              for c, t in zip(cells, temps)]))
+    cells = grid.cached("csv_cells", lambda: _text_rows(
+        [f"{iy},{ix}," for iy in range(grid.ny) for ix in range(grid.nx)]))
+    slabs = _text_rows([f"{layer},{iz},"
+                        for iz, layer in enumerate(grid.slab_layer.tolist())])
+    per_block = max(1, _BLOCK_ROWS // len(cells))
+    with open(path, "wb") as fh:
+        fh.write(",".join(FIELD_CSV_HEADER).encode() + b"\r\n")
+        for z0 in range(0, grid.nz, per_block):
+            block = slabs[z0:z0 + per_block]
+            n = len(block) * len(cells)
+            rows = np.concatenate(
+                [np.repeat(block, len(cells), axis=0),
+                 np.tile(cells, (len(block), 1)),
+                 _repr_bytes(field_t.values[z0:z0 + per_block]),
+                 np.broadcast_to(_CRLF, (n, 2))], axis=1)
+            fh.write(rows[rows != 0].tobytes())
 
 
 def field_from_csv(path, grid: VoxelGrid,
