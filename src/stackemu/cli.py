@@ -107,20 +107,16 @@ def _dispatch(args) -> int:
         print("ok")
         return EXIT_OK
 
-    if args.command == "steady":
-        scenario = replace(scenario, transient=None, policy=None)
-        report = run_scenario(scenario)
-        export(report, ("text", "csv"), args.out, args.force)
-        print(render_report(report), end="")
-        return EXIT_OK
-
-    if args.command == "transient":
-        if scenario.transient is None:
+    if args.command in ("steady", "transient", "report"):
+        if args.command == "steady":
+            scenario = replace(scenario, transient=None, policy=None)
+        elif args.command == "transient" and scenario.transient is None:
             print("validation error: scenario has no transient section",
                   file=sys.stderr)
             return EXIT_VALIDATION
         report = run_scenario(scenario)
-        export(report, ("text", "csv"), args.out, args.force)
+        export(report, ("text", "csv", "pgm") if args.command == "report"
+               else ("text", "csv"), args.out, args.force)
         print(render_report(report), end="")
         return EXIT_OK
 
@@ -166,12 +162,6 @@ def _dispatch(args) -> int:
         with open(path, "w") as fh:
             fh.write(text)
         print(text, end="")
-        return EXIT_OK
-
-    if args.command == "report":
-        report = run_scenario(scenario)
-        export(report, ("text", "csv", "pgm"), args.out, args.force)
-        print(render_report(report), end="")
         return EXIT_OK
 
     raise AssertionError(f"unhandled command {args.command}")

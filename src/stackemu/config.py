@@ -233,7 +233,11 @@ def scenario_from_document(doc: dict, base_dir: str = ".") -> Scenario:
 
 def load_scenario(path) -> Scenario:
     with open(path) as fh:
-        doc = yaml.safe_load(fh)
+        try:
+            doc = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader",  # libyaml
+                                               yaml.SafeLoader))
+        except yaml.YAMLError as e:
+            raise ConfigError(f"{path}: malformed YAML: {e}") from e
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
     return scenario_from_document(doc, base_dir=os.path.dirname(

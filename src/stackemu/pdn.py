@@ -3,9 +3,9 @@
 One resistive plane per device layer (sheet-resistance lateral grid),
 vertical uC4+TSV resistors between adjacent planes wherever the lower die
 carries TSVs, package supply through C4+package resistance under the
-bottom die. The nodal matrix comes from the thermal module's lattice
-builder and is solved by its CG; every plane is a uniform sheet, so the
-layered preconditioner is the exact inverse of the nodal matrix.
+bottom die. Every plane is a uniform sheet, so the nodal matrix is
+exactly layered: the thermal module's layered operator applies it, its
+CG solves with it, and the layered preconditioner is its exact inverse.
 Droop is a first-order closed-form surrogate, not a transient circuit
 simulation.
 """
@@ -13,13 +13,14 @@ simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from .power import PowerMap, areal_density, tile_weights
-from .solver import (LayeredPreconditioner, SolveOptions, lattice_matrix,
-                     solve_cg)
+from .solver import (LayeredOperator, LayeredPreconditioner, SolveOptions,
+                     lattice_matrix, solve_cg)
 from .stack import StackConfig
 
 
@@ -56,27 +57,34 @@ class PdnParams:
 @dataclass(frozen=True)
 class PdnGrid:
     """Node index = (plane * ny + y) * nx + x; plane 0 is the bottom
-    device layer (package side)."""
+    device layer (package side). Solves apply the nodal conductance A (S);
+    its matrix G, an oracle, is built on first use."""
 
     n_planes: int
     nx: int
     ny: int
-    G: sp.csr_matrix = field(repr=False)     # SPD nodal conductance, S
     supply_g: np.ndarray = field(repr=False)  # (n,) conductance to Vdd rail
     params: PdnParams = field(repr=False)
     config: StackConfig = field(repr=False)
     precond: LayeredPreconditioner = field(repr=False, compare=False)
+    A: LayeredOperator = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return self.n_planes * self.ny * self.nx
 
-    def node_index(self, plane: int, y: int, x: int) -> int:
-        return (plane * self.ny + y) * self.nx + x
+    @cached_property
+    def G(self) -> sp.csr_matrix:
+        p, planes, ny, nx = self.precond, self.n_planes, self.ny, self.nx
+        return lattice_matrix(
+            np.broadcast_to(p.gx[:, None, None], (planes, ny, nx - 1)),
+            np.broadcast_to(p.gy[:, None, None], (planes, ny - 1, nx)),
+            np.broadcast_to(p.gz[:-1, None, None], (planes - 1, ny, nx)),
+            self.supply_g.reshape(planes, ny, nx))
 
 
 def build_pdn(config: StackConfig, params: PdnParams = PdnParams()) -> PdnGrid:
-    """Assemble the nodal conductance matrix and verify that every node
+    """Set up the nodal conductance operator and verify that every node
     has a resistive path to the supply."""
     device = config.device_layers
     if not device:
@@ -96,20 +104,14 @@ def build_pdn(config: StackConfig, params: PdnParams = PdnParams()) -> PdnGrid:
     _check_connected(g_vert, ny, nx)
 
     # Package supply under the bottom die, every node.
-    g_supply = 1.0 / (params.r_c4 + params.r_pkg)
     supply_g = np.zeros((n_planes, ny, nx))
-    supply_g[0] = g_supply
-    G = lattice_matrix(np.full((n_planes, ny, nx - 1), g_x),
-                       np.full((n_planes, ny - 1, nx), g_y),
-                       np.broadcast_to(g_vert[:, None, None],
-                                       (n_planes - 1, ny, nx)),
-                       supply_g)
+    supply_g[0] = 1.0 / (params.r_c4 + params.r_pkg)
     precond = LayeredPreconditioner(np.full(n_planes, g_x),
                                     np.full(n_planes, g_y), g_vert,
                                     supply_g[:, 0, 0], ny, nx)
-    return PdnGrid(n_planes=n_planes, nx=nx, ny=ny, G=G,
+    return PdnGrid(n_planes=n_planes, nx=nx, ny=ny,
                    supply_g=supply_g.reshape(-1), params=params,
-                   config=config, precond=precond)
+                   config=config, precond=precond, A=LayeredOperator(precond))
 
 
 def _check_connected(g_vert: np.ndarray, ny: int, nx: int) -> None:
@@ -148,7 +150,7 @@ def solve_ir_drop(pdn: PdnGrid, currents: np.ndarray,
     if (i_draw < 0).any():
         raise ValueError("currents must be >= 0")
     b = pdn.supply_g * pdn.params.vdd - i_draw
-    v = solve_cg(pdn.G, b, pdn.precond, options)
+    v = solve_cg(pdn.A, b, pdn.precond, options)
     return (pdn.params.vdd - v).reshape(pdn.n_planes, pdn.ny, pdn.nx)
 
 
@@ -173,10 +175,10 @@ def coupling_report(pdn: PdnGrid, aggressor_plane: int, step: float,
         raise ValueError(f"aggressor plane {aggressor_plane} out of range")
     if step < 0:
         raise ValueError("step must be >= 0")
-    # The drop is linear in the draw and G (Vdd - v) = I, so the induced
-    # drop solves G d = dI.
+    # The drop is linear in the draw and A (Vdd - v) = I, so the induced
+    # drop solves A d = dI.
     delta = np.zeros((pdn.n_planes, pdn.ny, pdn.nx))
     delta[aggressor_plane] = step
-    drop = (solve_cg(pdn.G, delta.reshape(-1), pdn.precond, options)
+    drop = (solve_cg(pdn.A, delta.reshape(-1), pdn.precond, options)
             if step > 0 else delta)
     return drop.reshape(pdn.n_planes, -1).max(axis=1)

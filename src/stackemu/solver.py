@@ -21,13 +21,14 @@ iterates on the mode coefficients: its preconditioner is the Thomas sweep
 alone, and its product with E needs Q only at E's rows and columns, so
 each iteration transforms the farm footprint instead of the whole die.
 After a steady solve the boundary outflux must balance the injected power.
-`lattice_matrix` is the one builder of a 7-point conductance lattice over
-stacked planes and `solve_cg` the one linear solve; the PDN uses both.
+`LayeredOperator` applies A without a matrix, `solve_cg` is the one linear
+solve (the PDN uses both) and `lattice_matrix` builds the matrix oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -86,7 +87,7 @@ class Operator(NamedTuple):
     """A = G, or G + diag(cap) with cap = C/dt, and its layered
     preconditioner, which carries E = A - A_L; exact when E is empty (no
     voxel in a TSV farm), so the preconditioner is A's inverse."""
-    A: sp.csr_matrix
+    A: LayeredOperator
     precond: LayeredPreconditioner
     cap: np.ndarray | None
     exact: bool
@@ -106,7 +107,6 @@ class DiscreteSystem:
     """G*T = b with G SPD: interior 7-point conductances plus boundary
     diagonal. b = source*volume + boundary_conductance * T_ambient."""
 
-    G: sp.csr_matrix = field(repr=False)
     boundary_g: np.ndarray = field(repr=False)   # (n,) W/K to ambient
     C: np.ndarray = field(repr=False)            # (n,) J/K capacitance
     grid: VoxelGrid = field(repr=False)
@@ -119,7 +119,17 @@ class DiscreteSystem:
 
     @property
     def n(self) -> int:
-        return self.G.shape[0]
+        return self.grid.n
+
+    @cached_property
+    def G(self) -> sp.csr_matrix:
+        z = np.arange(self.grid.nz)
+        return lattice_matrix(*_face_conductances(self.grid, z, z[:-1]),
+                              self.boundary_g.reshape(self.grid.shape))
+
+    @cached_property
+    def _ambient_inflow(self) -> np.ndarray:
+        return self.boundary_g * self.ambient_c
 
     def rhs(self, source: np.ndarray) -> np.ndarray:
         """Source in W/m^3, shape (nz, ny, nx) or flat (n,)."""
@@ -129,30 +139,37 @@ class DiscreteSystem:
         if (src < 0).any():
             raise ValueError("volumetric sources must be >= 0")
         q = src.reshape(self.grid.shape) * self.grid.voxel_volume
-        return q.reshape(-1) + self.boundary_g * self.ambient_c
+        return q.reshape(-1) + self._ambient_inflow
 
     def operator(self, dt: float | None = None) -> Operator:
         """The Operator for steady (dt None) or backward-Euler steps of
         size dt; built on the first call per dt."""
         if dt not in self._operators:
-            A, cap = self.G, None
-            cap_slab = np.zeros(self.grid.nz)
-            if dt is not None:
-                cap = self.C / dt
-                A = (A + sp.diags(cap)).tocsr()
-                # C is uniform per slab: farms change k, never vhc.
-                cap_slab = cap.reshape(self.grid.nz, -1)[:, 0]
-            gx, gy, gz, bnd = _host_slab_conductances(self.grid)
-            self._operators[dt] = Operator(A, LayeredPreconditioner(
-                gx, gy, gz, bnd + cap_slab, self.grid.ny, self.grid.nx,
-                self.correction), cap,
-                exact=len(self.correction.index) == 0)
+            gx, gy, gz, diag = _host_slab_conductances(self.grid)
+            cap = None if dt is None else self.C / dt
+            if cap is not None:   # uniform per slab: farms change k, not vhc
+                diag = diag + cap.reshape(self.grid.nz, -1)[:, 0]
+            precond = LayeredPreconditioner(
+                gx, gy, gz, diag, *self.grid.shape[1:], self.correction)
+            self._operators[dt] = Operator(LayeredOperator(precond), precond,
+                                           cap, exact=precond.E is None)
         return self._operators[dt]
 
 
 def _face_conductance(k1, k2, d1, d2, area):
     """Series/harmonic composition of the two half-voxel resistances."""
     return area / (d1 / (2.0 * k1) + d2 / (2.0 * k2))
+
+
+def _face_conductances(grid: VoxelGrid, slabs, faces):
+    """Conductances gx, gy inside `slabs` and gz from each of `faces` up."""
+    dx, dy, dz = grid.dx_m, grid.dy_m, grid.dz_m[:, None, None]
+    kx, kz = grid.kx[slabs], grid.kz
+    return (_face_conductance(kx[:, :, :-1], kx[:, :, 1:], dx, dx,
+                              dy * dz[slabs]),
+            _face_conductance(kx[:, :-1], kx[:, 1:], dy, dy, dx * dz[slabs]),
+            _face_conductance(kz[faces], kz[faces + 1], dz[faces],
+                              dz[faces + 1], dx * dy))
 
 
 def _boundary_conductance(grid: VoxelGrid, kz: np.ndarray) -> np.ndarray:
@@ -214,10 +231,8 @@ class LayeredPreconditioner:
         self.qy, lam_y = _cosine_basis(ny)
         self.lam_y = lam_y[:, None]
         self.gx, self.gy, self.upper = gx, gy, -gz   # upper: off-diagonal
-        coupling = np.zeros(len(diag))
-        coupling[:-1] += gz
-        coupling[1:] += gz
-        self.center = diag + coupling
+        self.ground, self.gz = diag, np.append(gz, 0.0)   # 0: no plane above
+        self.center = diag + (self.gz + np.append(0.0, gz))
         # LDL^T of each mode's tridiagonal: pivots and sub-diagonal factors.
         nz, upper = len(diag), self.upper
         self.inv_pivot = np.empty((nz, ny, nx))
@@ -227,10 +242,10 @@ class LayeredPreconditioner:
             self.factor[i - 1] = upper[i - 1] * self.inv_pivot[i - 1]
             self.inv_pivot[i] = 1.0 / (self._main(i)
                                        - self.factor[i - 1] * upper[i - 1])
-        self.E = None
+        self.index = self.E = None
         self.blocks = []
         if correction is not None and len(correction.index):
-            self.E = correction.E
+            self.index, self.E = correction
             self._plane_blocks(correction.index)
 
     def _main(self, z: int) -> np.ndarray:
@@ -316,6 +331,44 @@ class LayeredPreconditioner:
         return self.inverse(self.solve_modes(self.forward(r)))
 
 
+class LayeredOperator(NamedTuple):
+    """The preconditioner's A = A_L + E for `@` on flat vectors: A_L as the
+    flux-form stencil of its per-slab scalars (each face moves g (x_i - x_j)
+    from voxel j to i; faces that wrap to the next row or plane carry none,
+    so sidewalls are adiabatic), E at its voxels. abs() is |A|."""
+    precond: LayeredPreconditioner
+    absolute: bool = False
+
+    def __abs__(self) -> LayeredOperator:
+        return LayeredOperator(self.precond, absolute=True)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        p = self.precond
+        nz, ny, nx = p.inv_pivot.shape
+        plane, combine = ny * nx, np.add if self.absolute else np.subtract
+        x3, out = x.reshape(nz, plane), np.empty((nz, plane))
+        k = max(1, 2 ** 16 // plane)   # planes per chunk, ~0.5 MB: in cache
+        for z in range(0, nz, k):
+            np.multiply(x3[z:z + k], p.ground[z:z + k, None], out=out[z:z + k])
+            # The chunk's z faces include the one down to the plane below.
+            for step, g, wrap, lo in ((1, p.gx, np.s_[:, :, -1], z),
+                                      (nx, p.gy, np.s_[:, -1], z),
+                                      (plane, p.gz, -1, max(z - 1, 0))):
+                xc, oc = x3[lo:z + k].reshape(-1), out[lo:z + k].reshape(-1)
+                d = np.empty(len(xc))
+                combine(xc[:-step], xc[step:], out=d[:-step])
+                d.reshape(-1, ny, nx)[wrap] = 0.0   # also covers d[-step:]
+                d.reshape(-1, plane)[:] *= g[lo:z + k, None]
+                oc[:-step] += d[:-step]
+                combine(oc[step:], d[:-step], out=oc[step:])
+        out = out.reshape(-1)
+        if p.E is not None:   # in |A|, E's off-diagonal signs flip
+            w = p.E @ x[p.index]
+            out[p.index] += (2.0 * p.E.diagonal() * x[p.index] - w
+                             if self.absolute else w)
+        return out
+
+
 def lattice_matrix(gx: np.ndarray, gy: np.ndarray, gz: np.ndarray,
                    ground: np.ndarray) -> sp.csr_matrix:
     """SPD nodal matrix of a 7-point lattice of nz planes of ny x nx nodes,
@@ -354,31 +407,25 @@ def lattice_matrix(gx: np.ndarray, gy: np.ndarray, gz: np.ndarray,
 def assemble(grid: VoxelGrid, config: StackConfig) -> DiscreteSystem:
     if grid.config != config:
         raise ValueError("grid was not built from this config")
-    dx, dy = grid.dx_m, grid.dy_m
-    dz = grid.dz_m[:, None, None]
-    kx, kz = grid.kx, grid.kz
-    gx = _face_conductance(kx[:, :, :-1], kx[:, :, 1:], dx, dx, dy * dz)
-    gy = _face_conductance(kx[:, :-1], kx[:, 1:], dy, dy, dx * dz)
-    gz = _face_conductance(kz[:-1], kz[1:], dz[:-1], dz[1:], dx * dy)
-    boundary_g = _boundary_conductance(grid, kz)
-    G = lattice_matrix(gx, gy, gz, boundary_g)
+    boundary_g = _boundary_conductance(grid, grid.kz)
     C = (grid.vhc * grid.voxel_volume).reshape(-1)
-    return DiscreteSystem(G=G, boundary_g=boundary_g.reshape(-1), C=C,
+    return DiscreteSystem(boundary_g=boundary_g.reshape(-1), C=C,
                           grid=grid, ambient_c=config.ambient_c,
-                          correction=_correction(grid, gx, gy, gz,
-                                                 boundary_g))
+                          correction=_correction(grid, boundary_g))
 
 
-def _correction(grid: VoxelGrid, gx, gy, gz, boundary_g) -> Correction:
+def _correction(grid: VoxelGrid, boundary_g) -> Correction:
     """E = G - G_L from the face and boundary conductances that differ
     from the host slab's. Only TSV-farm slabs and the faces and
-    boundaries that touch them can differ; elsewhere both are computed
-    by the same expression from the same conductivities."""
+    boundaries that touch them can differ, so only theirs are computed;
+    elsewhere both come from one expression and the same conductivities."""
     nz, ny, nx = grid.shape
     plane = ny * nx
     hx, hy, hz, hb = _host_slab_conductances(grid)
     farm = np.array([bool(grid.config.layers[layer].tsv_farms)
                      for layer in grid.slab_layer])
+    slabs, faces = np.flatnonzero(farm), np.flatnonzero(farm[:-1] | farm[1:])
+    gx, gy, gz = _face_conductances(grid, slabs, faces)
     rows, cols, vals = [], [], []
 
     def differ(g, host, first, step=0, voxel=lambda f: f):
@@ -398,21 +445,18 @@ def _correction(grid: VoxelGrid, gx, gy, gz, boundary_g) -> Correction:
             cols.append(i)
             vals.append(d)
 
-    for z in np.flatnonzero(farm):
-        differ(gx[z], hx[z], z * plane, 1, lambda f: f + f // (nx - 1))
-        differ(gy[z], hy[z], z * plane, nx)
+    for i, z in enumerate(slabs):
+        differ(gx[i], hx[z], z * plane, 1, lambda f: f + f // (nx - 1))
+        differ(gy[i], hy[z], z * plane, nx)
         if z in (0, nz - 1):
             differ(boundary_g[z], hb[z], z * plane)
-    for z in np.flatnonzero(farm[:-1] | farm[1:]):
-        differ(gz[z], hz[z], z * plane, plane)
+    for i, z in enumerate(faces):
+        differ(gz[i], hz[z], z * plane, plane)
     if not rows:
         return Correction(np.zeros(0, dtype=np.intp), sp.csr_matrix((0, 0)))
     rows, cols = np.concatenate(rows), np.concatenate(cols)
-    in_e = np.zeros(grid.n, dtype=bool)
-    in_e[rows] = True
-    index = np.flatnonzero(in_e)
-    local = np.zeros(grid.n, dtype=np.intp)
-    local[index] = np.arange(len(index))
+    in_e = np.bincount(rows, minlength=grid.n) > 0
+    index, local = np.flatnonzero(in_e), np.cumsum(in_e) - 1
     E = sp.coo_matrix((np.concatenate(vals), (local[rows], local[cols])),
                       shape=(len(index),) * 2).tocsr()
     return Correction(index, E)

@@ -1,5 +1,7 @@
 import copy
 import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -157,6 +159,25 @@ def _report(tmp_path, doc, capsys):
                  "report"])
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def test_malformed_yaml_exits_1_without_traceback(tmp_path):
+    """The command line, as its own process, on a document that is not
+    YAML: a validation error, no traceback and no output file."""
+    path = tmp_path / "scenario.yaml"
+    path.write_text("stack: [1, 2\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        os.path.join(os.path.dirname(__file__), "..", "src"),
+        os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "stackemu.cli", "--config", str(path),
+         "--out", str(tmp_path / "run"), "report"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert "validation error" in done.stderr
+    assert "malformed YAML" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert os.listdir(tmp_path) == ["scenario.yaml"]
 
 
 def test_demo_has_the_numeric_leaves_the_fuzz_expects():

@@ -107,10 +107,10 @@ def test_pdn_solves_are_one_application(demo):
                 p, currents_from_power(scenario.power, p, 0.0),
                 scenario.solve),
             lambda p: coupling_report(p, 1, 0.1, scenario.solve)):
-        counted = dataclasses.replace(pdn, G=Counted(pdn.G),
+        counted = dataclasses.replace(pdn, A=Counted(pdn.A),
                                       precond=Counted(pdn.precond))
         solve(counted)
-        assert_one_exact_application(counted.G, counted.precond, pdn.G,
+        assert_one_exact_application(counted.A, counted.precond, pdn.G,
                                      scenario.solve)
 
 
