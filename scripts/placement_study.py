@@ -50,8 +50,8 @@ def main():
           f"{args.fields} training fields")
     print(f"{'K':>3} {'mean err K':>11}  placement (layer, x_mm, y_mm)")
     for k in range(1, args.max_k + 1):
-        chosen = place_sensors_greedy(candidates, k, fields, grid)
-        err = placement_objective(chosen, fields, grid)
+        chosen = place_sensors_greedy(candidates, k, fields)
+        err = placement_objective(chosen, fields)
         newest = chosen[-1]
         print(f"{k:>3} {err:>11.4f}  += layer {newest[0]} "
               f"({newest[1]:.2f}, {newest[2]:.2f})")

@@ -93,7 +93,8 @@ def _dispatch(args) -> int:
     from dataclasses import replace
 
     from .scenario import (AutoPlace, compare_scenarios, export,
-                           render_comparison, render_report, run_scenario)
+                           render_comparison, render_report, run_scenario,
+                           write_targets, write_text)
     from .stack import validate_stack
 
     scenario = _load(args)
@@ -128,11 +129,8 @@ def _dispatch(args) -> int:
                            reliability=None)
         report = run_scenario(scenario)
         chosen = [s.site for s in report.scenario.sensors.sensors]
-        path = f"{args.out}_placement.csv"
-        if os.path.exists(path) and not args.force:
-            print(f"io error: refusing to overwrite {path}", file=sys.stderr)
-            return EXIT_IO
-        placement_to_csv(chosen, path)
+        write_targets([(f"{args.out}_placement.csv",
+                        lambda p: placement_to_csv(chosen, p))], args.force)
         for layer, x, y in chosen:
             print(f"layer={layer} x_mm={x:.3f} y_mm={y:.3f}")
         return EXIT_OK
@@ -155,12 +153,8 @@ def _dispatch(args) -> int:
         scenarios = [scenario] + [load_scenario(p) for p in args.others]
         rows = compare_scenarios(scenarios)
         text = render_comparison(rows)
-        path = f"{args.out}_comparison.tsv"
-        if os.path.exists(path) and not args.force:
-            print(f"io error: refusing to overwrite {path}", file=sys.stderr)
-            return EXIT_IO
-        with open(path, "w") as fh:
-            fh.write(text)
+        write_targets([(f"{args.out}_comparison.tsv",
+                        lambda p: write_text(p, text))], args.force)
         print(text, end="")
         return EXIT_OK
 

@@ -232,11 +232,12 @@ def plane_to_pgm(plane: np.ndarray, path, floor: float,
         fh.write("\n".join(lines) + "\n")
 
 
-def layer_to_pgm(field_t: TemperatureField, grid: VoxelGrid,
-                 layer_index: int, path, ambient_c: float) -> None:
-    """Per-layer heatmap: per-(y,x) max over the layer's slabs."""
+def layer_to_pgm(field_t: TemperatureField, layer_index: int, path) -> None:
+    """Per-layer heatmap: per-(y,x) max over the layer's slabs, with the
+    stack's ambient temperature as the floor."""
+    grid = field_t.grid
     slabs = grid.layer_slabs(layer_index)
     if len(slabs) == 0:
         raise ValueError(f"layer {layer_index} has no slabs")
     plane = field_t.values[slabs].max(axis=0)
-    plane_to_pgm(plane, path, floor=ambient_c, unit="C")
+    plane_to_pgm(plane, path, floor=grid.config.ambient_c, unit="C")

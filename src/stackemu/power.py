@@ -316,8 +316,9 @@ def power_density_field(pmap: PowerMap, grid: VoxelGrid,
     return field
 
 
-def total_power(pmap: PowerMap, config: StackConfig, t: float) -> float:
-    """Total injected power at time t, W."""
+def total_power(pmap: PowerMap, t: float) -> float:
+    """Total injected power of the map's own stack at time t, W."""
+    config = pmap.config
     total = 0.0
     for ordinal, layer_index in enumerate(config.device_layer_indices):
         layer = config.layers[layer_index]

@@ -15,7 +15,6 @@ import math
 import numpy as np
 
 from .solver import LayerStats, TemperatureField
-from .stack import StackConfig, VoxelGrid
 
 BOLTZMANN_EV = 8.617333262e-5  # eV/K
 ZERO_C_IN_K = 273.15
@@ -111,13 +110,14 @@ class StressHotspot:
     score: float                  # |grad T| (K/mm) x mismatch weight
 
 
-def stress_proxy(field_t: TemperatureField, grid: VoxelGrid,
-                 config: StackConfig,
+def stress_proxy(field_t: TemperatureField,
                  params: ReliabilityParams = ReliabilityParams()
                  ) -> list[StressHotspot]:
-    """Gradient-magnitude stress scores, weighted up inside and one voxel
-    ring around via-farm footprints. Returns voxels whose score exceeds
-    the configured percentile, sorted descending, ties by linear index."""
+    """Gradient-magnitude stress scores on the field's own grid, weighted
+    up inside and one voxel ring around the via-farm footprints of its
+    stack. Returns voxels whose score exceeds the configured percentile,
+    sorted descending, ties by linear index."""
+    grid = field_t.grid
     # |grad T|^2 = (gx^2 + gy^2) + gz^2 accumulated in one buffer, one
     # gradient alive at a time; nz == 1 has gz = 0, which adds nothing.
     score = None
@@ -129,7 +129,7 @@ def stress_proxy(field_t: TemperatureField, grid: VoxelGrid,
             score = g if score is None else np.add(score, g, out=score)
     np.sqrt(score, out=score)
 
-    for i, layer in enumerate(config.layers):
+    for i, layer in enumerate(grid.config.layers):
         if not layer.tsv_farms:
             continue
         mask = grid.farm_lateral_mask(i)
@@ -169,8 +169,7 @@ class ReliabilityReport:
 
 def reliability_report(layer_stats: list[LayerStats],
                        layer_traces: dict[int, list[float]],
-                       field_t: TemperatureField, grid: VoxelGrid,
-                       config: StackConfig,
+                       field_t: TemperatureField,
                        params: ReliabilityParams = ReliabilityParams()
                        ) -> ReliabilityReport:
     """Aggregate EM, cycling and stress scores per device layer.
@@ -190,7 +189,7 @@ def reliability_report(layer_stats: list[LayerStats],
             cycling_damage=cycling_damage(trace, params)))
     best = max(range(len(layers)),
                key=lambda i: (layers[i].em_af, -layers[i].layer_index))
-    hotspots = stress_proxy(field_t, grid, config, params)
+    hotspots = stress_proxy(field_t, params)
     return ReliabilityReport(layers=tuple(layers),
                              stress_hotspots=tuple(hotspots),
                              min_mttf_layer=layers[best].layer_index)

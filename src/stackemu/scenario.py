@@ -9,6 +9,8 @@ temperatures, so placement quality is visible in management outcomes.
 from __future__ import annotations
 
 import hashlib
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -34,6 +36,15 @@ class StageError(RuntimeError):
         super().__init__(f"scenario failed in stage {stage!r}: {cause}")
         self.stage = stage
         self.cause = cause
+
+
+@contextmanager
+def _stage(name: str):
+    """Re-raise any failure inside the block as StageError(name, cause)."""
+    try:
+        yield
+    except Exception as e:
+        raise StageError(name, e)
 
 
 @dataclass(frozen=True)
@@ -246,26 +257,22 @@ def solve_transient(system: DiscreteSystem, t0_field: TemperatureField,
 
 
 def run_scenario(scenario: Scenario) -> ScenarioReport:
-    try:
+    with _stage("stack"):
         grid = discretize(scenario.stack, scenario.grid.nx, scenario.grid.ny,
                           scenario.grid.sub_slabs_per_layer)
-    except Exception as e:
-        raise StageError("stack", e)
 
-    try:
+    with _stage("steady-solve"):
         system = assemble(grid, scenario.stack)
         source0 = power_density_field(scenario.power, grid, 0.0)
         steady = solve_steady(system, source0, scenario.solve)
-        steady_stats = tuple(layer_summary(steady, grid))
-    except Exception as e:
-        raise StageError("steady-solve", e)
+        steady_stats = tuple(layer_summary(steady))
 
     # The scenario seed governs all stochastic behavior, including sensor noise.
     network = scenario.sensors
-    try:
+    with _stage("sensors"):
         if isinstance(network, AutoPlace):
             candidates = tile_center_candidates(grid)
-            sites = place_sensors_greedy(candidates, network.k, [steady], grid)
+            sites = place_sensors_greedy(candidates, network.k, [steady])
             network = SensorNetwork(
                 sensors=tuple(SensorSpec(
                     layer=l, x_mm=x, y_mm=y, noise_sigma=network.noise_sigma,
@@ -278,8 +285,6 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
             network = SensorNetwork(sensors=network.sensors,
                                     candidate_sites=network.candidate_sites,
                                     rng_seed=scenario.seed)
-    except Exception as e:
-        raise StageError("sensors", e)
 
     final_field = None
     final_stats = None
@@ -289,7 +294,7 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
     events: tuple[PolicyEvent, ...] = ()
 
     if scenario.transient is not None:
-        try:
+        with _stage("transient"):
             tr = scenario.transient
             pmap = scenario.power
             if scenario.policy is not None:
@@ -299,14 +304,13 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
 
                 def policy_map(step, field_t):
                     if step % scenario.policy_period == 0:
-                        t = field_t.time
-                        state.evaluate(t, network,
-                                       read_sensors(network, field_t, grid, t))
+                        state.evaluate(field_t.time, network,
+                                       read_sensors(network, field_t))
                     return state.effective_map()
                 pmap = policy_map
 
             def trace(field_t):
-                for stats in layer_summary(field_t, grid):
+                for stats in layer_summary(field_t):
                     layer_traces[stats.layer_index].append(stats.max)
 
             t0 = TemperatureField(
@@ -315,28 +319,23 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
             sampled = solve_transient(system, t0, pmap, tr.t_end, tr.dt,
                                       scenario.solve, tr.sample_stride, trace)
             final_field = sampled[-1]
-            final_stats = tuple(layer_summary(final_field, grid))
+            final_stats = tuple(layer_summary(final_field))
             if scenario.policy is not None:
                 events = tuple(state.events)
-        except Exception as e:
-            raise StageError("transient", e)
 
     readings = None
     hs_error = None
     if network is not None:
-        try:
+        with _stage("sensors"):
             observe_field = final_field if final_field is not None else steady
-            t_read = observe_field.time or 0.0
-            readings = read_sensors(network, observe_field, grid, t_read)
+            readings = read_sensors(network, observe_field)
             eval_fields = list(sampled) if sampled else [steady]
             placement = [s.site for s in network.sensors]
-            hs_error = hotspot_error(placement, eval_fields, grid)
-        except Exception as e:
-            raise StageError("sensors", e)
+            hs_error = hotspot_error(placement, eval_fields)
 
     pdn_summary = None
     if scenario.pdn is not None:
-        try:
+        with _stage("pdn"):
             pdn = build_pdn(scenario.stack, scenario.pdn)
             currents = currents_from_power(scenario.power, pdn, 0.0)
             drop = solve_ir_drop(pdn, currents, scenario.solve)
@@ -347,18 +346,13 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
                     float(v) for v in drop.reshape(pdn.n_planes, -1).max(1)),
                 droop_per_plane=tuple(float(v) for v in droop),
                 drop_map=drop)
-        except Exception as e:
-            raise StageError("pdn", e)
 
     rel = None
     if scenario.reliability is not None:
-        try:
+        with _stage("reliability"):
             traces = {idx: tr for idx, tr in layer_traces.items() if tr}
             rel = reliability_report(list(steady_stats), traces, steady,
-                                     grid, scenario.stack,
                                      scenario.reliability)
-        except Exception as e:
-            raise StageError("reliability", e)
 
     return ScenarioReport(
         scenario=scenario,
@@ -373,13 +367,21 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
         pdn_summary=pdn_summary,
         reliability=rel,
         events=events,
-        total_power_w=total_power(scenario.power, scenario.stack, 0.0),
+        total_power_w=total_power(scenario.power, 0.0),
         config_hash=scenario_hash(scenario),
         seed=scenario.seed)
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+def _layer_rows(title: str, stats: tuple[LayerStats, ...]) -> list[str]:
+    """A blank line, the section title and one row per device layer."""
+    return ["", f"== {title} =="] + [
+        f"layer {s.layer_index} ({s.role}): mean={_fmt(s.mean)} "
+        f"max={_fmt(s.max)} min={_fmt(s.min)} hotspot={s.hotspot}"
+        for s in stats]
 
 
 def render_report(report: ScenarioReport) -> str:
@@ -394,19 +396,9 @@ def render_report(report: ScenarioReport) -> str:
     lines.append("")
     lines.append("== power ==")
     lines.append(f"total_power_w: {_fmt(report.total_power_w)}")
-    lines.append("")
-    lines.append("== steady state ==")
-    for s in report.steady_stats:
-        lines.append(f"layer {s.layer_index} ({s.role}): "
-                     f"mean={_fmt(s.mean)} max={_fmt(s.max)} "
-                     f"min={_fmt(s.min)} hotspot={s.hotspot}")
+    lines += _layer_rows("steady state", report.steady_stats)
     if report.final_stats is not None:
-        lines.append("")
-        lines.append("== transient final ==")
-        for s in report.final_stats:
-            lines.append(f"layer {s.layer_index} ({s.role}): "
-                         f"mean={_fmt(s.mean)} max={_fmt(s.max)} "
-                         f"min={_fmt(s.min)} hotspot={s.hotspot}")
+        lines += _layer_rows("transient final", report.final_stats)
     if report.sensor_readings is not None:
         lines.append("")
         lines.append("== sensors ==")
@@ -493,40 +485,42 @@ class ExportError(OSError):
     pass
 
 
-def export(report: ScenarioReport, formats: str | tuple[str, ...],
-           prefix: str, force: bool = False) -> list[str]:
-    """Write the report artifacts of one format ("text", "csv" or "pgm")
-    or of a tuple of them with the given path prefix. Unless force is set,
-    any existing target fails the export before a file is written.
-    Returns written paths."""
-    import os
-
-    if isinstance(formats, str):
-        formats = (formats,)
-    targets = [t for fmt in formats for t in _targets(report, fmt, prefix)]
+def write_targets(targets: list[tuple[str, callable]],
+                  force: bool = False) -> list[str]:
+    """Call writer(path) for each (path, writer) target in order. Unless
+    force is set, any existing path fails with ExportError before a file
+    is written; a failed write raises ExportError too. Returns the paths."""
     for path, _ in targets:
         if os.path.exists(path) and not force:
             raise ExportError(f"refusing to overwrite {path} without force")
-    written = []
     for path, writer in targets:
         try:
             writer(path)
         except OSError as e:
             raise ExportError(f"failed writing {path}: {e}")
-        written.append(path)
-    return written
+    return [path for path, _ in targets]
+
+
+def export(report: ScenarioReport, formats: str | tuple[str, ...],
+           prefix: str, force: bool = False) -> list[str]:
+    """Write the report artifacts of one format ("text", "csv" or "pgm")
+    or of a tuple of them with the given path prefix, through
+    write_targets. Returns written paths."""
+    if isinstance(formats, str):
+        formats = (formats,)
+    return write_targets(
+        [t for fmt in formats for t in _targets(report, fmt, prefix)], force)
 
 
 def _targets(report: ScenarioReport, fmt: str,
              prefix: str) -> list[tuple[str, callable]]:
     """(path, writer) of every artifact of one format."""
     grid = report.steady_field.grid
-    ambient = report.scenario.stack.ambient_c
     targets: list[tuple[str, callable]] = []
 
     if fmt == "text":
         targets.append((f"{prefix}_report.txt",
-                        lambda p: _write_text(p, render_report(report))))
+                        lambda p: write_text(p, render_report(report))))
     elif fmt == "csv":
         targets.append((f"{prefix}_steady_field.csv",
                         lambda p: field_to_csv(report.steady_field, p)))
@@ -545,7 +539,7 @@ def _targets(report: ScenarioReport, fmt: str,
             targets.append((
                 f"{prefix}_steady_L{layer_index}.pgm",
                 lambda p, li=layer_index: layer_to_pgm(
-                    report.steady_field, grid, li, p, ambient)))
+                    report.steady_field, li, p)))
         if report.pdn_summary is not None:
             for plane in range(report.pdn_summary.drop_map.shape[0]):
                 targets.append((
@@ -558,7 +552,7 @@ def _targets(report: ScenarioReport, fmt: str,
     return targets
 
 
-def _write_text(path, text):
+def write_text(path, text):
     with open(path, "w") as fh:
         fh.write(text)
 

@@ -90,15 +90,16 @@ def _locate(site, grid: VoxelGrid) -> tuple[int, int, int]:
     return iz, iy, ix
 
 
-def read_sensors(network: SensorNetwork, field_t: TemperatureField,
-                 grid: VoxelGrid, t: float) -> list[float]:
-    """Quantized noisy readings at time t, one per sensor, deg C."""
+def read_sensors(network: SensorNetwork,
+                 field_t: TemperatureField) -> list[float]:
+    """Quantized noisy readings at the field's own time (0 for a steady
+    field) on its own grid, one per sensor, deg C."""
+    t = field_t.time or 0.0
     if t < 0:
         raise ValueError("time must be >= 0")
     readings = []
     for s_idx, sensor in enumerate(network.sensors):
-        iz, iy, ix = _site_voxel(sensor.site, grid)
-        true_t = float(field_t.values[iz, iy, ix])
+        true_t = float(field_t.values[_site_voxel(sensor.site, field_t.grid)])
         if sensor.noise_sigma > 0:
             sample_idx = int(t // sensor.sample_period)
             rng = np.random.default_rng(
@@ -111,28 +112,32 @@ def read_sensors(network: SensorNetwork, field_t: TemperatureField,
 UNOBSERVED = None  # sentinel for the error of an empty placement
 
 
-def _true_values(sites, fields: list[TemperatureField], grid: VoxelGrid):
-    """(n_sites, n_fields) noiseless site temperatures."""
+def _true_values(sites, fields: list[TemperatureField]):
+    """(n_sites, n_fields) noiseless site temperatures, each field read
+    on its own grid."""
     vals = np.empty((len(sites), len(fields)))
-    for i, site in enumerate(sites):
-        iz, iy, ix = _site_voxel(site, grid)
-        for j, f in enumerate(fields):
-            vals[i, j] = f.values[iz, iy, ix]
+    voxels = {}   # id(grid) -> (iz, iy, ix) index arrays of the sites
+    for j, f in enumerate(fields):
+        idx = voxels.get(id(f.grid))
+        if idx is None:
+            idx = voxels[id(f.grid)] = tuple(np.array(
+                [_site_voxel(s, f.grid) for s in sites],
+                dtype=np.intp).reshape(-1, 3).T)
+        vals[:, j] = f.values[idx]
     return vals
 
 
-def placement_objective(sites, fields: list[TemperatureField],
-                        grid: VoxelGrid) -> float:
+def placement_objective(sites, fields: list[TemperatureField]) -> float:
     """Mean absolute hotspot-tracking error of a placement over fields,
     with noiseless readings."""
     if not sites:
         raise ValueError("placement is empty")
-    return hotspot_error(sites, fields, grid)[0]
+    return hotspot_error(sites, fields)[0]
 
 
 def place_sensors_greedy(candidates, k: int,
-                         training_fields: list[TemperatureField],
-                         grid: VoxelGrid) -> list[tuple[int, float, float]]:
+                         training_fields: list[TemperatureField]
+                         ) -> list[tuple[int, float, float]]:
     """Greedy hotspot-tracking placement. Each round adds the candidate
     giving the lowest objective; ties go to the lowest candidate index.
     Deterministic; returns exactly k sites in selection order."""
@@ -145,7 +150,7 @@ def place_sensors_greedy(candidates, k: int,
         raise ValueError("need at least one training field")
 
     true_max = np.array([f.values.max() for f in training_fields])
-    vals = _true_values(candidates, training_fields, grid)
+    vals = _true_values(candidates, training_fields)
 
     chosen: list[int] = []
     est = np.full(len(training_fields), -np.inf)
@@ -163,8 +168,7 @@ def place_sensors_greedy(candidates, k: int,
     return [candidates[i] for i in chosen]
 
 
-def hotspot_error(placement, evaluation_fields: list[TemperatureField],
-                  grid: VoxelGrid):
+def hotspot_error(placement, evaluation_fields: list[TemperatureField]):
     """(mean, max) absolute hotspot error with noiseless readings, K.
     Empty placement reports (UNOBSERVED, UNOBSERVED), never zero."""
     if not evaluation_fields:
@@ -172,7 +176,7 @@ def hotspot_error(placement, evaluation_fields: list[TemperatureField],
     if not placement:
         return (UNOBSERVED, UNOBSERVED)
     true_max = np.array([f.values.max() for f in evaluation_fields])
-    vals = _true_values([tuple(p) for p in placement], evaluation_fields, grid)
+    vals = _true_values([tuple(p) for p in placement], evaluation_fields)
     err = np.abs(true_max - vals.max(axis=0))
     return (float(err.mean()), float(err.max()))
 

@@ -588,9 +588,9 @@ class LayerStats:
     hotspot: tuple[int, int, int]   # (iz, iy, ix), row-major tie-break
 
 
-def layer_summary(field_t: TemperatureField,
-                  grid: VoxelGrid) -> list[LayerStats]:
-    """Per-device-layer stats, bottom-up."""
+def layer_summary(field_t: TemperatureField) -> list[LayerStats]:
+    """Per-device-layer stats of the field's own grid, bottom-up."""
+    grid = field_t.grid
     out = []
     for layer_index in grid.device_layer_indices:
         slabs = grid.layer_slabs(layer_index)

@@ -118,10 +118,6 @@ class StackConfig:
     def device_layers(self) -> tuple[LayerSpec, ...]:
         return tuple(l for l in self.layers if l.is_device)
 
-    @property
-    def total_thickness_um(self) -> float:
-        return sum(l.thickness_um for l in self.layers)
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -300,9 +296,6 @@ class VoxelGrid:
             vol = (self.dx_m * self.dy_m) * self.dz_m
             return np.broadcast_to(vol[:, None, None], self.shape)
         return self.cached("voxel_volume", build)
-
-    def total_heat_capacity(self) -> float:
-        return float(np.sum(self.vhc * self.voxel_volume))
 
     def x_centers_m(self) -> np.ndarray:
         return (np.arange(self.nx) + 0.5) * self.dx_m

@@ -64,7 +64,7 @@ def test_criterion_02_energy_balance_at_scale():
     worst_time = 0.0
     for _ in range(2):
         pmap = random_power_map(rng, cfg)
-        injected = total_power(pmap, cfg, 0.0)
+        injected = total_power(pmap, 0.0)
         source = power_density_field(pmap, grid, 0.0)
         start = time.perf_counter()
         field = solve_steady(system, source, SolveOptions(tolerance=1e-10))
@@ -86,7 +86,7 @@ def test_criterion_03_monotone_layer_ordering():
     system = assemble(grid, cfg)
     field = solve_steady(system, power_density_field(pmap, grid, 0.0),
                          SolveOptions(tolerance=1e-10))
-    stats = {s.role: s.max for s in layer_summary(field, grid)
+    stats = {s.role: s.max for s in layer_summary(field)
              if s.role in ("SP", "SN2", "SN1", "S0")}
     order = [stats["SP"], stats["SN2"], stats["SN1"], stats["S0"]]
     gaps = [a - b for a, b in zip(order, order[1:])]
@@ -223,9 +223,9 @@ def test_criterion_07_greedy_vs_exhaustive():
     start = time.perf_counter()
     worst_ratio = 1.0
     for k in (1, 2, 3):
-        greedy = place_sensors_greedy(candidates, k, fields, grid)
-        greedy_obj = placement_objective(greedy, fields, grid)
-        best = min(placement_objective(list(sub), fields, grid)
+        greedy = place_sensors_greedy(candidates, k, fields)
+        greedy_obj = placement_objective(greedy, fields)
+        best = min(placement_objective(list(sub), fields)
                    for sub in itertools.combinations(candidates, k))
         ratio = 1.0 if greedy_obj <= best + 1e-15 else greedy_obj / best
         worst_ratio = max(worst_ratio, ratio)

@@ -138,7 +138,7 @@ def test_layer_pgm_matches_reference_on_multi_slab_layer(tmp_path):
     for layer in grid.device_layer_indices:
         slabs = grid.layer_slabs(layer)
         assert len(slabs) == 3
-        layer_to_pgm(field, grid, layer, tmp_path / "got.pgm", 25.0)
+        layer_to_pgm(field, layer, tmp_path / "got.pgm")
         reference_plane_to_pgm(field.values[slabs].max(axis=0),
                                tmp_path / "want.pgm", floor=25.0)
         assert ((tmp_path / "got.pgm").read_bytes()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -84,11 +86,27 @@ def test_layer_pgm_takes_max_over_slabs(grid, tmp_path):
     values[slabs[1], 0, 0] = 60.0     # hotter slab should win
     field = TemperatureField(values=values, grid=g)
     path = tmp_path / "layer.pgm"
-    layer_to_pgm(field, g, 1, path, ambient_c=25.0)
+    layer_to_pgm(field, 1, path)
     lines = path.read_text().splitlines()
     assert "max=60.0" in lines[1]
     pix = [int(v) for line in lines[4:] for v in line.split()]
     assert pix[0] == 255 and all(v == 0 for v in pix[1:])
+
+
+def test_layer_pgm_floor_is_the_stack_ambient(tmp_path):
+    cfg = replace(preset_stack(2), ambient_c=40.0)
+    g = discretize(cfg, 4, 2, 1)
+    values = np.full(g.shape, 40.0)
+    [iz] = g.layer_slabs(1)
+    values[iz, 0, 0] = 60.0
+    values[iz, 0, 1] = 50.0      # halfway from the 40 C floor to the max
+    values[iz, 1, 0] = 30.0      # below the floor clips to 0
+    path = tmp_path / "layer.pgm"
+    layer_to_pgm(TemperatureField(values=values, grid=g), 1, path)
+    lines = path.read_text().splitlines()
+    assert lines[1] == "# max=60.0 floor=40.0 unit=C"
+    pix = [int(v) for line in lines[4:] for v in line.split()]
+    assert pix == [255, 128, 0, 0, 0, 0, 0, 0]
 
 
 @pytest.fixture

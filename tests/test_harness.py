@@ -333,7 +333,7 @@ def test_auto_place_is_one_stage_of_the_run(tmp_path):
     report = run_scenario(sc)
     grid = report.steady_field.grid
     expected = place_sensors_greedy(tile_center_candidates(grid), 6,
-                                    [report.steady_field], grid)
+                                    [report.steady_field])
     assert [s.site for s in report.scenario.sensors.sensors] == expected
     assert report.scenario.sensors.rng_seed == sc.seed
 
@@ -392,6 +392,25 @@ def test_cli_overwrite_without_force_exit_3(tmp_path, capsys):
     assert main(["--config", path, "--out", out, "steady"]) == 3
     assert "io error" in capsys.readouterr().err
     assert main(["--config", path, "--out", out, "--force", "steady"]) == 0
+
+
+@pytest.mark.parametrize("command, suffix", [
+    ("place-sensors", "_placement.csv"), ("compare", "_comparison.tsv")])
+def test_cli_single_file_commands_overwrite_only_with_force(
+        tmp_path, capsys, command, suffix):
+    path = write_yaml(tmp_path, BASE_YAML)
+    args = {"place-sensors": ["place-sensors", "--k", "2"],
+            "compare": ["compare", "--with", path]}[command]
+    fresh = str(tmp_path / "fresh")
+    assert main(["--config", path, "--out", fresh, *args]) == 0
+    out = str(tmp_path / "run")
+    target = tmp_path / f"run{suffix}"
+    target.write_bytes(b"existing\r\n")
+    assert main(["--config", path, "--out", out, *args]) == 3
+    assert "refusing to overwrite" in capsys.readouterr().err
+    assert target.read_bytes() == b"existing\r\n"
+    assert main(["--config", path, "--out", out, "--force", *args]) == 0
+    assert target.read_bytes() == (tmp_path / f"fresh{suffix}").read_bytes()
 
 
 def test_cli_missing_config_exit_3(tmp_path, capsys):

@@ -118,7 +118,7 @@ def test_currents_from_power_conserve_total():
     pmap = PowerMap.zeros(cfg).set_uniform(0, Constant(0.5)) \
         .set_tile_power(1, 2, 5, Constant(3.0))
     currents = currents_from_power(pmap, pdn, 0.0)
-    expected = total_power(pmap, cfg, 0.0) / pdn.params.vdd
+    expected = total_power(pmap, 0.0) / pdn.params.vdd
     assert float(currents.sum()) == pytest.approx(expected, rel=1e-9)
 
 

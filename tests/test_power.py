@@ -26,10 +26,10 @@ def test_set_tile_round_trip(cfg):
 
 def test_set_tile_locality(cfg):
     pmap = PowerMap.zeros(cfg).set_uniform(1, Constant(1.0))
-    before = total_power(pmap, cfg, 0.0)
+    before = total_power(pmap, 0.0)
     pmap2 = pmap.set_tile_power(0, 0, 0, Constant(7.0))
     tile_area_cm2 = (1.2 / 8) * (0.6 / 4)
-    assert total_power(pmap2, cfg, 0.0) == pytest.approx(
+    assert total_power(pmap2, 0.0) == pytest.approx(
         before + 7.0 * tile_area_cm2)
 
 
@@ -130,18 +130,18 @@ def test_overlap_weights_match_loop_exactly(n_cells, n_tiles, extent):
 def test_total_power_uniform_layer(cfg):
     # 0.5 W/cm^2 over 12 mm x 6 mm = 0.72 cm^2 -> 0.36 W
     pmap = PowerMap.zeros(cfg).set_uniform(0, Constant(0.5))
-    assert total_power(pmap, cfg, 0.0) == pytest.approx(0.36, rel=1e-12)
+    assert total_power(pmap, 0.0) == pytest.approx(0.36, rel=1e-12)
 
 
 def test_total_power_two_layers_additive(cfg):
     one = PowerMap.zeros(cfg).set_uniform(0, Constant(0.7))
     two = one.set_uniform(1, Constant(0.7))
-    assert total_power(two, cfg, 0.0) == pytest.approx(
-        2 * total_power(one, cfg, 0.0), rel=1e-12)
+    assert total_power(two, 0.0) == pytest.approx(
+        2 * total_power(one, 0.0), rel=1e-12)
 
 
 def test_zero_map_zero_power(cfg):
-    assert total_power(PowerMap.zeros(cfg), cfg, 0.0) == 0.0
+    assert total_power(PowerMap.zeros(cfg), 0.0) == 0.0
 
 
 @settings(max_examples=15, deadline=None)
@@ -156,7 +156,7 @@ def test_field_integral_matches_total_power(seed, t, nx, ny):
     grid = discretize(cfg, nx, ny, 1)
     field = power_density_field(pmap, grid, t)
     integral = float((field * grid.voxel_volume).sum())
-    assert integral == pytest.approx(total_power(pmap, cfg, t),
+    assert integral == pytest.approx(total_power(pmap, t),
                                      rel=1e-9, abs=1e-15)
 
 

@@ -156,7 +156,7 @@ def farm_grid():
 def test_stress_uniform_field_no_hotspots(farm_grid):
     cfg, grid = farm_grid
     field = TemperatureField(values=np.full(grid.shape, 60.0), grid=grid)
-    assert stress_proxy(field, grid, cfg) == []
+    assert stress_proxy(field) == []
 
 
 def test_stress_farm_voxels_outrank_equal_gradient_far_away(farm_grid):
@@ -171,7 +171,7 @@ def test_stress_farm_voxels_outrank_equal_gradient_far_away(farm_grid):
     values = np.broadcast_to(40.0 + bump_on_farm + bump_far,
                              grid.shape).copy()
     field = TemperatureField(values=values, grid=grid)
-    hotspots = stress_proxy(field, grid, cfg,
+    hotspots = stress_proxy(field,
                             ReliabilityParams(stress_percentile=90))
     assert hotspots, "expected hotspots above the percentile"
     mask = grid.farm_lateral_mask(1)
@@ -192,8 +192,8 @@ def test_stress_scores_linear_in_field(farm_grid):
     params = ReliabilityParams(stress_percentile=95)
     f1 = TemperatureField(values=40.0 + bump, grid=grid)
     f2 = TemperatureField(values=40.0 + 2 * bump, grid=grid)
-    h1 = stress_proxy(f1, grid, cfg, params)
-    h2 = stress_proxy(f2, grid, cfg, params)
+    h1 = stress_proxy(f1, params)
+    h2 = stress_proxy(f2, params)
     assert [h.voxel for h in h1] == [h.voxel for h in h2]
     for a, b in zip(h1, h2):
         assert b.score == pytest.approx(2 * a.score, rel=1e-12)
@@ -204,10 +204,8 @@ def test_stress_invariant_to_constant_shift(farm_grid):
     rng = np.random.default_rng(6)
     bump = rng.uniform(0, 10, grid.shape)
     params = ReliabilityParams(stress_percentile=95)
-    h1 = stress_proxy(TemperatureField(values=40.0 + bump, grid=grid),
-                      grid, cfg, params)
-    h2 = stress_proxy(TemperatureField(values=65.0 + bump, grid=grid),
-                      grid, cfg, params)
+    h1 = stress_proxy(TemperatureField(values=40.0 + bump, grid=grid), params)
+    h2 = stress_proxy(TemperatureField(values=65.0 + bump, grid=grid), params)
     assert [h.voxel for h in h1] == [h.voxel for h in h2]
     np.testing.assert_allclose([h.score for h in h1],
                                [h.score for h in h2], rtol=1e-9)
@@ -265,7 +263,7 @@ def test_stress_order_matches_reference_on_random_fields(seed):
             values=40.0 + rng.uniform(0, 30, grid.shape), grid=grid)
         for pct in (50.0, 99.0):
             params = ReliabilityParams(stress_percentile=pct)
-            got = stress_proxy(field, grid, cfg, params)
+            got = stress_proxy(field, params)
             assert got
             assert_same_hotspots(
                 got, reference_stress_proxy(field, grid, cfg, params))
@@ -281,7 +279,7 @@ def test_stress_ties_keep_linear_index_order(seed):
         values=40.0 + rng.integers(0, 3, grid.shape).astype(float),
         grid=grid)
     params = ReliabilityParams(stress_percentile=20.0)
-    got = stress_proxy(field, grid, cfg, params)
+    got = stress_proxy(field, params)
     scores = [h.score for h in got]
     assert len(set(scores)) < len(scores), "expected tied scores"
     assert_same_hotspots(
@@ -297,7 +295,7 @@ def test_report_min_mttf_is_hottest_layer(farm_grid):
                    hotspot=(0, 0, 0)),
     ]
     field = TemperatureField(values=np.full(grid.shape, 60.0), grid=grid)
-    report = reliability_report(stats, {}, field, grid, cfg)
+    report = reliability_report(stats, {}, field)
     assert report.min_mttf_layer == 1
     by_index = {l.layer_index: l for l in report.layers}
     assert by_index[1].em_af > by_index[3].em_af
@@ -311,8 +309,7 @@ def test_report_uses_traces_for_damage(farm_grid):
     stats = [LayerStats(layer_index=1, role="sp", mean=80.0, max=125.0,
                         min=25.0, hotspot=(0, 0, 0))]
     field = TemperatureField(values=np.full(grid.shape, 60.0), grid=grid)
-    report = reliability_report(stats, {1: [25.0, 125.0, 25.0]}, field,
-                                grid, cfg)
+    report = reliability_report(stats, {1: [25.0, 125.0, 25.0]}, field)
     assert report.layers[0].cycling_damage == pytest.approx(1.0)
 
 
@@ -325,7 +322,7 @@ def test_report_af_tie_goes_to_lowest_layer(farm_grid):
                    hotspot=(0, 0, 0)),
     ]
     field = TemperatureField(values=np.full(grid.shape, 60.0), grid=grid)
-    report = reliability_report(stats, {}, field, grid, cfg)
+    report = reliability_report(stats, {}, field)
     assert report.min_mttf_layer == 1
 
 

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ def test_noiseless_reading_is_voxel_temperature(grid):
     sensor = SensorSpec(layer=0, x_mm=6.0, y_mm=3.0, noise_sigma=0.0,
                         quantization_step=0.0)
     net = SensorNetwork(sensors=(sensor,))
-    [reading] = read_sensors(net, field, grid, t=0.0)
+    [reading] = read_sensors(net, field)
     iz = grid.layer_slabs(grid.config.device_layer_indices[0])[0]
     ix = min(int(6.0e-3 / grid.dx_m), grid.nx - 1)
     iy = min(int(3.0e-3 / grid.dy_m), grid.ny - 1)
@@ -56,7 +57,7 @@ def test_quantization_applied(grid):
     sensor = SensorSpec(layer=0, x_mm=1.0, y_mm=1.0, noise_sigma=0.0,
                         quantization_step=0.25)
     net = SensorNetwork(sensors=(sensor,))
-    assert read_sensors(net, field, grid, 0.0) == [30.00]
+    assert read_sensors(net, field) == [30.00]
 
 
 def test_readings_deterministic_per_seed_and_sample(grid):
@@ -64,15 +65,15 @@ def test_readings_deterministic_per_seed_and_sample(grid):
     sensor = SensorSpec(layer=0, x_mm=6.0, y_mm=3.0, noise_sigma=1.0,
                         quantization_step=0.0, sample_period=1e-3)
     net = SensorNetwork(sensors=(sensor,), rng_seed=99)
-    r1 = read_sensors(net, field, grid, 0.0015)
-    r2 = read_sensors(net, field, grid, 0.0015)
+    r1 = read_sensors(net, replace(field, time=0.0015))
+    r2 = read_sensors(net, replace(field, time=0.0015))
     assert r1 == r2
     # different sample index -> (almost surely) different noise draw
-    r3 = read_sensors(net, field, grid, 0.0025)
+    r3 = read_sensors(net, replace(field, time=0.0025))
     assert r1 != r3
     # different seed -> different reading
     net2 = SensorNetwork(sensors=(sensor,), rng_seed=100)
-    assert read_sensors(net2, field, grid, 0.0015) != r1
+    assert read_sensors(net2, replace(field, time=0.0015)) != r1
 
 
 def test_duplicate_sites_rejected():
@@ -85,35 +86,35 @@ def test_out_of_die_site_rejected(grid):
     field = gaussian_field(grid, 0, 6.0, 3.0, 20.0)
     net = SensorNetwork(sensors=(SensorSpec(layer=0, x_mm=50.0, y_mm=1.0),))
     with pytest.raises(ValueError, match="outside"):
-        read_sensors(net, field, grid, 0.0)
+        read_sensors(net, field)
 
 
 def test_reconstruct_underestimates_true_max(grid):
     field = gaussian_field(grid, 0, 6.0, 3.0, 20.0)
     for d in (0.0, 1.0, 2.0, 3.0):
-        err = hotspot_error([(0, 6.0 + d, 3.0)], [field], grid)
+        err = hotspot_error([(0, 6.0 + d, 3.0)], [field])
         assert err[0] >= -1e-12
     # error grows with sensor offset from the hotspot
-    errs = [hotspot_error([(0, 6.0 + d, 3.0)], [field], grid)[0]
+    errs = [hotspot_error([(0, 6.0 + d, 3.0)], [field])[0]
             for d in (0.0, 1.5, 3.0)]
     assert errs[0] < errs[1] < errs[2]
 
 
 def test_hotspot_error_empty_placement_is_unobserved(grid):
     field = gaussian_field(grid, 0, 6.0, 3.0, 20.0)
-    assert hotspot_error([], [field], grid) == (UNOBSERVED, UNOBSERVED)
+    assert hotspot_error([], [field]) == (UNOBSERVED, UNOBSERVED)
 
 
 def test_hotspot_error_uniform_field_zero(grid):
     flat = TemperatureField(values=np.full(grid.shape, 40.0), grid=grid)
-    mean_e, max_e = hotspot_error([(0, 1.0, 1.0)], [flat], grid)
+    mean_e, max_e = hotspot_error([(0, 1.0, 1.0)], [flat])
     assert mean_e == 0.0 and max_e == 0.0
 
 
 def test_greedy_k1_picks_candidate_nearest_hotspot(grid):
     field = gaussian_field(grid, 0, 4.5, 2.2, 25.0)
     candidates = [(0, x, 2.2) for x in (0.5, 2.0, 4.4, 7.0, 10.0)]
-    chosen = place_sensors_greedy(candidates, 1, [field], grid)
+    chosen = place_sensors_greedy(candidates, 1, [field])
     assert chosen == [(0, 4.4, 2.2)]
 
 
@@ -121,12 +122,12 @@ def test_greedy_full_candidate_set_is_floor(grid):
     fields = [gaussian_field(grid, 0, 4.0, 2.0, 25.0),
               gaussian_field(grid, 0, 9.0, 4.0, 15.0)]
     candidates = [(0, x, y) for x in (2.0, 4.0, 9.0) for y in (2.0, 4.0)]
-    all_obj = placement_objective(candidates, fields, grid)
+    all_obj = placement_objective(candidates, fields)
     for k in (1, 2, 3):
-        chosen = place_sensors_greedy(candidates, k, fields, grid)
-        assert placement_objective(chosen, fields, grid) >= all_obj - 1e-12
-    full = place_sensors_greedy(candidates, len(candidates), fields, grid)
-    assert placement_objective(full, fields, grid) == pytest.approx(all_obj)
+        chosen = place_sensors_greedy(candidates, k, fields)
+        assert placement_objective(chosen, fields) >= all_obj - 1e-12
+    full = place_sensors_greedy(candidates, len(candidates), fields)
+    assert placement_objective(full, fields) == pytest.approx(all_obj)
 
 
 def test_greedy_objective_monotone_in_k(grid):
@@ -136,8 +137,8 @@ def test_greedy_objective_monotone_in_k(grid):
     candidates = tile_center_candidates(grid)[:16]
     prev = np.inf
     for k in range(1, 7):
-        chosen = place_sensors_greedy(candidates, k, fields, grid)
-        obj = placement_objective(chosen, fields, grid)
+        chosen = place_sensors_greedy(candidates, k, fields)
+        obj = placement_objective(chosen, fields)
         assert obj <= prev + 1e-12
         prev = obj
 
@@ -152,9 +153,9 @@ def test_greedy_within_20pct_of_exhaustive(grid):
                   for y in (1.5, 4.5)]
     assert len(candidates) == 12
     for k in (1, 2, 3):
-        greedy = place_sensors_greedy(candidates, k, fields, grid)
-        greedy_obj = placement_objective(greedy, fields, grid)
-        best = min(placement_objective(list(sub), fields, grid)
+        greedy = place_sensors_greedy(candidates, k, fields)
+        greedy_obj = placement_objective(greedy, fields)
+        best = min(placement_objective(list(sub), fields)
                    for sub in itertools.combinations(candidates, k))
         assert greedy_obj <= 1.2 * best + 1e-12
 
@@ -162,19 +163,19 @@ def test_greedy_within_20pct_of_exhaustive(grid):
 def test_greedy_deterministic(grid):
     fields = [gaussian_field(grid, 0, 5.0, 3.0, 20.0)]
     candidates = tile_center_candidates(grid)
-    a = place_sensors_greedy(candidates, 4, fields, grid)
-    b = place_sensors_greedy(candidates, 4, fields, grid)
+    a = place_sensors_greedy(candidates, 4, fields)
+    b = place_sensors_greedy(candidates, 4, fields)
     assert a == b
 
 
 def test_greedy_input_validation(grid):
     field = gaussian_field(grid, 0, 5.0, 3.0, 20.0)
     with pytest.raises(ValueError):
-        place_sensors_greedy([(0, 1.0, 1.0)], 0, [field], grid)
+        place_sensors_greedy([(0, 1.0, 1.0)], 0, [field])
     with pytest.raises(ValueError):
-        place_sensors_greedy([(0, 1.0, 1.0)], 1, [], grid)
+        place_sensors_greedy([(0, 1.0, 1.0)], 1, [])
     with pytest.raises(ValueError):
-        place_sensors_greedy([(0, 1.0, 1.0)], 2, [field], grid)
+        place_sensors_greedy([(0, 1.0, 1.0)], 2, [field])
 
 
 @settings(max_examples=25, deadline=None)
@@ -185,12 +186,12 @@ def test_quantize_nearest_multiple(value, step):
     assert abs(q / step - round(q / step)) < 1e-6
 
 
-def reference_greedy(candidates, k, training_fields, grid):
+def reference_greedy(candidates, k, training_fields):
     """The former per-candidate loop: one np.mean per candidate and round."""
     from stackemu.sensors import _true_values
     candidates = [tuple(c) for c in candidates]
     true_max = np.array([f.values.max() for f in training_fields])
-    vals = _true_values(candidates, training_fields, grid)
+    vals = _true_values(candidates, training_fields)
     chosen = []
     est = np.full(len(training_fields), -np.inf)
     remaining = list(range(len(candidates)))
@@ -216,8 +217,8 @@ def test_greedy_matches_reference_loop(seed, n_fields):
                                grid=grid) for _ in range(n_fields)]
     candidates = tile_center_candidates(grid)
     k = int(rng.integers(1, len(candidates) + 1))
-    assert place_sensors_greedy(candidates, k, fields, grid) == \
-        reference_greedy(candidates, k, fields, grid)
+    assert place_sensors_greedy(candidates, k, fields) == \
+        reference_greedy(candidates, k, fields)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -231,8 +232,8 @@ def test_greedy_matches_reference_loop_on_ties(seed):
         grid=grid) for _ in range(int(rng.integers(1, 6)))]
     candidates = tile_center_candidates(grid)
     for k in (1, 5, len(candidates)):
-        assert place_sensors_greedy(candidates, k, fields, grid) == \
-            reference_greedy(candidates, k, fields, grid)
+        assert place_sensors_greedy(candidates, k, fields) == \
+            reference_greedy(candidates, k, fields)
 
 
 def test_site_voxel_cached_per_grid(grid):
@@ -267,6 +268,6 @@ def test_greedy_keeps_earlier_candidate_within_tolerance(grid):
     for site, v in zip(candidates, (2.0, np.nextafter(2.0, 3.0), 1.5)):
         values[_site_voxel(site, grid)] = v
     fields = [TemperatureField(values=values, grid=grid)]
-    chosen = place_sensors_greedy(candidates, 2, fields, grid)
-    assert chosen == reference_greedy(candidates, 2, fields, grid)
+    chosen = place_sensors_greedy(candidates, 2, fields)
+    assert chosen == reference_greedy(candidates, 2, fields)
     assert chosen[0] == candidates[0]

@@ -239,7 +239,7 @@ def test_layer_summary_uniform_field():
     cfg = preset_stack(2)
     grid = discretize(cfg, 4, 3, 1)
     field = TemperatureField(values=np.full(grid.shape, 42.0), grid=grid)
-    for stats in layer_summary(field, grid):
+    for stats in layer_summary(field):
         assert stats.mean == stats.max == stats.min == 42.0
 
 
@@ -262,7 +262,7 @@ def test_layer_summary_slice_matches_fancy_indexed_read():
                 layer_index, cfg.layers[layer_index].role.value,
                 float(vals.mean()), float(vals.max()), float(vals.min()),
                 (int(slabs[local[0]]), int(local[1]), int(local[2]))))
-        assert layer_summary(field, grid) == expected
+        assert layer_summary(field) == expected
     assert subs == {1, 2}
 
 
@@ -273,7 +273,7 @@ def test_layer_summary_hotspot_inside_heated_tile():
     pmap = PowerMap.zeros(cfg).set_tile_power(0, 2, 5, Constant(10.0))
     field = solve_steady(system, power_density_field(pmap, grid, 0.0),
                          SolveOptions(tolerance=1e-10))
-    stats = layer_summary(field, grid)[0]
+    stats = layer_summary(field)[0]
     _, iy, ix = stats.hotspot
     x_mm = (ix + 0.5) * grid.dx_m * 1e3
     y_mm = (iy + 0.5) * grid.dy_m * 1e3
@@ -291,7 +291,7 @@ def test_monotone_layer_ordering_4l():
         pmap = pmap.set_uniform(layer, Constant(5.0))
     field = solve_steady(system, power_density_field(pmap, grid, 0.0),
                          SolveOptions(tolerance=1e-10))
-    maxes = [s.max for s in layer_summary(field, grid)]
+    maxes = [s.max for s in layer_summary(field)]
     # bottom (SP) hottest, strictly decreasing toward the heat sink (S0)
     for a, b in zip(maxes, maxes[1:]):
         assert a > b + 1e-6
@@ -303,7 +303,7 @@ def test_energy_balance_random_stacks():
         cfg, grid = random_stack(rng)
         system = assemble(grid, cfg)
         pmap = random_power_map(rng, cfg)
-        injected = total_power(pmap, cfg, 0.0)
+        injected = total_power(pmap, 0.0)
         if injected == 0.0:
             continue
         field = solve_steady(system, power_density_field(pmap, grid, 0.0),

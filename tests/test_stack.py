@@ -138,13 +138,13 @@ def test_discretization_resolution_consistency(nx, ny, sub, n_layers):
     cfg = preset_stack(n_layers)
     grid = discretize(cfg, nx, ny, sub)
     area = cfg.die_width_mm * cfg.die_length_mm * 1e-6
-    exact_volume = area * cfg.total_thickness_um * 1e-6
+    exact_volume = area * sum(l.thickness_um for l in cfg.layers) * 1e-6
     exact_capacity = area * sum(
         l.thickness_um * 1e-6 * l.material.volumetric_heat_capacity
         for l in cfg.layers)
     assert float(grid.voxel_volume.sum()) == pytest.approx(
         exact_volume, rel=1e-9)
-    assert grid.total_heat_capacity() == pytest.approx(
+    assert float(np.sum(grid.vhc * grid.voxel_volume)) == pytest.approx(
         exact_capacity, rel=1e-9)
 
 
@@ -152,7 +152,7 @@ def test_slab_thicknesses_sum_to_stack_thickness():
     cfg = preset_stack(4)
     grid = discretize(cfg, 4, 4, 3)
     assert float(grid.dz_m.sum()) == pytest.approx(
-        cfg.total_thickness_um * 1e-6, rel=1e-9)
+        sum(l.thickness_um for l in cfg.layers) * 1e-6, rel=1e-9)
 
 
 def test_farm_spec_rejects_degenerate_pitch():

@@ -96,7 +96,7 @@ def test_benchmark_wrapped_names_see_every_step(monkeypatch):
         def counted(*args, _name=name, _real=real, **kwargs):
             calls[_name] += 1
             if _name == "read_sensors":
-                read_at.append(args[3])
+                read_at.append(args[1].time)
             return _real(*args, **kwargs)
         monkeypatch.setattr(stackemu.scenario, name, counted)
     report = run_scenario(load_scenario(DEMO))
