@@ -17,10 +17,10 @@ preconditioner application and one true-residual check. TSV farms add a
 sparse correction E = A - A_L on the farm voxels, their lateral ring and
 the voxels above and below them (the capacitance-matrix setting of
 Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8, 1971). CG then
-iterates on the mode coefficients: its preconditioner is the Thomas sweep
-alone, and its product with E needs Q only at E's rows and columns, so
-each iteration transforms the farm footprint instead of the whole die.
-After a steady solve the boundary outflux must balance the injected power.
+keeps each residual as a multiple of its round's first residual plus a
+vector on E's voxels: an iteration transforms only those, around one
+Thomas sweep, and a round the whole die once each way. After a steady
+solve the boundary outflux must balance the injected power.
 `LayeredOperator` applies A without a matrix, `solve_cg` is the one linear
 solve (the PDN uses both) and `lattice_matrix` builds the matrix oracle.
 """
@@ -221,9 +221,9 @@ class LayeredPreconditioner:
     plane, leaving one tridiagonal system per (ky, kx) mode, factored once
     here and solved by a Thomas sweep vectorized over the modes.
 
-    It also carries the operator A = A_L + E that CG solves, in mode
-    space: `apply_modes` is Q^T A Q, the tridiagonals plus E's product,
-    which needs Q only at E's rows and columns in each plane."""
+    It also carries E = A - A_L on its voxels `index` and CG's transforms
+    there, `gather` (Q at them) and `scatter` (Q^T from them), which need
+    Q only at their rows and columns in each plane."""
 
     def __init__(self, gx, gy, gz, diag, ny: int, nx: int,
                  correction: Correction | None = None):
@@ -242,7 +242,7 @@ class LayeredPreconditioner:
             self.factor[i - 1] = upper[i - 1] * self.inv_pivot[i - 1]
             self.inv_pivot[i] = 1.0 / (self._main(i)
                                        - self.factor[i - 1] * upper[i - 1])
-        self.index = self.E = None
+        self.index, self.E = np.zeros(0, dtype=np.intp), None
         self.blocks = []
         if correction is not None and len(correction.index):
             self.index, self.E = correction
@@ -275,7 +275,7 @@ class LayeredPreconditioner:
             cols_first = (len(cols) * ny * (nx + len(rows))
                           <= len(rows) * nx * (ny + len(cols)))
             self.blocks.append((z, part, at_row * len(cols) + at_col,
-                                rows, cols, cols_first))
+                                self.qy[rows], self.qx[cols], cols_first))
 
     def forward(self, r: np.ndarray) -> np.ndarray:
         """Mode coefficients Q^T r, shape (nz, ny, nx), of a flat r."""
@@ -298,33 +298,25 @@ class LayeredPreconditioner:
             y[i] -= self.factor[i] * y[i + 1]
         return y
 
-    def apply_modes(self, p: np.ndarray) -> np.ndarray:
-        """Q^T A Q p = (tridiagonals) p + Q^T E Q p, as a new array."""
-        out = np.empty_like(p)
-        for i in range(len(p)):                 # plane by plane: in cache
-            np.multiply(self._main(i), p[i], out=out[i])
-        for i, g in enumerate(self.upper):
-            out[i + 1] += g * p[i]
-            out[i] += g * p[i + 1]
-        if self.E is None:
-            return out
-        # qy and qx at each plane's rows and columns of E's voxels.
-        bases = [(self.qy[rows], self.qx[cols])
-                 for _, _, _, rows, cols, _ in self.blocks]
-        v = np.empty(self.E.shape[0])
-        for (z, part, at, _, _, cols_first), (qy, qx) in zip(self.blocks,
-                                                             bases):
-            block = qy @ (p[z] @ qx.T) if cols_first else (qy @ p[z]) @ qx.T
+    def gather(self, y: np.ndarray) -> np.ndarray:
+        """(Q y)[index] of mode coefficients y: per plane, Q at E's rows
+        and columns only."""
+        v = np.empty(len(self.index))
+        for z, part, at, qy, qx, cols_first in self.blocks:
+            block = qy @ (y[z] @ qx.T) if cols_first else (qy @ y[z]) @ qx.T
             v[part] = block.reshape(-1)[at]
-        w = self.E @ v
-        for (z, part, at, _, _, cols_first), (qy, qx) in zip(self.blocks,
-                                                             bases):
+        return v
+
+    def scatter(self, w: np.ndarray) -> np.ndarray:
+        """Q^T of the flat vector that is w on E's voxels and 0 elsewhere,
+        as mode coefficients (nz, ny, nx)."""
+        y = np.zeros(self.inv_pivot.shape)
+        for z, part, at, qy, qx, cols_first in self.blocks:
             block = np.zeros(len(qy) * len(qx))
             block[at] = w[part]
             block = block.reshape(len(qy), len(qx))
-            out[z] += ((qy.T @ block) @ qx if cols_first
-                       else qy.T @ (block @ qx))
-        return out
+            y[z] = (qy.T @ block) @ qx if cols_first else qy.T @ (block @ qx)
+        return y
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         """A_L^-1 r for a flat r, as a new flat array."""
@@ -466,64 +458,92 @@ def solve_cg(A, b, precond: LayeredPreconditioner,
              options: SolveOptions = SolveOptions(),
              x0: np.ndarray | None = None) -> np.ndarray:
     """Solve the SPD system A x = b to relative residual options.tolerance,
-    where A = A_L + precond.E. Starts from x0 or else from precond(b) =
-    A_L^-1 b and checks the true residual first: where E is empty it
-    passes with no iteration.
+    where A = A_L + E, E = precond.E on the voxels S = precond.index. With
+    E empty, x = precond(b) = A_L^-1 b passes its true-residual check.
 
-    Otherwise CG preconditioned by A_L^-1 runs on the mode coefficients
-    of the update: z = A_L^-1 r is the Thomas sweep alone and the product
-    with A is precond.apply_modes, whose transforms cover E's voxels
-    only. Q is orthonormal, so dot products and norms are those of the
-    physical CG. One full inverse transform maps the update back, and the
-    true residual is checked again. If it fails, CG restarts from it
-    within the same iteration cap, unless it is within the rounding error
-    of its own evaluation, which no restart can reduce. Row-major, so
-    bit-reproducible. Non-finite input raises instead of slipping past
-    the `res > tol` test."""
+    Otherwise CG preconditioned by A_L^-1 runs in rounds, each from a true
+    residual r, or cold from x = A_L^-1 b, whose residual -E (A_L^-1 b)|S
+    lies on S. As A p = A_L p + E p_S, every residual is gamma r + s and
+    every direction A_L^-1 (gamma' r + w), s and w on S: an iteration is
+    a `scatter` (Q^T from S), a Thomas sweep and a `gather` (Q at S), with
+    dot products on S and the round's <r, A_L^-1 r> and (A_L^-1 r)|S. A
+    round transforms the full field once each way, then checks the true
+    residual; CG restarts from a failing one within the same iteration
+    cap, unless it is within the rounding error of its own evaluation.
+    Row-major, so bit-reproducible. Non-finite input raises."""
     tol = options.tolerance
     max_iter = options.iteration_cap(len(b))
     bnorm = np.linalg.norm(b) or 1.0
     if not np.isfinite(bnorm):
         raise NumericalError("non-finite right-hand side")
-    x = precond(b) if x0 is None else x0.copy()
-    it = 0
+    E, index = precond.E, precond.index
+    # A cold farm solve starts inside its first round, at A_L^-1 b; its x
+    # is made first, so that the round's temporaries free above it.
+    cold = x0 is None and E is not None
+    x = np.zeros_like(b) if cold else precond(b) if x0 is None else x0.copy()
+    it = rounds = 0
     while True:
-        r = b - A @ x
-        res = np.linalg.norm(r) / bnorm
-        if not np.isfinite(res):
-            raise NumericalError("non-finite residual")
-        # After CG, a residual within the rounding error of computing it
-        # (a row has at most 7 entries, plus b) cannot be reduced further.
-        if res <= tol or (it and res * bnorm <= 8 * np.finfo(float).eps
-                          * np.linalg.norm(abs(A) @ np.abs(x) + np.abs(b))):
-            return x
-        r = precond.forward(r)
-        dx = np.zeros_like(r)
-        rz = None
+        from_b = cold and not rounds
+        if not from_b:
+            r = b - A @ x
+            res = np.linalg.norm(r) / bnorm
+            if not np.isfinite(res):
+                raise NumericalError("non-finite residual")
+            # After a round, a residual within the rounding error of its
+            # evaluation (rows of at most 7 entries, plus b) is final.
+            if res <= tol or (rounds and res * bnorm <= 8 * np.finfo(float).eps
+                              * np.linalg.norm(abs(A) @ np.abs(x)
+                                               + np.abs(b))):
+                return x
+        rounds += 1
+        E = sp.csr_matrix((0, 0)) if E is None else E  # no farm: x += A_L^-1 r
+        # The round's r0, y0 = Q^T r0 and z0 = T^-1 y0.
+        r0 = b if from_b else r
+        y0 = precond.forward(r0)
+        z0 = precond.solve_modes(y0.copy())
+        sigma = float(np.vdot(y0, z0))           # <r0, A_L^-1 r0>
+        m, r0_s = precond.gather(z0), r0[index]  # A_L^-1 r0 and r0 on S
+        off2 = max(float(np.vdot(r0, r0)) - float(r0_s @ r0_s), 0.0)
+        del y0
+        # Residual gamma r0 + s; the update is A_L^-1 (big_gamma r0 + u).
+        if from_b:
+            gamma, s, big_gamma = 0.0, -(E @ m), 1.0
+            res = np.linalg.norm(s) / bnorm
+        else:
+            gamma, s, big_gamma = 1.0, np.zeros(len(index)), 0.0
+        u = gamma_p = w = p_s = 0.0   # A_L p = gamma_p r0 + w
+        rz = np.inf                   # the first beta is 0
         while res > tol:
             if it >= max_iter:
                 raise ConvergenceError(res, it)
-            z = precond.solve_modes(r.copy())
-            rz_new = float(np.vdot(r, z))
-            if rz is None:
-                p = z
-            else:
-                p *= rz_new / rz
-                p += z
-            rz = rz_new
-            Ap = precond.apply_modes(p)
-            pAp = float(np.vdot(p, Ap))
+            z_s = gamma * m                      # (A_L^-1 r)|S
+            if s.any():
+                z_s += precond.gather(precond.solve_modes(precond.scatter(s)))
+            rz_new = gamma * (gamma * sigma + float(m @ s)) + float(s @ z_s)
+            beta, rz = rz_new / rz, rz_new
+            gamma_p, w, p_s = (gamma + beta * gamma_p, s + beta * w,
+                               z_s + beta * p_s)
+            ap_s = w + E @ p_s                   # A p = gamma_p r0 + ap_s
+            pAp = (gamma_p * (gamma_p * sigma + float(m @ w))
+                   + float(p_s @ ap_s))
             if not np.isfinite(pAp) or pAp <= 0.0:
                 raise NumericalError(
                     "CG breakdown: non-SPD or non-finite system")
             alpha = rz / pAp
-            r -= np.multiply(alpha, Ap, out=Ap)
-            dx += np.multiply(alpha, p, out=Ap)
-            res = np.linalg.norm(r) / bnorm
+            gamma -= alpha * gamma_p
+            s -= alpha * ap_s
+            big_gamma += alpha * gamma_p
+            u += alpha * w
+            # ||r||^2 off S plus on S; the true residual decides.
+            r_s = gamma * r0_s + s
+            res = np.sqrt(gamma * gamma * off2 + float(r_s @ r_s)) / bnorm
             if not np.isfinite(res):
                 raise NumericalError("CG produced non-finite residual")
             it += 1
-        x += precond.inverse(dx)
+        z0 *= big_gamma
+        if np.any(u):
+            z0 += precond.solve_modes(precond.scatter(u))
+        x += precond.inverse(z0)
 
 
 # Relative gap between the power put in and the boundary outflux above

@@ -103,15 +103,17 @@ def random_farm_stack(rng: np.random.Generator, max_unknowns=1000):
 class Counted:
     """A matrix or layered preconditioner that counts, by name, its
     products ("matvec"), applications ("apply"), full-size transforms
-    ("forward", "inverse") and mode-space steps ("solve_modes",
-    "apply_modes"), and keeps the last application's input and output."""
+    ("forward", "inverse"), Thomas sweeps ("solve_modes") and transforms
+    at E's voxels ("gather", "scatter"), and keeps the last application's
+    input and output."""
 
     def __init__(self, inner):
         self.inner, self.counts, self.last = inner, Counter(), None
 
     def __getattr__(self, name):
         attr = getattr(self.inner, name)
-        if name not in ("forward", "inverse", "solve_modes", "apply_modes"):
+        if name not in ("forward", "inverse", "solve_modes", "gather",
+                        "scatter"):
             return attr
 
         def counted(*args):

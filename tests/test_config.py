@@ -230,15 +230,59 @@ def test_non_finite_farm_leaf_rejected_at_load(tmp_path, capsys, leaf,
     assert not os.path.exists(tmp_path / "run_report.txt")
 
 
-@pytest.mark.parametrize("leaf", INTEGER_LEAVES,
-                         ids=lambda p: "/".join(map(str, p)))
-def test_float_for_integer_rejected_at_load(tmp_path, capsys, leaf):
-    doc = _with_leaf(demo_doc(), leaf, float(_leaf(demo_doc(), leaf)))
+def _assert_float_for_integer_rejected(tmp_path, capsys, doc, leaf):
+    """The integer at leaf given as the equal float: exit 1 naming the
+    leaf, and no report."""
+    doc = _with_leaf(doc, leaf, float(_leaf(doc, leaf)))
     code, _, err = _report(tmp_path, doc, capsys)
     assert code == 1
     path = "/".join(map(str, leaf))
     assert f"config invalid at {path}: " in err
     assert "is not of type 'integer'" in err
+    assert not os.path.exists(tmp_path / "run_report.txt")
+
+
+@pytest.mark.parametrize("leaf", INTEGER_LEAVES,
+                         ids=lambda p: "/".join(map(str, p)))
+def test_float_for_integer_rejected_at_load(tmp_path, capsys, leaf):
+    _assert_float_for_integer_rejected(tmp_path, capsys, demo_doc(), leaf)
+
+
+def _schema_type(path):
+    """The type the bundled schema gives the document leaf at path,
+    through its $refs and the object branch of a oneOf."""
+    schema = node = _schema()
+    for key in path + (None,):
+        while "$ref" in node or "oneOf" in node:
+            node = (schema["$defs"][node["$ref"].rsplit("/", 1)[1]]
+                    if "$ref" in node else next(
+                        b for b in node["oneOf"] if b.get("type") == "object"))
+        if key is None:
+            return node["type"]
+        node = node["items"] if isinstance(key, int) \
+            else node["properties"][key]
+
+
+# The farm document writes one number key as an int (S0's thickness_um),
+# so its integer leaves are the schema's, not the ints it holds.
+FARM_INTEGER_LEAVES = [p for p in _numeric_leaves(small_farm_doc())
+                       if _schema_type(p) == "integer"]
+
+
+def test_farm_doc_has_the_integer_leaves_the_fuzz_expects():
+    assert FARM_INTEGER_LEAVES == [
+        ("seed",), ("grid", "nx"), ("grid", "ny"),
+        ("power", "assignments", 0, "layer"),
+        ("sensors", "auto_place", "k"), ("pdn", "nx"), ("pdn", "ny")]
+    assert all(_schema_type(p) == "integer" for p in INTEGER_LEAVES)
+
+
+@pytest.mark.parametrize("leaf", FARM_INTEGER_LEAVES,
+                         ids=lambda p: "/".join(map(str, p)))
+def test_float_for_integer_farm_leaf_rejected_at_load(tmp_path, capsys,
+                                                     leaf):
+    _assert_float_for_integer_rejected(tmp_path, capsys, small_farm_doc(),
+                                       leaf)
 
 
 def test_bool_is_not_an_integer():

@@ -1,7 +1,8 @@
-"""CG on the mode coefficients of the layered preconditioner against the
-physical-space CG it replaced, kept here as the reference. In exact
-arithmetic both run the same Krylov sequence, so they must take the same
-iterations and agree to rounding, and both must match the dense oracle."""
+"""CG on E's voxels, by way of the layered preconditioner's transforms,
+against the physical-space CG it replaced, kept here as the reference. In
+exact arithmetic both run the same Krylov sequence, so they must take the
+same iterations and agree to rounding, and both must match the dense
+oracle."""
 
 import numpy as np
 import pytest
@@ -64,16 +65,26 @@ def true_residual(A, b, x):
 
 
 def assert_same_as_reference(A, b, precond, options, x0=None):
-    """solve_cg and physical_cg take the same number of A_L^-1 applications
-    (Thomas sweeps) and agree to 1e-12 relative; the solve meets the
-    tolerance against A. Returns the solution and solve_cg's counts."""
+    """solve_cg and physical_cg take the same iterations and agree to
+    1e-12 relative; the solve meets the tolerance against A. solve_cg
+    gathers A_L^-1 r at E's voxels wherever physical_cg applies A_L^-1 r:
+    once at a cold start (A_L^-1 b) and once per iteration, the first
+    iteration of a warm round taking it from the round's start. Returns
+    the solution and solve_cg's counts."""
     counted = Counted(precond)
     x = solve_cg(A, b, counted, options, x0)
     ref, calls, _ = physical_cg(A, b, precond, options, x0)
-    assert counted.counts["solve_modes"] == calls
+    assert counted.counts["gather"] == calls
     assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert true_residual(A, b, x) <= options.tolerance
     return x, counted.counts
+
+
+def assert_one_round(counts):
+    """One full transform each way; per iteration one scatter, Thomas
+    sweep and gather, and one more sweep for the update."""
+    assert counts["forward"] == counts["inverse"] == 1
+    assert counts["scatter"] == counts["gather"] == counts["solve_modes"] - 1
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -89,7 +100,8 @@ def test_farm_solves_match_physical_cg_and_oracle(seed):
     assert not op.exact
     b = system.rhs(source)
     x, counts = assert_same_as_reference(op.A, b, op.precond, options)
-    assert counts["apply_modes"] == counts["solve_modes"] - 1 >= 1
+    assert_one_round(counts)
+    assert counts["gather"] >= 2
     oracle = np.linalg.solve(system.G.toarray(), b)
     assert np.max(np.abs(x - oracle)) <= 1e-8 * np.max(np.abs(oracle))
 
@@ -99,7 +111,8 @@ def test_farm_solves_match_physical_cg_and_oracle(seed):
     b = system.rhs(source) + op.cap * t_prev
     x, counts = assert_same_as_reference(op.A, b, op.precond, options,
                                          t_prev)
-    assert counts["apply_modes"] == counts["solve_modes"] >= 1
+    assert_one_round(counts)
+    assert counts["gather"] >= 2
     oracle = np.linalg.solve((system.G + sp.diags(op.cap)).toarray(), b)
     assert np.max(np.abs(x - oracle)) <= 1e-8 * np.max(np.abs(oracle))
 
@@ -135,7 +148,7 @@ def test_blockage_study_matches_physical_cg(farm, drifts):
     op = system.operator()
     options = SolveOptions(tolerance=1e-10)
     x, counts = assert_same_as_reference(op.A, b, op.precond, options)
-    assert counts["forward"] == counts["inverse"] == 2
+    assert counts["forward"] == counts["inverse"] == 1
     _, _, recursive = physical_cg(op.A, b, op.precond, options)
     drift = abs(true_residual(system.G, b, x) - recursive) / recursive
     assert (drift > 0.5) == drifts
@@ -158,11 +171,17 @@ def test_inexact_correction_restarts_from_true_residual():
     options = SolveOptions(tolerance=1e-10)
     x = solve_cg(system.G, b, wrong, options)
     assert true_residual(system.G, b, x) <= options.tolerance
-    assert wrong.counts["inverse"] >= 3       # precond(b) and 2+ rounds
+    assert wrong.counts["inverse"] >= 2       # 2+ rounds
     assert wrong.counts["forward"] == wrong.counts["inverse"]
+    # A gather at the cold start and one per iteration but the first of
+    # each restart, which takes it from the restart's own gather.
+    iterations = wrong.counts["gather"] - 1
+    assert iterations >= 2
+    solve_cg(system.G, b, wrong, SolveOptions(
+        tolerance=1e-10, max_iterations=iterations))
     with pytest.raises(ConvergenceError):
         solve_cg(system.G, b, wrong, SolveOptions(
-            tolerance=1e-10, max_iterations=wrong.counts["apply_modes"] - 1))
+            tolerance=1e-10, max_iterations=iterations - 1))
 
 
 def test_residual_at_rounding_floor_ends_the_solve():
@@ -188,8 +207,7 @@ def test_residual_at_rounding_floor_ends_the_solve():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_correction_is_assembled_minus_layered_operator(seed):
-    """E against G - G_L with G_L built as a second full lattice, and
-    apply_modes against Q^T (A Q p) for a random p."""
+    """E against G - G_L with G_L built as a second full lattice."""
     rng = np.random.default_rng(seed)
     cfg, grid = random_farm_stack(rng)
     system = assemble(grid, cfg)
@@ -211,12 +229,31 @@ def test_correction_is_assembled_minus_layered_operator(seed):
     assert not diff[outside].any()
     assert len(index) < grid.n
 
-    for dt in (None, 1e-3):
-        op = system.operator(dt)
-        p = rng.standard_normal(grid.shape)
-        want = op.precond.forward(op.A @ op.precond.inverse(p.copy()))
-        np.testing.assert_allclose(op.precond.apply_modes(p), want, rtol=0,
+
+def test_gather_and_scatter_match_dense_transform():
+    """gather against (Q y)[index] and scatter against Q^T of w placed on
+    E's voxels, with Q the dense orthonormal cosine basis of the whole
+    field, on random farm stacks that between them take both product
+    orders."""
+    orders = set()
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        cfg, grid = random_farm_stack(rng)
+        precond = assemble(grid, cfg).operator().precond
+        nz, ny, nx = grid.shape
+        q = np.kron(np.eye(nz), np.kron(precond.qy, precond.qx))
+        y = rng.standard_normal(grid.shape)
+        want = (q @ y.reshape(-1))[precond.index]
+        np.testing.assert_allclose(precond.gather(y), want, rtol=0,
                                    atol=1e-12 * np.max(np.abs(want)))
+        w = rng.standard_normal(len(precond.index))
+        on_s = np.zeros(grid.n)
+        on_s[precond.index] = w
+        want = q.T @ on_s
+        np.testing.assert_allclose(precond.scatter(w).reshape(-1), want,
+                                   rtol=0, atol=1e-12 * np.max(np.abs(want)))
+        orders.update(block[-1] for block in precond.blocks)
+    assert orders == {True, False}
 
 
 def test_farm_free_correction_is_empty():
