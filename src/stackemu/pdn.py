@@ -4,8 +4,8 @@ One resistive plane per device layer (sheet-resistance lateral grid),
 vertical uC4+TSV resistors between adjacent planes wherever the lower die
 carries TSVs, package supply through C4+package resistance under the
 bottom die. Every plane is a uniform sheet, so the nodal matrix is
-exactly layered: the thermal module's layered operator applies it, its
-CG solves with it, and the layered preconditioner is its exact inverse.
+exactly layered: one thermal-module `LayeredOperator` applies it and
+inverts it exactly, so a `solve_cg` with it is one application.
 Droop is a first-order closed-form surrogate, not a transient circuit
 simulation.
 """
@@ -19,8 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .power import PowerMap, areal_density, tile_weights
-from .solver import (LayeredOperator, LayeredPreconditioner, SolveOptions,
-                     lattice_matrix, solve_cg)
+from .solver import LayeredOperator, SolveOptions, lattice_matrix, solve_cg
 from .stack import StackConfig
 
 
@@ -66,7 +65,6 @@ class PdnGrid:
     supply_g: np.ndarray = field(repr=False)  # (n,) conductance to Vdd rail
     params: PdnParams = field(repr=False)
     config: StackConfig = field(repr=False)
-    precond: LayeredPreconditioner = field(repr=False, compare=False)
     A: LayeredOperator = field(repr=False, compare=False)
 
     @property
@@ -75,7 +73,7 @@ class PdnGrid:
 
     @cached_property
     def G(self) -> sp.csr_matrix:
-        p, planes, ny, nx = self.precond, self.n_planes, self.ny, self.nx
+        p, planes, ny, nx = self.A, self.n_planes, self.ny, self.nx
         return lattice_matrix(
             np.broadcast_to(p.gx[:, None, None], (planes, ny, nx - 1)),
             np.broadcast_to(p.gy[:, None, None], (planes, ny - 1, nx)),
@@ -106,12 +104,11 @@ def build_pdn(config: StackConfig, params: PdnParams = PdnParams()) -> PdnGrid:
     # Package supply under the bottom die, every node.
     supply_g = np.zeros((n_planes, ny, nx))
     supply_g[0] = 1.0 / (params.r_c4 + params.r_pkg)
-    precond = LayeredPreconditioner(np.full(n_planes, g_x),
-                                    np.full(n_planes, g_y), g_vert,
-                                    supply_g[:, 0, 0], ny, nx)
+    A = LayeredOperator(np.full(n_planes, g_x), np.full(n_planes, g_y),
+                        g_vert, supply_g[:, 0, 0], ny, nx)
     return PdnGrid(n_planes=n_planes, nx=nx, ny=ny,
                    supply_g=supply_g.reshape(-1), params=params,
-                   config=config, precond=precond, A=LayeredOperator(precond))
+                   config=config, A=A)
 
 
 def _check_connected(g_vert: np.ndarray, ny: int, nx: int) -> None:
@@ -150,7 +147,7 @@ def solve_ir_drop(pdn: PdnGrid, currents: np.ndarray,
     if (i_draw < 0).any():
         raise ValueError("currents must be >= 0")
     b = pdn.supply_g * pdn.params.vdd - i_draw
-    v = solve_cg(pdn.A, b, pdn.precond, options)
+    v = solve_cg(pdn.A, b, options)
     return (pdn.params.vdd - v).reshape(pdn.n_planes, pdn.ny, pdn.nx)
 
 
@@ -179,6 +176,5 @@ def coupling_report(pdn: PdnGrid, aggressor_plane: int, step: float,
     # drop solves A d = dI.
     delta = np.zeros((pdn.n_planes, pdn.ny, pdn.nx))
     delta[aggressor_plane] = step
-    drop = (solve_cg(pdn.A, delta.reshape(-1), pdn.precond, options)
-            if step > 0 else delta)
+    drop = solve_cg(pdn.A, delta.reshape(-1), options) if step > 0 else delta
     return drop.reshape(pdn.n_planes, -1).max(axis=1)

@@ -234,14 +234,16 @@ def solve_transient(system: DiscreteSystem, t0_field: TemperatureField,
                     sample_stride: int = 1,
                     on_step=None) -> list[TemperatureField]:
     """March backward Euler from t0_field to t_end in ceil(t_end / dt)
-    steps; returns every sample_stride-th field plus the final one.
+    steps, a ratio within 1e-9 (relative) of a whole number counting as
+    that number; returns every sample_stride-th field plus the final one.
 
     pmap is a PowerMap, or a function (step, field) -> PowerMap called at
     each step start with the field so far, which is how thermal-management
     policies act. The source is the map's power at the step start time.
     on_step(field) is called with every new field."""
     TransientSpec(t_end, dt, sample_stride)
-    n_steps = int(np.ceil(t_end / dt))
+    # In floating point 0.07 / 0.01 is 7.000000000000001: 7 steps, not 8.
+    n_steps = int(np.ceil(t_end / dt * (1.0 - 1e-9)))
     field_t = t0_field
     samples: list[TemperatureField] = []
     for step in range(n_steps):

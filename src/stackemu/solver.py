@@ -21,8 +21,10 @@ keeps each residual as a multiple of its round's first residual plus a
 vector on E's voxels: an iteration transforms only those, around one
 Thomas sweep, and a round the whole die once each way. After a steady
 solve the boundary outflux must balance the injected power.
-`LayeredOperator` applies A without a matrix, `solve_cg` is the one linear
-solve (the PDN uses both) and `lattice_matrix` builds the matrix oracle.
+One `LayeredOperator` per system holds A_L's per-slab scalars and
+factorization and E: `op @ x` applies A without a matrix and `op(r)`
+A_L^-1. `solve_cg(op, b)` is the one linear solve (the PDN uses both)
+and `lattice_matrix` builds the matrix oracle.
 """
 
 from __future__ import annotations
@@ -83,16 +85,6 @@ class TemperatureField:
         return self.values.reshape(-1)
 
 
-class Operator(NamedTuple):
-    """A = G, or G + diag(cap) with cap = C/dt, and its layered
-    preconditioner, which carries E = A - A_L; exact when E is empty (no
-    voxel in a TSV farm), so the preconditioner is A's inverse."""
-    A: LayeredOperator
-    precond: LayeredPreconditioner
-    cap: np.ndarray | None
-    exact: bool
-
-
 class Correction(NamedTuple):
     """E = A - A_L, symmetric, over the voxels `index` (sorted flat
     indices) where the assembled operator and its layered approximation
@@ -112,8 +104,8 @@ class DiscreteSystem:
     grid: VoxelGrid = field(repr=False)
     ambient_c: float
     correction: Correction = field(repr=False)
-    # dt (None for steady) -> Operator; filled on first use, so each
-    # backward-Euler step size is set up once per system.
+    # dt (None for steady) -> LayeredOperator; filled on first use, so
+    # each backward-Euler step size is set up once per system.
     _operators: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)
 
@@ -141,18 +133,20 @@ class DiscreteSystem:
         q = src.reshape(self.grid.shape) * self.grid.voxel_volume
         return q.reshape(-1) + self._ambient_inflow
 
-    def operator(self, dt: float | None = None) -> Operator:
-        """The Operator for steady (dt None) or backward-Euler steps of
-        size dt; built on the first call per dt."""
+    def slab_cap(self, dt: float) -> np.ndarray:
+        """C/dt per slab, shape (nz, 1): uniform over a slab, since TSV
+        farms change k and not vhc."""
+        return self.C.reshape(self.grid.nz, -1)[:, :1] / dt
+
+    def operator(self, dt: float | None = None) -> LayeredOperator:
+        """A = G for steady (dt None), or G + C/dt for backward-Euler steps
+        of size dt; built on the first call per dt."""
         if dt not in self._operators:
             gx, gy, gz, diag = _host_slab_conductances(self.grid)
-            cap = None if dt is None else self.C / dt
-            if cap is not None:   # uniform per slab: farms change k, not vhc
-                diag = diag + cap.reshape(self.grid.nz, -1)[:, 0]
-            precond = LayeredPreconditioner(
+            if dt is not None:
+                diag = diag + self.slab_cap(dt)[:, 0]
+            self._operators[dt] = LayeredOperator(
                 gx, gy, gz, diag, *self.grid.shape[1:], self.correction)
-            self._operators[dt] = Operator(LayeredOperator(precond), precond,
-                                           cap, exact=precond.E is None)
         return self._operators[dt]
 
 
@@ -213,17 +207,19 @@ def _cosine_basis(n: int):
     return q, 2.0 - 2.0 * np.cos(np.pi * k / n)
 
 
-class LayeredPreconditioner:
-    """Exact inverse of a layered operator A_L on nz planes of ny x nx
-    nodes: plane iz couples its lateral neighbours with gx[iz] / gy[iz],
-    planes iz and iz+1 couple node-to-node with gz[iz], and every node of
-    plane iz has diag[iz] to ground. The cosine basis Q diagonalizes each
-    plane, leaving one tridiagonal system per (ky, kx) mode, factored once
-    here and solved by a Thomas sweep vectorized over the modes.
+class LayeredOperator:
+    """A = A_L + E on nz planes of ny x nx nodes. The layered part A_L:
+    plane iz couples its lateral neighbours with gx[iz] / gy[iz], planes
+    iz and iz+1 couple node-to-node with gz[iz], and every node of plane
+    iz has diag[iz] to ground. E = A - A_L is a sparse symmetric
+    correction on the voxels `index`, or None (then A = A_L).
 
-    It also carries E = A - A_L on its voxels `index` and CG's transforms
-    there, `gather` (Q at them) and `scatter` (Q^T from them), which need
-    Q only at their rows and columns in each plane."""
+    `op @ x` applies A and `op.abs_matmul(x)` |A|, matrix-free; `op(r)`
+    applies A_L^-1 exactly. The cosine basis Q diagonalizes each plane,
+    leaving one tridiagonal system per (ky, kx) mode, factored once here
+    and solved by a Thomas sweep vectorized over the modes. CG's
+    transforms at E's voxels, `gather` (Q at them) and `scatter` (Q^T
+    from them), need Q only at their rows and columns in each plane."""
 
     def __init__(self, gx, gy, gz, diag, ny: int, nx: int,
                  correction: Correction | None = None):
@@ -250,8 +246,8 @@ class LayeredPreconditioner:
 
     def _main(self, z: int) -> np.ndarray:
         """Diagonal of plane z's mode tridiagonals, (ny, nx); built per
-        use rather than kept, so a preconditioner stores two arrays of the
-        operator's size, not three."""
+        use rather than kept, so the operator stores two arrays of the
+        field's size, not three."""
         return self.gx[z] * self.lam_x + self.gy[z] * self.lam_y \
             + self.center[z]
 
@@ -322,30 +318,30 @@ class LayeredPreconditioner:
         """A_L^-1 r for a flat r, as a new flat array."""
         return self.inverse(self.solve_modes(self.forward(r)))
 
-
-class LayeredOperator(NamedTuple):
-    """The preconditioner's A = A_L + E for `@` on flat vectors: A_L as the
-    flux-form stencil of its per-slab scalars (each face moves g (x_i - x_j)
-    from voxel j to i; faces that wrap to the next row or plane carry none,
-    so sidewalls are adiabatic), E at its voxels. abs() is |A|."""
-    precond: LayeredPreconditioner
-    absolute: bool = False
-
-    def __abs__(self) -> LayeredOperator:
-        return LayeredOperator(self.precond, absolute=True)
-
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        p = self.precond
-        nz, ny, nx = p.inv_pivot.shape
-        plane, combine = ny * nx, np.add if self.absolute else np.subtract
+        """A x for a flat x."""
+        return self._product(x, absolute=False)
+
+    def abs_matmul(self, x: np.ndarray) -> np.ndarray:
+        """|A| x for a flat x: the rounding scale of a residual."""
+        return self._product(x, absolute=True)
+
+    def _product(self, x: np.ndarray, absolute: bool) -> np.ndarray:
+        """A_L x as the flux-form stencil of the per-slab scalars (each
+        face moves g (x_i - x_j) from voxel j to i, or g (x_i + x_j) in
+        |A|; faces that wrap to the next row or plane carry none, so
+        sidewalls are adiabatic), plus E at its voxels."""
+        nz, ny, nx = self.inv_pivot.shape
+        plane, combine = ny * nx, np.add if absolute else np.subtract
         x3, out = x.reshape(nz, plane), np.empty((nz, plane))
         k = max(1, 2 ** 16 // plane)   # planes per chunk, ~0.5 MB: in cache
         for z in range(0, nz, k):
-            np.multiply(x3[z:z + k], p.ground[z:z + k, None], out=out[z:z + k])
+            np.multiply(x3[z:z + k], self.ground[z:z + k, None],
+                        out=out[z:z + k])
             # The chunk's z faces include the one down to the plane below.
-            for step, g, wrap, lo in ((1, p.gx, np.s_[:, :, -1], z),
-                                      (nx, p.gy, np.s_[:, -1], z),
-                                      (plane, p.gz, -1, max(z - 1, 0))):
+            for step, g, wrap, lo in ((1, self.gx, np.s_[:, :, -1], z),
+                                      (nx, self.gy, np.s_[:, -1], z),
+                                      (plane, self.gz, -1, max(z - 1, 0))):
                 xc, oc = x3[lo:z + k].reshape(-1), out[lo:z + k].reshape(-1)
                 d = np.empty(len(xc))
                 combine(xc[:-step], xc[step:], out=d[:-step])
@@ -354,10 +350,10 @@ class LayeredOperator(NamedTuple):
                 oc[:-step] += d[:-step]
                 combine(oc[step:], d[:-step], out=oc[step:])
         out = out.reshape(-1)
-        if p.E is not None:   # in |A|, E's off-diagonal signs flip
-            w = p.E @ x[p.index]
-            out[p.index] += (2.0 * p.E.diagonal() * x[p.index] - w
-                             if self.absolute else w)
+        if self.E is not None:   # in |A|, E's off-diagonal signs flip
+            w = self.E @ x[self.index]
+            out[self.index] += (2.0 * self.E.diagonal() * x[self.index] - w
+                                if absolute else w)
         return out
 
 
@@ -454,12 +450,12 @@ def _correction(grid: VoxelGrid, boundary_g) -> Correction:
     return Correction(index, E)
 
 
-def solve_cg(A, b, precond: LayeredPreconditioner,
-             options: SolveOptions = SolveOptions(),
+def solve_cg(A: LayeredOperator, b, options: SolveOptions = SolveOptions(),
              x0: np.ndarray | None = None) -> np.ndarray:
-    """Solve the SPD system A x = b to relative residual options.tolerance,
-    where A = A_L + E, E = precond.E on the voxels S = precond.index. With
-    E empty, x = precond(b) = A_L^-1 b passes its true-residual check.
+    """Solve the SPD system A x = b to relative residual options.tolerance.
+    The one operator A = A_L + E gives every product: A @ x, A(r) =
+    A_L^-1 r, its transforms, and E = A.E on the voxels S = A.index. With
+    E None, x = A(b) passes its true-residual check.
 
     Otherwise CG preconditioned by A_L^-1 runs in rounds, each from a true
     residual r, or cold from x = A_L^-1 b, whose residual -E (A_L^-1 b)|S
@@ -476,11 +472,11 @@ def solve_cg(A, b, precond: LayeredPreconditioner,
     bnorm = np.linalg.norm(b) or 1.0
     if not np.isfinite(bnorm):
         raise NumericalError("non-finite right-hand side")
-    E, index = precond.E, precond.index
+    E, index = A.E, A.index
     # A cold farm solve starts inside its first round, at A_L^-1 b; its x
     # is made first, so that the round's temporaries free above it.
     cold = x0 is None and E is not None
-    x = np.zeros_like(b) if cold else precond(b) if x0 is None else x0.copy()
+    x = np.zeros_like(b) if cold else A(b) if x0 is None else x0.copy()
     it = rounds = 0
     while True:
         from_b = cold and not rounds
@@ -492,17 +488,17 @@ def solve_cg(A, b, precond: LayeredPreconditioner,
             # After a round, a residual within the rounding error of its
             # evaluation (rows of at most 7 entries, plus b) is final.
             if res <= tol or (rounds and res * bnorm <= 8 * np.finfo(float).eps
-                              * np.linalg.norm(abs(A) @ np.abs(x)
+                              * np.linalg.norm(A.abs_matmul(np.abs(x))
                                                + np.abs(b))):
                 return x
         rounds += 1
         E = sp.csr_matrix((0, 0)) if E is None else E  # no farm: x += A_L^-1 r
         # The round's r0, y0 = Q^T r0 and z0 = T^-1 y0.
         r0 = b if from_b else r
-        y0 = precond.forward(r0)
-        z0 = precond.solve_modes(y0.copy())
+        y0 = A.forward(r0)
+        z0 = A.solve_modes(y0.copy())
         sigma = float(np.vdot(y0, z0))           # <r0, A_L^-1 r0>
-        m, r0_s = precond.gather(z0), r0[index]  # A_L^-1 r0 and r0 on S
+        m, r0_s = A.gather(z0), r0[index]        # A_L^-1 r0 and r0 on S
         off2 = max(float(np.vdot(r0, r0)) - float(r0_s @ r0_s), 0.0)
         del y0
         # Residual gamma r0 + s; the update is A_L^-1 (big_gamma r0 + u).
@@ -518,7 +514,7 @@ def solve_cg(A, b, precond: LayeredPreconditioner,
                 raise ConvergenceError(res, it)
             z_s = gamma * m                      # (A_L^-1 r)|S
             if s.any():
-                z_s += precond.gather(precond.solve_modes(precond.scatter(s)))
+                z_s += A.gather(A.solve_modes(A.scatter(s)))
             rz_new = gamma * (gamma * sigma + float(m @ s)) + float(s @ z_s)
             beta, rz = rz_new / rz, rz_new
             gamma_p, w, p_s = (gamma + beta * gamma_p, s + beta * w,
@@ -542,8 +538,8 @@ def solve_cg(A, b, precond: LayeredPreconditioner,
             it += 1
         z0 *= big_gamma
         if np.any(u):
-            z0 += precond.solve_modes(precond.scatter(u))
-        x += precond.inverse(z0)
+            z0 += A.solve_modes(A.scatter(u))
+        x += A.inverse(z0)
 
 
 # Relative gap between the power put in and the boundary outflux above
@@ -571,8 +567,7 @@ def solve_steady(system: DiscreteSystem, source: np.ndarray,
     """Steady temperatures in deg C; relative residual <= tolerance, and
     the boundary outflux balances the power put in to
     ENERGY_BALANCE_LIMIT (else NumericalError)."""
-    op = system.operator()
-    x = solve_cg(op.A, system.rhs(source), op.precond, options)
+    x = solve_cg(system.operator(), system.rhs(source), options)
     field_t = TemperatureField(values=x.reshape(system.grid.shape),
                                grid=system.grid, time=None)
     gap = energy_balance_error(system, source, x)
@@ -586,13 +581,13 @@ def step_transient(system: DiscreteSystem, field_t: TemperatureField,
                    source: np.ndarray, dt: float,
                    options: SolveOptions = SolveOptions()) -> TemperatureField:
     """One backward Euler step: (C/dt + G) T_new = C/dt T + b, started
-    from T only where the preconditioner is inexact (TSV farms)."""
+    from T only where A_L^-1 is inexact (TSV farms)."""
     if not 0 < dt < np.inf:
         raise ValueError("dt must be positive and finite")
-    op = system.operator(dt)
-    b = system.rhs(source) + op.cap * field_t.flat()
-    x = solve_cg(op.A, b, op.precond, options,
-                 None if op.exact else field_t.flat())
+    A = system.operator(dt)
+    t = field_t.values.reshape(system.grid.nz, -1)
+    b = system.rhs(source) + (system.slab_cap(dt) * t).reshape(-1)
+    x = solve_cg(A, b, options, None if A.E is None else field_t.flat())
     t_new = (field_t.time or 0.0) + dt
     return TemperatureField(values=x.reshape(system.grid.shape),
                             grid=system.grid, time=t_new)

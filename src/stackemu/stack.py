@@ -127,8 +127,8 @@ class Violation:
 
 
 def _device_order_ok(roles: list[LayerRole]) -> bool:
-    # Bottom -> top must be a suffix of [SP, SN2, SN1, S0] ending in S0,
-    # or any single-S0 arrangement with SN layers strictly between SP and S0.
+    # Bottom -> top: SN layers in any order under the one S0, on top, and
+    # an SP at the bottom if there is one (a second SP is sp-count's).
     if not roles:
         return False
     if roles[-1] != LayerRole.S0:
@@ -138,12 +138,6 @@ def _device_order_ok(roles: list[LayerRole]) -> bool:
         return False
     if LayerRole.SP in inner and inner[0] != LayerRole.SP:
         return False
-    # SN layers must not precede SP
-    if LayerRole.SP in inner:
-        sn_before_sp = any(r in (LayerRole.SN1, LayerRole.SN2)
-                           for r in inner[:inner.index(LayerRole.SP)])
-        if sn_before_sp:
-            return False
     return True
 
 

@@ -101,8 +101,8 @@ def random_farm_stack(rng: np.random.Generator, max_unknowns=1000):
 
 
 class Counted:
-    """A matrix or layered preconditioner that counts, by name, its
-    products ("matvec"), applications ("apply"), full-size transforms
+    """A layered operator that counts, by name, its products with A
+    ("matvec"), applications of A_L^-1 ("apply"), full-size transforms
     ("forward", "inverse"), Thomas sweeps ("solve_modes") and transforms
     at E's voxels ("gather", "scatter"), and keeps the last application's
     input and output."""
@@ -124,9 +124,6 @@ class Counted:
     def __matmul__(self, x):
         self.counts["matvec"] += 1
         return self.inner @ x
-
-    def __abs__(self):
-        return abs(self.inner)
 
     def __call__(self, r):
         self.counts["apply"] += 1

@@ -1,4 +1,4 @@
-"""CG on E's voxels, by way of the layered preconditioner's transforms,
+"""CG on E's voxels, by way of the layered operator's transforms,
 against the physical-space CG it replaced, kept here as the reference. In
 exact arithmetic both run the same Krylov sequence, so they must take the
 same iterations and agree to rounding, and both must match the dense
@@ -10,9 +10,9 @@ import scipy.sparse as sp
 
 from stackemu.materials import COPPER, Material, SILICON, SIO2, TUNGSTEN
 from stackemu.power import Constant, PowerMap, power_density_field
-from stackemu.solver import (ConvergenceError, Correction,
-                             LayeredPreconditioner, NumericalError,
-                             SolveOptions, _host_slab_conductances, assemble,
+from stackemu.solver import (ConvergenceError, Correction, LayeredOperator,
+                             NumericalError, SolveOptions,
+                             _host_slab_conductances, assemble,
                              lattice_matrix, solve_cg)
 from stackemu.stack import (LayerRole, LayerSpec, StackConfig, TsvFarmSpec,
                             discretize)
@@ -21,17 +21,17 @@ from conftest import (Counted, column_stack, random_farm_stack,
                       random_power_map, random_stack)
 
 
-def physical_cg(A, b, precond, options, x0=None):
+def physical_cg(A, b, options, x0=None):
     """The physical-space PCG loop: the same start and first true-residual
-    check, then CG on x with precond(r) ~ A^-1 r, ending on the recursive
-    residual. Returns x, the number of precond applications and the
-    final recursive residual."""
+    check, then CG on x with A(r) = A_L^-1 r ~ A^-1 r, ending on the
+    recursive residual. Returns x, the number of A_L^-1 applications and
+    the final recursive residual."""
     calls = 0
 
     def apply(r):
         nonlocal calls
         calls += 1
-        return precond(r)
+        return A(r)
 
     tol = options.tolerance
     max_iter = options.iteration_cap(len(b))
@@ -64,16 +64,16 @@ def true_residual(A, b, x):
     return np.linalg.norm(b - A @ x) / np.linalg.norm(b)
 
 
-def assert_same_as_reference(A, b, precond, options, x0=None):
+def assert_same_as_reference(A, b, options, x0=None):
     """solve_cg and physical_cg take the same iterations and agree to
     1e-12 relative; the solve meets the tolerance against A. solve_cg
     gathers A_L^-1 r at E's voxels wherever physical_cg applies A_L^-1 r:
     once at a cold start (A_L^-1 b) and once per iteration, the first
     iteration of a warm round taking it from the round's start. Returns
     the solution and solve_cg's counts."""
-    counted = Counted(precond)
-    x = solve_cg(A, b, counted, options, x0)
-    ref, calls, _ = physical_cg(A, b, precond, options, x0)
+    counted = Counted(A)
+    x = solve_cg(counted, b, options, x0)
+    ref, calls, _ = physical_cg(A, b, options, x0)
     assert counted.counts["gather"] == calls
     assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert true_residual(A, b, x) <= options.tolerance
@@ -97,9 +97,9 @@ def test_farm_solves_match_physical_cg_and_oracle(seed):
     options = SolveOptions(tolerance=1e-10)
 
     op = system.operator()
-    assert not op.exact
+    assert op.E is not None
     b = system.rhs(source)
-    x, counts = assert_same_as_reference(op.A, b, op.precond, options)
+    x, counts = assert_same_as_reference(op, b, options)
     assert_one_round(counts)
     assert counts["gather"] >= 2
     oracle = np.linalg.solve(system.G.toarray(), b)
@@ -108,12 +108,12 @@ def test_farm_solves_match_physical_cg_and_oracle(seed):
     dt = 5e-3
     op = system.operator(dt)
     t_prev = rng.uniform(25.0, 90.0, grid.n)
-    b = system.rhs(source) + op.cap * t_prev
-    x, counts = assert_same_as_reference(op.A, b, op.precond, options,
-                                         t_prev)
+    cap = system.C / dt
+    b = system.rhs(source) + cap * t_prev
+    x, counts = assert_same_as_reference(op, b, options, t_prev)
     assert_one_round(counts)
     assert counts["gather"] >= 2
-    oracle = np.linalg.solve((system.G + sp.diags(op.cap)).toarray(), b)
+    oracle = np.linalg.solve((system.G + sp.diags(cap)).toarray(), b)
     assert np.max(np.abs(x - oracle)) <= 1e-8 * np.max(np.abs(oracle))
 
 
@@ -147,11 +147,26 @@ def test_blockage_study_matches_physical_cg(farm, drifts):
     system, b = blockage_system(farm)
     op = system.operator()
     options = SolveOptions(tolerance=1e-10)
-    x, counts = assert_same_as_reference(op.A, b, op.precond, options)
+    x, counts = assert_same_as_reference(op, b, options)
     assert counts["forward"] == counts["inverse"] == 1
-    _, _, recursive = physical_cg(op.A, b, op.precond, options)
+    _, _, recursive = physical_cg(op, b, options)
     drift = abs(true_residual(system.G, b, x) - recursive) / recursive
     assert (drift > 0.5) == drifts
+
+
+class AssembledProducts(LayeredOperator):
+    """A layered operator whose products with A and |A| are those of the
+    matrix G, whatever its own E."""
+
+    def __init__(self, G, *args):
+        super().__init__(*args)
+        self.G = G
+
+    def __matmul__(self, x):
+        return self.G @ x
+
+    def abs_matmul(self, x):
+        return abs(self.G) @ x
 
 
 def test_inexact_correction_restarts_from_true_residual():
@@ -165,11 +180,11 @@ def test_inexact_correction_restarts_from_true_residual():
                                        0.0))
     correction = system.correction
     gx, gy, gz, bnd = _host_slab_conductances(grid)
-    wrong = Counted(LayeredPreconditioner(
-        gx, gy, gz, bnd, grid.ny, grid.nx,
+    wrong = Counted(AssembledProducts(
+        system.G, gx, gy, gz, bnd, grid.ny, grid.nx,
         Correction(correction.index, 0.9 * correction.E)))
     options = SolveOptions(tolerance=1e-10)
-    x = solve_cg(system.G, b, wrong, options)
+    x = solve_cg(wrong, b, options)
     assert true_residual(system.G, b, x) <= options.tolerance
     assert wrong.counts["inverse"] >= 2       # 2+ rounds
     assert wrong.counts["forward"] == wrong.counts["inverse"]
@@ -177,10 +192,10 @@ def test_inexact_correction_restarts_from_true_residual():
     # each restart, which takes it from the restart's own gather.
     iterations = wrong.counts["gather"] - 1
     assert iterations >= 2
-    solve_cg(system.G, b, wrong, SolveOptions(
+    solve_cg(wrong, b, SolveOptions(
         tolerance=1e-10, max_iterations=iterations))
     with pytest.raises(ConvergenceError):
-        solve_cg(system.G, b, wrong, SolveOptions(
+        solve_cg(wrong, b, SolveOptions(
             tolerance=1e-10, max_iterations=iterations - 1))
 
 
@@ -197,10 +212,10 @@ def test_residual_at_rounding_floor_ends_the_solve():
     source[0] = 5e8
     op = system.operator()
     b = system.rhs(source)
-    precond = Counted(op.precond)
-    x = solve_cg(op.A, b, precond, SolveOptions(tolerance=1e-13))
-    assert true_residual(op.A, b, x) > 1e-13
-    assert precond.counts["solve_modes"] == 2
+    counted = Counted(op)
+    x = solve_cg(counted, b, SolveOptions(tolerance=1e-13))
+    assert true_residual(op, b, x) > 1e-13
+    assert counted.counts["solve_modes"] == 2
     oracle = np.linalg.solve(system.G.toarray(), b)
     assert np.max(np.abs(x - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
@@ -239,20 +254,20 @@ def test_gather_and_scatter_match_dense_transform():
     for seed in range(8):
         rng = np.random.default_rng(seed)
         cfg, grid = random_farm_stack(rng)
-        precond = assemble(grid, cfg).operator().precond
+        op = assemble(grid, cfg).operator()
         nz, ny, nx = grid.shape
-        q = np.kron(np.eye(nz), np.kron(precond.qy, precond.qx))
+        q = np.kron(np.eye(nz), np.kron(op.qy, op.qx))
         y = rng.standard_normal(grid.shape)
-        want = (q @ y.reshape(-1))[precond.index]
-        np.testing.assert_allclose(precond.gather(y), want, rtol=0,
+        want = (q @ y.reshape(-1))[op.index]
+        np.testing.assert_allclose(op.gather(y), want, rtol=0,
                                    atol=1e-12 * np.max(np.abs(want)))
-        w = rng.standard_normal(len(precond.index))
+        w = rng.standard_normal(len(op.index))
         on_s = np.zeros(grid.n)
-        on_s[precond.index] = w
+        on_s[op.index] = w
         want = q.T @ on_s
-        np.testing.assert_allclose(precond.scatter(w).reshape(-1), want,
+        np.testing.assert_allclose(op.scatter(w).reshape(-1), want,
                                    rtol=0, atol=1e-12 * np.max(np.abs(want)))
-        orders.update(block[-1] for block in precond.blocks)
+        orders.update(block[-1] for block in op.blocks)
     assert orders == {True, False}
 
 
@@ -262,5 +277,5 @@ def test_farm_free_correction_is_empty():
     system = assemble(grid, cfg)
     assert len(system.correction.index) == 0
     assert system.correction.E.shape == (0, 0)
-    assert system.operator().exact
-    assert system.operator().precond.E is None
+    assert len(system.operator().index) == 0
+    assert system.operator().E is None

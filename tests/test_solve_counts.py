@@ -1,8 +1,8 @@
-"""How much work each solve does. The layered preconditioner is the exact
-inverse of every farm-free step operator and of every PDN matrix, so those
-solves start from its answer and end after one preconditioner application
-and one true-residual mat-vec; where TSV farms make it inexact, a
-transient step starts from the previous field instead."""
+"""How much work each solve does. A_L^-1 is the exact inverse of every
+farm-free step operator and of every PDN operator, so those solves start
+from its answer and end after one application of it and one true-residual
+product with A; where TSV farms make it inexact, a transient step starts
+from the previous field instead."""
 
 import dataclasses
 import os
@@ -17,8 +17,8 @@ from stackemu.pdn import (build_pdn, coupling_report, currents_from_power,
                           solve_ir_drop)
 from stackemu.power import power_density_field
 from stackemu.solver import (DiscreteSystem, SolveOptions, TemperatureField,
-                             assemble, solve_cg, solve_steady,
-                             step_transient)
+                             _host_slab_conductances, assemble, solve_cg,
+                             solve_steady, step_transient)
 from stackemu.stack import discretize
 
 from conftest import Counted, random_farm_stack, random_power_map
@@ -28,7 +28,7 @@ DEMO = os.path.join(os.path.dirname(__file__), "..", "scenarios",
 
 
 def count_operators(monkeypatch, system):
-    """Operators of system whose A and preconditioner are Counted, by dt."""
+    """Operators of system, Counted, by dt."""
     counted = {}
     real = DiscreteSystem.operator
 
@@ -36,23 +36,20 @@ def count_operators(monkeypatch, system):
         if self is not system:
             return real(self, dt)
         if dt not in counted:
-            op = real(self, dt)
-            counted[dt] = op._replace(A=Counted(op.A),
-                                      precond=Counted(op.precond))
+            counted[dt] = Counted(real(self, dt))
         return counted[dt]
 
     monkeypatch.setattr(DiscreteSystem, "operator", operator)
     return counted
 
 
-def assert_one_exact_application(A, precond, matrix, options):
-    """One preconditioner application (one transform each way and one
-    Thomas sweep), one product with A and no CG iteration, and that
+def assert_one_exact_application(op, matrix, options):
+    """One application of A_L^-1 (one transform each way and one Thomas
+    sweep), one product with A and no CG iteration, and that
     application's answer meets the tolerance against the real matrix."""
-    assert precond.counts == Counter(apply=1, forward=1, solve_modes=1,
-                                     inverse=1)
-    assert A.counts == Counter(matvec=1)
-    b, x = precond.last
+    assert op.counts == Counter(apply=1, forward=1, solve_modes=1,
+                                inverse=1, matvec=1)
+    b, x = op.last
     residual = np.linalg.norm(b - matrix @ x) / np.linalg.norm(b)
     assert residual <= options.tolerance
 
@@ -73,15 +70,16 @@ def test_farm_free_steady_is_one_application(monkeypatch, demo):
     source = power_density_field(scenario.power, grid, 0.0)
     field = solve_steady(system, source, scenario.solve)
     op = ops[None]
-    assert op.exact
-    assert_one_exact_application(op.A, op.precond, system.G, scenario.solve)
-    np.testing.assert_array_equal(field.flat(), op.precond.last[1])
+    assert op.E is None
+    assert_one_exact_application(op, system.G, scenario.solve)
+    np.testing.assert_array_equal(field.flat(), op.last[1])
 
 
 def test_farm_free_step_is_one_application(monkeypatch, demo):
     scenario, grid, system = demo
     dt = scenario.transient.dt
     ops = count_operators(monkeypatch, system)
+    boundary = _host_slab_conductances(grid)[3]
     field_t = TemperatureField(
         values=np.full(grid.shape, scenario.stack.ambient_c), grid=grid,
         time=0.0)
@@ -89,14 +87,13 @@ def test_farm_free_step_is_one_application(monkeypatch, demo):
         source = power_density_field(scenario.power, grid, field_t.time)
         field_t = step_transient(system, field_t, source, dt, scenario.solve)
         op = ops[dt]
-        assert op.exact
-        np.testing.assert_array_equal(op.cap, system.C / dt)
+        assert op.E is None
+        np.testing.assert_array_equal(
+            op.ground, boundary + (system.C / dt).reshape(grid.nz, -1)[:, 0])
         assert_one_exact_application(
-            op.A, op.precond, system.G + sp.diags(system.C / dt),
-            scenario.solve)
-        np.testing.assert_array_equal(field_t.flat(), op.precond.last[1])
-        op.A.counts.clear()
-        op.precond.counts.clear()
+            op, system.G + sp.diags(system.C / dt), scenario.solve)
+        np.testing.assert_array_equal(field_t.flat(), op.last[1])
+        op.counts.clear()
 
 
 def test_pdn_solves_are_one_application(demo):
@@ -107,11 +104,9 @@ def test_pdn_solves_are_one_application(demo):
                 p, currents_from_power(scenario.power, p, 0.0),
                 scenario.solve),
             lambda p: coupling_report(p, 1, 0.1, scenario.solve)):
-        counted = dataclasses.replace(pdn, A=Counted(pdn.A),
-                                      precond=Counted(pdn.precond))
+        counted = dataclasses.replace(pdn, A=Counted(pdn.A))
         solve(counted)
-        assert_one_exact_application(counted.A, counted.precond, pdn.G,
-                                     scenario.solve)
+        assert_one_exact_application(counted.A, pdn.G, scenario.solve)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -125,17 +120,17 @@ def test_farm_steps_cost_no_more_than_starting_from_previous_field(
     source = power_density_field(random_power_map(rng, cfg), grid, 0.0)
     options, dt = SolveOptions(), 5e-3
     op = system.operator(dt)
-    assert not op.exact
-    reference = Counted(op.precond)
+    assert op.E is not None
+    reference = Counted(op)
     ops = count_operators(monkeypatch, system)
     field_t = TemperatureField(values=np.full(grid.shape, cfg.ambient_c),
                                grid=grid, time=0.0)
     for _ in range(40):
-        b = system.rhs(source) + op.cap * field_t.flat()
-        expected = solve_cg(op.A, b, reference, options, field_t.flat())
+        b = system.rhs(source) + system.C / dt * field_t.flat()
+        expected = solve_cg(reference, b, options, field_t.flat())
         field_t = step_transient(system, field_t, source, dt, options)
         np.testing.assert_allclose(field_t.flat(), expected, rtol=1e-7)
-    assert ops[dt].precond.counts["solve_modes"] \
+    assert ops[dt].counts["solve_modes"] \
         <= reference.counts["solve_modes"]
 
 
@@ -156,20 +151,20 @@ def test_farm_solve_transforms_full_field_once_each_way(monkeypatch, seed):
         options = SolveOptions(tolerance=tolerance)
         field_t = solve_steady(system, source, options)
         op = ops[None]
-        assert not op.exact
-        counts = op.precond.counts
+        assert op.E is not None
+        counts = op.counts
         assert counts["gather"] >= 2
         assert counts["scatter"] == counts["gather"]
         assert counts["solve_modes"] == counts["gather"] + 1
         assert counts["forward"] == counts["inverse"] == 1
         iterations.append(counts["gather"] - 1)
-        op.precond.counts.clear()
+        op.counts.clear()
 
         step_transient(system, field_t, 2 * source, 5e-3, options)
-        counts = ops[5e-3].precond.counts
+        counts = ops[5e-3].counts
         assert counts["gather"] >= 1
         assert counts["scatter"] <= counts["gather"]
         assert counts["solve_modes"] == counts["scatter"] + 1
         assert counts["forward"] == counts["inverse"] == 1
-        ops[5e-3].precond.counts.clear()
+        ops[5e-3].counts.clear()
     assert iterations[1] > iterations[0]

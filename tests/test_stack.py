@@ -1,11 +1,14 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stackemu.materials import COPPER, SILICON, SIO2, TUNGSTEN
 from stackemu.stack import (LayerRole, LayerSpec, StackConfig, TsvFarmSpec,
-                            discretize, preset_stack, validate_stack,
-                            with_layer)
+                            _device_order_ok, discretize, preset_stack,
+                            validate_stack, with_layer)
 from stackemu.tsv import effective_conductivity
 
 
@@ -86,6 +89,44 @@ def test_validate_flags_missing_s0():
     layers = (LayerSpec(LayerRole.SP, 50.0, SILICON, has_tsvs=True),)
     cfg = StackConfig(12.0, 6.0, layers)
     assert any(v.code == "s0-count" for v in validate_stack(cfg))
+
+
+ROLE_LETTERS = {LayerRole.SP: "P", LayerRole.SN2: "2", LayerRole.SN1: "1",
+                LayerRole.S0: "0"}
+
+
+def test_device_order_matches_its_stated_rule():
+    """Every sequence of the four device roles up to length 5, bottom to
+    top, against the rule in _device_order_ok's comment: SN layers in any
+    order under the one S0, on top, and an SP at the bottom if there is
+    one; a second SP is left to sp-count."""
+    checked = 0
+    for length in range(6):
+        for roles in itertools.product(ROLE_LETTERS, repeat=length):
+            text = "".join(ROLE_LETTERS[r] for r in roles)
+            stated = re.fullmatch(r"(P[P12]*|[12]*)0", text) is not None
+            assert _device_order_ok(list(roles)) == stated, text
+            checked += 1
+    assert checked == sum(4 ** k for k in range(6))
+
+
+def test_validate_flags_device_order():
+    """SN1 under SP: one SP and one S0, in the wrong order."""
+    cfg = preset_stack(3)
+    bad = with_layer(with_layer(cfg, 1, role=LayerRole.SN1), 3,
+                     role=LayerRole.SP)
+    violations = validate_stack(bad)
+    assert [v.code for v in violations] == ["device-order"]
+    assert violations[0].layer_index == -1
+
+
+def test_validate_flags_second_sp():
+    """SP, SP, S0: in order, but one SP too many."""
+    cfg = preset_stack(3)
+    bad = with_layer(cfg, 3, role=LayerRole.SP)
+    violations = validate_stack(bad)
+    assert [v.code for v in violations] == ["sp-count"]
+    assert violations[0].layer_index == -1
 
 
 def test_validate_flags_farms_without_tsv_flag():

@@ -84,6 +84,22 @@ def test_invalid_march_raises_the_transient_spec_message(small, kwargs,
         stackemu.scenario.TransientSpec(**kwargs)
 
 
+@pytest.mark.parametrize("t_end, dt, steps", [
+    (0.07, 0.01, 7), (0.14, 0.005, 28), (0.875, 0.125, 7), (0.5, 0.005, 100),
+    (0.05, 0.02, 3)])
+def test_march_ends_at_t_end(small, t_end, dt, steps):
+    """t_end / dt within rounding of a whole number counts as that number
+    (0.07 / 0.01 is 7.000000000000001, 0.14 / 0.005 is 28.000000000000004);
+    a fractional ratio (0.05 / 0.02 = 2.5) still rounds up."""
+    _, system, base, t0 = small
+    stepped = []
+    samples = solve_transient(system, t0, base, t_end, dt,
+                              on_step=stepped.append)
+    assert len(stepped) == steps
+    assert samples[-1] is stepped[-1]
+    assert samples[-1].time == pytest.approx(steps * dt)
+
+
 def test_benchmark_wrapped_names_see_every_step(monkeypatch):
     """The span tracer counts calls through these module attributes; the
     demo's 100 steps under a 5-step policy period must all pass them."""
