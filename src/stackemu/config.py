@@ -6,7 +6,12 @@ The schema validator is built once per process. Its type checker is
 stricter than JSON Schema's: a "number" must be finite (nan and +-inf
 pass every `minimum` comparison, so they would otherwise reach the
 model), and an "integer" must be written as one (1.0 is rejected, not
-converted)."""
+converted).
+
+Each section becomes its domain type as `cls(**section)`, so a section's
+keys and defaults are its dataclass's; profiles and policies pick the
+class by `kind`. A key that belongs to another kind, a missing required
+key or an out-of-range tile raises ConfigError naming the section."""
 
 from __future__ import annotations
 
@@ -15,7 +20,7 @@ import importlib.resources
 import json
 import math
 import os
-from dataclasses import fields as dc_fields
+from dataclasses import replace
 
 import jsonschema
 import yaml
@@ -28,8 +33,8 @@ from .reliability import ReliabilityParams
 from .scenario import (AutoPlace, CoreSwapPolicy, GridSpec, Scenario,
                        SolveOptions, ThrottlePolicy, TransientSpec)
 from .sensors import SensorNetwork, SensorSpec
-from .stack import (LayerRole, LayerSpec, StackConfig, TsvFarmSpec,
-                    preset_stack)
+from .stack import LayerRole, LayerSpec, StackConfig, TsvFarmSpec, \
+    preset_stack
 
 
 class ConfigError(ValueError):
@@ -67,6 +72,15 @@ def validate_document(doc: dict) -> None:
         raise ConfigError(f"config invalid at {path}: {error.message}")
 
 
+def _build(where: str, cls, /, *args, **spec):
+    """cls(*args, **spec); a missing or unexpected key (TypeError) or an
+    out-of-range tile (IndexError) becomes a ConfigError naming where."""
+    try:
+        return cls(*args, **spec)
+    except (TypeError, IndexError) as e:
+        raise ConfigError(f"config invalid at {where}: {e}") from None
+
+
 def _material(spec) -> Material:
     if isinstance(spec, str):
         if spec not in DEFAULT_MATERIALS:
@@ -78,20 +92,17 @@ def _material(spec) -> Material:
 
 
 def _farm(spec: dict) -> TsvFarmSpec:
-    spec = dict(spec)
-    spec["fill_material"] = _material(spec["fill_material"])
+    spec = dict(spec, fill_material=_material(spec["fill_material"]))
     if "liner_material" in spec:
         spec["liner_material"] = _material(spec["liner_material"])
     return TsvFarmSpec(**spec)
 
 
 def _layer(spec: dict) -> LayerSpec:
-    spec = dict(spec)
-    spec["role"] = LayerRole(spec["role"]) if spec["role"] in \
-        [r.value for r in LayerRole] else LayerRole[spec["role"]]
-    spec["material"] = _material(spec["material"])
-    spec["tsv_farms"] = tuple(_farm(f) for f in spec.get("tsv_farms", ()))
-    return LayerSpec(**spec)
+    return LayerSpec(**dict(
+        spec, role=LayerRole(spec["role"]),
+        material=_material(spec["material"]),
+        tsv_farms=[_farm(f) for f in spec.get("tsv_farms", ())]))
 
 
 def _stack(spec: dict) -> StackConfig:
@@ -101,55 +112,49 @@ def _stack(spec: dict) -> StackConfig:
     if (preset is None) == (layers is None):
         raise ConfigError("stack needs exactly one of 'preset' or 'layers'")
     if preset is not None:
-        config = preset_stack(preset)
-        overrides = {k: v for k, v in spec.items()
-                     if k in ("ambient_c", "heat_sink_h",
-                              "package_resistance", "die_width_mm",
-                              "die_length_mm")}
-        if overrides:
-            from dataclasses import replace
-            config = replace(config, **overrides)
-        return config
-    spec["layers"] = tuple(_layer(l) for l in layers)
-    return StackConfig(**spec)
+        return replace(preset_stack(preset), **spec)
+    return _build("stack", StackConfig, layers=[_layer(l) for l in layers],
+                  **spec)
 
 
-def _profile(spec: dict, base_dir: str):
-    kind = spec["kind"]
-    if kind == "constant":
-        return Constant(spec.get("p", 0.0))
-    if kind == "step":
-        return Step(spec["p0"], spec["p1"], spec["t_switch"])
-    if kind == "periodic":
-        return Periodic(spec["p_low"], spec["p_high"], spec["period"],
-                        spec.get("duty", 0.5))
-    if kind == "trace_csv":
-        return load_trace_csv(os.path.join(base_dir, spec["path"]))
-    raise ConfigError(f"unknown profile kind {kind!r}")
+# load_trace_csv takes the `path` key, resolved against the document's
+# directory.
+_PROFILES = {"constant": Constant, "step": Step, "periodic": Periodic,
+             "trace_csv": load_trace_csv}
+_POLICIES = {"throttle": ThrottlePolicy, "coreswap": CoreSwapPolicy}
+
+
+def _profile(where: str, spec: dict, base_dir: str):
+    spec = dict(spec)
+    if "path" in spec:
+        spec["path"] = os.path.join(base_dir, spec["path"])
+    return _build(where, _PROFILES[spec.pop("kind")], **spec)
 
 
 def _power(spec: dict | None, stack: StackConfig, base_dir: str) -> PowerMap:
+    """Each assignment calls the PowerMap setter of its source key:
+    `preset` apply_preset, `profile` set_tile_power (the only one that
+    takes `row` and `col`), `uniform` set_uniform. A second source key is
+    an unexpected keyword of that setter."""
     pmap = PowerMap.zeros(stack)
-    if not spec:
-        return pmap
-    for a in spec.get("assignments", ()):
-        layer = a["layer"]
-        if layer >= pmap.n_device_layers:
-            raise ConfigError(f"assignment references device layer {layer}, "
-                              f"stack has {pmap.n_device_layers}")
-        keys = {"preset", "uniform", "profile"} & a.keys()
-        if len(keys) != 1:
-            raise ConfigError("assignment needs exactly one of "
-                              "'preset', 'uniform' or 'profile'")
+    for i, a in enumerate((spec or {}).get("assignments", ())):
+        where = f"power/assignments/{i}"
+        a = dict(a)
         if "preset" in a:
-            pmap = pmap.apply_preset(layer, BUILTIN_PRESETS[a["preset"]])
+            setter = pmap.apply_preset
+            a["preset"] = BUILTIN_PRESETS[a["preset"]]
+        elif "profile" in a:
+            setter = pmap.set_tile_power
+            a["profile"] = _profile(f"{where}/profile", a["profile"],
+                                    base_dir)
         elif "uniform" in a:
-            pmap = pmap.set_uniform(layer, _profile(a["uniform"], base_dir))
+            setter = pmap.set_uniform
+            a["profile"] = _profile(f"{where}/uniform", a.pop("uniform"),
+                                    base_dir)
         else:
-            if "row" not in a or "col" not in a:
-                raise ConfigError("per-tile assignment needs 'row' and 'col'")
-            pmap = pmap.set_tile_power(layer, a["row"], a["col"],
-                                       _profile(a["profile"], base_dir))
+            raise ConfigError(f"config invalid at {where}: needs one of "
+                              "'preset', 'uniform' or 'profile'")
+        pmap = _build(where, setter, **a)
     return pmap
 
 
@@ -157,78 +162,40 @@ def _sensors(spec: dict | None,
              seed: int) -> SensorNetwork | AutoPlace | None:
     if not spec:
         return None
-    kwargs = {k: spec[k] for k in ("noise_sigma", "quantization_step",
-                                   "sample_period") if k in spec}
+    spec = dict(spec)
+    placements = spec.pop("placements", None)
     if "auto_place" in spec:
-        if "placements" in spec:
+        if placements is not None:
             raise ConfigError("sensors takes 'placements' or 'auto_place', "
                               "not both")
-        return AutoPlace(k=spec["auto_place"]["k"], **kwargs)
-    sensors = tuple(
-        SensorSpec(layer=p["layer"], x_mm=p["x_mm"], y_mm=p["y_mm"], **kwargs)
-        for p in spec.get("placements", ()))
-    return SensorNetwork(sensors=sensors, rng_seed=seed)
-
-
-def _from_dataclass(cls, spec: dict | None):
-    if spec is None or spec == "disabled":
-        return None
-    names = {f.name for f in dc_fields(cls)}
-    bad = set(spec) - names
-    if bad:
-        raise ConfigError(f"unknown keys for {cls.__name__}: {sorted(bad)}")
-    return cls(**spec)
-
-
-def _policy(spec):
-    if spec is None or spec == "none":
-        return None, 10
-    period = spec.get("period_steps", 10)
-    if spec["kind"] == "throttle":
-        return ThrottlePolicy(trigger_t=spec["trigger_t"],
-                              release_t=spec["release_t"],
-                              throttle_factor=spec.get("throttle_factor",
-                                                       0.5)), period
-    pairing = tuple((tuple(pair[0]), tuple(pair[1]))
-                    for pair in spec.get("pairing", ()))
-    return CoreSwapPolicy(trigger_t=spec["trigger_t"],
-                          release_t=spec["release_t"],
-                          pairing=pairing), period
+        return AutoPlace(**spec.pop("auto_place"), **spec)
+    return SensorNetwork(sensors=[SensorSpec(**p, **spec)
+                                  for p in placements or ()], rng_seed=seed)
 
 
 def scenario_from_document(doc: dict, base_dir: str = ".") -> Scenario:
     validate_document(doc)
-    seed = doc.get("seed", 0)
     stack = _stack(doc["stack"])
-    grid = GridSpec(nx=doc["grid"]["nx"], ny=doc["grid"]["ny"],
-                    sub_slabs_per_layer=doc["grid"].get(
-                        "sub_slabs_per_layer", 1))
     power = _power(doc.get("power"), stack, base_dir)
-    sensors = _sensors(doc.get("sensors"), seed)
-
-    transient = doc.get("transient")
-    if transient == "steady-only":
-        transient = None
-    if transient is not None:
-        transient = TransientSpec(**transient)
-
-    policy, period = _policy(doc.get("policy"))
-
-    return Scenario(
-        name=doc["name"],
-        stack=stack,
-        power=power,
-        grid=grid,
-        sensors=sensors,
-        pdn=_from_dataclass(PdnParams, doc.get("pdn")),
-        reliability=_from_dataclass(ReliabilityParams,
-                                    doc.get("reliability")),
-        solve=_from_dataclass(SolveOptions, doc.get("solve"))
-        or SolveOptions(),
-        transient=transient,
-        policy=policy,
-        policy_period=period,
-        seed=seed)
+    scenario = {k: doc[k] for k in ("name", "seed") if k in doc}
+    scenario.update(
+        stack=stack, power=power, grid=GridSpec(**doc["grid"]),
+        sensors=_sensors(doc.get("sensors"), doc.get("seed", Scenario.seed)))
+    # "disabled", "steady-only" and "none" leave the Scenario default.
+    for key, cls in (("pdn", PdnParams), ("reliability", ReliabilityParams),
+                     ("solve", SolveOptions), ("transient", TransientSpec)):
+        if isinstance(doc.get(key), dict):
+            scenario[key] = cls(**doc[key])
+    policy = doc.get("policy")
+    if isinstance(policy, dict):
+        policy = dict(policy)
+        if "period_steps" in policy:
+            scenario["policy_period"] = policy.pop("period_steps")
+        scenario["policy"] = _build("policy", _POLICIES[policy.pop("kind")],
+                                    **policy)
+        for tile in (t for pair in policy.get("pairing", ()) for t in pair):
+            _build("policy/pairing", power.check_tile, *tile)
+    return Scenario(**scenario)
 
 
 def load_scenario(path) -> Scenario:

@@ -63,7 +63,7 @@ class Periodic(Profile):
     p_low: float
     p_high: float
     period: float
-    duty: float
+    duty: float = 0.5
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.p_low, self.p_high, self.period,
@@ -116,7 +116,12 @@ def load_trace_csv(path) -> Trace:
                 ["t_seconds", "power_w_per_cm2"]:
             raise ValueError(
                 f"{path}: expected header 't_seconds,power_w_per_cm2'")
-        samples = [(float(r[0]), float(r[1])) for r in reader if r]
+        samples = []
+        for row in filter(None, reader):
+            if len(row) != 2:
+                raise ValueError(f"{path} line {reader.line_num}: expected "
+                                 f"2 fields, got {len(row)}")
+            samples.append((float(row[0]), float(row[1])))
     return Trace(tuple(samples))
 
 
@@ -189,7 +194,7 @@ class PowerMap:
     def profile(self, layer: int, row: int, col: int) -> Profile:
         return self.profiles[layer][row][col]
 
-    def _check_tile(self, layer: int, row: int, col: int):
+    def check_tile(self, layer: int, row: int, col: int):
         if not 0 <= layer < self.n_device_layers:
             raise IndexError(f"device layer {layer} out of range")
         rows, cols = self.tile_shape(layer)
@@ -199,7 +204,7 @@ class PowerMap:
 
     def set_tile_power(self, layer: int, row: int, col: int,
                        profile: Profile) -> "PowerMap":
-        self._check_tile(layer, row, col)
+        self.check_tile(layer, row, col)
         layers = list(self.profiles)
         rows = [list(r) for r in layers[layer]]
         rows[row][col] = profile
@@ -207,7 +212,7 @@ class PowerMap:
         return replace(self, profiles=tuple(layers))
 
     def apply_preset(self, layer: int, preset: CoreProxyPreset) -> "PowerMap":
-        self._check_tile(layer, 0, 0)
+        self.check_tile(layer, 0, 0)
         if preset.shape != self.tile_shape(layer):
             raise ValueError(
                 f"preset shape {preset.shape} does not match layer tile grid "
@@ -219,7 +224,7 @@ class PowerMap:
         return replace(self, profiles=tuple(layers))
 
     def set_uniform(self, layer: int, profile: Profile) -> "PowerMap":
-        self._check_tile(layer, 0, 0)
+        self.check_tile(layer, 0, 0)
         rows, cols = self.tile_shape(layer)
         layers = list(self.profiles)
         layers[layer] = tuple(tuple(profile for _ in range(cols))

@@ -9,6 +9,7 @@ temperatures, so placement quality is visible in management outcomes.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -51,7 +52,7 @@ def _stage(name: str):
 class ThrottlePolicy:
     trigger_t: float
     release_t: float
-    throttle_factor: float
+    throttle_factor: float = 0.5
 
     def __post_init__(self):
         if not self.release_t < self.trigger_t:
@@ -65,11 +66,13 @@ class CoreSwapPolicy:
     trigger_t: float
     release_t: float
     # pairs of (device layer, row, col) tiles whose profiles get swapped
-    pairing: tuple[tuple[tuple[int, int, int], tuple[int, int, int]], ...]
+    pairing: tuple[tuple[tuple[int, int, int], tuple[int, int, int]], ...] = ()
 
     def __post_init__(self):
         if not self.release_t < self.trigger_t:
             raise ValueError("release_T must be below trigger_T (hysteresis)")
+        object.__setattr__(self, "pairing", tuple(
+            (tuple(a), tuple(b)) for a, b in self.pairing))
         tiles = [t for pair in self.pairing for t in pair]
         if len(set(tiles)) != len(tiles):
             raise ValueError("swap pairs must be disjoint")
@@ -84,8 +87,18 @@ class TransientSpec:
     def __post_init__(self):
         if not (0 < self.t_end < np.inf and 0 < self.dt < np.inf):
             raise ValueError("t_end and dt must be positive and finite")
+        if not self.t_end / self.dt < np.inf:
+            raise ValueError(f"t_end / dt = {self.t_end} / {self.dt} is "
+                             "not a finite step count")
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
+
+    @property
+    def n_steps(self) -> int:
+        """ceil(t_end / dt), a ratio within 1e-9 (relative) of a whole
+        number counting as that number: in floating point 0.07 / 0.01 is
+        7.000000000000001, which is 7 steps, not 8."""
+        return math.ceil(self.t_end / self.dt * (1.0 - 1e-9))
 
 
 @dataclass(frozen=True)
@@ -233,17 +246,15 @@ def solve_transient(system: DiscreteSystem, t0_field: TemperatureField,
                     options: SolveOptions = SolveOptions(),
                     sample_stride: int = 1,
                     on_step=None) -> list[TemperatureField]:
-    """March backward Euler from t0_field to t_end in ceil(t_end / dt)
-    steps, a ratio within 1e-9 (relative) of a whole number counting as
-    that number; returns every sample_stride-th field plus the final one.
+    """March backward Euler from t0_field to t_end in
+    TransientSpec.n_steps steps; returns every sample_stride-th field plus
+    the final one.
 
     pmap is a PowerMap, or a function (step, field) -> PowerMap called at
     each step start with the field so far, which is how thermal-management
     policies act. The source is the map's power at the step start time.
     on_step(field) is called with every new field."""
-    TransientSpec(t_end, dt, sample_stride)
-    # In floating point 0.07 / 0.01 is 7.000000000000001: 7 steps, not 8.
-    n_steps = int(np.ceil(t_end / dt * (1.0 - 1e-9)))
+    n_steps = TransientSpec(t_end, dt, sample_stride).n_steps
     field_t = t0_field
     samples: list[TemperatureField] = []
     for step in range(n_steps):

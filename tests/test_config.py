@@ -1,4 +1,6 @@
 import copy
+import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -9,7 +11,9 @@ import yaml
 
 from stackemu.cli import main
 from stackemu.config import (ConfigError, _schema, _validator,
-                             scenario_from_document, validate_document)
+                             load_scenario, scenario_from_document,
+                             validate_document)
+from stackemu.scenario import run_scenario, scenario_hash
 
 DEMO = os.path.join(os.path.dirname(__file__), "..", "scenarios",
                     "demo_2layer.yaml")
@@ -290,3 +294,127 @@ def test_bool_is_not_an_integer():
     doc["grid"]["sub_slabs_per_layer"] = True
     with pytest.raises(ConfigError, match="True is not of type 'integer'"):
         validate_document(doc)
+
+
+def _add_assignment(doc, **assignment):
+    doc["power"]["assignments"].append({"layer": 1, **assignment})
+
+
+def _no_die_size(doc):
+    doc["stack"] = copy.deepcopy(farm_doc()["stack"])
+    del doc["stack"]["die_width_mm"], doc["stack"]["die_length_mm"]
+
+
+def _coreswap(doc, pairing, **extra):
+    doc["policy"] = {"kind": "coreswap", "trigger_t": 55.0,
+                     "release_t": 50.0, "pairing": pairing, **extra}
+
+
+# (edit of the demo document, trace CSV written beside it or None, the
+# fragment stderr must hold). Each loads without complaint or ends in a
+# traceback unless every section is built with exactly its class's keys.
+MALFORMED = {
+    "step-without-p1": (lambda d: _add_assignment(
+        d, row=0, col=0, profile={"kind": "step", "p0": 1.0,
+                                  "t_switch": 0.1}),
+        None, "power/assignments/3/profile: Step.__init__() missing"),
+    "periodic-without-period": (lambda d: _add_assignment(
+        d, row=0, col=0, profile={"kind": "periodic", "p_low": 1.0,
+                                  "p_high": 2.0}),
+        None, "power/assignments/3/profile: Periodic.__init__() missing"),
+    "trace-without-path": (lambda d: _add_assignment(
+        d, uniform={"kind": "trace_csv"}),
+        None, "power/assignments/3/uniform: load_trace_csv() missing"),
+    "layers-without-die-size": (_no_die_size, None,
+                                "config invalid at stack: "),
+    "tile-row-out-of-range": (lambda d: _add_assignment(
+        d, row=99, col=0, profile={"kind": "constant", "p": 1.0}),
+        None, "power/assignments/3: tile (99, 0) out of range"),
+    "constant-with-p0": (lambda d: _add_assignment(
+        d, uniform={"kind": "constant", "p0": 3.0}),
+        None, "power/assignments/3/uniform: Constant.__init__() got an "
+              "unexpected keyword argument 'p0'"),
+    "uniform-with-row-col": (lambda d: _add_assignment(
+        d, row=0, col=0, uniform={"kind": "constant", "p": 3.0}),
+        None, "power/assignments/3: PowerMap.set_uniform() got an "
+              "unexpected keyword argument"),
+    "coreswap-with-throttle-factor": (lambda d: _coreswap(
+        d, [[[0, 1, 3], [1, 0, 0]]], throttle_factor=0.6),
+        None, "config invalid at policy: CoreSwapPolicy.__init__() got an "
+              "unexpected keyword argument 'throttle_factor'"),
+    "step-count-not-finite": (lambda d: d["transient"].update(
+        t_end=1.0e+300, dt=1.0e-300), None, "not a finite step count"),
+    "pairing-tile-out-of-range": (lambda d: _coreswap(
+        d, [[[0, 9, 9], [1, 0, 0]]]),
+        None, "policy/pairing: tile (9, 9) out of range for 4x8 grid"),
+    "short-trace-row": (lambda d: _add_assignment(
+        d, uniform={"kind": "trace_csv", "path": "trace.csv"}),
+        "t_seconds,power_w_per_cm2\n0.0,1.0\n0.1\n",
+        "trace.csv line 3: expected 2 fields, got 1"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_section_exits_1_at_load(tmp_path, capsys, case):
+    """A key of another kind, a missing required key, an out-of-range
+    tile, a step count that is not finite or a short trace row: exit 1
+    naming the problem, no traceback and no output file."""
+    edit, trace, fragment = MALFORMED[case]
+    doc = demo_doc()
+    edit(doc)
+    inputs = ["scenario.yaml"]
+    if trace is not None:
+        (tmp_path / "trace.csv").write_text(trace)
+        inputs.append("trace.csv")
+    code, _, err = _report(tmp_path, doc, capsys)
+    assert code == 1
+    assert "validation error" in err and fragment in err
+    assert "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == sorted(inputs)
+
+
+def _workloads():
+    """perfbench/workloads.py, imported from its file and only read."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(os.path.dirname(__file__), "..",
+                                            "perfbench", "workloads.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+# sha256 of the space-joined scenario_hash of each workload document, per
+# (workload, seed).
+WORKLOAD_DIGESTS = {
+    ("transient_dtm", 0): "e225ea0c68eeaa44",
+    ("transient_dtm", 1): "2020f85aa4de4b63",
+    ("transient_dtm", 2): "44224b11fb800208",
+    ("transient_dtm", 3): "9fb98d11430b6e0a",
+    ("steady_tsv", 0): "9ae2178af19e72ab",
+    ("steady_tsv", 1): "4a0d2f12e7f5d186",
+    ("steady_tsv", 2): "8304541d826f4e4d",
+    ("steady_tsv", 3): "be20fba282644cbe",
+    ("sweep_small", 0): "03fcd95dc039ebeb",
+    ("sweep_small", 1): "dc128d576907592e",
+    ("sweep_small", 2): "886116018b0e937a",
+    ("sweep_small", 3): "2d68fe19434246c2",
+}
+
+
+@pytest.mark.parametrize("workload, seed", WORKLOAD_DIGESTS,
+                         ids=lambda v: str(v))
+def test_benchmark_documents_map_to_the_same_scenarios(workload, seed):
+    """Every document the benchmark feeds load_scenario (after the same
+    YAML round trip) loads, and its Scenario repr, hence config_hash, is
+    pinned."""
+    docs = _workloads()[workload](seed)
+    hashes = " ".join(
+        scenario_hash(scenario_from_document(yaml.safe_load(
+            yaml.safe_dump(doc)))) for doc in docs)
+    assert hashlib.sha256(hashes.encode()).hexdigest()[:16] == \
+        WORKLOAD_DIGESTS[workload, seed]
+
+
+def test_demo_report_config_hash_is_pinned():
+    assert run_scenario(load_scenario(DEMO)).config_hash == \
+        "50c59648c6486902"

@@ -1,7 +1,8 @@
+import inspect
 import os
 import re
 import textwrap
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from stackemu.cli import _apply_thread_cap, main
 from stackemu.config import (ConfigError, _schema, load_scenario,
                              scenario_from_document)
 from stackemu.fields_io import field_from_csv
+from stackemu.materials import Material
 from stackemu.pdn import PdnParams
-from stackemu.power import Constant, PowerMap
+from stackemu.power import (Constant, Periodic, PowerMap, Step,
+                            load_trace_csv)
 from stackemu.reliability import ReliabilityParams
 from stackemu.scenario import (AutoPlace, CoreSwapPolicy, ExportError,
                                GridSpec, Scenario, StageError, ThrottlePolicy,
@@ -22,7 +25,8 @@ from stackemu.scenario import (AutoPlace, CoreSwapPolicy, ExportError,
 from stackemu.sensors import (SensorNetwork, SensorSpec, place_sensors_greedy,
                               tile_center_candidates)
 from stackemu.solver import SolveOptions
-from stackemu.stack import discretize, preset_stack, with_layer
+from stackemu.stack import (LayerSpec, StackConfig, TsvFarmSpec, discretize,
+                            preset_stack, with_layer)
 
 
 def make_scenario(name="base", n_layers=2, p=20.0, seed=7, transient=None,
@@ -357,16 +361,59 @@ def test_cli_invalid_config_exit_1(tmp_path, capsys):
     assert "validation error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("block, cls", [("solve", SolveOptions),
-                                        ("pdn", PdnParams),
-                                        ("reliability", ReliabilityParams),
-                                        ("transient", TransientSpec)])
-def test_schema_blocks_match_dataclass_fields(block, cls):
-    """A schema key without a field fails every load that sets it; a field
-    without a schema key is a knob that YAML cannot reach."""
-    spec = _schema()["properties"][block]
+def _keys(built_with) -> set[str]:
+    """The keyword names of a dataclass, a function or a method (without
+    self), or the union over a tuple of them; a string in the tuple is a
+    key the mapping consumes itself."""
+    if isinstance(built_with, tuple):
+        return set().union(*map(_keys, built_with))
+    if isinstance(built_with, str):
+        return {built_with}
+    if is_dataclass(built_with):
+        return {f.name for f in fields(built_with)}
+    return set(inspect.signature(built_with).parameters) - {"self"}
+
+
+def _object_schema(block: str) -> dict:
+    """The object branch of a top-level section or a $defs entry; a
+    layer's farm is `tsv_farms`."""
+    schema = _schema()
+    spec = (schema["properties"].get(block) or schema["$defs"].get(block)
+            or schema["$defs"]["layer"]["properties"][block]["items"])
     (obj,) = [b for b in spec.get("oneOf", [spec]) if b["type"] == "object"]
-    assert set(obj["properties"]) == {f.name for f in fields(cls)}
+    return obj
+
+
+@pytest.mark.parametrize("block, cls", [
+    ("solve", SolveOptions), ("pdn", PdnParams),
+    ("reliability", ReliabilityParams), ("transient", TransientSpec),
+    ("grid", GridSpec), ("stack", (StackConfig, "preset")),
+    ("layer", LayerSpec), ("tsv_farms", TsvFarmSpec),
+    ("material", Material),
+    ("profile", (Constant, Step, Periodic, load_trace_csv, "kind")),
+    ("policy", (ThrottlePolicy, CoreSwapPolicy, "kind", "period_steps")),
+    ("assignment", (PowerMap.apply_preset, PowerMap.set_tile_power,
+                    PowerMap.set_uniform, "uniform")),
+], ids=lambda v: v if isinstance(v, str) else "+".join(
+    getattr(c, "__name__", c) for c in (v if isinstance(v, tuple) else (v,))))
+def test_schema_blocks_match_dataclass_fields(block, cls):
+    """Each section is built as cls(**section): a schema key without a
+    field fails every load that sets it; a field without a schema key is
+    a knob that YAML cannot reach. A per-kind section holds the union of
+    its kinds' keys plus the keys the mapping consumes."""
+    obj = _object_schema(block)
+    assert set(obj["properties"]) == _keys(cls)
+
+
+def test_sensor_keys_match_sensor_classes():
+    """The section's shared keys go to every AutoPlace and SensorSpec."""
+    shared = set(_object_schema("sensors")["properties"]) - {
+        "placements", "auto_place"}
+    props = _object_schema("sensors")["properties"]
+    assert shared | set(props["auto_place"]["properties"]) == \
+        _keys(AutoPlace)
+    assert shared | set(props["placements"]["items"]["properties"]) == \
+        _keys(SensorSpec)
 
 
 @pytest.mark.parametrize("solve", ["{method: cg}", "{sor_omega: 1.5}"])
