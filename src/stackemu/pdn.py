@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .power import PowerMap, areal_density, tile_weights
 from .solver import LayeredOperator, SolveOptions, lattice_matrix, solve_cg
@@ -72,7 +71,7 @@ class PdnGrid:
         return self.n_planes * self.ny * self.nx
 
     @cached_property
-    def G(self) -> sp.csr_matrix:
+    def G(self) -> "scipy.sparse.csr_matrix":
         p, planes, ny, nx = self.A, self.n_planes, self.ny, self.nx
         return lattice_matrix(
             np.broadcast_to(p.gx[:, None, None], (planes, ny, nx - 1)),

@@ -78,6 +78,9 @@ class CoreSwapPolicy:
             raise ValueError("swap pairs must be disjoint")
 
 
+MAX_STEPS = 10_000_000   # the longest march TransientSpec accepts
+
+
 @dataclass(frozen=True)
 class TransientSpec:
     t_end: float
@@ -90,6 +93,9 @@ class TransientSpec:
         if not self.t_end / self.dt < np.inf:
             raise ValueError(f"t_end / dt = {self.t_end} / {self.dt} is "
                              "not a finite step count")
+        if self.n_steps > MAX_STEPS:
+            raise ValueError(f"t_end / dt = {self.t_end} / {self.dt} is "
+                             f"over {MAX_STEPS = } steps")
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
 
@@ -174,97 +180,90 @@ def scenario_hash(scenario: Scenario) -> str:
     return hashlib.sha256(repr(scenario).encode()).hexdigest()[:16]
 
 
-def _layer_readings(network: SensorNetwork, readings: list[float]):
-    """Max reading per device ordinal with the argmax sensor index."""
-    per_layer: dict[int, tuple[float, int]] = {}
-    for i, (sensor, r) in enumerate(zip(network.sensors, readings)):
-        cur = per_layer.get(sensor.layer)
-        if cur is None or r > cur[0]:
-            per_layer[sensor.layer] = (r, i)
-    return per_layer
-
-
 class _PolicyState:
-    """Hysteresis state machine evaluated on sensor readings. The effective
-    map depends only on the throttle and swap state, so it is rebuilt only
-    when that state changes, not on every step."""
+    """The march's step -> power-map function under a DTM policy. Every
+    period-th step it reads the sensors and applies one hysteresis rule per
+    key: a device ordinal (its layer's hottest sensor) for throttling, -1
+    (the hottest sensor overall) for coreswap; the first index wins a tie.
+    The map of each set of keys that are on is built once."""
 
-    def __init__(self, policy, base_map: PowerMap):
+    def __init__(self, policy, base_map: PowerMap,
+                 network: SensorNetwork | None, period: int):
+        if network is None or not network.sensors:
+            raise ValueError("a DTM policy requires a sensor network")
         self.policy = policy
         self.base_map = base_map
-        self.throttled: set[int] = set()
-        self.swapped = False
+        self.network = network
+        self.period = period
+        self.on: set[int] = set()
         self.events: list[PolicyEvent] = []
-        self._map_state = self._map = None
+        self._maps = {frozenset(): base_map}   # frozenset(on) -> map
+
+    def __call__(self, step: int, field_t: TemperatureField) -> PowerMap:
+        if step % self.period == 0:
+            self.evaluate(field_t.time, read_sensors(self.network, field_t))
+        return self.effective_map()
 
     def effective_map(self) -> PowerMap:
-        state = (frozenset(self.throttled), self.swapped)
-        if state != self._map_state:
-            self._map_state, self._map = state, self._build_map()
-        return self._map
+        key = frozenset(self.on)
+        if key not in self._maps:
+            self._maps[key] = self._build_map()
+        return self._maps[key]
 
     def _build_map(self) -> PowerMap:
         pmap = self.base_map
-        if isinstance(self.policy, ThrottlePolicy) and self.throttled:
-            pmap = pmap.scaled({layer: self.policy.throttle_factor
-                                for layer in self.throttled})
-        elif isinstance(self.policy, CoreSwapPolicy) and self.swapped:
-            for a, b in self.policy.pairing:
-                pa = pmap.profile(*a)
-                pb = pmap.profile(*b)
-                pmap = pmap.set_tile_power(*a, pb).set_tile_power(*b, pa)
+        if isinstance(self.policy, ThrottlePolicy):
+            return pmap.scaled(dict.fromkeys(self.on,
+                                             self.policy.throttle_factor))
+        for a, b in self.policy.pairing:
+            pa = pmap.profile(*a)
+            pb = pmap.profile(*b)
+            pmap = pmap.set_tile_power(*a, pb).set_tile_power(*b, pa)
         return pmap
 
-    def evaluate(self, t: float, network: SensorNetwork,
-                 readings: list[float]):
+    def evaluate(self, t: float, readings: list[float]):
         p = self.policy
-        if isinstance(p, ThrottlePolicy):
-            for layer, (reading, s_idx) in sorted(
-                    _layer_readings(network, readings).items()):
-                if layer not in self.throttled and reading >= p.trigger_t:
-                    self.throttled.add(layer)
-                    self.events.append(PolicyEvent(t, "throttle", layer,
-                                                   s_idx, reading))
-                elif layer in self.throttled and reading < p.release_t:
-                    self.throttled.discard(layer)
-                    self.events.append(PolicyEvent(t, "release", layer,
-                                                   s_idx, reading))
-        elif isinstance(p, CoreSwapPolicy):
-            s_idx = int(np.argmax(readings))
-            reading = readings[s_idx]
-            if not self.swapped and reading >= p.trigger_t:
-                self.swapped = True
-                self.events.append(PolicyEvent(t, "swap", -1, s_idx, reading))
-            elif self.swapped and reading < p.release_t:
-                self.swapped = False
-                self.events.append(PolicyEvent(t, "swap_back", -1, s_idx,
-                                               reading))
+        throttle = isinstance(p, ThrottlePolicy)
+        hottest: dict[int, int] = {}   # key -> index of its hottest sensor
+        for i, sensor in enumerate(self.network.sensors):
+            key = sensor.layer if throttle else -1
+            if key not in hottest or readings[i] > readings[hottest[key]]:
+                hottest[key] = i
+        for key, i in sorted(hottest.items()):
+            if key not in self.on and readings[i] >= p.trigger_t:
+                self.on.add(key)
+                action = "throttle" if throttle else "swap"
+            elif key in self.on and readings[i] < p.release_t:
+                self.on.discard(key)
+                action = "release" if throttle else "swap_back"
+            else:
+                continue
+            self.events.append(PolicyEvent(t, action, key, i, readings[i]))
 
 
 def solve_transient(system: DiscreteSystem, t0_field: TemperatureField,
-                    pmap, t_end: float, dt: float,
+                    pmap, spec: TransientSpec,
                     options: SolveOptions = SolveOptions(),
-                    sample_stride: int = 1,
                     on_step=None) -> list[TemperatureField]:
-    """March backward Euler from t0_field to t_end in
-    TransientSpec.n_steps steps; returns every sample_stride-th field plus
-    the final one.
+    """March backward Euler from t0_field to spec.t_end in spec.n_steps
+    steps of spec.dt; returns every spec.sample_stride-th field plus the
+    final one.
 
     pmap is a PowerMap, or a function (step, field) -> PowerMap called at
     each step start with the field so far, which is how thermal-management
-    policies act. The source is the map's power at the step start time.
-    on_step(field) is called with every new field."""
-    n_steps = TransientSpec(t_end, dt, sample_stride).n_steps
+    policies (_PolicyState) act. The source is the map's power at the step
+    start time. on_step(field) is called with every new field."""
+    n_steps = spec.n_steps
     field_t = t0_field
     samples: list[TemperatureField] = []
     for step in range(n_steps):
         step_map = pmap(step, field_t) if callable(pmap) else pmap
         source = power_density_field(step_map, system.grid,
                                      field_t.time or 0.0)
-        field_t = step_transient(system, field_t, source, dt, options)
+        field_t = step_transient(system, field_t, source, spec.dt, options)
         if on_step is not None:
             on_step(field_t)
-        if (step + 1) % sample_stride == 0 or step == n_steps - 1:
+        if (step + 1) % spec.sample_stride == 0 or step == n_steps - 1:
             samples.append(field_t)
     return samples
 
@@ -295,9 +294,7 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
                 candidate_sites=tuple(candidates), rng_seed=scenario.seed)
             scenario = replace(scenario, sensors=network)
         elif network is not None:
-            network = SensorNetwork(sensors=network.sensors,
-                                    candidate_sites=network.candidate_sites,
-                                    rng_seed=scenario.seed)
+            network = replace(network, rng_seed=scenario.seed)
 
     final_field = None
     final_stats = None
@@ -308,19 +305,10 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
 
     if scenario.transient is not None:
         with _stage("transient"):
-            tr = scenario.transient
             pmap = scenario.power
             if scenario.policy is not None:
-                if network is None:
-                    raise ValueError("a DTM policy requires a sensor network")
-                state = _PolicyState(scenario.policy, scenario.power)
-
-                def policy_map(step, field_t):
-                    if step % scenario.policy_period == 0:
-                        state.evaluate(field_t.time, network,
-                                       read_sensors(network, field_t))
-                    return state.effective_map()
-                pmap = policy_map
+                pmap = _PolicyState(scenario.policy, scenario.power, network,
+                                    scenario.policy_period)
 
             def trace(field_t):
                 for stats in layer_summary(field_t):
@@ -329,12 +317,12 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
             t0 = TemperatureField(
                 values=np.full(grid.shape, scenario.stack.ambient_c),
                 grid=grid, time=0.0)
-            sampled = solve_transient(system, t0, pmap, tr.t_end, tr.dt,
-                                      scenario.solve, tr.sample_stride, trace)
+            sampled = solve_transient(system, t0, pmap, scenario.transient,
+                                      scenario.solve, trace)
             final_field = sampled[-1]
             final_stats = tuple(layer_summary(final_field))
             if scenario.policy is not None:
-                events = tuple(state.events)
+                events = tuple(pmap.events)
 
     readings = None
     hs_error = None

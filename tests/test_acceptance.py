@@ -194,9 +194,10 @@ def test_criterion_06_transient_convergence():
     tol = 1e-10
     steady = solve_steady(system, source, SolveOptions(tolerance=tol))
     tau = system.C.sum() / system.boundary_g.sum()
-    samples = solve_transient(system, t0, pmap, t_end=50 * tau, dt=tau / 2,
-                              options=SolveOptions(tolerance=tol),
-                              sample_stride=50)
+    samples = solve_transient(system, t0, pmap,
+                              TransientSpec(t_end=50 * tau, dt=tau / 2,
+                                            sample_stride=50),
+                              options=SolveOptions(tolerance=tol))
     residual = float(np.max(np.abs(samples[-1].values - steady.values)))
     long_ok = residual < 10 * tol * max(
         1.0, float(np.max(np.abs(steady.values))))

@@ -373,6 +373,37 @@ def test_malformed_section_exits_1_at_load(tmp_path, capsys, case):
     assert sorted(os.listdir(tmp_path)) == sorted(inputs)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda d: None,
+    lambda d: _coreswap(d, [[[0, 1, 3], [1, 1, 3]]])],
+    ids=["throttle", "coreswap"])
+def test_policy_without_sensors_exits_1(tmp_path, capsys, edit):
+    """A policy acts on sensor readings, so with no sensor it could never
+    act: the run fails in stage 'transient', before any file is written."""
+    doc = demo_doc()
+    doc["sensors"] = {"placements": []}
+    edit(doc)
+    code, _, err = _report(tmp_path, doc, capsys)
+    assert code == 1
+    assert "'transient': a DTM policy requires a sensor network" in err
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == ["scenario.yaml"]
+
+
+def test_step_count_over_the_cap_fails_validate(tmp_path, capsys):
+    """`validate` only loads the document, so a 10^9-step march is
+    rejected without a step being run."""
+    doc = demo_doc()
+    doc["transient"].update(t_end=1.0, dt=1.0e-9)
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    code = main(["--config", str(path), "validate"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert "validation error" in err and "MAX_STEPS = 10000000" in err
+    assert "Traceback" not in err
+
+
 def _workloads():
     """perfbench/workloads.py, imported from its file and only read."""
     spec = importlib.util.spec_from_file_location(

@@ -136,17 +136,16 @@ def test_policy_map_rebuilt_only_when_state_changes():
     pmap = PowerMap.zeros(stack).set_uniform(0, Constant(9.0))
     policy = ThrottlePolicy(trigger_t=30.0, release_t=28.0,
                             throttle_factor=0.5)
-    state = _PolicyState(policy, pmap)
-    net = hot_sensor_net()
+    state = _PolicyState(policy, pmap, hot_sensor_net(), 1)
     assert state.effective_map() is pmap
-    state.evaluate(0.0, net, [29.0])          # below trigger: no event
+    state.evaluate(0.0, [29.0])          # below trigger: no event
     assert not state.events and state.effective_map() is pmap
-    state.evaluate(0.1, net, [31.0])          # throttle
+    state.evaluate(0.1, [31.0])          # throttle
     throttled = state.effective_map()
     assert throttled == pmap.scaled({0: 0.5})
-    state.evaluate(0.2, net, [29.0])          # in the hysteresis band
+    state.evaluate(0.2, [29.0])          # in the hysteresis band
     assert state.effective_map() is throttled
-    state.evaluate(0.3, net, [27.0])          # release
+    state.evaluate(0.3, [27.0])          # release
     assert [e.action for e in state.events] == ["throttle", "release"]
     assert state.effective_map() == pmap
 
@@ -157,8 +156,8 @@ def test_coreswap_swaps_profiles():
     from stackemu.scenario import _PolicyState
     stack = preset_stack(2)
     pmap = PowerMap.zeros(stack).set_tile_power(0, 0, 0, Constant(9.0))
-    state = _PolicyState(policy, pmap)
-    state.swapped = True
+    state = _PolicyState(policy, pmap, hot_sensor_net(), 1)
+    state.on.add(-1)
     eff = state.effective_map()
     assert eff.profile(0, 0, 0) == Constant(0.0)
     assert eff.profile(0, 3, 7) == Constant(9.0)

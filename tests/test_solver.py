@@ -12,7 +12,7 @@ from stackemu.solver import (ENERGY_BALANCE_LIMIT, ConvergenceError,
                              TemperatureField, assemble,
                              energy_balance_error, layer_summary, solve_cg,
                              solve_steady, step_transient)
-from stackemu.scenario import solve_transient
+from stackemu.scenario import TransientSpec, solve_transient
 from stackemu.stack import (LayerRole, LayerSpec, StackConfig, TsvFarmSpec,
                             discretize, preset_stack, with_layer)
 
@@ -205,10 +205,10 @@ def test_long_horizon_matches_steady():
     tau = system.C.sum() / system.boundary_g.sum()
     t0 = TemperatureField(values=np.full(grid.shape, cfg.ambient_c),
                           grid=grid, time=0.0)
-    samples = solve_transient(system, t0, pmap, t_end=50 * tau,
-                              dt=tau / 2, options=SolveOptions(
-                                  tolerance=1e-12),
-                              sample_stride=50)
+    samples = solve_transient(system, t0, pmap,
+                              TransientSpec(t_end=50 * tau, dt=tau / 2,
+                                            sample_stride=50),
+                              options=SolveOptions(tolerance=1e-12))
     final = samples[-1]
     scale = max(1.0, np.max(np.abs(steady.values - cfg.ambient_c)))
     assert np.max(np.abs(final.values - steady.values)) / scale < 1e-9 * 10
@@ -222,9 +222,10 @@ def test_periodic_source_oscillates_at_period():
     t0 = TemperatureField(values=np.full(grid.shape, cfg.ambient_c),
                           grid=grid, time=0.0)
     dt = period / 20
-    samples = solve_transient(system, t0, pmap, t_end=6 * period, dt=dt,
-                              options=SolveOptions(tolerance=1e-10),
-                              sample_stride=1)
+    samples = solve_transient(system, t0, pmap,
+                              TransientSpec(t_end=6 * period, dt=dt,
+                                            sample_stride=1),
+                              options=SolveOptions(tolerance=1e-10))
     trace = np.array([s.values.mean() for s in samples])
     # first differences kill the slow heating drift, keep the oscillation
     diff = np.diff(trace)

@@ -10,11 +10,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import yaml
 
 import stackemu.scenario
-from stackemu.config import load_scenario
+from stackemu.config import load_scenario, scenario_from_document
 from stackemu.power import Constant, PowerMap, power_density_field
-from stackemu.scenario import run_scenario, solve_transient
+from stackemu.scenario import (MAX_STEPS, TransientSpec, run_scenario,
+                               solve_transient)
 from stackemu.solver import (SolveOptions, TemperatureField, assemble,
                              step_transient)
 from stackemu.stack import discretize, preset_stack
@@ -45,9 +47,10 @@ def test_function_pmap_and_on_step_match_a_hand_loop(small):
         return halved if step % 2 else base
 
     stepped = []
-    samples = solve_transient(system, t0, pmap, t_end=0.875, dt=0.125,
-                              options=options, sample_stride=3,
-                              on_step=stepped.append)
+    samples = solve_transient(system, t0, pmap,
+                              TransientSpec(t_end=0.875, dt=0.125,
+                                            sample_stride=3),
+                              options=options, on_step=stepped.append)
 
     field_t, expected = t0, []
     for step in range(7):
@@ -74,12 +77,9 @@ def test_function_pmap_and_on_step_match_a_hand_loop(small):
     (dict(t_end=0.1, dt=np.nan), "t_end and dt must be positive and finite"),
     (dict(t_end=0.1, dt=0.01, sample_stride=0),
      "sample_stride must be >= 1"),
+    (dict(t_end=1.0, dt=1.0e-9), "over MAX_STEPS = 10000000 steps"),
 ])
-def test_invalid_march_raises_the_transient_spec_message(small, kwargs,
-                                                         message):
-    _, system, base, t0 = small
-    with pytest.raises(ValueError, match=message):
-        solve_transient(system, t0, base, **kwargs)
+def test_invalid_march_raises_the_transient_spec_message(kwargs, message):
     with pytest.raises(ValueError, match=message):
         stackemu.scenario.TransientSpec(**kwargs)
 
@@ -93,11 +93,62 @@ def test_march_ends_at_t_end(small, t_end, dt, steps):
     a fractional ratio (0.05 / 0.02 = 2.5) still rounds up."""
     _, system, base, t0 = small
     stepped = []
-    samples = solve_transient(system, t0, base, t_end, dt,
+    samples = solve_transient(system, t0, base, TransientSpec(t_end, dt),
                               on_step=stepped.append)
     assert len(stepped) == steps
     assert samples[-1] is stepped[-1]
     assert samples[-1].time == pytest.approx(steps * dt)
+
+
+def test_march_of_max_steps_is_accepted():
+    assert TransientSpec(t_end=1.0, dt=1.0e-7).n_steps == MAX_STEPS
+
+
+# Edits of the demo document and the events they give: (action, layer,
+# sensor, t, reading). Coreswap watches the hottest of all six sensors;
+# the four explicit sensors put two on each layer, and two of the releases
+# come from sensor 0, so each layer's own hottest sensor decides.
+DTM_VARIANTS = {
+    "coreswap": (
+        {"policy": {"kind": "coreswap", "trigger_t": 50.0,
+                    "release_t": 46.0, "period_steps": 5,
+                    "pairing": [[[0, 1, 3], [1, 1, 3]],
+                                [[0, 2, 4], [1, 2, 4]]]}},
+        [("swap", -1, 0, 0.15, 51.5), ("swap_back", -1, 0, 0.175, 44.0),
+         ("swap", -1, 0, 0.225, 53.0)]),
+    "four-sensors": (
+        {"sensors": {"noise_sigma": 0.5, "quantization_step": 0.25,
+                     "placements": [
+                         {"layer": 0, "x_mm": 4.5, "y_mm": 2.0},
+                         {"layer": 0, "x_mm": 5.5, "y_mm": 2.5},
+                         {"layer": 1, "x_mm": 4.5, "y_mm": 2.0},
+                         {"layer": 1, "x_mm": 6.5, "y_mm": 3.5}]},
+         "policy": {"kind": "throttle", "trigger_t": 45.0,
+                    "release_t": 42.0, "throttle_factor": 0.6,
+                    "period_steps": 2}},
+        [("throttle", 0, 1, 0.11, 47.0), ("release", 0, 1, 0.16, 41.25),
+         ("throttle", 0, 1, 0.21, 49.5), ("release", 0, 0, 0.27, 41.75),
+         ("throttle", 0, 1, 0.31, 49.75), ("release", 0, 1, 0.40, 41.25),
+         ("throttle", 0, 1, 0.41, 49.25), ("release", 0, 0, 0.48, 41.75)]),
+}
+
+
+@pytest.mark.parametrize("variant", DTM_VARIANTS)
+def test_dtm_variant_events_are_pinned(variant):
+    """Readings are pinned to one quantization step (perfbench's
+    TOL_READING_K), the rest exactly or to rounding."""
+    edit, expected = DTM_VARIANTS[variant]
+    with open(DEMO) as fh:
+        doc = yaml.safe_load(fh)
+    doc.update(edit)
+    events = run_scenario(scenario_from_document(doc)).events
+    assert [(e.action, e.layer, e.sensor_index) for e in events] == \
+        [want[:3] for want in expected]
+    np.testing.assert_allclose([e.t for e in events],
+                               [want[3] for want in expected], rtol=1e-12)
+    np.testing.assert_allclose([e.reading for e in events],
+                               [want[4] for want in expected], rtol=0,
+                               atol=0.25)
 
 
 def test_benchmark_wrapped_names_see_every_step(monkeypatch):
