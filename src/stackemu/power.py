@@ -202,14 +202,18 @@ class PowerMap:
             raise IndexError(f"tile ({row}, {col}) out of range for "
                              f"{rows}x{cols} grid")
 
+    def _edit(self, layer: int, tile) -> "PowerMap":
+        """A map with one layer's tiles rebuilt as tile(row, col, profile)."""
+        layers = list(self.profiles)
+        layers[layer] = tuple(tuple(tile(r, c, p) for c, p in enumerate(row))
+                              for r, row in enumerate(layers[layer]))
+        return replace(self, profiles=tuple(layers))
+
     def set_tile_power(self, layer: int, row: int, col: int,
                        profile: Profile) -> "PowerMap":
         self.check_tile(layer, row, col)
-        layers = list(self.profiles)
-        rows = [list(r) for r in layers[layer]]
-        rows[row][col] = profile
-        layers[layer] = tuple(tuple(r) for r in rows)
-        return replace(self, profiles=tuple(layers))
+        return self._edit(layer, lambda r, c, p:
+                          profile if (r, c) == (row, col) else p)
 
     def apply_preset(self, layer: int, preset: CoreProxyPreset) -> "PowerMap":
         self.check_tile(layer, 0, 0)
@@ -217,19 +221,12 @@ class PowerMap:
             raise ValueError(
                 f"preset shape {preset.shape} does not match layer tile grid "
                 f"{self.tile_shape(layer)}")
-        layers = list(self.profiles)
-        layers[layer] = tuple(
-            tuple(Constant(preset.base_density * m) for m in row)
-            for row in preset.spatial_pattern)
-        return replace(self, profiles=tuple(layers))
+        return self._edit(layer, lambda r, c, p: Constant(
+            preset.base_density * preset.spatial_pattern[r][c]))
 
     def set_uniform(self, layer: int, profile: Profile) -> "PowerMap":
         self.check_tile(layer, 0, 0)
-        rows, cols = self.tile_shape(layer)
-        layers = list(self.profiles)
-        layers[layer] = tuple(tuple(profile for _ in range(cols))
-                              for _ in range(rows))
-        return replace(self, profiles=tuple(layers))
+        return self._edit(layer, lambda r, c, p: profile)
 
     def densities(self, layer: int, t: float) -> np.ndarray:
         """(rows, cols) array of densities at time t, W/cm^2."""
@@ -240,24 +237,16 @@ class PowerMap:
 
     def scaled(self, layer_factors: dict[int, float]) -> "PowerMap":
         """Return a map with whole device layers scaled (DTM throttling)."""
-        layers = list(self.profiles)
+        pmap = self
         for layer, f in layer_factors.items():
-            layers[layer] = tuple(
-                tuple(_Scaled.wrap(p, f) for p in row)
-                for row in layers[layer])
-        return replace(self, profiles=tuple(layers))
+            pmap = pmap._edit(layer, lambda r, c, p, f=f: _Scaled(p, f))
+        return pmap
 
 
 @dataclass(frozen=True)
 class _Scaled(Profile):
     inner: Profile
     factor: float
-
-    @staticmethod
-    def wrap(p: Profile, factor: float) -> Profile:
-        if isinstance(p, _Scaled):
-            return _Scaled(p.inner, p.factor * factor)
-        return _Scaled(p, factor)
 
     def power_at(self, t: float) -> float:
         return self.factor * self.inner.power_at(t)

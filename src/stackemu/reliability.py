@@ -175,12 +175,12 @@ def reliability_report(layer_stats: list[LayerStats],
     """Aggregate EM, cycling and stress scores per device layer.
 
     layer_traces maps physical layer index -> time series of that layer's
-    max temperature (may be missing or flat in steady-only runs). The
+    max temperature (missing, empty or flat in steady-only runs). The
     min-MTTF layer is the highest-AF layer; ties go to the layer farthest
     from the heat sink (lowest index)."""
     layers = []
     for stats in layer_stats:
-        trace = layer_traces.get(stats.layer_index, [stats.max, stats.max])
+        trace = layer_traces.get(stats.layer_index) or [stats.max, stats.max]
         layers.append(LayerReliability(
             layer_index=stats.layer_index,
             role=stats.role,

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import __version__
 from .fields_io import field_to_csv, layer_to_pgm, plane_to_pgm
-from .pdn import (PdnGrid, PdnParams, build_pdn, currents_from_power,
-                  droop_from_drop, solve_ir_drop)
+from .pdn import (PdnParams, build_pdn, currents_from_power, droop_from_drop,
+                  solve_ir_drop)
 from .power import PowerMap, power_density_field, total_power
 from .reliability import (ReliabilityParams, ReliabilityReport,
                           reliability_report)
@@ -165,7 +165,6 @@ class ScenarioReport:
     steady_field: TemperatureField = field(repr=False)
     final_field: TemperatureField | None = field(repr=False)
     sampled_fields: tuple[TemperatureField, ...] = field(repr=False)
-    layer_traces: dict[int, list[float]] = field(repr=False)
     sensor_readings: list[float] | None
     sensor_hotspot_error: tuple[float | None, float | None] | None
     pdn_summary: PdnSummary | None
@@ -351,8 +350,7 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
     rel = None
     if scenario.reliability is not None:
         with _stage("reliability"):
-            traces = {idx: tr for idx, tr in layer_traces.items() if tr}
-            rel = reliability_report(list(steady_stats), traces, steady,
+            rel = reliability_report(list(steady_stats), layer_traces, steady,
                                      scenario.reliability)
 
     return ScenarioReport(
@@ -362,7 +360,6 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
         steady_field=steady,
         final_field=final_field,
         sampled_fields=tuple(sampled),
-        layer_traces=layer_traces,
         sensor_readings=readings,
         sensor_hotspot_error=hs_error,
         pdn_summary=pdn_summary,

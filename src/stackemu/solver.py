@@ -365,31 +365,20 @@ def lattice_matrix(gx: np.ndarray, gy: np.ndarray, gz: np.ndarray,
     ground (nz, ny, nx) ties each node to a fixed potential."""
     _, ny, nx = ground.shape
     n = ground.size
-    faces = []
+    # A zero main band keeps the list nonempty for a 1-node lattice;
+    # eliminate_zeros drops it with the padding at row and plane ends.
+    bands, offsets = [np.zeros(n)], [0]
     for g, axis, step in ((gz, 0, nx * ny), (gy, 1, nx), (gx, 2, 1)):
         if g.size:      # an empty face set would repeat another offset
             pad = [(0, 0)] * 3
             pad[axis] = (0, 1)
-            faces.append((step, -np.pad(g, pad).reshape(-1)[:n - step]))
-    # (rows, offset, band) in column order, the order a CSR row stores.
-    columns = ([(slice(step, None), -step, band) for step, band in faces]
-               + [(slice(None, n - step), step, band)
-                  for step, band in reversed(faces)])
-    # The diagonal is ground minus the row sum, with the bits of the CSR
-    # row sum (np.add.reduceat over the stored entries): the first stored
-    # entry plus the sequential sum of the rest. Zeros are not stored.
-    first, rest = np.zeros(n), np.zeros(n)
-    stored = np.zeros(n, dtype=bool)
-    for rows, _, band in columns:
-        np.add(rest[rows], band, out=rest[rows], where=stored[rows])
-        np.copyto(first[rows], band, where=~stored[rows])
-        stored[rows] |= band != 0.0
-    A = sp.diags([band for *_, band in columns]
-                 + [ground.reshape(-1) - (first + rest)],
-                 [offset for _, offset, _ in columns] + [0], shape=(n, n),
-                 format="csr")
-    A.eliminate_zeros()      # the band padding at row and plane ends
-    return A
+            band = -np.pad(g, pad).reshape(-1)[:n - step]
+            bands += [band, band]
+            offsets += [-step, step]
+    off = sp.diags(bands, offsets, shape=(n, n), format="csr")
+    off.eliminate_zeros()
+    diag = ground.reshape(-1) - np.asarray(off.sum(axis=1)).reshape(-1)
+    return (off + sp.diags(diag)).tocsr()
 
 
 def assemble(grid: VoxelGrid, config: StackConfig) -> DiscreteSystem:

@@ -89,12 +89,9 @@ def effective_conductivity(farm: "TsvFarmSpec", base: Material) -> EffectiveCond
     kz = (phi_fill * k_fill + phi_liner * k_liner
           + (1.0 - phi_total) * base.kz)
 
-    if phi_total == 0.0:
-        kxy = base.kxy
-    else:
-        k_incl = coated_cylinder_k(k_fill, k_liner, r_core, r_outer) if t > 0.0 \
-            else k_fill
-        kxy = maxwell_eucken_cylinders(base.kxy, k_incl, phi_total)
+    k_incl = coated_cylinder_k(k_fill, k_liner, r_core, r_outer) if t > 0.0 \
+        else k_fill
+    kxy = maxwell_eucken_cylinders(base.kxy, k_incl, phi_total)
 
     return EffectiveConductivity(kz=kz, kxy=kxy, fill_fraction=phi_fill,
                                  liner_fraction=phi_liner)

@@ -13,6 +13,7 @@ from stackemu.cli import main
 from stackemu.config import (ConfigError, _schema, _validator,
                              load_scenario, scenario_from_document,
                              validate_document)
+from stackemu.materials import Material
 from stackemu.scenario import run_scenario, scenario_hash
 
 DEMO = os.path.join(os.path.dirname(__file__), "..", "scenarios",
@@ -294,6 +295,37 @@ def test_bool_is_not_an_integer():
     doc["grid"]["sub_slabs_per_layer"] = True
     with pytest.raises(ConfigError, match="True is not of type 'integer'"):
         validate_document(doc)
+
+
+SIC_YAML = """\
+name: sic
+stack:
+  die_width_mm: 12.0
+  die_length_mm: 6.0
+  layers:
+    - role: SP
+      thickness_um: 50.0
+      material: {name: sic, k: 370.0, volumetric_heat_capacity: 2.2e+6,
+                 k_lateral: 390.0}
+    - {role: S0, thickness_um: 500.0, material: silicon}
+grid: {nx: 8, ny: 4}
+"""
+
+
+def test_material_mapping_loads_as_that_material(tmp_path):
+    path = tmp_path / "scenario.yaml"
+    path.write_text(SIC_YAML)
+    assert load_scenario(str(path)).stack.layers[0].material == Material(
+        "sic", k=370.0, volumetric_heat_capacity=2.2e6, k_lateral=390.0)
+
+
+def test_exponent_without_sign_is_a_string(tmp_path, capsys):
+    """PyYAML reads YAML 1.1, where a float needs a dot and a signed
+    exponent: `2.2e6` loads as a string and fails the schema."""
+    path = tmp_path / "scenario.yaml"
+    path.write_text(SIC_YAML.replace("2.2e+6", "2.2e6"))
+    assert main(["--config", str(path), "validate"]) == 1
+    assert "'2.2e6' is not of type 'number'" in capsys.readouterr().err
 
 
 def _add_assignment(doc, **assignment):

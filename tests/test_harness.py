@@ -1,7 +1,6 @@
 import inspect
 import os
 import re
-import textwrap
 from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
@@ -467,6 +466,58 @@ def test_cli_transient_requires_section(tmp_path, capsys):
     path = write_yaml(tmp_path, BASE_YAML)
     assert main(["--config", path, "transient"]) == 1
     assert "no transient section" in capsys.readouterr().err
+
+
+def test_cli_pdn_reports_the_drop_per_plane(tmp_path, capsys):
+    """`pdn` drops the transient, policy, sensor and reliability stages,
+    writes the report and the PGM maps, and prints one line per plane."""
+    path = write_yaml(tmp_path, BASE_YAML)
+    out = str(tmp_path / "run")
+    assert main(["--config", path, "--out", out, "pdn"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    for p, line in enumerate(lines):
+        assert re.fullmatch(rf"plane {p}: max_drop_v=\S+", line)
+    assert sorted(os.listdir(tmp_path)) == [
+        "run_pdn_drop_P0.pgm", "run_pdn_drop_P1.pgm", "run_report.txt",
+        "run_steady_L1.pgm", "run_steady_L3.pgm", "scenario.yaml"]
+    report = (tmp_path / "run_report.txt").read_text()
+    assert "== pdn ==" in report
+    assert "== sensors ==" not in report
+    assert "== reliability ==" not in report
+
+
+def test_cli_pdn_requires_section(tmp_path, capsys):
+    path = write_yaml(tmp_path, BASE_YAML.replace(
+        "pdn:\n  nx: 8\n  ny: 4\n", "pdn: disabled\n"))
+    assert main(["--config", path, "pdn"]) == 1
+    assert "no pdn section" in capsys.readouterr().err
+
+
+def test_cli_validate_prints_each_violation(tmp_path, capsys):
+    text = BASE_YAML.replace("stack:\n  preset: 2\n", """\
+stack:
+  die_width_mm: 12.0
+  die_length_mm: 6.0
+  layers:
+    - {role: SP, thickness_um: 50.0, material: silicon}
+    - {role: S0, thickness_um: 500.0, material: silicon, has_tsvs: true}
+""")
+    path = write_yaml(tmp_path, text)
+    assert main(["--config", path, "validate"]) == 1
+    assert capsys.readouterr().out == (
+        "layer 1: [s0-tsv] S0 (heat-sink-adjacent die) carries no TSVs\n")
+
+
+def test_steady_without_sensors_reports_unobserved_hotspot(tmp_path, capsys):
+    path = write_yaml(tmp_path, BASE_YAML.replace(
+        "  placements:\n    - {layer: 0, x_mm: 6.0, y_mm: 3.0}\n",
+        "  placements: []\n"))
+    out = str(tmp_path / "run")
+    assert main(["--config", path, "--out", out, "steady"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index("== sensors ==")
+    assert lines[at + 1] == "hotspot_error: unobserved"
 
 
 def _demo_with_p_high(tmp_path, p_high):

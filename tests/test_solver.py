@@ -4,9 +4,10 @@ import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from stackemu.materials import COPPER, Material, SILICON
-from stackemu.power import Constant, Periodic, PowerMap, power_density_field, \
-    total_power
+from stackemu.materials import (BOND_UNDERFILL, COPPER, SILICON, SIO2,
+                                TUNGSTEN, Material)
+from stackemu.power import BUILTIN_PRESETS, Constant, Periodic, PowerMap, \
+    power_density_field, total_power
 from stackemu.solver import (ENERGY_BALANCE_LIMIT, ConvergenceError,
                              LayerStats, NumericalError, SolveOptions,
                              TemperatureField, assemble,
@@ -18,6 +19,7 @@ from stackemu.stack import (LayerRole, LayerSpec, StackConfig, TsvFarmSpec,
 
 from conftest import (column_stack, random_farm_stack, random_power_map,
                       random_stack)
+from test_operator import assert_products_match
 
 TIGHT = SolveOptions(tolerance=1e-13)
 
@@ -421,6 +423,49 @@ def test_farm_stacks_match_dense_oracle(seed):
     stepped = step_transient(system, t0, source, dt, options)
     assert np.max(np.abs(stepped.flat() - oracle)) \
         <= 1e-8 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("sub_slabs", [1, 2])
+def test_farm_die_on_the_package_face(sub_slabs):
+    """A farm die as the bottom layer, with no package slab: the package
+    conductance of its farm voxels differs from the host slab's, so E holds
+    boundary entries in slab 0. Those are its only rows that do not sum to
+    zero. Products with A, a steady solve and one step match the oracle."""
+    farms = (TsvFarmSpec(1.0, 1.0, 3.0, 3.0, 5.0, 10.0, COPPER),
+             TsvFarmSpec(7.0, 2.0, 9.0, 4.0, 5.0, 10.0, TUNGSTEN, 0.5, SIO2))
+    cfg = StackConfig(12.0, 6.0, (
+        LayerSpec(LayerRole.SP, 50.0, SILICON, has_tsvs=True,
+                  tsv_farms=farms),
+        LayerSpec(LayerRole.BOND_INTERFACE, 20.0, BOND_UNDERFILL),
+        LayerSpec(LayerRole.S0, 500.0, SILICON)))
+    grid = discretize(cfg, 24, 12, sub_slabs)
+    system = assemble(grid, cfg)
+    index, E = system.correction
+    slab = index // (grid.ny * grid.nx)
+    assert (slab == 0).any()
+    row_sums = np.asarray(E.sum(axis=1)).reshape(-1)
+    assert set(slab[np.abs(row_sums) > 1e-12]) == {0}
+
+    rng = np.random.default_rng(sub_slabs)
+    dt = 5e-3
+    cap = system.C / dt
+    assert_products_match(system.operator(), system.G, rng)
+    assert_products_match(system.operator(dt), system.G + sp.diags(cap), rng)
+
+    pmap = PowerMap.zeros(cfg).apply_preset(
+        0, BUILTIN_PRESETS["cpu_core"]).set_uniform(1, Constant(10.0))
+    source = power_density_field(pmap, grid, 0.0)
+    options = SolveOptions(tolerance=1e-12)
+    G = system.G.toarray()
+    oracle = np.linalg.solve(G, system.rhs(source))
+    steady = solve_steady(system, source, options)
+    np.testing.assert_allclose(steady.flat(), oracle, rtol=1e-10)
+    t0 = TemperatureField(values=np.full(grid.shape, cfg.ambient_c),
+                          grid=grid, time=0.0)
+    oracle = np.linalg.solve(G + np.diag(cap),
+                             system.rhs(source) + cap * t0.flat())
+    stepped = step_transient(system, t0, source, dt, options)
+    np.testing.assert_allclose(stepped.flat(), oracle, rtol=1e-10)
 
 
 @settings(max_examples=15, deadline=None)

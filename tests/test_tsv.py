@@ -18,6 +18,14 @@ def test_vanishing_via_recovers_base():
     assert eff.kxy == pytest.approx(SILICON.k, rel=1e-6)
 
 
+def test_underflowing_via_keeps_the_host_exactly():
+    """(d/2)^2 underflows to 0 below about 4e-162 um: the farm has no
+    inclusion left, and Maxwell-Eucken returns the host's kxy exactly."""
+    eff = effective_conductivity(farm(d=1e-170), SILICON)
+    assert eff.fill_fraction == eff.liner_fraction == 0.0
+    assert (eff.kz, eff.kxy) == (SILICON.kz, SILICON.kxy)
+
+
 def test_copper_no_liner_arithmetic_kz():
     # choose pitch so the fill fraction is exactly 0.2
     d = 5.0
