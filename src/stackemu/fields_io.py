@@ -145,7 +145,8 @@ def _repr_bytes(values) -> np.ndarray:
     out = np.zeros((v.size, _TEXT_WIDTH), dtype=np.uint8)
     point = e10 + 1
     common = int(np.bincount(point[ok], minlength=1).argmax())
-    for pt in [common] + np.unique(point[ok & (point != common)]).tolist():
+    others = np.bincount(point[ok & (point != common)])
+    for pt in [common] + np.flatnonzero(others).tolist():
         rows = (slice(None) if pt == common
                 else np.flatnonzero(ok & (point == pt)))
         out[rows, :pt] = chars[rows, :pt]

@@ -104,6 +104,19 @@ def cycling_damage(trace,
                      for rng, count in cycles))
 
 
+def percentile(values: np.ndarray, q: float) -> float:
+    """np.percentile(values, q) of values without NaN, bit for bit, with
+    numpy's partition and linear rule (np.percentile imports numpy.ma)."""
+    n = values.size
+    at = (n - 1) * (q / 100)
+    lo = -1 if at >= n - 1 else math.floor(at)   # numpy's: -1 at the end
+    hi = -1 if lo == -1 else lo + 1
+    # numpy's partition points, which also decide +0.0 against -0.0
+    a, b = np.partition(values.reshape(-1), sorted({0, -1, lo, hi}))[[lo, hi]]
+    t, diff = at - lo, b - a   # numpy's _lerp
+    return float(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+
+
 @dataclass(frozen=True)
 class StressHotspot:
     voxel: tuple[int, int, int]   # (iz, iy, ix)
@@ -142,9 +155,9 @@ def stress_proxy(field_t: TemperatureField,
             score[iz][ring] *= params.stress_cte_weight
 
     flat = score.reshape(-1)
-    threshold = np.percentile(flat, params.stress_percentile)
+    threshold = percentile(flat, params.stress_percentile)
     # floor filters gradient roundoff on (near-)isothermal fields
-    above = np.nonzero((flat > threshold) & (flat > 1e-9))[0]
+    above = np.flatnonzero(flat > max(threshold, 1e-9))
     order = above[np.argsort(-flat[above], kind="stable")]
     zs, ys, xs = (c.tolist() for c in np.unravel_index(order, grid.shape))
     return [StressHotspot(voxel=(z, y, x), score=s)

@@ -309,15 +309,17 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
                 pmap = _PolicyState(scenario.policy, scenario.power, network,
                                     scenario.policy_period)
 
-            def trace(field_t):
-                for stats in layer_summary(field_t):
-                    layer_traces[stats.layer_index].append(stats.max)
+            def trace(field_t):   # for reliability: LayerStats.max bits
+                for idx, maxima in layer_traces.items():
+                    s = grid.layer_slabs(idx)
+                    maxima.append(float(field_t.values[s[0]:s[-1] + 1].max()))
 
             t0 = TemperatureField(
                 values=np.full(grid.shape, scenario.stack.ambient_c),
                 grid=grid, time=0.0)
-            sampled = solve_transient(system, t0, pmap, scenario.transient,
-                                      scenario.solve, trace)
+            sampled = solve_transient(
+                system, t0, pmap, scenario.transient, scenario.solve,
+                None if scenario.reliability is None else trace)
             final_field = sampled[-1]
             final_stats = tuple(layer_summary(final_field))
             if scenario.policy is not None:

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng   # loaded here, not inside a run
 
 from .solver import TemperatureField
 from .stack import VoxelGrid
@@ -102,7 +103,7 @@ def read_sensors(network: SensorNetwork,
         true_t = float(field_t.values[_site_voxel(sensor.site, field_t.grid)])
         if sensor.noise_sigma > 0:
             sample_idx = int(t // sensor.sample_period)
-            rng = np.random.default_rng(
+            rng = default_rng(
                 [network.rng_seed & 0x7FFFFFFF, s_idx, sample_idx])
             true_t += float(rng.standard_normal()) * sensor.noise_sigma
         readings.append(quantize(true_t, sensor.quantization_step))

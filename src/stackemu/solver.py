@@ -34,7 +34,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .stack import StackConfig, VoxelGrid
 
@@ -89,9 +88,22 @@ class Correction(NamedTuple):
     """E = A - A_L, symmetric, over the voxels `index` (sorted flat
     indices) where the assembled operator and its layered approximation
     differ: TSV-farm voxels, their lateral ring and the voxels above and
-    below them. The same for every dt, since C/dt is uniform per slab."""
+    below them. The same for every dt, since C/dt is uniform per slab.
+    Row i of E has its entries in cols[:, i] and data[:, i], (K <= 7, |S|),
+    columns ascending, padded with zeros in column i; diag is E's diagonal."""
     index: np.ndarray
-    E: sp.csr_matrix
+    cols: np.ndarray
+    data: np.ndarray
+    diag: np.ndarray
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """E x for x on S, each row summed from 0 left to right as scipy's
+        CSR product does ("clip" skips the bounds check: cols are valid)."""
+        out, term = np.zeros(len(self.diag)), np.empty(len(self.diag))
+        for cols, data in zip(self.cols, self.data):
+            out += np.multiply(data, np.take(x, cols, out=term, mode="clip"),
+                               out=term)
+        return out
 
 
 @dataclass(frozen=True)
@@ -114,7 +126,7 @@ class DiscreteSystem:
         return self.grid.n
 
     @cached_property
-    def G(self) -> sp.csr_matrix:
+    def G(self) -> "scipy.sparse.csr_matrix":
         z = np.arange(self.grid.nz)
         return lattice_matrix(*_face_conductances(self.grid, z, z[:-1]),
                               self.boundary_g.reshape(self.grid.shape))
@@ -123,15 +135,16 @@ class DiscreteSystem:
     def _ambient_inflow(self) -> np.ndarray:
         return self.boundary_g * self.ambient_c
 
-    def rhs(self, source: np.ndarray) -> np.ndarray:
-        """Source in W/m^3, shape (nz, ny, nx) or flat (n,)."""
+    def rhs(self, source: np.ndarray, out=None) -> np.ndarray:
+        """Source in W/m^3, shape (nz, ny, nx) or (n,); into out if given."""
         src = np.asarray(source).reshape(-1)
         if src.shape[0] != self.n:
             raise ValueError("source length does not match system size")
-        if (src < 0).any():
+        if src.min() < 0:
             raise ValueError("volumetric sources must be >= 0")
-        q = src.reshape(self.grid.shape) * self.grid.voxel_volume
-        return q.reshape(-1) + self._ambient_inflow
+        q = np.multiply(src.reshape(self.grid.shape), self.grid.voxel_volume,
+                        out=out).reshape(-1)
+        return np.add(q, self._ambient_inflow, out=q)
 
     def slab_cap(self, dt: float) -> np.ndarray:
         """C/dt per slab, shape (nz, 1): uniform over a slab, since TSV
@@ -139,14 +152,15 @@ class DiscreteSystem:
         return self.C.reshape(self.grid.nz, -1)[:, :1] / dt
 
     def operator(self, dt: float | None = None) -> LayeredOperator:
-        """A = G for steady (dt None), or G + C/dt for backward-Euler steps
-        of size dt; built on the first call per dt."""
+        """A = G for steady (dt None), or G + C/dt with work buffers for
+        backward-Euler steps of size dt; built on the first call per dt."""
         if dt not in self._operators:
             gx, gy, gz, diag = _host_slab_conductances(self.grid)
             if dt is not None:
                 diag = diag + self.slab_cap(dt)[:, 0]
             self._operators[dt] = LayeredOperator(
-                gx, gy, gz, diag, *self.grid.shape[1:], self.correction)
+                gx, gy, gz, diag, *self.grid.shape[1:], self.correction,
+                buffered=dt is not None)
         return self._operators[dt]
 
 
@@ -219,10 +233,13 @@ class LayeredOperator:
     leaving one tridiagonal system per (ky, kx) mode, factored once here
     and solved by a Thomas sweep vectorized over the modes. CG's
     transforms at E's voxels, `gather` (Q at them) and `scatter` (Q^T
-    from them), need Q only at their rows and columns in each plane."""
+    from them), need Q only at their rows and columns in each plane.
+    `work` holds a buffered operator's arrays for `solve_cg` and
+    `step_transient`; a method returns a new array unless given `out`."""
 
     def __init__(self, gx, gy, gz, diag, ny: int, nx: int,
-                 correction: Correction | None = None):
+                 correction: Correction | None = None,
+                 buffered: bool = False):
         self.qx, self.lam_x = _cosine_basis(nx)
         self.qy, lam_y = _cosine_basis(ny)
         self.lam_y = lam_y[:, None]
@@ -241,8 +258,13 @@ class LayeredOperator:
         self.index, self.E = np.zeros(0, dtype=np.intp), None
         self.blocks = []
         if correction is not None and len(correction.index):
-            self.index, self.E = correction
+            self.index, self.E = correction.index, correction
             self._plane_blocks(correction.index)
+        self.chunk = max(1, 2 ** 16 // (ny * nx))   # planes, ~0.5 MB
+        names = ("modes", "modes2", "residual", "rhs") if buffered else ()
+        self.work = {name: np.empty((nz, ny, nx)) for name in names}
+        if buffered:   # the stencil's face differences of one chunk
+            self.work["faces"] = np.empty(min(nz, self.chunk + 1) * ny * nx)
 
     def _main(self, z: int) -> np.ndarray:
         """Diagonal of plane z's mode tridiagonals, (ny, nx); built per
@@ -273,17 +295,19 @@ class LayeredOperator:
             self.blocks.append((z, part, at_row * len(cols) + at_col,
                                 self.qy[rows], self.qx[cols], cols_first))
 
-    def forward(self, r: np.ndarray) -> np.ndarray:
-        """Mode coefficients Q^T r, shape (nz, ny, nx), of a flat r."""
+    def forward(self, r: np.ndarray, out=None, tmp=None) -> np.ndarray:
+        """Mode coefficients Q^T r, (nz, ny, nx), of a flat r, via tmp."""
         nz, ny, nx = self.inv_pivot.shape
-        y = (r.reshape(nz * ny, nx) @ self.qx).reshape(nz, ny, nx)
-        return self.qy.T @ y
+        y = np.matmul(r.reshape(nz * ny, nx), self.qx,
+                      out=None if tmp is None else tmp.reshape(nz * ny, nx))
+        return np.matmul(self.qy.T, y.reshape(nz, ny, nx), out=out)
 
-    def inverse(self, y: np.ndarray) -> np.ndarray:
-        """Flat Q y of mode coefficients y."""
+    def inverse(self, y: np.ndarray, out=None, tmp=None) -> np.ndarray:
+        """Flat Q y of mode coefficients y, via the mode-shaped tmp."""
         nz, ny, nx = self.inv_pivot.shape
-        y = self.qy @ y
-        return (y.reshape(nz * ny, nx) @ self.qx.T).reshape(-1)
+        y = np.matmul(self.qy, y, out=tmp)
+        return np.matmul(y.reshape(nz * ny, nx), self.qx.T, out=None if out
+                         is None else out.reshape(nz * ny, nx)).reshape(-1)
 
     def solve_modes(self, y: np.ndarray) -> np.ndarray:
         """A_L^-1 in mode space: the Thomas sweep, in place on y."""
@@ -303,10 +327,12 @@ class LayeredOperator:
             v[part] = block.reshape(-1)[at]
         return v
 
-    def scatter(self, w: np.ndarray) -> np.ndarray:
+    def scatter(self, w: np.ndarray, out=None) -> np.ndarray:
         """Q^T of the flat vector that is w on E's voxels and 0 elsewhere,
         as mode coefficients (nz, ny, nx)."""
-        y = np.zeros(self.inv_pivot.shape)
+        y = np.zeros(self.inv_pivot.shape) if out is None else out
+        if out is not None:
+            y.fill(0.0)
         for z, part, at, qy, qx, cols_first in self.blocks:
             block = np.zeros(len(qy) * len(qx))
             block[at] = w[part]
@@ -316,7 +342,8 @@ class LayeredOperator:
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         """A_L^-1 r for a flat r, as a new flat array."""
-        return self.inverse(self.solve_modes(self.forward(r)))
+        y = self.forward(r, self.work.get("modes2"), self.work.get("modes"))
+        return self.inverse(self.solve_modes(y), None, self.work.get("modes"))
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """A x for a flat x."""
@@ -326,43 +353,51 @@ class LayeredOperator:
         """|A| x for a flat x: the rounding scale of a residual."""
         return self._product(x, absolute=True)
 
-    def _product(self, x: np.ndarray, absolute: bool) -> np.ndarray:
+    def residual(self, b: np.ndarray, x: np.ndarray, out=None) -> np.ndarray:
+        """b - A x for flat b and x."""
+        ax = self._product(x, absolute=False, out=out)
+        return np.subtract(b, ax, out=ax)
+
+    def _product(self, x: np.ndarray, absolute: bool, out=None) -> np.ndarray:
         """A_L x as the flux-form stencil of the per-slab scalars (each
         face moves g (x_i - x_j) from voxel j to i, or g (x_i + x_j) in
         |A|; faces that wrap to the next row or plane carry none, so
         sidewalls are adiabatic), plus E at its voxels."""
         nz, ny, nx = self.inv_pivot.shape
         plane, combine = ny * nx, np.add if absolute else np.subtract
-        x3, out = x.reshape(nz, plane), np.empty((nz, plane))
-        k = max(1, 2 ** 16 // plane)   # planes per chunk, ~0.5 MB: in cache
+        out = np.empty(nz * plane) if out is None else out.reshape(-1)
+        x3, out3, k = x.reshape(nz, plane), out.reshape(nz, plane), self.chunk
         for z in range(0, nz, k):
             np.multiply(x3[z:z + k], self.ground[z:z + k, None],
-                        out=out[z:z + k])
+                        out=out3[z:z + k])
             # The chunk's z faces include the one down to the plane below.
             for step, g, wrap, lo in ((1, self.gx, np.s_[:, :, -1], z),
                                       (nx, self.gy, np.s_[:, -1], z),
                                       (plane, self.gz, -1, max(z - 1, 0))):
-                xc, oc = x3[lo:z + k].reshape(-1), out[lo:z + k].reshape(-1)
-                d = np.empty(len(xc))
+                xc, oc = x3[lo:z + k].reshape(-1), out3[lo:z + k].reshape(-1)
+                d = (self.work["faces"][:len(xc)] if self.work
+                     else np.empty(len(xc)))
                 combine(xc[:-step], xc[step:], out=d[:-step])
                 d.reshape(-1, ny, nx)[wrap] = 0.0   # also covers d[-step:]
                 d.reshape(-1, plane)[:] *= g[lo:z + k, None]
                 oc[:-step] += d[:-step]
                 combine(oc[step:], d[:-step], out=oc[step:])
-        out = out.reshape(-1)
         if self.E is not None:   # in |A|, E's off-diagonal signs flip
             w = self.E @ x[self.index]
-            out[self.index] += (2.0 * self.E.diagonal() * x[self.index] - w
+            out[self.index] += (2.0 * self.E.diag * x[self.index] - w
                                 if absolute else w)
         return out
 
 
 def lattice_matrix(gx: np.ndarray, gy: np.ndarray, gz: np.ndarray,
-                   ground: np.ndarray) -> sp.csr_matrix:
+                   ground: np.ndarray) -> "scipy.sparse.csr_matrix":
     """SPD nodal matrix of a 7-point lattice of nz planes of ny x nx nodes,
     node index (iz * ny + iy) * nx + ix. Face conductances gx (nz, ny,
     nx-1), gy (nz, ny-1, nx) and gz (nz-1, ny, nx) couple neighbours;
-    ground (nz, ny, nx) ties each node to a fixed potential."""
+    ground (nz, ny, nx) ties each node to a fixed potential. The run path
+    never builds it, so scipy is imported here only."""
+    import scipy.sparse as sp
+
     _, ny, nx = ground.shape
     n = ground.size
     # A zero main band keeps the list nonempty for a 1-node lattice;
@@ -395,7 +430,11 @@ def _correction(grid: VoxelGrid, boundary_g) -> Correction:
     """E = G - G_L from the face and boundary conductances that differ
     from the host slab's. Only TSV-farm slabs and the faces and
     boundaries that touch them can differ, so only theirs are computed;
-    elsewhere both come from one expression and the same conductivities."""
+    elsewhere both come from one expression and the same conductivities.
+    A face i -> j = i + step along axis k = 1, 2, 3 puts -d in rows i and
+    j, slots 3 + k and 3 - k, and adds d to both diagonals (slot 3); a
+    boundary adds d to its diagonal. Each diagonal sums from 0 in this
+    order, as scipy sums these COO triplets into a CSR matrix: same bits."""
     nz, ny, nx = grid.shape
     plane = ny * nx
     hx, hy, hz, hb = _host_slab_conductances(grid)
@@ -403,40 +442,34 @@ def _correction(grid: VoxelGrid, boundary_g) -> Correction:
                      for layer in grid.slab_layer])
     slabs, faces = np.flatnonzero(farm), np.flatnonzero(farm[:-1] | farm[1:])
     gx, gy, gz = _face_conductances(grid, slabs, faces)
-    rows, cols, vals = [], [], []
+    entries = []   # (k, step, i, d); k = step = 0 for boundaries
 
-    def differ(g, host, first, step=0, voxel=lambda f: f):
-        """Entries of the faces (step > 0) or boundaries of one plane,
-        g[f] != host, whose first voxel is first + voxel(f)."""
+    def differ(g, host, first, k=0, step=0, voxel=lambda f: f):
         delta = (g - host).reshape(-1)
         f = np.flatnonzero(delta)
-        i, d = first + voxel(f), delta[f]
-        if step:
-            # -d off the diagonal both ways, +d on both diagonals.
-            j = i + step
-            rows.extend([i, j, i, j])
-            cols.extend([j, i, i, j])
-            vals.extend([-d, -d, d, d])
-        else:
-            rows.append(i)
-            cols.append(i)
-            vals.append(d)
+        entries.append((k, step, first + voxel(f), delta[f]))
 
     for i, z in enumerate(slabs):
-        differ(gx[i], hx[z], z * plane, 1, lambda f: f + f // (nx - 1))
-        differ(gy[i], hy[z], z * plane, nx)
+        differ(gx[i], hx[z], z * plane, 1, 1, lambda f: f + f // (nx - 1))
+        differ(gy[i], hy[z], z * plane, 2, nx)
         if z in (0, nz - 1):
             differ(boundary_g[z], hb[z], z * plane)
     for i, z in enumerate(faces):
-        differ(gz[i], hz[z], z * plane, plane)
-    if not rows:
-        return Correction(np.zeros(0, dtype=np.intp), sp.csr_matrix((0, 0)))
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    in_e = np.bincount(rows, minlength=grid.n) > 0
-    index, local = np.flatnonzero(in_e), np.cumsum(in_e) - 1
-    E = sp.coo_matrix((np.concatenate(vals), (local[rows], local[cols])),
-                      shape=(len(index),) * 2).tocsr()
-    return Correction(index, E)
+        differ(gz[i], hz[z], z * plane, 3, plane)
+    in_e = np.zeros(grid.n, dtype=bool)
+    for _, step, i, _ in entries:
+        in_e[i] = in_e[i + step] = True
+    index = np.flatnonzero(in_e)
+    cols = np.tile(np.arange(len(index)), (7, 1))
+    data = np.zeros((7, len(index)))
+    for k, step, i, d in entries:
+        i, j = np.searchsorted(index, i), np.searchsorted(index, i + step)
+        data[3, i] += d
+        if k:
+            data[3, j] += d
+            data[3 + k, i] = data[3 - k, j] = -d
+            cols[3 + k, i], cols[3 - k, j] = j, i
+    return Correction(index, cols, data, data[3])
 
 
 def solve_cg(A: LayeredOperator, b, options: SolveOptions = SolveOptions(),
@@ -461,7 +494,7 @@ def solve_cg(A: LayeredOperator, b, options: SolveOptions = SolveOptions(),
     bnorm = np.linalg.norm(b) or 1.0
     if not np.isfinite(bnorm):
         raise NumericalError("non-finite right-hand side")
-    E, index = A.E, A.index
+    E, index, work = A.E, A.index, A.work.get   # work(name): buffer or None
     # A cold farm solve starts inside its first round, at A_L^-1 b; its x
     # is made first, so that the round's temporaries free above it.
     cold = x0 is None and E is not None
@@ -470,7 +503,7 @@ def solve_cg(A: LayeredOperator, b, options: SolveOptions = SolveOptions(),
     while True:
         from_b = cold and not rounds
         if not from_b:
-            r = b - A @ x
+            r = A.residual(b, x, work("residual"))
             res = np.linalg.norm(r) / bnorm
             if not np.isfinite(res):
                 raise NumericalError("non-finite residual")
@@ -481,11 +514,10 @@ def solve_cg(A: LayeredOperator, b, options: SolveOptions = SolveOptions(),
                                                + np.abs(b))):
                 return x
         rounds += 1
-        E = sp.csr_matrix((0, 0)) if E is None else E  # no farm: x += A_L^-1 r
         # The round's r0, y0 = Q^T r0 and z0 = T^-1 y0.
         r0 = b if from_b else r
-        y0 = A.forward(r0)
-        z0 = A.solve_modes(y0.copy())
+        y0 = A.forward(r0, work("modes2"), work("modes"))
+        z0 = A.solve_modes(np.positive(y0, out=work("modes")))   # a copy
         sigma = float(np.vdot(y0, z0))           # <r0, A_L^-1 r0>
         m, r0_s = A.gather(z0), r0[index]        # A_L^-1 r0 and r0 on S
         off2 = max(float(np.vdot(r0, r0)) - float(r0_s @ r0_s), 0.0)
@@ -503,12 +535,12 @@ def solve_cg(A: LayeredOperator, b, options: SolveOptions = SolveOptions(),
                 raise ConvergenceError(res, it)
             z_s = gamma * m                      # (A_L^-1 r)|S
             if s.any():
-                z_s += A.gather(A.solve_modes(A.scatter(s)))
+                z_s += A.gather(A.solve_modes(A.scatter(s, work("modes2"))))
             rz_new = gamma * (gamma * sigma + float(m @ s)) + float(s @ z_s)
             beta, rz = rz_new / rz, rz_new
             gamma_p, w, p_s = (gamma + beta * gamma_p, s + beta * w,
                                z_s + beta * p_s)
-            ap_s = w + E @ p_s                   # A p = gamma_p r0 + ap_s
+            ap_s = w if E is None else w + E @ p_s  # A p = gamma_p r0 + ap_s
             pAp = (gamma_p * (gamma_p * sigma + float(m @ w))
                    + float(p_s @ ap_s))
             if not np.isfinite(pAp) or pAp <= 0.0:
@@ -527,8 +559,9 @@ def solve_cg(A: LayeredOperator, b, options: SolveOptions = SolveOptions(),
             it += 1
         z0 *= big_gamma
         if np.any(u):
-            z0 += A.solve_modes(A.scatter(u))
-        x += A.inverse(z0)
+            z0 += A.solve_modes(A.scatter(u, work("modes2")))
+        # r0 is spent: the update goes where the residual was.
+        x += A.inverse(z0, work("residual"), work("modes2"))
 
 
 # Relative gap between the power put in and the boundary outflux above
@@ -574,8 +607,10 @@ def step_transient(system: DiscreteSystem, field_t: TemperatureField,
     if not 0 < dt < np.inf:
         raise ValueError("dt must be positive and finite")
     A = system.operator(dt)
-    t = field_t.values.reshape(system.grid.nz, -1)
-    b = system.rhs(source) + (system.slab_cap(dt) * t).reshape(-1)
+    nz = system.grid.nz
+    b = system.rhs(source, A.work["rhs"])
+    b += np.multiply(system.slab_cap(dt), field_t.values.reshape(nz, -1),
+                     out=A.work["residual"].reshape(nz, -1)).reshape(-1)
     x = solve_cg(A, b, options, None if A.E is None else field_t.flat())
     t_new = (field_t.time or 0.0) + dt
     return TemperatureField(values=x.reshape(system.grid.shape),

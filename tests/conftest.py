@@ -2,8 +2,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from stackemu.materials import Material, SILICON
+from stackemu.solver import Correction
 from stackemu.stack import LayerRole, LayerSpec, StackConfig, discretize
 
 
@@ -100,8 +102,31 @@ def random_farm_stack(rng: np.random.Generator, max_unknowns=1000):
     return cfg, grid
 
 
+def correction_matrix(correction):
+    """A solver Correction's E as a scipy CSR matrix over its voxels."""
+    k, m = correction.data.shape[0], len(correction.diag)
+    return sp.csr_matrix((correction.data.reshape(-1),
+                          (np.tile(np.arange(m), k),
+                           correction.cols.reshape(-1))), shape=(m, m))
+
+
+def correction_from_matrix(index, E):
+    """A solver Correction of the scipy matrix E over the voxels index:
+    each row's entries in column order, padded with zeros in its own
+    column."""
+    E = sp.csr_matrix(E)
+    E.sum_duplicates()
+    m, counts = E.shape[0], np.diff(E.indptr)
+    rows = np.repeat(np.arange(m), counts)
+    slot = np.arange(E.nnz) - E.indptr[rows]
+    cols = np.tile(np.arange(m), (counts.max(initial=0), 1))
+    data = np.zeros(cols.shape)
+    cols[slot, rows], data[slot, rows] = E.indices, E.data
+    return Correction(index, cols, data, E.diagonal())
+
+
 class Counted:
-    """A layered operator that counts, by name, its products with A
+    """A layered operator that counts, by name, its true residuals b - A x
     ("matvec"), applications of A_L^-1 ("apply"), full-size transforms
     ("forward", "inverse"), Thomas sweeps ("solve_modes") and transforms
     at E's voxels ("gather", "scatter"), and keeps the last application's
@@ -121,9 +146,9 @@ class Counted:
             return attr(*args)
         return counted
 
-    def __matmul__(self, x):
+    def residual(self, *args):
         self.counts["matvec"] += 1
-        return self.inner @ x
+        return self.inner.residual(*args)
 
     def __call__(self, r):
         self.counts["apply"] += 1

@@ -1,6 +1,7 @@
 """Every imported name is read somewhere in its file: an AST scan of the
 package, the tests and the scripts (the benchmark harness is not
-scanned)."""
+scanned). No package module imports scipy at module level: only the
+matrix oracles import it, when they are built."""
 
 import ast
 import pathlib
@@ -56,3 +57,40 @@ def test_scan_reads_string_annotations_and_skips_future():
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def module_level_imports(source: str) -> list[str]:
+    """Sorted top-level names of the absolute imports outside any function
+    or class body."""
+    names, todo = [], [ast.parse(source)]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.append(node.module.split(".")[0])
+        todo.extend(ast.iter_child_nodes(node))
+    return sorted(names)
+
+
+def test_module_level_scan_skips_function_bodies():
+    source = ("import numpy as np\n"
+              "from scipy import linalg\n"
+              "if True:\n"
+              "    import scipy.sparse\n"
+              "from .solver import solve_cg\n"
+              "def oracle():\n"
+              "    import scipy.sparse as sp\n"
+              "class Lazy:\n"
+              "    def build(self):\n"
+              "        from scipy import fft\n")
+    assert module_level_imports(source) == ["numpy", "scipy", "scipy"]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src/stackemu").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_package_imports_no_scipy_at_module_level(path):
+    assert "scipy" not in module_level_imports(path.read_text())

@@ -10,15 +10,16 @@ import scipy.sparse as sp
 
 from stackemu.materials import COPPER, Material, SILICON, SIO2, TUNGSTEN
 from stackemu.power import Constant, PowerMap, power_density_field
-from stackemu.solver import (ConvergenceError, Correction, LayeredOperator,
+from stackemu.solver import (ConvergenceError, LayeredOperator,
                              NumericalError, SolveOptions,
+                             _boundary_conductance, _face_conductances,
                              _host_slab_conductances, assemble,
                              lattice_matrix, solve_cg)
 from stackemu.stack import (LayerRole, LayerSpec, StackConfig, TsvFarmSpec,
                             discretize)
 
-from conftest import (Counted, column_stack, random_farm_stack,
-                      random_power_map, random_stack)
+from conftest import (Counted, column_stack, correction_matrix,
+                      random_farm_stack, random_power_map, random_stack)
 
 
 def physical_cg(A, b, options, x0=None):
@@ -155,15 +156,15 @@ def test_blockage_study_matches_physical_cg(farm, drifts):
 
 
 class AssembledProducts(LayeredOperator):
-    """A layered operator whose products with A and |A| are those of the
-    matrix G, whatever its own E."""
+    """A layered operator whose true residuals b - A x and products with
+    |A| are those of the matrix G, whatever its own E."""
 
     def __init__(self, G, *args):
         super().__init__(*args)
         self.G = G
 
-    def __matmul__(self, x):
-        return self.G @ x
+    def residual(self, b, x, out=None):
+        return b - self.G @ x
 
     def abs_matmul(self, x):
         return abs(self.G) @ x
@@ -182,7 +183,8 @@ def test_inexact_correction_restarts_from_true_residual():
     gx, gy, gz, bnd = _host_slab_conductances(grid)
     wrong = Counted(AssembledProducts(
         system.G, gx, gy, gz, bnd, grid.ny, grid.nx,
-        Correction(correction.index, 0.9 * correction.E)))
+        correction._replace(data=0.9 * correction.data,
+                            diag=0.9 * correction.diag)))
     options = SolveOptions(tolerance=1e-10)
     x = solve_cg(wrong, b, options)
     assert true_residual(system.G, b, x) <= options.tolerance
@@ -232,7 +234,7 @@ def test_correction_is_assembled_minus_layered_operator(seed):
                          np.broadcast_to(gy[:, None, None], (nz, ny - 1, nx)),
                          np.broadcast_to(gz[:, None, None], (nz - 1, ny, nx)),
                          np.broadcast_to(bnd[:, None, None], grid.shape))
-    index, E = system.correction
+    index, E = system.correction.index, correction_matrix(system.correction)
     full = sp.coo_matrix(E)
     full = sp.csr_matrix((full.data, (index[full.row], index[full.col])),
                          shape=(grid.n, grid.n))
@@ -243,6 +245,66 @@ def test_correction_is_assembled_minus_layered_operator(seed):
     outside = np.setdiff1d(np.arange(grid.n), index)
     assert not diff[outside].any()
     assert len(index) < grid.n
+
+
+def correction_triplets(grid):
+    """E's COO triplets, face set by face set in assembly order: x then y
+    faces and the boundaries of each slab bottom-up, then the z faces.
+    A face from voxel i to j whose conductance differs from the host
+    slab's by d gives -d at (i, j) and (j, i), then d at (i, i) and (j, j)
+    for all faces of its set; a boundary gives d at (i, i). Slabs and
+    faces away from the farms add nothing (d = 0)."""
+    nz, ny, nx = grid.shape
+    plane = ny * nx
+    z = np.arange(nz)
+    gx, gy, gz = _face_conductances(grid, z, z[:-1])
+    hx, hy, hz, hb = _host_slab_conductances(grid)
+    boundary = _boundary_conductance(grid, grid.kz)
+    rows, cols, vals = [], [], []
+
+    def faces(g, host, first, step, voxel=lambda f: f):
+        delta = (g - host).reshape(-1)
+        f = np.flatnonzero(delta)
+        i, d = first + voxel(f), delta[f]
+        if step:
+            rows.extend([i, i + step, i, i + step])
+            cols.extend([i + step, i, i, i + step])
+            vals.extend([-d, -d, d, d])
+        else:
+            rows.append(i)
+            cols.append(i)
+            vals.append(d)
+
+    for iz in range(nz):
+        faces(gx[iz], hx[iz], iz * plane, 1, lambda f: f + f // (nx - 1))
+        faces(gy[iz], hy[iz], iz * plane, nx)
+        if iz in (0, nz - 1):
+            faces(boundary[iz], hb[iz], iz * plane, 0)
+    for iz in range(nz - 1):
+        faces(gz[iz], hz[iz], iz * plane, plane)
+    return [np.concatenate(a) for a in (rows, cols, vals)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_correction_is_scipys_csr_of_its_triplets_bit_for_bit(seed):
+    """E's product and diagonal against scipy's CSR matrix of the same
+    triplets, which sums each diagonal's duplicates in triplet order and
+    each product row left to right: equal bits, on random farm stacks,
+    one of them at 64 x 32 cells and two slabs per layer."""
+    rng = np.random.default_rng(seed)
+    cfg, grid = random_farm_stack(rng)
+    if seed == 0:
+        grid = discretize(cfg, 64, 32, 2)
+    correction = assemble(grid, cfg).correction
+    rows, cols, vals = correction_triplets(grid)
+    np.testing.assert_array_equal(np.unique(rows), correction.index)
+    m = len(correction.index)
+    E = sp.coo_matrix((vals, (np.searchsorted(correction.index, rows),
+                              np.searchsorted(correction.index, cols))),
+                      shape=(m, m)).tocsr()
+    assert correction.diag.tobytes() == E.diagonal().tobytes()
+    for x in (rng.standard_normal(m), rng.uniform(25.0, 90.0, m)):
+        assert (correction @ x).tobytes() == (E @ x).tobytes()
 
 
 def test_gather_and_scatter_match_dense_transform():
@@ -276,6 +338,6 @@ def test_farm_free_correction_is_empty():
     cfg, grid = random_stack(rng)
     system = assemble(grid, cfg)
     assert len(system.correction.index) == 0
-    assert system.correction.E.shape == (0, 0)
+    assert correction_matrix(system.correction).shape == (0, 0)
     assert len(system.operator().index) == 0
     assert system.operator().E is None

@@ -12,11 +12,11 @@ from stackemu import pdn as pdn_module, solver
 from stackemu.config import load_scenario
 from stackemu.pdn import PdnParams, build_pdn
 from stackemu.scenario import GridSpec, Scenario, TransientSpec, run_scenario
-from stackemu.solver import (Correction, LayeredOperator, assemble,
-                             lattice_matrix)
+from stackemu.solver import LayeredOperator, assemble, lattice_matrix
 from stackemu.stack import discretize, preset_stack
 
-from conftest import random_farm_stack, random_power_map, random_stack
+from conftest import (correction_from_matrix, random_farm_stack,
+                      random_power_map, random_stack)
 
 DEMO = os.path.join(os.path.dirname(__file__), "..", "scenarios",
                     "demo_2layer.yaml")
@@ -83,11 +83,33 @@ def test_operator_with_correction_matches_lattice(shape):
     diff = (G - lattice_matrix(*host)).tocsr()
     diff.eliminate_zeros()
     index = np.flatnonzero(diff.getnnz(axis=1))
-    correction = Correction(index, diff[index][:, index].tocsr())
+    correction = correction_from_matrix(index, diff[index][:, index])
     for A, matrix in (
             (LayeredOperator(*per_slab, ny, nx, correction), G),
             (LayeredOperator(*per_slab, ny, nx), lattice_matrix(*host))):
         assert_products_match(A, matrix, rng)
+
+
+def test_step_operator_returns_no_work_buffer():
+    """A step operator holds work buffers, and op(r), op @ x, |A| x,
+    forward, inverse and scatter still return new arrays: a later call
+    leaves an earlier answer as it was."""
+    rng = np.random.default_rng(5)
+    cfg, grid = random_farm_stack(rng)
+    system = assemble(grid, cfg)
+    op = system.operator(5e-3)
+    assert op.work and not system.operator().work
+    calls = {"op(r)": op, "op @ x": op.__matmul__, "|A| x": op.abs_matmul,
+             "forward": op.forward,
+             "inverse": lambda v: op.inverse(v.reshape(grid.shape)),
+             "scatter": lambda v: op.scatter(v[:len(op.index)])}
+    for name, call in calls.items():
+        first = call(rng.standard_normal(grid.n))
+        kept = first.copy()
+        call(rng.standard_normal(grid.n))
+        np.testing.assert_array_equal(first, kept, err_msg=name)
+        assert not any(np.shares_memory(first, buffer)
+                       for buffer in op.work.values()), name
 
 
 @pytest.mark.parametrize("planes, nx, ny", [(2, 16, 8), (4, 1, 5),

@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from stackemu.reliability import (ReliabilityParams, cycling_damage,
                                   em_acceleration, extract_extrema,
-                                  rainflow_cycles, reliability_report,
-                                  StressHotspot, stress_proxy)
+                                  percentile, rainflow_cycles,
+                                  reliability_report, StressHotspot,
+                                  stress_proxy)
 from stackemu.solver import LayerStats, TemperatureField
 from stackemu.stack import TsvFarmSpec, discretize, preset_stack, with_layer
 from stackemu.materials import COPPER
@@ -284,6 +285,31 @@ def test_stress_ties_keep_linear_index_order(seed):
     assert len(set(scores)) < len(scores), "expected tied scores"
     assert_same_hotspots(
         got, reference_stress_proxy(field, grid, cfg, params))
+
+
+def test_percentile_is_numpys_bit_for_bit():
+    """20,000 cases of sizes 1..60, shapes flat and 3-D: normal values,
+    heavy ties, all-equal values and a mixed-sign spread, at q = 0 and
+    100, a whole q (an int, as YAML gives it) and a random q; the input
+    is left as it was."""
+    rng = np.random.default_rng(0)
+    cases = 0
+    for trial in range(5000):
+        n = int(rng.integers(1, 61))
+        values = (rng.standard_normal(n),
+                  rng.integers(0, 3, n).astype(float),
+                  np.full(n, rng.uniform(-5, 5)),
+                  rng.uniform(-1e3, 1e3, n) * rng.integers(0, 2, n))[trial % 4]
+        if trial % 3 == 0 and n % 2 == 0:
+            values = values.reshape(2, 1, -1)
+        before = values.copy()
+        for q in (0.0, 100.0, int(rng.integers(0, 101)),
+                  float(rng.uniform(0, 100))):
+            want = np.float64(np.percentile(values, q)).tobytes()
+            assert np.float64(percentile(values, q)).tobytes() == want
+            cases += 1
+        np.testing.assert_array_equal(values, before)
+    assert cases == 20000
 
 
 def test_report_min_mttf_is_hottest_layer(farm_grid):

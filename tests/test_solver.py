@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -17,8 +19,8 @@ from stackemu.scenario import TransientSpec, solve_transient
 from stackemu.stack import (LayerRole, LayerSpec, StackConfig, TsvFarmSpec,
                             discretize, preset_stack, with_layer)
 
-from conftest import (column_stack, random_farm_stack, random_power_map,
-                      random_stack)
+from conftest import (column_stack, correction_matrix, random_farm_stack,
+                      random_power_map, random_stack)
 from test_operator import assert_products_match
 
 TIGHT = SolveOptions(tolerance=1e-13)
@@ -144,6 +146,36 @@ def test_transient_fixed_point_at_steady_state():
     steady = solve_steady(system, source, TIGHT)
     stepped = step_transient(system, steady, source, dt=1e-3, options=TIGHT)
     assert np.max(np.abs(stepped.values - steady.values)) < 1e-7
+
+
+@pytest.mark.parametrize("farm, limit", [(False, 1.25), (True, 1.5)])
+def test_step_allocates_its_answer_and_no_field_temporary(farm, limit):
+    """After the first step, which builds the step operator and its work
+    buffers, a step allocates at most `limit` fields at once (tracemalloc
+    sees numpy's buffers): its answer, and no field-sized temporary. A
+    farm step also allocates its CG vectors on E's voxels S, about a
+    dozen of |S| each, and plane-sized temporaries; the one Cu farm here
+    keeps |S| at 2 % of n."""
+    cfg = preset_stack(4)
+    if farm:
+        cfg = with_layer(cfg, 1, tsv_farms=(
+            TsvFarmSpec(1.0, 1.0, 3.0, 3.0, 5.0, 10.0, COPPER),))
+    grid = discretize(cfg, 128, 64, 1)
+    system = assemble(grid, cfg)
+    source = power_density_field(PowerMap.zeros(cfg).apply_preset(
+        0, BUILTIN_PRESETS["cpu_core"]), grid, 0.0)
+    field_t = TemperatureField(values=np.full(grid.shape, cfg.ambient_c),
+                               grid=grid, time=0.0)
+    field_t = step_transient(system, field_t, source, 5e-3)
+    assert (system.operator(5e-3).E is not None) == farm
+    for _ in range(3):
+        tracemalloc.start()
+        try:
+            field_t = step_transient(system, field_t, source, 5e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit * field_t.values.nbytes
 
 
 def test_transient_decays_without_source():
@@ -440,7 +472,7 @@ def test_farm_die_on_the_package_face(sub_slabs):
         LayerSpec(LayerRole.S0, 500.0, SILICON)))
     grid = discretize(cfg, 24, 12, sub_slabs)
     system = assemble(grid, cfg)
-    index, E = system.correction
+    index, E = system.correction.index, correction_matrix(system.correction)
     slab = index // (grid.ny * grid.nx)
     assert (slab == 0).any()
     row_sums = np.asarray(E.sum(axis=1)).reshape(-1)

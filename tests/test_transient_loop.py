@@ -169,7 +169,7 @@ def test_benchmark_wrapped_names_see_every_step(monkeypatch):
     report = run_scenario(load_scenario(DEMO))
     assert report.events
     assert calls == Counter(step_transient=100, power_density_field=101,
-                            layer_summary=102, read_sensors=21)
+                            layer_summary=2, read_sensors=21)
     # The policy reads at the start of every 5th step, then the report
     # reads the final field.
     np.testing.assert_allclose(read_at, 0.025 * np.arange(21), rtol=1e-12)
