@@ -67,13 +67,12 @@ def main(argv=None) -> int:
     _apply_thread_cap()
     args = _parser().parse_args(argv)
 
-    from .config import ConfigError
     from .scenario import ExportError, StageError
     from .solver import ConvergenceError, NumericalError
 
     try:
         return _dispatch(args)
-    except (ConfigError, ValueError) as e:
+    except ValueError as e:
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     except (ConvergenceError, NumericalError) as e:

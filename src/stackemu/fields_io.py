@@ -240,5 +240,5 @@ def layer_to_pgm(field_t: TemperatureField, layer_index: int, path) -> None:
     slabs = grid.layer_slabs(layer_index)
     if len(slabs) == 0:
         raise ValueError(f"layer {layer_index} has no slabs")
-    plane = field_t.values[slabs].max(axis=0)
+    plane = field_t.values[slabs[0]:slabs[-1] + 1].max(axis=0)
     plane_to_pgm(plane, path, floor=grid.config.ambient_c, unit="C")

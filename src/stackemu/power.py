@@ -298,8 +298,8 @@ def power_density_field(pmap: PowerMap, grid: VoxelGrid,
                         t: float) -> np.ndarray:
     """Volumetric heat source (nz, ny, nx), W/m^3, read-only; nonzero only
     in device slabs. Tile areal density spreads through the full die
-    thickness. The grid's last field comes back while the map is the same
-    object and its densities at t have the same bits."""
+    thickness. The grid's last field comes back while the densities at t
+    have the same bits, all it depends on once the stacks match."""
     if t < 0:
         raise ValueError("time must be >= 0")
     if grid.config is not pmap.config and grid.config != pmap.config:
@@ -307,14 +307,14 @@ def power_density_field(pmap: PowerMap, grid: VoxelGrid,
     weights, slabs, thickness = grid.cached("raster",
                                             lambda: _raster_plan(grid))
     key = [pmap.densities(o, t).tobytes() for o in range(len(weights))]
-    last = grid.cached("power", lambda: [None, None, None])  # map, key, field
-    if last[0] is pmap and last[1] == key:
-        return last[2]
+    last = grid.cached("power", lambda: [None, None])   # key, field
+    if last[0] == key:
+        return last[1]
     field = np.zeros(grid.shape)
     for ordinal, areal in areal_density(pmap, weights, t):
         field[slabs[ordinal]] += areal / thickness[ordinal]
     field.setflags(write=False)
-    last[:] = pmap, key, field
+    last[:] = key, field
     return field
 
 

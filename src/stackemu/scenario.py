@@ -8,6 +8,7 @@ temperatures, so placement quality is visible in management outcomes.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import math
 import os
@@ -140,6 +141,12 @@ class Scenario:
     policy_period: int = 10   # transient steps between policy evaluations
     seed: int = 0
 
+    def __post_init__(self):
+        if self.policy is not None and self.transient is None:
+            raise ValueError("a DTM policy needs a transient section")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+
 
 @dataclass(frozen=True)
 class PolicyEvent:
@@ -171,8 +178,6 @@ class ScenarioReport:
     reliability: ReliabilityReport | None
     events: tuple[PolicyEvent, ...]
     total_power_w: float
-    config_hash: str
-    seed: int
 
 
 def scenario_hash(scenario: Scenario) -> str:
@@ -184,7 +189,7 @@ class _PolicyState:
     period-th step it reads the sensors and applies one hysteresis rule per
     key: a device ordinal (its layer's hottest sensor) for throttling, -1
     (the hottest sensor overall) for coreswap; the first index wins a tie.
-    The map of each set of keys that are on is built once."""
+    It holds one current map, rebuilt on each event."""
 
     def __init__(self, policy, base_map: PowerMap,
                  network: SensorNetwork | None, period: int):
@@ -196,21 +201,17 @@ class _PolicyState:
         self.period = period
         self.on: set[int] = set()
         self.events: list[PolicyEvent] = []
-        self._maps = {frozenset(): base_map}   # frozenset(on) -> map
+        self.map = base_map
 
     def __call__(self, step: int, field_t: TemperatureField) -> PowerMap:
         if step % self.period == 0:
             self.evaluate(field_t.time, read_sensors(self.network, field_t))
-        return self.effective_map()
-
-    def effective_map(self) -> PowerMap:
-        key = frozenset(self.on)
-        if key not in self._maps:
-            self._maps[key] = self._build_map()
-        return self._maps[key]
+        return self.map
 
     def _build_map(self) -> PowerMap:
         pmap = self.base_map
+        if not self.on:
+            return pmap
         if isinstance(self.policy, ThrottlePolicy):
             return pmap.scaled(dict.fromkeys(self.on,
                                              self.policy.throttle_factor))
@@ -238,6 +239,7 @@ class _PolicyState:
             else:
                 continue
             self.events.append(PolicyEvent(t, action, key, i, readings[i]))
+            self.map = self._build_map()
 
 
 def solve_transient(system: DiscreteSystem, t0_field: TemperatureField,
@@ -299,7 +301,7 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
     final_stats = None
     sampled: list[TemperatureField] = []
     layer_traces: dict[int, list[float]] = {
-        idx: [] for idx in grid.device_layer_indices}
+        idx: [] for idx in grid.config.device_layer_indices}
     events: tuple[PolicyEvent, ...] = ()
 
     if scenario.transient is not None:
@@ -367,9 +369,7 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
         pdn_summary=pdn_summary,
         reliability=rel,
         events=events,
-        total_power_w=total_power(scenario.power, 0.0),
-        config_hash=scenario_hash(scenario),
-        seed=scenario.seed)
+        total_power_w=total_power(scenario.power, 0.0))
 
 
 def _fmt(x: float) -> str:
@@ -390,8 +390,8 @@ def render_report(report: ScenarioReport) -> str:
     lines = []
     lines.append("== provenance ==")
     lines.append(f"scenario: {report.scenario.name}")
-    lines.append(f"config_hash: {report.config_hash}")
-    lines.append(f"seed: {report.seed}")
+    lines.append(f"config_hash: {scenario_hash(report.scenario)}")
+    lines.append(f"seed: {report.scenario.seed}")
     lines.append(f"version: {__version__}")
     lines.append("")
     lines.append("== power ==")
@@ -535,7 +535,7 @@ def _targets(report: ScenarioReport, fmt: str,
             targets.append((f"{prefix}_stress_hotspots.csv",
                             lambda p: _stress_csv(report, p)))
     elif fmt == "pgm":
-        for layer_index in grid.device_layer_indices:
+        for layer_index in grid.config.device_layer_indices:
             targets.append((
                 f"{prefix}_steady_L{layer_index}.pgm",
                 lambda p, li=layer_index: layer_to_pgm(
@@ -558,9 +558,8 @@ def write_text(path, text):
 
 
 def _stress_csv(report: ScenarioReport, path):
-    import csv as _csv
     with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(["z", "y", "x", "score"])
         for h in report.reliability.stress_hotspots:
             writer.writerow([*h.voxel, repr(h.score)])

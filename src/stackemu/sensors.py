@@ -78,7 +78,7 @@ def _site_voxel(site: tuple[int, float, float],
 
 def _locate(site, grid: VoxelGrid) -> tuple[int, int, int]:
     layer, x_mm, y_mm = site
-    device = grid.device_layer_indices
+    device = grid.config.device_layer_indices
     if not 0 <= layer < len(device):
         raise ValueError(f"device layer {layer} out of range")
     if not (0 <= x_mm <= grid.config.die_width_mm
@@ -103,8 +103,7 @@ def read_sensors(network: SensorNetwork,
         true_t = float(field_t.values[_site_voxel(sensor.site, field_t.grid)])
         if sensor.noise_sigma > 0:
             sample_idx = int(t // sensor.sample_period)
-            rng = default_rng(
-                [network.rng_seed & 0x7FFFFFFF, s_idx, sample_idx])
+            rng = default_rng([network.rng_seed, s_idx, sample_idx])
             true_t += float(rng.standard_normal()) * sensor.noise_sigma
         readings.append(quantize(true_t, sensor.quantization_step))
     return readings

@@ -114,7 +114,6 @@ class DiscreteSystem:
     boundary_g: np.ndarray = field(repr=False)   # (n,) W/K to ambient
     C: np.ndarray = field(repr=False)            # (n,) J/K capacitance
     grid: VoxelGrid = field(repr=False)
-    ambient_c: float
     correction: Correction = field(repr=False)
     # dt (None for steady) -> LayeredOperator; filled on first use, so
     # each backward-Euler step size is set up once per system.
@@ -133,7 +132,7 @@ class DiscreteSystem:
 
     @cached_property
     def _ambient_inflow(self) -> np.ndarray:
-        return self.boundary_g * self.ambient_c
+        return self.boundary_g * self.grid.config.ambient_c
 
     def rhs(self, source: np.ndarray, out=None) -> np.ndarray:
         """Source in W/m^3, shape (nz, ny, nx) or (n,); into out if given."""
@@ -240,20 +239,23 @@ class LayeredOperator:
     def __init__(self, gx, gy, gz, diag, ny: int, nx: int,
                  correction: Correction | None = None,
                  buffered: bool = False):
-        self.qx, self.lam_x = _cosine_basis(nx)
+        self.qx, lam_x = _cosine_basis(nx)
         self.qy, lam_y = _cosine_basis(ny)
-        self.lam_y = lam_y[:, None]
-        self.gx, self.gy, self.upper = gx, gy, -gz   # upper: off-diagonal
+        self.gx, self.gy, upper = gx, gy, -gz   # upper: off-diagonal
         self.ground, self.gz = diag, np.append(gz, 0.0)   # 0: no plane above
-        self.center = diag + (self.gz + np.append(0.0, gz))
+        center = diag + (self.gz + np.append(0.0, gz))
         # LDL^T of each mode's tridiagonal: pivots and sub-diagonal factors.
-        nz, upper = len(diag), self.upper
+        # main(z), the (ny, nx) diagonal of plane z's, is built per use, so
+        # the operator stores two arrays of the field's size, not three.
+        def main(z):
+            return gx[z] * lam_x + gy[z] * lam_y[:, None] + center[z]
+        nz = len(diag)
         self.inv_pivot = np.empty((nz, ny, nx))
         self.factor = np.empty((nz - 1, ny, nx))
-        self.inv_pivot[0] = 1.0 / self._main(0)
+        self.inv_pivot[0] = 1.0 / main(0)
         for i in range(1, nz):
             self.factor[i - 1] = upper[i - 1] * self.inv_pivot[i - 1]
-            self.inv_pivot[i] = 1.0 / (self._main(i)
+            self.inv_pivot[i] = 1.0 / (main(i)
                                        - self.factor[i - 1] * upper[i - 1])
         self.index, self.E = np.zeros(0, dtype=np.intp), None
         self.blocks = []
@@ -265,13 +267,6 @@ class LayeredOperator:
         self.work = {name: np.empty((nz, ny, nx)) for name in names}
         if buffered:   # the stencil's face differences of one chunk
             self.work["faces"] = np.empty(min(nz, self.chunk + 1) * ny * nx)
-
-    def _main(self, z: int) -> np.ndarray:
-        """Diagonal of plane z's mode tridiagonals, (ny, nx); built per
-        use rather than kept, so the operator stores two arrays of the
-        field's size, not three."""
-        return self.gx[z] * self.lam_x + self.gy[z] * self.lam_y \
-            + self.center[z]
 
     def _plane_blocks(self, index):
         """Per plane of E's voxels: its rows of qy and columns of qx, the
@@ -422,8 +417,7 @@ def assemble(grid: VoxelGrid, config: StackConfig) -> DiscreteSystem:
     boundary_g = _boundary_conductance(grid, grid.kz)
     C = (grid.vhc * grid.voxel_volume).reshape(-1)
     return DiscreteSystem(boundary_g=boundary_g.reshape(-1), C=C,
-                          grid=grid, ambient_c=config.ambient_c,
-                          correction=_correction(grid, boundary_g))
+                          grid=grid, correction=_correction(grid, boundary_g))
 
 
 def _correction(grid: VoxelGrid, boundary_g) -> Correction:
@@ -574,13 +568,13 @@ def energy_balance_error(system: DiscreteSystem, source: np.ndarray,
     """|P_in - sum g_b (T - T_amb)| / P_in for the steady field `values`
     under `source` (W/m^3); with no power in, relative to the scale of
     the boundary terms, sum g_b (|T| + |T_amb|)."""
-    grid = system.grid
+    grid, ambient = system.grid, system.grid.config.ambient_c
     injected = float(np.sum(np.reshape(source, grid.shape)
                             * grid.voxel_volume))
     t = np.reshape(values, -1)
-    outflux = float(np.dot(system.boundary_g, t - system.ambient_c))
+    outflux = float(np.dot(system.boundary_g, t - ambient))
     scale = injected or float(np.dot(system.boundary_g,
-                                     np.abs(t) + abs(system.ambient_c)))
+                                     np.abs(t) + abs(ambient)))
     return abs(injected - outflux) / scale if scale else 0.0
 
 
@@ -631,7 +625,7 @@ def layer_summary(field_t: TemperatureField) -> list[LayerStats]:
     """Per-device-layer stats of the field's own grid, bottom-up."""
     grid = field_t.grid
     out = []
-    for layer_index in grid.device_layer_indices:
+    for layer_index in grid.config.device_layer_indices:
         slabs = grid.layer_slabs(layer_index)
         vals = field_t.values[slabs[0]:slabs[-1] + 1]   # contiguous: a view
         flat_arg = int(np.argmax(vals.reshape(-1)))

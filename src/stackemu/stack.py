@@ -194,8 +194,7 @@ PACKAGE_SLAB_UM = 80.0   # C4 bump height
 TIM_SLAB_UM = 30.0
 
 
-def preset_stack(n_layers: int, *, tile_rows: int = 4,
-                 tile_cols: int = 8) -> StackConfig:
+def preset_stack(n_layers: int) -> StackConfig:
     """Reference 2/3/4-layer stacks: 12 mm x 6 mm dies, thinned 50 um
     SP/SN layers with TSVs, thick S0 under the heat sink, bond slabs
     between dies, C4/package slab below, TIM slab on top."""
@@ -215,14 +214,9 @@ def preset_stack(n_layers: int, *, tile_rows: int = 4,
         if j > 0:
             layers.append(LayerSpec(LayerRole.BOND_INTERFACE, BOND_SLAB_UM,
                                     BOND_UNDERFILL))
-        if role == LayerRole.S0:
-            layers.append(LayerSpec(role, S0_DIE_UM, SILICON,
-                                    has_tsvs=False,
-                                    tile_rows=tile_rows, tile_cols=tile_cols))
-        else:
-            layers.append(LayerSpec(role, THINNED_DIE_UM, SILICON,
-                                    has_tsvs=True,
-                                    tile_rows=tile_rows, tile_cols=tile_cols))
+        top = role == LayerRole.S0
+        layers.append(LayerSpec(role, S0_DIE_UM if top else THINNED_DIE_UM,
+                                SILICON, has_tsvs=not top))
     layers.append(LayerSpec(LayerRole.HEAT_SINK_INTERFACE, TIM_SLAB_UM, TIM))
 
     return StackConfig(die_width_mm=12.0, die_length_mm=6.0,
@@ -245,8 +239,10 @@ class VoxelGrid:
     slab_layer: np.ndarray      # (nz,) physical layer index per slab
     config: StackConfig = field(repr=False)
     # Lookups derived from the fields above (slabs per layer, voxel
-    # volumes, rasterization weights, sensor voxels), built on first use.
-    # Nothing writes to a grid after discretize, so none goes stale.
+    # volumes, rasterization weights, sensor voxels, CSV cell text), built
+    # on first use; nothing writes to a grid after discretize, so none goes
+    # stale. "power" holds the last source field with the densities it was
+    # built from, and power_density_field replaces it when they change.
     _cache: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -275,11 +271,6 @@ class VoxelGrid:
     def layer_slabs(self, layer_index: int) -> np.ndarray:
         return self.cached(("slabs", layer_index), lambda: np.nonzero(
             self.slab_layer == layer_index)[0])
-
-    @property
-    def device_layer_indices(self) -> tuple[int, ...]:
-        return self.cached("device_layer_indices",
-                           lambda: self.config.device_layer_indices)
 
     @property
     def voxel_volume(self) -> np.ndarray:

@@ -422,6 +422,23 @@ def test_policy_without_sensors_exits_1(tmp_path, capsys, edit):
     assert os.listdir(tmp_path) == ["scenario.yaml"]
 
 
+@pytest.mark.parametrize("command", ["validate", "report"])
+def test_policy_without_transient_exits_1(tmp_path, capsys, command):
+    """A policy acts only in the transient march, so a steady-only document
+    with a policy fails at load rather than report no events."""
+    doc = demo_doc()
+    doc["transient"] = "steady-only"
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    code = main(["--config", str(path), "--out", str(tmp_path / "run"),
+                 command])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert "a DTM policy needs a transient section" in err
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == ["scenario.yaml"]
+
+
 def test_step_count_over_the_cap_fails_validate(tmp_path, capsys):
     """`validate` only loads the document, so a 10^9-step march is
     rejected without a step being run."""
@@ -479,5 +496,5 @@ def test_benchmark_documents_map_to_the_same_scenarios(workload, seed):
 
 
 def test_demo_report_config_hash_is_pinned():
-    assert run_scenario(load_scenario(DEMO)).config_hash == \
+    assert scenario_hash(run_scenario(load_scenario(DEMO)).scenario) == \
         "50c59648c6486902"

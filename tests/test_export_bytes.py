@@ -135,7 +135,7 @@ def test_layer_pgm_matches_reference_on_multi_slab_layer(tmp_path):
     rng = np.random.default_rng(8)
     field = TemperatureField(values=random_values(rng, grid.shape),
                              grid=grid)
-    for layer in grid.device_layer_indices:
+    for layer in grid.config.device_layer_indices:
         slabs = grid.layer_slabs(layer)
         assert len(slabs) == 3
         layer_to_pgm(field, layer, tmp_path / "got.pgm")

@@ -136,17 +136,17 @@ def test_policy_map_rebuilt_only_when_state_changes():
     policy = ThrottlePolicy(trigger_t=30.0, release_t=28.0,
                             throttle_factor=0.5)
     state = _PolicyState(policy, pmap, hot_sensor_net(), 1)
-    assert state.effective_map() is pmap
+    assert state.map is pmap
     state.evaluate(0.0, [29.0])          # below trigger: no event
-    assert not state.events and state.effective_map() is pmap
+    assert not state.events and state.map is pmap
     state.evaluate(0.1, [31.0])          # throttle
-    throttled = state.effective_map()
+    throttled = state.map
     assert throttled == pmap.scaled({0: 0.5})
     state.evaluate(0.2, [29.0])          # in the hysteresis band
-    assert state.effective_map() is throttled
+    assert state.map is throttled
     state.evaluate(0.3, [27.0])          # release
     assert [e.action for e in state.events] == ["throttle", "release"]
-    assert state.effective_map() == pmap
+    assert state.map == pmap
 
 
 def test_coreswap_swaps_profiles():
@@ -156,8 +156,8 @@ def test_coreswap_swaps_profiles():
     stack = preset_stack(2)
     pmap = PowerMap.zeros(stack).set_tile_power(0, 0, 0, Constant(9.0))
     state = _PolicyState(policy, pmap, hot_sensor_net(), 1)
-    state.on.add(-1)
-    eff = state.effective_map()
+    state.evaluate(0.0, [31.0])
+    eff = state.map
     assert eff.profile(0, 0, 0) == Constant(0.0)
     assert eff.profile(0, 3, 7) == Constant(9.0)
 
@@ -345,6 +345,25 @@ def test_auto_place_is_one_stage_of_the_run(tmp_path):
                  "--k", "6"]) == 0
     with open(f"{out}_sensors.csv") as a, open(f"{out}_placement.csv") as b:
         assert a.read() == b.read()
+
+
+def test_every_seed_has_its_own_noise(tmp_path, capsys):
+    """Seeds s and s + 2^31 draw different sensor noise; a seed below 2^31
+    keeps its readings (these are the ones seed 5 always gave); a negative
+    seed is rejected, also from the command line."""
+    demo = os.path.join(os.path.dirname(__file__), "..", "scenarios",
+                        "demo_2layer.yaml")
+    sc = replace(load_scenario(demo), transient=None, policy=None)
+    low, high = (run_scenario(replace(sc, seed=s)).sensor_readings
+                 for s in (5, 5 + 2 ** 31))
+    assert low == [57.75, 44.75, 47.0, 47.5, 49.75, 49.25]
+    assert high != low
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        replace(sc, seed=-1)
+    assert main(["--config", demo, "--out", str(tmp_path / "run"),
+                 "--seed", "-1", "steady"]) == 1
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_cli_validate_ok(tmp_path, capsys):

@@ -1,7 +1,9 @@
 """Every imported name is read somewhere in its file: an AST scan of the
 package, the tests and the scripts (the benchmark harness is not
 scanned). No package module imports scipy at module level: only the
-matrix oracles import it, when they are built."""
+matrix oracles import it, when they are built. No package function
+imports anything, so no run pays for an import midway; the CLI and
+`lattice_matrix` are the exceptions."""
 
 import ast
 import pathlib
@@ -94,3 +96,40 @@ def test_module_level_scan_skips_function_bodies():
                          ids=lambda p: p.name)
 def test_package_imports_no_scipy_at_module_level(path):
     assert "scipy" not in module_level_imports(path.read_text())
+
+
+def function_imports(source: str) -> list[str]:
+    """`function (line N)` of each import inside a function body, under the
+    name of the outermost function that holds it."""
+    found, todo = [], [(None, ast.parse(source))]
+    while todo:
+        outer, node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            outer = outer or node.name
+        elif outer and isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.append(f"{outer} (line {node.lineno})")
+        todo.extend((outer, child) for child in ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_function_import_scan_finds_nested_and_method_imports():
+    source = ("import numpy as np\n"
+              "def plain():\n"
+              "    return np\n"
+              "def outer():\n"
+              "    def inner():\n"
+              "        import csv\n"
+              "class Writer:\n"
+              "    def write(self):\n"
+              "        from .fields_io import field_to_csv\n")
+    assert function_imports(source) == ["outer (line 6)", "write (line 9)"]
+
+
+@pytest.mark.parametrize("path", [
+    path for path in sorted((ROOT / "src/stackemu").glob("*.py"))
+    if path.name != "cli.py"], ids=lambda p: p.name)
+def test_package_functions_import_nothing(path):
+    """The CLI, not scanned, imports the package only after the BLAS
+    thread cap is applied; lattice_matrix imports scipy for the oracle."""
+    assert [f for f in function_imports(path.read_text())
+            if not f.startswith("lattice_matrix ")] == []

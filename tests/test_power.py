@@ -24,6 +24,19 @@ def test_set_tile_round_trip(cfg):
     assert pmap.profile(0, 1, 2) == Constant(0.0)
 
 
+def test_equal_map_gets_the_cached_field(cfg):
+    """The grid's last source field is keyed by the densities alone: an
+    equal map that is another object gets the very same array back."""
+    grid = discretize(cfg, 8, 4)
+    pmap = PowerMap.zeros(cfg).set_uniform(0, Constant(9.0))
+    field = power_density_field(pmap, grid, 0.0)
+    twin = PowerMap(pmap.config, pmap.profiles)
+    assert twin == pmap and twin is not pmap
+    assert power_density_field(twin, grid, 0.0) is field
+    half = pmap.set_uniform(0, Constant(4.5))
+    assert np.array_equal(power_density_field(half, grid, 0.0), field / 2)
+
+
 def test_set_tile_locality(cfg):
     pmap = PowerMap.zeros(cfg).set_uniform(1, Constant(1.0))
     before = total_power(pmap, 0.0)

@@ -289,7 +289,7 @@ def test_layer_summary_slice_matches_fancy_indexed_read():
         values = np.round(rng.uniform(25.0, 90.0, grid.shape), 0)
         field = TemperatureField(values=values, grid=grid)
         expected = []
-        for layer_index in grid.device_layer_indices:
+        for layer_index in grid.config.device_layer_indices:
             slabs = grid.layer_slabs(layer_index)
             vals = values[slabs]
             local = np.unravel_index(int(np.argmax(vals)), vals.shape)

@@ -223,7 +223,6 @@ def test_grid_lookups_built_once_and_read_only():
     expected = np.broadcast_to(
         ((grid.dx_m * grid.dy_m) * grid.dz_m)[:, None, None], grid.shape)
     assert np.array_equal(vol, expected)
-    assert grid.device_layer_indices == cfg.device_layer_indices
     for shared in (slabs, vol):
         with pytest.raises(ValueError, match="read-only"):
             shared[0] = 0
