@@ -158,8 +158,7 @@ def _power(spec: dict | None, stack: StackConfig, base_dir: str) -> PowerMap:
     return pmap
 
 
-def _sensors(spec: dict | None,
-             seed: int) -> SensorNetwork | AutoPlace | None:
+def _sensors(spec: dict | None) -> SensorNetwork | AutoPlace | None:
     if not spec:
         return None
     spec = dict(spec)
@@ -170,7 +169,7 @@ def _sensors(spec: dict | None,
                               "not both")
         return AutoPlace(**spec.pop("auto_place"), **spec)
     return SensorNetwork(sensors=[SensorSpec(**p, **spec)
-                                  for p in placements or ()], rng_seed=seed)
+                                  for p in placements or ()])
 
 
 def scenario_from_document(doc: dict, base_dir: str = ".") -> Scenario:
@@ -180,7 +179,7 @@ def scenario_from_document(doc: dict, base_dir: str = ".") -> Scenario:
     scenario = {k: doc[k] for k in ("name", "seed") if k in doc}
     scenario.update(
         stack=stack, power=power, grid=GridSpec(**doc["grid"]),
-        sensors=_sensors(doc.get("sensors"), doc.get("seed", Scenario.seed)))
+        sensors=_sensors(doc.get("sensors")))
     # "disabled", "steady-only" and "none" leave the Scenario default.
     for key, cls in (("pdn", PdnParams), ("reliability", ReliabilityParams),
                      ("solve", SolveOptions), ("transient", TransientSpec)):

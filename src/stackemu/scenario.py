@@ -189,23 +189,26 @@ class _PolicyState:
     period-th step it reads the sensors and applies one hysteresis rule per
     key: a device ordinal (its layer's hottest sensor) for throttling, -1
     (the hottest sensor overall) for coreswap; the first index wins a tie.
-    It holds one current map, rebuilt on each event."""
+    The readings' noise comes from the scenario seed. It holds one current
+    map, rebuilt on each event."""
 
     def __init__(self, policy, base_map: PowerMap,
-                 network: SensorNetwork | None, period: int):
+                 network: SensorNetwork | None, period: int, seed: int = 0):
         if network is None or not network.sensors:
             raise ValueError("a DTM policy requires a sensor network")
         self.policy = policy
         self.base_map = base_map
         self.network = network
         self.period = period
+        self.seed = seed
         self.on: set[int] = set()
         self.events: list[PolicyEvent] = []
         self.map = base_map
 
     def __call__(self, step: int, field_t: TemperatureField) -> PowerMap:
         if step % self.period == 0:
-            self.evaluate(field_t.time, read_sensors(self.network, field_t))
+            self.evaluate(field_t.time,
+                          read_sensors(self.network, field_t, self.seed))
         return self.map
 
     def _build_map(self) -> PowerMap:
@@ -292,10 +295,8 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
                     quantization_step=network.quantization_step,
                     sample_period=network.sample_period)
                     for l, x, y in sites),
-                candidate_sites=tuple(candidates), rng_seed=scenario.seed)
+                candidate_sites=tuple(candidates))
             scenario = replace(scenario, sensors=network)
-        elif network is not None:
-            network = replace(network, rng_seed=scenario.seed)
 
     final_field = None
     final_stats = None
@@ -309,7 +310,7 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
             pmap = scenario.power
             if scenario.policy is not None:
                 pmap = _PolicyState(scenario.policy, scenario.power, network,
-                                    scenario.policy_period)
+                                    scenario.policy_period, scenario.seed)
 
             def trace(field_t):   # for reliability: LayerStats.max bits
                 for idx, maxima in layer_traces.items():
@@ -332,7 +333,7 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
     if network is not None:
         with _stage("sensors"):
             observe_field = final_field if final_field is not None else steady
-            readings = read_sensors(network, observe_field)
+            readings = read_sensors(network, observe_field, scenario.seed)
             eval_fields = list(sampled) if sampled else [steady]
             placement = [s.site for s in network.sensors]
             hs_error = hotspot_error(placement, eval_fields)

@@ -1,7 +1,7 @@
 """Virtual thermal sensors: noisy, quantized, sampled point probes, plus
 greedy placement for hotspot tracking and its noiseless error.
 
-Noise is counter-based: each (network seed, sensor index, sample index)
+Noise is counter-based: each (scenario seed, sensor index, sample index)
 triple seeds its own generator, so any reading is reproducible without
 storing streams.
 """
@@ -50,7 +50,6 @@ class SensorSpec:
 class SensorNetwork:
     sensors: tuple[SensorSpec, ...]
     candidate_sites: tuple[tuple[int, float, float], ...] = ()
-    rng_seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "sensors", tuple(self.sensors))
@@ -91,10 +90,10 @@ def _locate(site, grid: VoxelGrid) -> tuple[int, int, int]:
     return iz, iy, ix
 
 
-def read_sensors(network: SensorNetwork,
-                 field_t: TemperatureField) -> list[float]:
+def read_sensors(network: SensorNetwork, field_t: TemperatureField,
+                 seed: int = 0) -> list[float]:
     """Quantized noisy readings at the field's own time (0 for a steady
-    field) on its own grid, one per sensor, deg C."""
+    field) on its own grid, one per sensor, deg C; seed is the scenario's."""
     t = field_t.time or 0.0
     if t < 0:
         raise ValueError("time must be >= 0")
@@ -103,7 +102,7 @@ def read_sensors(network: SensorNetwork,
         true_t = float(field_t.values[_site_voxel(sensor.site, field_t.grid)])
         if sensor.noise_sigma > 0:
             sample_idx = int(t // sensor.sample_period)
-            rng = default_rng([network.rng_seed, s_idx, sample_idx])
+            rng = default_rng([seed, s_idx, sample_idx])
             true_t += float(rng.standard_normal()) * sensor.noise_sigma
         readings.append(quantize(true_t, sensor.quantization_step))
     return readings

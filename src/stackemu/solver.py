@@ -13,15 +13,17 @@ the orthonormal cosine (DCT-II) basis Q diagonalize each slab's in-plane
 operator, which leaves one tridiagonal system through the stack per
 in-plane mode (the fast Poisson solver of Buzbee, Golub & Nielsen, SIAM
 J. Numer. Anal. 7, 1970). On farm-free stacks A = A_L, so a solve is one
-preconditioner application and one true-residual check. TSV farms add a
-sparse correction E = A - A_L on the farm voxels, their lateral ring and
-the voxels above and below them (the capacitance-matrix setting of
-Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8, 1971). CG then
+preconditioner application and one true-residual check, and a
+backward-Euler step stays in mode space from one step to the next: one
+Thomas sweep and one inverse transform (see `step_transient`). TSV farms
+add a sparse correction E = A - A_L on the farm voxels, their lateral
+ring and the voxels above and below them (the capacitance-matrix setting
+of Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8, 1971). CG then
 keeps each residual as a multiple of its round's first residual plus a
 vector on E's voxels: an iteration transforms only those, around one
 Thomas sweep, and a round the whole die once each way. After a steady
 solve the boundary outflux must balance the injected power.
-One `LayeredOperator` per system holds A_L's per-slab scalars and
+One `LayeredOperator` per system and dt holds A_L's per-slab scalars and
 factorization and E: `op @ x` applies A without a matrix and `op(r)`
 A_L^-1. `solve_cg(op, b)` is the one linear solve (the PDN uses both)
 and `lattice_matrix` builds the matrix oracle.
@@ -145,21 +147,16 @@ class DiscreteSystem:
                         out=out).reshape(-1)
         return np.add(q, self._ambient_inflow, out=q)
 
-    def slab_cap(self, dt: float) -> np.ndarray:
-        """C/dt per slab, shape (nz, 1): uniform over a slab, since TSV
-        farms change k and not vhc."""
-        return self.C.reshape(self.grid.nz, -1)[:, :1] / dt
-
     def operator(self, dt: float | None = None) -> LayeredOperator:
         """A = G for steady (dt None), or G + C/dt with work buffers for
-        backward-Euler steps of size dt; built on the first call per dt."""
+        backward-Euler steps of size dt; built on the first call per dt.
+        C/dt is uniform over a slab, since TSV farms change k and not vhc."""
         if dt not in self._operators:
-            gx, gy, gz, diag = _host_slab_conductances(self.grid)
-            if dt is not None:
-                diag = diag + self.slab_cap(dt)[:, 0]
+            cap = None if dt is None else \
+                self.C.reshape(self.grid.nz, -1)[:, 0] / dt
             self._operators[dt] = LayeredOperator(
-                gx, gy, gz, diag, *self.grid.shape[1:], self.correction,
-                buffered=dt is not None)
+                *_host_slab_conductances(self.grid), *self.grid.shape[1:],
+                self.correction, cap)
         return self._operators[dt]
 
 
@@ -233,14 +230,21 @@ class LayeredOperator:
     and solved by a Thomas sweep vectorized over the modes. CG's
     transforms at E's voxels, `gather` (Q at them) and `scatter` (Q^T
     from them), need Q only at their rows and columns in each plane.
-    `work` holds a buffered operator's arrays for `solve_cg` and
-    `step_transient`; a method returns a new array unless given `out`."""
+
+    A backward-Euler step operator also has cap[iz] = C/dt in each node's
+    diag, and `work`: its arrays for `step_transient` and, with E, for
+    `solve_cg`. `source` and `field` are the arrays whose rhs and mode
+    coefficients work holds (see `step_transient`), or None. A method
+    returns a new array unless given `out`."""
 
     def __init__(self, gx, gy, gz, diag, ny: int, nx: int,
                  correction: Correction | None = None,
-                 buffered: bool = False):
+                 cap: np.ndarray | None = None):
         self.qx, lam_x = _cosine_basis(nx)
         self.qy, lam_y = _cosine_basis(ny)
+        self.cap = None if cap is None else cap[:, None, None]
+        if cap is not None:
+            diag = diag + cap
         self.gx, self.gy, upper = gx, gy, -gz   # upper: off-diagonal
         self.ground, self.gz = diag, np.append(gz, 0.0)   # 0: no plane above
         center = diag + (self.gz + np.append(0.0, gz))
@@ -263,10 +267,17 @@ class LayeredOperator:
             self.index, self.E = correction.index, correction
             self._plane_blocks(correction.index)
         self.chunk = max(1, 2 ** 16 // (ny * nx))   # planes, ~0.5 MB
-        names = ("modes", "modes2", "residual", "rhs") if buffered else ()
+        if cap is None:
+            names = ()
+        elif self.E is None:   # the mode-space step's
+            names = ("rhs", "residual", "source", "source_modes",
+                     "field_modes")
+        else:                  # the farm step's and its CG rounds'
+            names = ("modes", "modes2", "residual", "rhs")
         self.work = {name: np.empty((nz, ny, nx)) for name in names}
-        if buffered:   # the stencil's face differences of one chunk
+        if cap is not None:   # the stencil's face differences of one chunk
             self.work["faces"] = np.empty(min(nz, self.chunk + 1) * ny * nx)
+        self.source = self.field = None
 
     def _plane_blocks(self, index):
         """Per plane of E's voxels: its rows of qy and columns of qx, the
@@ -483,16 +494,25 @@ def solve_cg(A: LayeredOperator, b, options: SolveOptions = SolveOptions(),
     residual; CG restarts from a failing one within the same iteration
     cap, unless it is within the rounding error of its own evaluation.
     Row-major, so bit-reproducible. Non-finite input raises."""
+    # A cold farm solve starts inside its first round, at A_L^-1 b; its x
+    # is made first, so that the round's temporaries free above it.
+    cold = x0 is None and A.E is not None
+    x = np.zeros_like(b) if cold else A(b) if x0 is None else x0.copy()
+    _cg_rounds(A, b, x, options, cold)
+    return x
+
+
+def _cg_rounds(A: LayeredOperator, b, x: np.ndarray, options: SolveOptions,
+               cold: bool = False) -> int:
+    """`solve_cg`'s rounds from x, in place; the number of rounds run, 0
+    when x passes its first true-residual check. Cold: x is 0 and the
+    first round starts from b itself."""
     tol = options.tolerance
     max_iter = options.iteration_cap(len(b))
     bnorm = np.linalg.norm(b) or 1.0
     if not np.isfinite(bnorm):
         raise NumericalError("non-finite right-hand side")
     E, index, work = A.E, A.index, A.work.get   # work(name): buffer or None
-    # A cold farm solve starts inside its first round, at A_L^-1 b; its x
-    # is made first, so that the round's temporaries free above it.
-    cold = x0 is None and E is not None
-    x = np.zeros_like(b) if cold else A(b) if x0 is None else x0.copy()
     it = rounds = 0
     while True:
         from_b = cold and not rounds
@@ -506,7 +526,7 @@ def solve_cg(A: LayeredOperator, b, options: SolveOptions = SolveOptions(),
             if res <= tol or (rounds and res * bnorm <= 8 * np.finfo(float).eps
                               * np.linalg.norm(A.abs_matmul(np.abs(x))
                                                + np.abs(b))):
-                return x
+                return rounds
         rounds += 1
         # The round's r0, y0 = Q^T r0 and z0 = T^-1 y0.
         r0 = b if from_b else r
@@ -596,19 +616,50 @@ def solve_steady(system: DiscreteSystem, source: np.ndarray,
 def step_transient(system: DiscreteSystem, field_t: TemperatureField,
                    source: np.ndarray, dt: float,
                    options: SolveOptions = SolveOptions()) -> TemperatureField:
-    """One backward Euler step: (C/dt + G) T_new = C/dt T + b, started
-    from T only where A_L^-1 is inexact (TSV farms)."""
+    """One backward-Euler step: (G + C/dt) T' = b = q + C/dt T, where
+    q = rhs(source), then the true-residual check of `solve_cg`.
+
+    On a farm-free stack A_L^-1 is exact, and C/dt, uniform per slab,
+    commutes with the cosine basis Q: Q^T b = q^ + C/dt T^, with q^ = Q^T q
+    and T^ = Q^T T. So T' is one Thomas sweep of that and one inverse
+    transform, and T'^ is the sweep's output. The step operator keeps q and
+    q^ of the last source, if that is a read-only array that owns its data
+    (`power_density_field` returns the same one while the densities are
+    unchanged), and T'^ of the field it returns, whose values it makes
+    read-only, unless CG had to correct it. Any other source or field is
+    transformed afresh. With TSV farms CG starts from T."""
     if not 0 < dt < np.inf:
         raise ValueError("dt must be positive and finite")
     A = system.operator(dt)
-    nz = system.grid.nz
-    b = system.rhs(source, A.work["rhs"])
-    b += np.multiply(system.slab_cap(dt), field_t.values.reshape(nz, -1),
-                     out=A.work["residual"].reshape(nz, -1)).reshape(-1)
-    x = solve_cg(A, b, options, None if A.E is None else field_t.flat())
-    t_new = (field_t.time or 0.0) + dt
-    return TemperatureField(values=x.reshape(system.grid.shape),
-                            grid=system.grid, time=t_new)
+    work, values = A.work, field_t.values
+    if A.E is not None:
+        b = system.rhs(source, work["rhs"])
+        b += np.multiply(A.cap, values, out=work["residual"]).reshape(-1)
+        x = solve_cg(A, b, options, field_t.flat()).reshape(system.grid.shape)
+    else:
+        if source is not A.source:
+            A.source = None
+            A.forward(system.rhs(source, work["source"]),
+                      work["source_modes"], work["residual"])
+            if (isinstance(source, np.ndarray) and source.flags.owndata
+                    and not source.flags.writeable):
+                A.source = source
+        y = work["field_modes"]
+        if values is not A.field:
+            A.forward(values, y, work["residual"])
+        A.field = None   # y becomes T'^
+        y *= A.cap
+        y += work["source_modes"]
+        x = A.inverse(A.solve_modes(y), None, work["residual"])
+        b = np.multiply(A.cap, values, out=work["rhs"]).reshape(-1)
+        b += work["source"].reshape(-1)
+        rounds = _cg_rounds(A, b, x, options)
+        x = x.reshape(system.grid.shape)
+        if not rounds:
+            x.flags.writeable = False
+            A.field = x
+    return TemperatureField(values=x, grid=system.grid,
+                            time=(field_t.time or 0.0) + dt)
 
 
 @dataclass(frozen=True)

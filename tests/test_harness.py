@@ -337,7 +337,6 @@ def test_auto_place_is_one_stage_of_the_run(tmp_path):
     expected = place_sensors_greedy(tile_center_candidates(grid), 6,
                                     [report.steady_field])
     assert [s.site for s in report.scenario.sensors.sensors] == expected
-    assert report.scenario.sensors.rng_seed == sc.seed
 
     out = str(tmp_path / "demo")
     assert main(["--config", demo, "--out", out, "report"]) == 0
@@ -364,6 +363,28 @@ def test_every_seed_has_its_own_noise(tmp_path, capsys):
                  "--seed", "-1", "steady"]) == 1
     assert "seed must be >= 0" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+def test_explicit_placements_read_with_the_run_seed(tmp_path):
+    """Two explicit-placement documents that differ only in their seed,
+    both run with --seed 5, are one scenario: the same config_hash and
+    the same noisy readings, in the same report."""
+    noisy = BASE_YAML.replace("noise_sigma: 0.0", "noise_sigma: 2.0")
+    reports = []
+    for seed in (3, 42):
+        path = write_yaml(tmp_path, noisy.replace("seed: 3", f"seed: {seed}"),
+                          f"seed{seed}.yaml")
+        out = str(tmp_path / f"seed{seed}")
+        assert main(["--config", path, "--out", out, "--seed", "5",
+                     "steady"]) == 0
+        with open(f"{out}_report.txt") as fh:
+            reports.append(fh.read())
+    assert "config_hash" in reports[0] and "== sensors ==" in reports[0]
+    assert reports[0] == reports[1]
+    sc = replace(load_scenario(path), seed=5)
+    assert reports[0] == render_report(run_scenario(sc))
+    assert run_scenario(replace(sc, seed=3)).sensor_readings \
+        != run_scenario(sc).sensor_readings
 
 
 def test_cli_validate_ok(tmp_path, capsys):

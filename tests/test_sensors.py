@@ -64,16 +64,15 @@ def test_readings_deterministic_per_seed_and_sample(grid):
     field = gaussian_field(grid, 0, 6.0, 3.0, 20.0)
     sensor = SensorSpec(layer=0, x_mm=6.0, y_mm=3.0, noise_sigma=1.0,
                         quantization_step=0.0, sample_period=1e-3)
-    net = SensorNetwork(sensors=(sensor,), rng_seed=99)
-    r1 = read_sensors(net, replace(field, time=0.0015))
-    r2 = read_sensors(net, replace(field, time=0.0015))
+    net = SensorNetwork(sensors=(sensor,))
+    r1 = read_sensors(net, replace(field, time=0.0015), 99)
+    r2 = read_sensors(net, replace(field, time=0.0015), 99)
     assert r1 == r2
     # different sample index -> (almost surely) different noise draw
-    r3 = read_sensors(net, replace(field, time=0.0025))
+    r3 = read_sensors(net, replace(field, time=0.0025), 99)
     assert r1 != r3
     # different seed -> different reading
-    net2 = SensorNetwork(sensors=(sensor,), rng_seed=100)
-    assert read_sensors(net2, replace(field, time=0.0015)) != r1
+    assert read_sensors(net, replace(field, time=0.0015), 100) != r1
 
 
 def test_duplicate_sites_rejected():

@@ -76,6 +76,11 @@ def test_farm_free_steady_is_one_application(monkeypatch, demo):
 
 
 def test_farm_free_step_is_one_application(monkeypatch, demo):
+    """A farm-free step whose source array and field are the ones the
+    operator saw last is one Thomas sweep, one inverse transform and one
+    true-residual product; the first step and a step with a new source
+    add one forward transform per new input. Each answer meets the
+    tolerance against the real matrix."""
     scenario, grid, system = demo
     dt = scenario.transient.dt
     ops = count_operators(monkeypatch, system)
@@ -83,17 +88,25 @@ def test_farm_free_step_is_one_application(monkeypatch, demo):
     field_t = TemperatureField(
         values=np.full(grid.shape, scenario.stack.ambient_c), grid=grid,
         time=0.0)
-    for _ in range(5):
+    matrix = system.G + sp.diags(system.C / dt)
+    sources = []
+    for step in range(15):
         source = power_density_field(scenario.power, grid, field_t.time)
+        new_inputs = (step == 0) + (not sources or source is not sources[-1])
+        sources.append(source)
+        b = system.rhs(source) + system.C / dt * field_t.flat()
         field_t = step_transient(system, field_t, source, dt, scenario.solve)
         op = ops[dt]
         assert op.E is None
         np.testing.assert_array_equal(
             op.ground, boundary + (system.C / dt).reshape(grid.nz, -1)[:, 0])
-        assert_one_exact_application(
-            op, system.G + sp.diags(system.C / dt), scenario.solve)
-        np.testing.assert_array_equal(field_t.flat(), op.last[1])
+        assert op.counts == Counter(forward=new_inputs, solve_modes=1,
+                                    inverse=1, matvec=1)
+        residual = np.linalg.norm(b - matrix @ field_t.flat())
+        assert residual <= scenario.solve.tolerance * np.linalg.norm(b)
         op.counts.clear()
+    # The periodic tile switches once, at about 50 ms.
+    assert sum(a is not b for a, b in zip(sources, sources[1:])) == 1
 
 
 def test_pdn_solves_are_one_application(demo):
