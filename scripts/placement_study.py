@@ -44,7 +44,7 @@ def main():
     system = assemble(grid, cfg)
     rng = np.random.default_rng(args.seed)
     fields = random_fields(cfg, grid, system, args.fields, rng)
-    candidates = tile_center_candidates(grid)
+    candidates = tile_center_candidates(cfg)
 
     print(f"{len(candidates)} candidate sites, "
           f"{args.fields} training fields")

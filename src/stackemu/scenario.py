@@ -24,9 +24,9 @@ from .pdn import (PdnParams, build_pdn, currents_from_power, droop_from_drop,
 from .power import PowerMap, power_density_field, total_power
 from .reliability import (ReliabilityParams, ReliabilityReport,
                           reliability_report)
-from .sensors import (SensorNetwork, SensorSpec, hotspot_error,
-                      place_sensors_greedy, placement_to_csv, read_sensors,
-                      tile_center_candidates)
+from .sensors import (SensorNetwork, SensorSpec, check_k, check_site,
+                      hotspot_error, place_sensors_greedy, placement_to_csv,
+                      read_sensors, tile_center_candidates)
 from .solver import (DiscreteSystem, LayerStats, SolveOptions,
                      TemperatureField, assemble, layer_summary, solve_steady,
                      step_transient)
@@ -146,6 +146,14 @@ class Scenario:
             raise ValueError("a DTM policy needs a transient section")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        network = self.sensors
+        if isinstance(network, AutoPlace):
+            check_k(network.k, len(tile_center_candidates(self.stack)))
+        elif self.policy is not None and not (network and network.sensors):
+            raise ValueError("a DTM policy requires a sensor network")
+        elif network is not None:
+            for sensor in network.sensors:
+                check_site(sensor.site, self.stack)
 
 
 @dataclass(frozen=True)
@@ -193,9 +201,7 @@ class _PolicyState:
     map, rebuilt on each event."""
 
     def __init__(self, policy, base_map: PowerMap,
-                 network: SensorNetwork | None, period: int, seed: int = 0):
-        if network is None or not network.sensors:
-            raise ValueError("a DTM policy requires a sensor network")
+                 network: SensorNetwork, period: int, seed: int = 0):
         self.policy = policy
         self.base_map = base_map
         self.network = network
@@ -287,7 +293,7 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
     network = scenario.sensors
     with _stage("sensors"):
         if isinstance(network, AutoPlace):
-            candidates = tile_center_candidates(grid)
+            candidates = tile_center_candidates(scenario.stack)
             sites = place_sensors_greedy(candidates, network.k, [steady])
             network = SensorNetwork(
                 sensors=tuple(SensorSpec(

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.random import default_rng   # loaded here, not inside a run
 
 from .solver import TemperatureField
-from .stack import VoxelGrid
+from .stack import StackConfig, VoxelGrid
 
 
 @dataclass(frozen=True)
@@ -75,15 +75,21 @@ def _site_voxel(site: tuple[int, float, float],
     return grid.cached(("site_voxel", site), lambda: _locate(site, grid))
 
 
-def _locate(site, grid: VoxelGrid) -> tuple[int, int, int]:
+def check_site(site, config: StackConfig) -> None:
+    """Raise ValueError unless the site is on a device layer of the stack
+    and inside its die."""
     layer, x_mm, y_mm = site
-    device = grid.config.device_layer_indices
-    if not 0 <= layer < len(device):
+    if not 0 <= layer < len(config.device_layer_indices):
         raise ValueError(f"device layer {layer} out of range")
-    if not (0 <= x_mm <= grid.config.die_width_mm
-            and 0 <= y_mm <= grid.config.die_length_mm):
+    if not (0 <= x_mm <= config.die_width_mm
+            and 0 <= y_mm <= config.die_length_mm):
         raise ValueError(f"sensor site ({x_mm}, {y_mm}) mm outside the die")
-    slabs = grid.layer_slabs(device[layer])
+
+
+def _locate(site, grid: VoxelGrid) -> tuple[int, int, int]:
+    check_site(site, grid.config)
+    layer, x_mm, y_mm = site
+    slabs = grid.layer_slabs(grid.config.device_layer_indices[layer])
     iz = int(slabs[len(slabs) // 2])
     ix = min(int(x_mm * 1e-3 / grid.dx_m), grid.nx - 1)
     iy = min(int(y_mm * 1e-3 / grid.dy_m), grid.ny - 1)
@@ -111,19 +117,11 @@ def read_sensors(network: SensorNetwork, field_t: TemperatureField,
 UNOBSERVED = None  # sentinel for the error of an empty placement
 
 
-def _true_values(sites, fields: list[TemperatureField]):
+def _true_values(sites, fields: list[TemperatureField]) -> np.ndarray:
     """(n_sites, n_fields) noiseless site temperatures, each field read
     on its own grid."""
-    vals = np.empty((len(sites), len(fields)))
-    voxels = {}   # id(grid) -> (iz, iy, ix) index arrays of the sites
-    for j, f in enumerate(fields):
-        idx = voxels.get(id(f.grid))
-        if idx is None:
-            idx = voxels[id(f.grid)] = tuple(np.array(
-                [_site_voxel(s, f.grid) for s in sites],
-                dtype=np.intp).reshape(-1, 3).T)
-        vals[:, j] = f.values[idx]
-    return vals
+    return np.array([[f.values[_site_voxel(s, f.grid)] for f in fields]
+                     for s in sites])
 
 
 def placement_objective(sites, fields: list[TemperatureField]) -> float:
@@ -134,6 +132,14 @@ def placement_objective(sites, fields: list[TemperatureField]) -> float:
     return hotspot_error(sites, fields)[0]
 
 
+def check_k(k: int, n_candidates: int) -> None:
+    """Raise ValueError unless 1 <= k <= n_candidates."""
+    if k <= 0:
+        raise ValueError("k must be positive")
+    if k > n_candidates:
+        raise ValueError("k exceeds candidate count")
+
+
 def place_sensors_greedy(candidates, k: int,
                          training_fields: list[TemperatureField]
                          ) -> list[tuple[int, float, float]]:
@@ -141,10 +147,7 @@ def place_sensors_greedy(candidates, k: int,
     giving the lowest objective; ties go to the lowest candidate index.
     Deterministic; returns exactly k sites in selection order."""
     candidates = [tuple(c) for c in candidates]
-    if k <= 0:
-        raise ValueError("k must be positive")
-    if k > len(candidates):
-        raise ValueError("k exceeds candidate count")
+    check_k(k, len(candidates))
     if not training_fields:
         raise ValueError("need at least one training field")
 
@@ -180,9 +183,9 @@ def hotspot_error(placement, evaluation_fields: list[TemperatureField]):
     return (float(err.mean()), float(err.max()))
 
 
-def tile_center_candidates(grid: VoxelGrid) -> list[tuple[int, float, float]]:
+def tile_center_candidates(config: StackConfig
+                           ) -> list[tuple[int, float, float]]:
     """Default candidate set: every tile center of every device layer."""
-    config = grid.config
     out = []
     for ordinal, layer_index in enumerate(config.device_layer_indices):
         layer = config.layers[layer_index]

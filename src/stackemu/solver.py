@@ -25,8 +25,10 @@ Thomas sweep, and a round the whole die once each way. After a steady
 solve the boundary outflux must balance the injected power.
 One `LayeredOperator` per system and dt holds A_L's per-slab scalars and
 factorization and E: `op @ x` applies A without a matrix and `op(r)`
-A_L^-1. `solve_cg(op, b)` is the one linear solve (the PDN uses both)
-and `lattice_matrix` builds the matrix oracle.
+A_L^-1. `solve_cg(op, b)` is the cold solve of steady and PDN systems
+and `step_transient` the warm one; both finish in `_cg_rounds`, and a
+step of either stack kind reuses its source's rhs. `lattice_matrix`
+builds the matrix oracle.
 """
 
 from __future__ import annotations
@@ -233,7 +235,7 @@ class LayeredOperator:
 
     A backward-Euler step operator also has cap[iz] = C/dt in each node's
     diag, and `work`: its arrays for `step_transient` and, with E, for
-    `solve_cg`. `source` and `field` are the arrays whose rhs and mode
+    `_cg_rounds`. `source` and `field` are the arrays whose rhs and mode
     coefficients work holds (see `step_transient`), or None. A method
     returns a new array unless given `out`."""
 
@@ -267,15 +269,13 @@ class LayeredOperator:
             self.index, self.E = correction.index, correction
             self._plane_blocks(correction.index)
         self.chunk = max(1, 2 ** 16 // (ny * nx))   # planes, ~0.5 MB
-        if cap is None:
-            names = ()
-        elif self.E is None:   # the mode-space step's
-            names = ("rhs", "residual", "source", "source_modes",
-                     "field_modes")
-        else:                  # the farm step's and its CG rounds'
-            names = ("modes", "modes2", "residual", "rhs")
-        self.work = {name: np.empty((nz, ny, nx)) for name in names}
-        if cap is not None:   # the stencil's face differences of one chunk
+        self.work = {}
+        if cap is not None:   # a step's b, residual and q, then its modes
+            modes = (("source_modes", "field_modes") if self.E is None
+                     else ("modes", "modes2"))   # farm: the CG rounds'
+            self.work = {name: np.empty((nz, ny, nx))
+                         for name in ("rhs", "residual", "source") + modes}
+            # the stencil's face differences of one chunk
             self.work["faces"] = np.empty(min(nz, self.chunk + 1) * ny * nx)
         self.source = self.field = None
 
@@ -477,12 +477,12 @@ def _correction(grid: VoxelGrid, boundary_g) -> Correction:
     return Correction(index, cols, data, data[3])
 
 
-def solve_cg(A: LayeredOperator, b, options: SolveOptions = SolveOptions(),
-             x0: np.ndarray | None = None) -> np.ndarray:
-    """Solve the SPD system A x = b to relative residual options.tolerance.
-    The one operator A = A_L + E gives every product: A @ x, A(r) =
-    A_L^-1 r, its transforms, and E = A.E on the voxels S = A.index. With
-    E None, x = A(b) passes its true-residual check.
+def solve_cg(A: LayeredOperator, b,
+             options: SolveOptions = SolveOptions()) -> np.ndarray:
+    """Solve the SPD system A x = b cold to relative residual
+    options.tolerance. The one operator A = A_L + E gives every product:
+    A @ x, A(r) = A_L^-1 r, its transforms, and E = A.E on the voxels
+    S = A.index. With E None, x = A(b) passes its true-residual check.
 
     Otherwise CG preconditioned by A_L^-1 runs in rounds, each from a true
     residual r, or cold from x = A_L^-1 b, whose residual -E (A_L^-1 b)|S
@@ -494,10 +494,10 @@ def solve_cg(A: LayeredOperator, b, options: SolveOptions = SolveOptions(),
     residual; CG restarts from a failing one within the same iteration
     cap, unless it is within the rounding error of its own evaluation.
     Row-major, so bit-reproducible. Non-finite input raises."""
-    # A cold farm solve starts inside its first round, at A_L^-1 b; its x
-    # is made first, so that the round's temporaries free above it.
-    cold = x0 is None and A.E is not None
-    x = np.zeros_like(b) if cold else A(b) if x0 is None else x0.copy()
+    # A farm solve starts inside its first round, at A_L^-1 b; its x is
+    # made first, so that the round's temporaries free above it.
+    cold = A.E is not None
+    x = np.zeros_like(b) if cold else A(b)
     _cg_rounds(A, b, x, options, cold)
     return x
 
@@ -616,34 +616,34 @@ def solve_steady(system: DiscreteSystem, source: np.ndarray,
 def step_transient(system: DiscreteSystem, field_t: TemperatureField,
                    source: np.ndarray, dt: float,
                    options: SolveOptions = SolveOptions()) -> TemperatureField:
-    """One backward-Euler step: (G + C/dt) T' = b = q + C/dt T, where
-    q = rhs(source), then the true-residual check of `solve_cg`.
+    """One backward-Euler step: (G + C/dt) T' = b = C/dt T + q, where
+    q = rhs(source), from a start that `_cg_rounds` corrects if it fails
+    the true-residual check. With TSV farms the start is T.
 
     On a farm-free stack A_L^-1 is exact, and C/dt, uniform per slab,
     commutes with the cosine basis Q: Q^T b = q^ + C/dt T^, with q^ = Q^T q
-    and T^ = Q^T T. So T' is one Thomas sweep of that and one inverse
-    transform, and T'^ is the sweep's output. The step operator keeps q and
-    q^ of the last source, if that is a read-only array that owns its data
-    (`power_density_field` returns the same one while the densities are
-    unchanged), and T'^ of the field it returns, whose values it makes
-    read-only, unless CG had to correct it. Any other source or field is
-    transformed afresh. With TSV farms CG starts from T."""
+    and T^ = Q^T T. So the start is one Thomas sweep of that and one
+    inverse transform, and T'^ is the sweep's output. The step operator
+    keeps q, and q^ if farm-free, of the last source if that is a
+    read-only array that owns its data (`power_density_field` returns the
+    same one while the densities are unchanged); farm-free, it keeps T'^
+    of the field it returns, whose values it makes read-only, unless CG
+    had to correct it. Any other source or field is transformed afresh."""
     if not 0 < dt < np.inf:
         raise ValueError("dt must be positive and finite")
     A = system.operator(dt)
-    work, values = A.work, field_t.values
-    if A.E is not None:
-        b = system.rhs(source, work["rhs"])
-        b += np.multiply(A.cap, values, out=work["residual"]).reshape(-1)
-        x = solve_cg(A, b, options, field_t.flat()).reshape(system.grid.shape)
-    else:
-        if source is not A.source:
-            A.source = None
-            A.forward(system.rhs(source, work["source"]),
-                      work["source_modes"], work["residual"])
-            if (isinstance(source, np.ndarray) and source.flags.owndata
-                    and not source.flags.writeable):
-                A.source = source
+    work, values, farm_free = A.work, field_t.values, A.E is None
+    if source is not A.source:
+        A.source = None
+        q = system.rhs(source, work["source"])
+        if farm_free:
+            A.forward(q, work["source_modes"], work["residual"])
+        if (isinstance(source, np.ndarray) and source.flags.owndata
+                and not source.flags.writeable):
+            A.source = source
+    b = np.multiply(A.cap, values, out=work["rhs"]).reshape(-1)
+    b += work["source"].reshape(-1)
+    if farm_free:
         y = work["field_modes"]
         if values is not A.field:
             A.forward(values, y, work["residual"])
@@ -651,13 +651,13 @@ def step_transient(system: DiscreteSystem, field_t: TemperatureField,
         y *= A.cap
         y += work["source_modes"]
         x = A.inverse(A.solve_modes(y), None, work["residual"])
-        b = np.multiply(A.cap, values, out=work["rhs"]).reshape(-1)
-        b += work["source"].reshape(-1)
-        rounds = _cg_rounds(A, b, x, options)
-        x = x.reshape(system.grid.shape)
-        if not rounds:
-            x.flags.writeable = False
-            A.field = x
+    else:
+        x = field_t.flat().copy()
+    rounds = _cg_rounds(A, b, x, options)
+    x = x.reshape(system.grid.shape)
+    if farm_free and not rounds:
+        x.flags.writeable = False
+        A.field = x
     return TemperatureField(values=x, grid=system.grid,
                             time=(field_t.time or 0.0) + dt)
 

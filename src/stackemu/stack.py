@@ -326,36 +326,26 @@ def discretize(config: StackConfig, nx: int, ny: int,
     dx = config.die_width_mm * 1e-3 / nx
     dy = config.die_length_mm * 1e-3 / ny
 
-    dz_list: list[float] = []
-    slab_layer: list[int] = []
-    for i, layer in enumerate(config.layers):
-        sub = layer.thickness_um * 1e-6 / sub_slabs_per_layer
-        for _ in range(sub_slabs_per_layer):
-            dz_list.append(sub)
-            slab_layer.append(i)
-    dz = np.array(dz_list)
-    slab_layer_arr = np.array(slab_layer, dtype=int)
-    nz = len(dz)
-
-    kx = np.empty((nz, ny, nx))
-    kz = np.empty((nz, ny, nx))
-    vhc = np.empty((nz, ny, nx))
-
+    sub = sub_slabs_per_layer
+    dz = np.repeat([layer.thickness_um * 1e-6 / sub
+                    for layer in config.layers], sub)
+    slab_layer = np.repeat(np.arange(len(config.layers)), sub)
+    kx, kz, vhc = (np.empty((len(dz), ny, nx)) for _ in range(3))
     grid = VoxelGrid(nx=nx, ny=ny, dx_m=dx, dy_m=dy, dz_m=dz,
-                     kx=kx, kz=kz, vhc=vhc, slab_layer=slab_layer_arr,
+                     kx=kx, kz=kz, vhc=vhc, slab_layer=slab_layer,
                      config=config)
 
+    # Layer i is the slabs [i * sub, (i + 1) * sub).
     for i, layer in enumerate(config.layers):
-        slabs = np.nonzero(slab_layer_arr == i)[0]
+        slabs = slice(i * sub, (i + 1) * sub)
         kx[slabs] = layer.material.kxy
         kz[slabs] = layer.material.kz
         vhc[slabs] = layer.material.volumetric_heat_capacity
         for farm in layer.tsv_farms:
             eff = effective_conductivity(farm, layer.material)
             fmask = grid.farm_mask(farm)
-            for iz in slabs:
-                kx[iz][fmask] = eff.kxy
-                kz[iz][fmask] = eff.kz
+            kx[slabs, fmask] = eff.kxy
+            kz[slabs, fmask] = eff.kz
     return grid
 
 

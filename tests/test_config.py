@@ -411,13 +411,13 @@ def test_malformed_section_exits_1_at_load(tmp_path, capsys, case):
     ids=["throttle", "coreswap"])
 def test_policy_without_sensors_exits_1(tmp_path, capsys, edit):
     """A policy acts on sensor readings, so with no sensor it could never
-    act: the run fails in stage 'transient', before any file is written."""
+    act: the document fails at load, before any file is written."""
     doc = demo_doc()
     doc["sensors"] = {"placements": []}
     edit(doc)
     code, _, err = _report(tmp_path, doc, capsys)
     assert code == 1
-    assert "'transient': a DTM policy requires a sensor network" in err
+    assert "a DTM policy requires a sensor network" in err
     assert "Traceback" not in err
     assert os.listdir(tmp_path) == ["scenario.yaml"]
 
@@ -435,6 +435,36 @@ def test_policy_without_transient_exits_1(tmp_path, capsys, command):
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
     assert "a DTM policy needs a transient section" in err
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == ["scenario.yaml"]
+
+
+def _placements(*sites):
+    return {"placements": [dict(zip(("layer", "x_mm", "y_mm"), site))
+                           for site in sites]}
+
+
+@pytest.mark.parametrize("sensors, rule", [
+    (_placements(), "a DTM policy requires a sensor network"),
+    (_placements((0, 50.0, 3.0)),
+     "sensor site (50.0, 3.0) mm outside the die"),
+    (_placements((5, 6.0, 3.0)), "device layer 5 out of range"),
+    ({"auto_place": {"k": 500}}, "k exceeds candidate count")],
+    ids=["no-sensors", "off-die", "no-such-layer", "k-over-candidates"])
+@pytest.mark.parametrize("command", ["validate", "report"])
+def test_sensor_rules_fail_at_load(tmp_path, capsys, command, sensors, rule):
+    """Each sensor rule that the run would break is checked when the
+    document loads: `validate` and `report` both exit 1 naming it, and
+    nothing is written."""
+    doc = demo_doc()
+    doc["sensors"] = sensors
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    code = main(["--config", str(path), "--out", str(tmp_path / "run"),
+                 command])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert f"validation error: {rule}" in err
     assert "Traceback" not in err
     assert os.listdir(tmp_path) == ["scenario.yaml"]
 

@@ -115,8 +115,8 @@ def test_policy_without_sensors_rejected():
     tr = TransientSpec(t_end=0.02, dt=0.01)
     policy = ThrottlePolicy(trigger_t=30.0, release_t=28.0,
                             throttle_factor=0.5)
-    with pytest.raises(StageError, match="transient"):
-        run_scenario(make_scenario(transient=tr, policy=policy))
+    with pytest.raises(ValueError, match="requires a sensor network"):
+        make_scenario(transient=tr, policy=policy)
 
 
 def test_invalid_stack_fails_in_the_stack_stage():
@@ -334,7 +334,7 @@ def test_auto_place_is_one_stage_of_the_run(tmp_path):
                                    quantization_step=0.25)
     report = run_scenario(sc)
     grid = report.steady_field.grid
-    expected = place_sensors_greedy(tile_center_candidates(grid), 6,
+    expected = place_sensors_greedy(tile_center_candidates(grid.config), 6,
                                     [report.steady_field])
     assert [s.site for s in report.scenario.sensors.sensors] == expected
 

@@ -1,7 +1,8 @@
-"""Farm-free backward-Euler steps in cosine-mode space. The step operator
-keeps the rhs and mode coefficients of the last source and field it saw;
-a march matches a matrix march, and a step the caches must not serve is
-the step of a freshly assembled system."""
+"""Backward-Euler steps and the step operator's caches. Every step
+operator keeps the rhs of the last source it saw; a farm-free one, which
+steps in cosine-mode space, also keeps the mode coefficients of that
+source and of the last field. A march matches a matrix march, and a step
+the caches must not serve is the step of a freshly assembled system."""
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from stackemu.solver import (SolveOptions, TemperatureField, assemble,
                              step_transient)
 from stackemu.stack import discretize, preset_stack
 
-from conftest import random_power_map, random_stack
+from conftest import random_farm_stack, random_power_map, random_stack
 
 
 def ambient_field(grid):
@@ -24,13 +25,15 @@ def ambient_field(grid):
                             grid=grid, time=0.0)
 
 
+@pytest.mark.parametrize("stack", [random_stack, random_farm_stack],
+                         ids=["farm-free", "farms"])
 @pytest.mark.parametrize("seed", range(4))
-def test_march_matches_a_matrix_march(seed):
-    """20 steps on a random farm-free stack, with a periodic tile that
-    changes the source and a throttle event, against backward Euler on
-    the assembled matrix with a sparse direct solve."""
+def test_march_matches_a_matrix_march(seed, stack):
+    """20 steps on a random stack, with a periodic tile that changes the
+    source and a throttle event, against backward Euler on the assembled
+    matrix with a sparse direct solve."""
     rng = np.random.default_rng(seed)
-    cfg, grid = random_stack(rng)
+    cfg, grid = stack(rng)
     dt = float(10 ** rng.uniform(-4, -2))
     base = random_power_map(rng, cfg).set_tile_power(
         0, 0, 0, Periodic(p_low=1.0, p_high=30.0, period=12 * dt, duty=0.5))
@@ -47,7 +50,10 @@ def test_march_matches_a_matrix_march(seed):
         return maps[-1][0]
 
     system = assemble(grid, cfg)
-    options = SolveOptions(tolerance=1e-10)
+    # A farm step's CG leaves an error of about its tolerance in the
+    # field; a farm-free step is exact, and served from its caches.
+    options = SolveOptions(tolerance=1e-10 if stack is random_stack
+                           else 1e-12)
     marched = []
     solve_transient(system, ambient_field(grid), pmap,
                     TransientSpec(t_end=20 * dt, dt=dt), options,
@@ -63,17 +69,31 @@ def test_march_matches_a_matrix_march(seed):
         np.testing.assert_allclose(got.flat(), t, rtol=1e-10)
 
 
+def step_from_ambient(cfg, grid, rng):
+    """The system, a source and one step from ambient."""
+    source = power_density_field(random_power_map(rng, cfg), grid, 0.0)
+    system = assemble(grid, cfg)
+    first = step_transient(system, ambient_field(grid), source, 1e-3)
+    return cfg, grid, system, source, first
+
+
 @pytest.fixture
 def stepped():
     """A small farm-free system, a source and one step from ambient."""
     cfg = preset_stack(3)
-    grid = discretize(cfg, 8, 6, 2)
+    stepped = step_from_ambient(cfg, discretize(cfg, 8, 6, 2),
+                                np.random.default_rng(11))
+    assert stepped[2].operator(1e-3).E is None
+    return stepped
+
+
+@pytest.fixture
+def farm_stepped():
+    """The same on a small random stack with TSV farms."""
     rng = np.random.default_rng(11)
-    source = power_density_field(random_power_map(rng, cfg), grid, 0.0)
-    system = assemble(grid, cfg)
-    assert system.operator(1e-3).E is None
-    first = step_transient(system, ambient_field(grid), source, 1e-3)
-    return cfg, grid, system, source, first
+    stepped = step_from_ambient(*random_farm_stack(rng), rng)
+    assert stepped[2].operator(1e-3).E is not None
+    return stepped
 
 
 def fresh_step(cfg, grid, field_t, source, options=SolveOptions()):
@@ -81,8 +101,9 @@ def fresh_step(cfg, grid, field_t, source, options=SolveOptions()):
                           options)
 
 
-def test_writable_source_mutated_in_place(stepped):
-    cfg, grid, system, source, first = stepped
+@pytest.mark.parametrize("case", ["stepped", "farm_stepped"])
+def test_writable_source_mutated_in_place(case, request):
+    cfg, grid, system, source, first = request.getfixturevalue(case)
     writable = np.array(source)
     second = step_transient(system, first, writable, 1e-3)
     writable *= 2.0

@@ -1,8 +1,11 @@
 """The run path imports nothing it does not need: scipy only inside the
 matrix oracles (`lattice_matrix`), and no module at all between loading a
 scenario and the end of its export. Each check runs in a fresh
-interpreter, so that what earlier tests imported cannot hide an import."""
+interpreter, so that what earlier tests imported cannot hide an import.
+The report's bytes are pinned, so a refactor that moves any answer
+fails here."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -60,11 +63,48 @@ sys.meta_path.insert(0, BlockScipy())
 
 
 def run_python(code: str, *args) -> subprocess.CompletedProcess:
-    """Run code in a fresh interpreter that imports stackemu from src."""
+    """Run code in a fresh interpreter that imports stackemu from src,
+    with STACKEMU_THREADS=1 (the command line's one BLAS thread)."""
     src = os.path.join(ROOT, "src")
     prelude = f"import sys\nsys.path.insert(0, {src!r})\n"
     return subprocess.run([sys.executable, "-c", prelude + code, *args],
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, STACKEMU_THREADS="1"))
+
+
+# The first 16 hex digits of the SHA-256 of `stackemu report`'s stdout and
+# of each artifact (output prefix "run"), per document. Only a change that
+# moves an answer or config_hash changes them, and it says so.
+REPORT_DIGESTS = {
+    "demo_2layer.yaml": {
+        "stdout": "d6ffa52ead8acf06",
+        "run_final_field.csv": "05e3b0c27b312c6f",
+        "run_pdn_drop_P0.pgm": "640978b8f6b477cd",
+        "run_pdn_drop_P1.pgm": "d9a60ef92adf023a",
+        "run_report.txt": "d6ffa52ead8acf06",
+        "run_sensors.csv": "a4d68146e6315b1d",
+        "run_steady_L1.pgm": "808f654bef840a42",
+        "run_steady_L3.pgm": "520c1ce208aa11f9",
+        "run_steady_field.csv": "8214e00cb40b62ff",
+        "run_stress_hotspots.csv": "dc0387aebd68a92f",
+    },
+    "farm.yaml": {
+        "stdout": "a5c1fddf5ab2147d",
+        "run_final_field.csv": "db4004255a3d6d7d",
+        "run_pdn_drop_P0.pgm": "d32a5651df561b8f",
+        "run_pdn_drop_P1.pgm": "2ebf9e089a54d79f",
+        "run_report.txt": "a5c1fddf5ab2147d",
+        "run_sensors.csv": "86638343cd836e22",
+        "run_steady_L1.pgm": "e262dc97823e2990",
+        "run_steady_L3.pgm": "0c60718096ccb504",
+        "run_steady_field.csv": "80487edd1b6d6b39",
+        "run_stress_hotspots.csv": "ec0859996f86a4cf",
+    },
+}
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 @pytest.fixture(params=["demo", "farm"])
@@ -85,7 +125,8 @@ def test_importing_the_cli_and_runner_leaves_scipy_out():
 
 def test_report_runs_with_scipy_blocked(document, tmp_path):
     """`stackemu report` exits 0 with scipy imports made to raise, and
-    writes the same artifacts and stdout as a run that may import it."""
+    writes the same artifacts and stdout as a run that may import it:
+    those of REPORT_DIGESTS."""
     outputs = {}
     for blocked in (True, False):
         out = tmp_path / ("blocked" if blocked else "free")
@@ -96,10 +137,11 @@ def test_report_runs_with_scipy_blocked(document, tmp_path):
         proc = run_python(code, "--config", document, "--out",
                           str(out / "run"), "report")
         assert proc.returncode == 0, proc.stderr
-        files = {p: (out / p).read_bytes() for p in sorted(os.listdir(out))}
-        outputs[blocked] = (proc.stdout, files)
-    assert len(outputs[True][1]) >= 9
-    assert outputs[True] == outputs[False]
+        outputs[blocked] = {p: _digest((out / p).read_bytes())
+                            for p in os.listdir(out)}
+        outputs[blocked]["stdout"] = _digest(proc.stdout.encode())
+    assert outputs[True] == outputs[False] == \
+        REPORT_DIGESTS[os.path.basename(document)]
 
 
 def test_nothing_is_imported_while_a_scenario_runs(document, tmp_path):

@@ -133,7 +133,7 @@ def test_greedy_objective_monotone_in_k(grid):
     rng = np.random.default_rng(4)
     fields = [gaussian_field(grid, 0, rng.uniform(1, 11), rng.uniform(1, 5),
                              rng.uniform(5, 30)) for _ in range(4)]
-    candidates = tile_center_candidates(grid)[:16]
+    candidates = tile_center_candidates(grid.config)[:16]
     prev = np.inf
     for k in range(1, 7):
         chosen = place_sensors_greedy(candidates, k, fields)
@@ -161,7 +161,7 @@ def test_greedy_within_20pct_of_exhaustive(grid):
 
 def test_greedy_deterministic(grid):
     fields = [gaussian_field(grid, 0, 5.0, 3.0, 20.0)]
-    candidates = tile_center_candidates(grid)
+    candidates = tile_center_candidates(grid.config)
     a = place_sensors_greedy(candidates, 4, fields)
     b = place_sensors_greedy(candidates, 4, fields)
     assert a == b
@@ -214,7 +214,7 @@ def test_greedy_matches_reference_loop(seed, n_fields):
                       int(rng.integers(4, 20)), int(rng.integers(2, 10)), 1)
     fields = [TemperatureField(values=rng.uniform(25.0, 90.0, grid.shape),
                                grid=grid) for _ in range(n_fields)]
-    candidates = tile_center_candidates(grid)
+    candidates = tile_center_candidates(grid.config)
     k = int(rng.integers(1, len(candidates) + 1))
     assert place_sensors_greedy(candidates, k, fields) == \
         reference_greedy(candidates, k, fields)
@@ -229,7 +229,7 @@ def test_greedy_matches_reference_loop_on_ties(seed):
     fields = [TemperatureField(
         values=25.0 + rng.integers(0, 3, grid.shape).astype(float),
         grid=grid) for _ in range(int(rng.integers(1, 6)))]
-    candidates = tile_center_candidates(grid)
+    candidates = tile_center_candidates(grid.config)
     for k in (1, 5, len(candidates)):
         assert place_sensors_greedy(candidates, k, fields) == \
             reference_greedy(candidates, k, fields)
@@ -261,7 +261,7 @@ def test_greedy_keeps_earlier_candidate_within_tolerance(grid):
     """A later candidate better by less than 1e-15 does not displace an
     earlier one: the rule is a scan, not an argmin."""
     from stackemu.sensors import _site_voxel
-    candidates = tile_center_candidates(grid)[:3]
+    candidates = tile_center_candidates(grid.config)[:3]
     values = np.full(grid.shape, 1.0)
     values[0, 0, 0] = 3.0                               # the true maximum
     for site, v in zip(candidates, (2.0, np.nextafter(2.0, 3.0), 1.5)):
