@@ -119,9 +119,9 @@ UNOBSERVED = None  # sentinel for the error of an empty placement
 
 def _true_values(sites, fields: list[TemperatureField]) -> np.ndarray:
     """(n_sites, n_fields) noiseless site temperatures, each field read
-    on its own grid."""
-    return np.array([[f.values[_site_voxel(s, f.grid)] for f in fields]
-                     for s in sites])
+    on its own grid: one gather per field."""
+    return np.array([f.values[tuple(np.transpose(
+        [_site_voxel(s, f.grid) for s in sites]))] for f in fields]).T
 
 
 def placement_objective(sites, fields: list[TemperatureField]) -> float:

@@ -2,14 +2,19 @@
 matrix oracles (`lattice_matrix`), and no module at all between loading a
 scenario and the end of its export. Each check runs in a fresh
 interpreter, so that what earlier tests imported cannot hide an import.
-The report's bytes are pinned, so a refactor that moves any answer
-fails here."""
+On the numeric host the digests were recorded on, the report's bytes are
+pinned too, so a refactor that moves any answer fails here."""
 
+import ctypes
+import glob
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
+
+import numpy as np
 
 import pytest
 import yaml
@@ -73,10 +78,11 @@ def run_python(code: str, *args) -> subprocess.CompletedProcess:
 
 
 # The first 16 hex digits of the SHA-256 of `stackemu report`'s stdout and
-# of each artifact (output prefix "run"), per document. Only a change that
-# moves an answer or config_hash changes them, and it says so.
+# of each artifact (output prefix "run"), per document, at one BLAS thread
+# on REPORT_HOST. Only a change that moves an answer or config_hash changes
+# them, and it says so.
 REPORT_DIGESTS = {
-    "demo_2layer.yaml": {
+    "demo": {
         "stdout": "d6ffa52ead8acf06",
         "run_final_field.csv": "05e3b0c27b312c6f",
         "run_pdn_drop_P0.pgm": "640978b8f6b477cd",
@@ -88,7 +94,7 @@ REPORT_DIGESTS = {
         "run_steady_field.csv": "8214e00cb40b62ff",
         "run_stress_hotspots.csv": "dc0387aebd68a92f",
     },
-    "farm.yaml": {
+    "farm": {
         "stdout": "a5c1fddf5ab2147d",
         "run_final_field.csv": "db4004255a3d6d7d",
         "run_pdn_drop_P0.pgm": "d32a5651df561b8f",
@@ -103,17 +109,80 @@ REPORT_DIGESTS = {
 }
 
 
+
+
+def _numeric_host() -> dict:
+    """What the last bits of a report depend on besides the code and the
+    thread count: numpy's version and the CPU features its own kernels
+    dispatch on, the OpenBLAS build and the core kernel it picked for
+    this CPU (at run time), and the C library."""
+    from numpy._core._multiarray_umath import (__cpu_dispatch__,
+                                               __cpu_features__)
+    openblas = None
+    for lib in glob.glob(os.path.join(os.path.dirname(np.__file__),
+                                      os.pardir, "numpy.libs", "*openblas*")):
+        get_config = getattr(ctypes.CDLL(lib),
+                             "scipy_openblas_get_config64_", None)
+        if get_config is not None:
+            get_config.restype = ctypes.c_char_p
+            openblas = get_config().decode()
+    return {"numpy": np.__version__,
+            "numpy_cpu": [f for f in __cpu_dispatch__
+                          if __cpu_features__.get(f)],
+            "openblas": openblas, "libc": "-".join(platform.libc_ver()),
+            "machine": platform.machine()}
+
+
+# The host REPORT_DIGESTS were recorded on, as _numeric_host() gives it.
+# OpenBLAS picks its matmul kernel by CPU, so on another host the fields
+# may differ in their last digits without any change to the code.
+REPORT_HOST = {
+    "numpy": "2.4.6",
+    "numpy_cpu": ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"],
+    "openblas": "OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH "
+                "NO_AFFINITY SkylakeX MAX_THREADS=64",
+    "libc": "glibc-2.36", "machine": "x86_64",
+}
+
+
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-@pytest.fixture(params=["demo", "farm"])
-def document(request, tmp_path):
-    if request.param == "demo":
+def _document(name: str, directory) -> str:
+    if name == "demo":
         return DEMO
-    path = tmp_path / "farm.yaml"
+    path = directory / "farm.yaml"
     path.write_text(yaml.safe_dump(FARM_TRANSIENT))
     return str(path)
+
+
+@pytest.fixture(params=["demo", "farm"])
+def document(request, tmp_path):
+    return _document(request.param, tmp_path)
+
+
+@pytest.fixture(scope="module", params=["demo", "farm"])
+def reports(request, tmp_path_factory):
+    """(name, {blocked: {"stdout" or artifact name: bytes}}) of `stackemu
+    report` on the demo or FARM_TRANSIENT, with scipy imports made to
+    raise (blocked True) and free to run."""
+    tmp = tmp_path_factory.mktemp(request.param)
+    document = _document(request.param, tmp)
+    outputs = {}
+    for blocked in (True, False):
+        out = tmp / ("blocked" if blocked else "free")
+        out.mkdir()
+        code = (BLOCK_SCIPY if blocked else "") + (
+            "from stackemu.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+        proc = run_python(code, "--config", document, "--out",
+                          str(out / "run"), "report")
+        assert proc.returncode == 0, proc.stderr
+        outputs[blocked] = {p: (out / p).read_bytes()
+                            for p in os.listdir(out)}
+        outputs[blocked]["stdout"] = proc.stdout.encode()
+    return request.param, outputs
 
 
 def test_importing_the_cli_and_runner_leaves_scipy_out():
@@ -123,25 +192,22 @@ def test_importing_the_cli_and_runner_leaves_scipy_out():
     assert proc.stdout.strip() == "False"
 
 
-def test_report_runs_with_scipy_blocked(document, tmp_path):
+def test_report_runs_with_scipy_blocked(reports):
     """`stackemu report` exits 0 with scipy imports made to raise, and
-    writes the same artifacts and stdout as a run that may import it:
-    those of REPORT_DIGESTS."""
-    outputs = {}
-    for blocked in (True, False):
-        out = tmp_path / ("blocked" if blocked else "free")
-        out.mkdir()
-        code = (BLOCK_SCIPY if blocked else "") + (
-            "from stackemu.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n")
-        proc = run_python(code, "--config", document, "--out",
-                          str(out / "run"), "report")
-        assert proc.returncode == 0, proc.stderr
-        outputs[blocked] = {p: _digest((out / p).read_bytes())
-                            for p in os.listdir(out)}
-        outputs[blocked]["stdout"] = _digest(proc.stdout.encode())
-    assert outputs[True] == outputs[False] == \
-        REPORT_DIGESTS[os.path.basename(document)]
+    writes the same artifacts and stdout as a run that may import it."""
+    _, outputs = reports
+    assert len(outputs[True]) >= 10
+    assert outputs[True] == outputs[False]
+
+
+@pytest.mark.skipif(_numeric_host() != REPORT_HOST,
+                    reason="REPORT_DIGESTS belong to another numeric host")
+def test_report_bytes_match_their_digests(reports):
+    """On REPORT_HOST at one BLAS thread, the report's stdout and every
+    artifact have the bytes of REPORT_DIGESTS."""
+    name, outputs = reports
+    assert {p: _digest(data) for p, data in outputs[True].items()} == \
+        REPORT_DIGESTS[name]
 
 
 def test_nothing_is_imported_while_a_scenario_runs(document, tmp_path):
