@@ -13,7 +13,7 @@ import hashlib
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -118,12 +118,16 @@ class GridSpec:
 @dataclass(frozen=True)
 class AutoPlace:
     """Greedy placement of k sensors on the tile centers, trained on the
-    run's own steady field; the other fields apply to every placed sensor."""
+    run's own steady field; every placed sensor gets the fields after k,
+    which are SensorSpec's last three, in order."""
 
     k: int
     noise_sigma: float = SensorSpec.noise_sigma
     quantization_step: float = SensorSpec.quantization_step
     sample_period: float = SensorSpec.sample_period
+
+    def __post_init__(self):   # the placed sensors' checks, at load
+        SensorSpec(0, 0.0, 0.0, *astuple(self)[1:])
 
 
 @dataclass(frozen=True)
@@ -179,6 +183,7 @@ class ScenarioReport:
     final_stats: tuple[LayerStats, ...] | None
     steady_field: TemperatureField = field(repr=False)
     final_field: TemperatureField | None = field(repr=False)
+    # kept only while perfbench/check.py reads it (ROADMAP items 4 and 8)
     sampled_fields: tuple[TemperatureField, ...] = field(repr=False)
     sensor_readings: list[float] | None
     sensor_hotspot_error: tuple[float | None, float | None] | None
@@ -254,28 +259,23 @@ class _PolicyState:
 def solve_transient(system: DiscreteSystem, t0_field: TemperatureField,
                     pmap, spec: TransientSpec,
                     options: SolveOptions = SolveOptions(),
-                    on_step=None) -> list[TemperatureField]:
+                    on_step=None) -> TemperatureField:
     """March backward Euler from t0_field to spec.t_end in spec.n_steps
-    steps of spec.dt; returns every spec.sample_stride-th field plus the
-    final one.
+    steps of spec.dt; returns the final field.
 
     pmap is a PowerMap, or a function (step, field) -> PowerMap called at
     each step start with the field so far, which is how thermal-management
     policies (_PolicyState) act. The source is the map's power at the step
-    start time. on_step(field) is called with every new field."""
-    n_steps = spec.n_steps
+    start time. on_step(step, field) is called with every new field."""
     field_t = t0_field
-    samples: list[TemperatureField] = []
-    for step in range(n_steps):
+    for step in range(spec.n_steps):
         step_map = pmap(step, field_t) if callable(pmap) else pmap
         source = power_density_field(step_map, system.grid,
                                      field_t.time or 0.0)
         field_t = step_transient(system, field_t, source, spec.dt, options)
         if on_step is not None:
-            on_step(field_t)
-        if (step + 1) % spec.sample_stride == 0 or step == n_steps - 1:
-            samples.append(field_t)
-    return samples
+            on_step(step, field_t)
+    return field_t
 
 
 def run_scenario(scenario: Scenario) -> ScenarioReport:
@@ -296,29 +296,31 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
             candidates = tile_center_candidates(scenario.stack)
             sites = place_sensors_greedy(candidates, network.k, [steady])
             network = SensorNetwork(
-                sensors=tuple(SensorSpec(
-                    layer=l, x_mm=x, y_mm=y, noise_sigma=network.noise_sigma,
-                    quantization_step=network.quantization_step,
-                    sample_period=network.sample_period)
-                    for l, x, y in sites),
+                sensors=tuple(SensorSpec(*site, *astuple(network)[1:])
+                              for site in sites),
                 candidate_sites=tuple(candidates))
             scenario = replace(scenario, sensors=network)
 
     final_field = None
     final_stats = None
     sampled: list[TemperatureField] = []
-    layer_traces: dict[int, list[float]] = {
-        idx: [] for idx in grid.config.device_layer_indices}
+    layer_traces: dict[int, list[float]] = {   # kept for reliability only
+        idx: [] for idx in grid.config.device_layer_indices
+        if scenario.reliability is not None}
     events: tuple[PolicyEvent, ...] = ()
 
     if scenario.transient is not None:
         with _stage("transient"):
+            spec = scenario.transient
             pmap = scenario.power
             if scenario.policy is not None:
                 pmap = _PolicyState(scenario.policy, scenario.power, network,
                                     scenario.policy_period, scenario.seed)
 
-            def trace(field_t):   # for reliability: LayerStats.max bits
+            def observe(step, field_t):   # layer maxima: LayerStats.max bits
+                if (step + 1) % spec.sample_stride == 0 \
+                        or step == spec.n_steps - 1:
+                    sampled.append(field_t)
                 for idx, maxima in layer_traces.items():
                     s = grid.layer_slabs(idx)
                     maxima.append(float(field_t.values[s[0]:s[-1] + 1].max()))
@@ -326,10 +328,8 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
             t0 = TemperatureField(
                 values=np.full(grid.shape, scenario.stack.ambient_c),
                 grid=grid, time=0.0)
-            sampled = solve_transient(
-                system, t0, pmap, scenario.transient, scenario.solve,
-                None if scenario.reliability is None else trace)
-            final_field = sampled[-1]
+            final_field = solve_transient(system, t0, pmap, spec,
+                                          scenario.solve, observe)
             final_stats = tuple(layer_summary(final_field))
             if scenario.policy is not None:
                 events = tuple(pmap.events)
@@ -340,9 +340,8 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
         with _stage("sensors"):
             observe_field = final_field if final_field is not None else steady
             readings = read_sensors(network, observe_field, scenario.seed)
-            eval_fields = list(sampled) if sampled else [steady]
             placement = [s.site for s in network.sensors]
-            hs_error = hotspot_error(placement, eval_fields)
+            hs_error = hotspot_error(placement, sampled or [steady])
 
     pdn_summary = None
     if scenario.pdn is not None:

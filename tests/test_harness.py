@@ -225,7 +225,8 @@ def test_export_pgm_per_device_layer(tmp_path):
     assert f"{prefix}_steady_L1.pgm" in written
     assert f"{prefix}_steady_L3.pgm" in written
     for p in written:
-        assert open(p).readline().strip() == "P2"
+        with open(p) as fh:
+            assert fh.readline().strip() == "P2"
 
 
 def test_export_unknown_format(tmp_path):
@@ -324,6 +325,20 @@ def test_config_rejects_placements_with_auto_place(tmp_path, capsys):
         load_scenario(path)
     assert main(["--config", path, "validate"]) == 1
     assert "validation error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting, message", [
+    ({"noise_sigma": -1.0}, "noise_sigma and quantization_step must be >= 0"),
+    ({"quantization_step": np.nan}, "must be finite"),
+    ({"sample_period": 0.0}, "sample_period must be positive")])
+def test_auto_place_checks_its_sensor_settings_when_built(setting, message):
+    """Every placed sensor gets AutoPlace's fields after k, SensorSpec's
+    last three in order, so they fail with SensorSpec's message when the
+    AutoPlace is built, not in the sensors stage after the steady solve."""
+    assert [f.name for f in fields(AutoPlace)][1:] == \
+        [f.name for f in fields(SensorSpec)][3:]
+    with pytest.raises(ValueError, match=message):
+        AutoPlace(k=3, **setting)
 
 
 def test_auto_place_is_one_stage_of_the_run(tmp_path):
@@ -502,6 +517,27 @@ def test_cli_missing_config_exit_3(tmp_path, capsys):
     assert main(["--config", str(tmp_path / "nope.yaml"), "validate"]) == 3
 
 
+@pytest.mark.parametrize("text, message", [
+    ("name: [unclosed\n", "malformed YAML"),
+    ("- a\n- list\n", "top level must be a mapping")])
+def test_cli_unreadable_document_exit_1(tmp_path, capsys, text, message):
+    path = write_yaml(tmp_path, text)
+    assert main(["--config", path, "validate"]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_failed_write_is_an_export_error_exit_3(tmp_path, capsys):
+    """--out into a directory that does not exist: the run completes and
+    its first write fails."""
+    path = write_yaml(tmp_path, BASE_YAML)
+    out = str(tmp_path / "missing" / "run")
+    assert main(["--config", path, "--out", out, "steady"]) == 3
+    assert "io error: failed writing" in capsys.readouterr().err
+    with pytest.raises(ExportError, match="failed writing"):
+        export(run_scenario(make_scenario()), "text", out)
+    assert not (tmp_path / "missing").exists()
+
+
 def test_cli_transient_requires_section(tmp_path, capsys):
     path = write_yaml(tmp_path, BASE_YAML)
     assert main(["--config", path, "transient"]) == 1
@@ -655,8 +691,8 @@ def test_cli_seed_override_changes_hash(tmp_path, capsys):
                  "steady"]) == 0
     assert main(["--config", path, "--out", out2, "--seed", "12",
                  "steady"]) == 0
-    a = open(f"{out1}_report.txt").read()
-    b = open(f"{out2}_report.txt").read()
+    with open(f"{out1}_report.txt") as fa, open(f"{out2}_report.txt") as fb:
+        a, b = fa.read(), fb.read()
     assert "seed: 11" in a and "seed: 12" in b
 
 
@@ -676,7 +712,8 @@ def test_cli_compare(tmp_path, capsys):
     out = str(tmp_path / "cmp")
     assert main(["--config", p1, "--out", out, "compare",
                  "--with", p2]) == 0
-    lines = open(f"{out}_comparison.tsv").read().splitlines()
+    with open(f"{out}_comparison.tsv") as fh:
+        lines = fh.read().splitlines()
     assert len(lines) == 3
     assert lines[1].startswith("yaml-demo\t")
     assert lines[2].startswith("zz-4layer\t")
@@ -692,7 +729,8 @@ def test_cli_report_full_pipeline(tmp_path, capsys):
     path = write_yaml(tmp_path, yaml_text)
     out = str(tmp_path / "run")
     assert main(["--config", path, "--out", out, "report"]) == 0
-    text = open(f"{out}_report.txt").read()
+    with open(f"{out}_report.txt") as fh:
+        text = fh.read()
     assert "== transient final ==" in text
     assert "== policy events ==" in text
 

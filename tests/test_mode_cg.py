@@ -10,7 +10,7 @@ import scipy.sparse as sp
 
 from stackemu.materials import COPPER, Material, SILICON, SIO2, TUNGSTEN
 from stackemu.power import Constant, PowerMap, power_density_field
-from stackemu.solver import (ConvergenceError, LayeredOperator,
+from stackemu.solver import (ConvergenceError, Correction, LayeredOperator,
                              NumericalError, SolveOptions,
                              _boundary_conductance, _cg_rounds,
                              _face_conductances, _host_slab_conductances,
@@ -203,6 +203,26 @@ def test_inexact_correction_restarts_from_true_residual():
     with pytest.raises(ConvergenceError):
         solve_cg(wrong, b, SolveOptions(
             tolerance=1e-10, max_iterations=iterations - 1))
+
+
+def test_indefinite_correction_is_a_cg_breakdown():
+    """E = -10 max(A_L's row sums) times the identity on the farm voxels
+    makes A indefinite there; farm CG raises instead of returning x."""
+    rng = np.random.default_rng(3)
+    cfg, grid = random_farm_stack(rng)
+    system = assemble(grid, cfg)
+    b = system.rhs(power_density_field(random_power_map(rng, cfg), grid,
+                                       0.0))
+    host = _host_slab_conductances(grid)
+    index = system.correction.index
+    big = -10 * LayeredOperator(*host, grid.ny, grid.nx).abs_matmul(
+        np.ones(grid.n)).max()
+    negative = Correction(index, np.arange(len(index))[None, :],
+                          np.full((1, len(index)), big),
+                          np.full(len(index), big))
+    A = LayeredOperator(*host, grid.ny, grid.nx, negative)
+    with pytest.raises(NumericalError, match="CG breakdown"):
+        solve_cg(A, b, SolveOptions(tolerance=1e-10))
 
 
 def test_residual_at_rounding_floor_ends_the_solve():

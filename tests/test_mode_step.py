@@ -57,7 +57,7 @@ def test_march_matches_a_matrix_march(seed, stack):
     marched = []
     solve_transient(system, ambient_field(grid), pmap,
                     TransientSpec(t_end=20 * dt, dt=dt), options,
-                    marched.append)
+                    lambda step, f: marched.append(f))
     assert [e.action for e in state.events] == ["throttle"]
     sources = [power_density_field(m, grid, t) for m, t in maps]
     assert len({s.tobytes() for s in sources}) >= 3

@@ -223,6 +223,17 @@ def test_negative_time_rejected(cfg):
         power_density_field(PowerMap.zeros(cfg), grid, -1.0)
 
 
+def test_map_of_another_stack_rejected(cfg):
+    """A map is rasterized only on a grid of its own stack or an equal
+    one."""
+    grid = discretize(cfg, 4, 2, 1)
+    with pytest.raises(ValueError, match="different stacks"):
+        power_density_field(PowerMap.zeros(preset_stack(4)), grid, 0.0)
+    equal = PowerMap.zeros(preset_stack(2))
+    assert equal.config is not cfg
+    assert not power_density_field(equal, grid, 0.0).any()
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"),
                                    float("-inf")])
 @pytest.mark.parametrize("make", [

@@ -239,11 +239,9 @@ def test_long_horizon_matches_steady():
     tau = system.C.sum() / system.boundary_g.sum()
     t0 = TemperatureField(values=np.full(grid.shape, cfg.ambient_c),
                           grid=grid, time=0.0)
-    samples = solve_transient(system, t0, pmap,
-                              TransientSpec(t_end=50 * tau, dt=tau / 2,
-                                            sample_stride=50),
-                              options=SolveOptions(tolerance=1e-12))
-    final = samples[-1]
+    final = solve_transient(system, t0, pmap,
+                            TransientSpec(t_end=50 * tau, dt=tau / 2),
+                            options=SolveOptions(tolerance=1e-12))
     scale = max(1.0, np.max(np.abs(steady.values - cfg.ambient_c)))
     assert np.max(np.abs(final.values - steady.values)) / scale < 1e-9 * 10
 
@@ -256,11 +254,11 @@ def test_periodic_source_oscillates_at_period():
     t0 = TemperatureField(values=np.full(grid.shape, cfg.ambient_c),
                           grid=grid, time=0.0)
     dt = period / 20
-    samples = solve_transient(system, t0, pmap,
-                              TransientSpec(t_end=6 * period, dt=dt,
-                                            sample_stride=1),
-                              options=SolveOptions(tolerance=1e-10))
-    trace = np.array([s.values.mean() for s in samples])
+    means = []
+    solve_transient(system, t0, pmap, TransientSpec(t_end=6 * period, dt=dt),
+                    options=SolveOptions(tolerance=1e-10),
+                    on_step=lambda step, f: means.append(f.values.mean()))
+    trace = np.array(means)
     # first differences kill the slow heating drift, keep the oscillation
     diff = np.diff(trace)
     diff = diff - diff.mean()
@@ -268,6 +266,26 @@ def test_periodic_source_oscillates_at_period():
     ac = [float(np.dot(diff[:-lag], diff[lag:])) for lag in lags]
     best_lag = lags[int(np.argmax(ac))]
     assert abs(best_lag * dt - period) <= dt + 1e-12
+
+
+@pytest.mark.parametrize("bad, error, message", [
+    ("cropped", ValueError, "field shape does not match grid"),
+    ("flat", ValueError, "field shape does not match grid"),
+    (np.nan, NumericalError, "non-finite temperatures in field"),
+    (-np.inf, NumericalError, "non-finite temperatures in field")])
+def test_temperature_field_rejects_bad_values(bad, error, message):
+    """A field of another shape, or with one non-finite voxel, is never
+    built."""
+    grid = discretize(preset_stack(2), 4, 3, 1)
+    values = np.full(grid.shape, 25.0)
+    if bad == "cropped":
+        values = values[:, :, :-1]
+    elif bad == "flat":
+        values = values.reshape(-1)
+    else:
+        values[0, 1, 2] = bad
+    with pytest.raises(error, match=message):
+        TemperatureField(values=values, grid=grid)
 
 
 def test_layer_summary_uniform_field():

@@ -47,10 +47,10 @@ def test_function_pmap_and_on_step_match_a_hand_loop(small):
         return halved if step % 2 else base
 
     stepped = []
-    samples = solve_transient(system, t0, pmap,
-                              TransientSpec(t_end=0.875, dt=0.125,
-                                            sample_stride=3),
-                              options=options, on_step=stepped.append)
+    final = solve_transient(system, t0, pmap,
+                            TransientSpec(t_end=0.875, dt=0.125),
+                            options=options,
+                            on_step=lambda step, f: stepped.append((step, f)))
 
     field_t, expected = t0, []
     for step in range(7):
@@ -58,16 +58,15 @@ def test_function_pmap_and_on_step_match_a_hand_loop(small):
         source = power_density_field(step_map, grid, field_t.time)
         field_t = step_transient(system, field_t, source, 0.125, options)
         expected.append(field_t)
-    assert len(stepped) == 7
-    for got, want in zip(stepped, expected):
+    # on_step sees each step once, with its index and the field it made.
+    assert [step for step, _ in stepped] == list(range(7))
+    for (_, got), want in zip(stepped, expected):
         np.testing.assert_array_equal(got.values, want.values)
         assert got.time == want.time
     # Each call sees the field the step starts from.
     assert seen_at == [(s, f.time) for s, f in
                        enumerate([t0] + expected[:-1])]
-    # Every third field plus the final one.
-    assert [s.time for s in samples] == [expected[i].time for i in (2, 5, 6)]
-    assert all(any(s is f for f in stepped) for s in samples)
+    assert final is stepped[-1][1]
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -93,11 +92,38 @@ def test_march_ends_at_t_end(small, t_end, dt, steps):
     a fractional ratio (0.05 / 0.02 = 2.5) still rounds up."""
     _, system, base, t0 = small
     stepped = []
-    samples = solve_transient(system, t0, base, TransientSpec(t_end, dt),
-                              on_step=stepped.append)
+    final = solve_transient(system, t0, base, TransientSpec(t_end, dt),
+                            on_step=lambda step, f: stepped.append(f))
     assert len(stepped) == steps
-    assert samples[-1] is stepped[-1]
-    assert samples[-1].time == pytest.approx(steps * dt)
+    assert final is stepped[-1]
+    assert final.time == pytest.approx(steps * dt)
+
+
+@pytest.mark.parametrize("stride, kept_steps", [
+    (10, range(10, 101, 10)), (7, [*range(7, 100, 7), 100])])
+def test_sampled_fields_are_every_stride_th_field_plus_the_final_one(
+        monkeypatch, stride, kept_steps):
+    """The demo's 100 steps with its sample_stride of 10, and with 7: the
+    report keeps the fields the march made at those steps, the last of
+    them the final field. The benchmark's output check reads them."""
+    made = []
+    real = stackemu.scenario.step_transient
+
+    def recorded(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+    monkeypatch.setattr(stackemu.scenario, "step_transient", recorded)
+    with open(DEMO) as fh:
+        doc = yaml.safe_load(fh)
+    doc["transient"]["sample_stride"] = stride
+    report = run_scenario(scenario_from_document(doc))
+    assert len(made) == 100
+    assert len(report.sampled_fields) == len(kept_steps)
+    assert all(f is made[k - 1]
+               for f, k in zip(report.sampled_fields, kept_steps))
+    np.testing.assert_allclose([f.time for f in report.sampled_fields],
+                               [0.005 * k for k in kept_steps], rtol=1e-12)
+    assert report.sampled_fields[-1] is report.final_field
 
 
 def test_march_of_max_steps_is_accepted():
