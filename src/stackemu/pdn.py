@@ -61,7 +61,6 @@ class PdnGrid:
     n_planes: int
     nx: int
     ny: int
-    supply_g: np.ndarray = field(repr=False)  # (n,) conductance to Vdd rail
     params: PdnParams = field(repr=False)
     config: StackConfig = field(repr=False)
     A: LayeredOperator = field(repr=False, compare=False)
@@ -77,7 +76,7 @@ class PdnGrid:
             np.broadcast_to(p.gx[:, None, None], (planes, ny, nx - 1)),
             np.broadcast_to(p.gy[:, None, None], (planes, ny - 1, nx)),
             np.broadcast_to(p.gz[:-1, None, None], (planes - 1, ny, nx)),
-            self.supply_g.reshape(planes, ny, nx))
+            np.broadcast_to(p.ground[:, None, None], (planes, ny, nx)))
 
 
 def build_pdn(config: StackConfig, params: PdnParams = PdnParams()) -> PdnGrid:
@@ -100,13 +99,12 @@ def build_pdn(config: StackConfig, params: PdnParams = PdnParams()) -> PdnGrid:
                        if layer.has_tsvs else 0.0 for layer in device[:-1]])
     _check_connected(g_vert, ny, nx)
 
-    # Package supply under the bottom die, every node.
-    supply_g = np.zeros((n_planes, ny, nx))
+    # Package supply under the bottom die, every node: A's ground per plane.
+    supply_g = np.zeros(n_planes)
     supply_g[0] = 1.0 / (params.r_c4 + params.r_pkg)
     A = LayeredOperator(np.full(n_planes, g_x), np.full(n_planes, g_y),
-                        g_vert, supply_g[:, 0, 0], ny, nx)
-    return PdnGrid(n_planes=n_planes, nx=nx, ny=ny,
-                   supply_g=supply_g.reshape(-1), params=params,
+                        g_vert, supply_g, ny, nx)
+    return PdnGrid(n_planes=n_planes, nx=nx, ny=ny, params=params,
                    config=config, A=A)
 
 
@@ -145,7 +143,7 @@ def solve_ir_drop(pdn: PdnGrid, currents: np.ndarray,
         raise ValueError("current map size does not match PDN")
     if (i_draw < 0).any():
         raise ValueError("currents must be >= 0")
-    b = pdn.supply_g * pdn.params.vdd - i_draw
+    b = np.repeat(pdn.A.ground * pdn.params.vdd, pdn.ny * pdn.nx) - i_draw
     v = solve_cg(pdn.A, b, options)
     return (pdn.params.vdd - v).reshape(pdn.n_planes, pdn.ny, pdn.nx)
 

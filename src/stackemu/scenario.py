@@ -150,6 +150,8 @@ class Scenario:
             raise ValueError("a DTM policy needs a transient section")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if type(self.policy_period) is not int or self.policy_period < 1:
+            raise ValueError("policy_period must be an integer >= 1")
         network = self.sensors
         if isinstance(network, AutoPlace):
             check_k(network.k, len(tile_center_candidates(self.stack)))

@@ -113,10 +113,9 @@ class Correction(NamedTuple):
 @dataclass(frozen=True)
 class DiscreteSystem:
     """G*T = b with G SPD: interior 7-point conductances plus boundary
-    diagonal. b = source*volume + boundary_conductance * T_ambient."""
+    diagonal; b = source*volume + boundary_g*T_amb, C = vhc[slab]*volume."""
 
     boundary_g: np.ndarray = field(repr=False)   # (n,) W/K to ambient
-    C: np.ndarray = field(repr=False)            # (n,) J/K capacitance
     grid: VoxelGrid = field(repr=False)
     correction: Correction = field(repr=False)
     # dt (None for steady) -> LayeredOperator; filled on first use, so
@@ -134,9 +133,11 @@ class DiscreteSystem:
         return lattice_matrix(*_face_conductances(self.grid, z, z[:-1]),
                               self.boundary_g.reshape(self.grid.shape))
 
-    @cached_property
-    def _ambient_inflow(self) -> np.ndarray:
-        return self.boundary_g * self.grid.config.ambient_c
+    @property
+    def C(self) -> np.ndarray:
+        """(n,) J/K capacitance, built per read from the slabs' vhc."""
+        grid = self.grid
+        return (grid.vhc[:, None, None] * grid.voxel_volume).reshape(-1)
 
     def rhs(self, source: np.ndarray, out=None) -> np.ndarray:
         """Source in W/m^3, shape (nz, ny, nx) or (n,); into out if given."""
@@ -147,15 +148,15 @@ class DiscreteSystem:
             raise ValueError("volumetric sources must be >= 0")
         q = np.multiply(src.reshape(self.grid.shape), self.grid.voxel_volume,
                         out=out).reshape(-1)
-        return np.add(q, self._ambient_inflow, out=q)
+        return np.add(q, self.boundary_g * self.grid.config.ambient_c, out=q)
 
     def operator(self, dt: float | None = None) -> LayeredOperator:
         """A = G for steady (dt None), or G + C/dt with work buffers for
-        backward-Euler steps of size dt; built on the first call per dt.
-        C/dt is uniform over a slab, since TSV farms change k and not vhc."""
+        backward-Euler steps of size dt; built on the first call per dt,
+        with C/dt per slab as the grid stores heat capacity."""
         if dt not in self._operators:
-            cap = None if dt is None else \
-                self.C.reshape(self.grid.nz, -1)[:, 0] / dt
+            cap = None if dt is None else (
+                self.grid.vhc * self.grid.voxel_volume[:, 0, 0] / dt)
             self._operators[dt] = LayeredOperator(
                 *_host_slab_conductances(self.grid), *self.grid.shape[1:],
                 self.correction, cap)
@@ -426,9 +427,8 @@ def assemble(grid: VoxelGrid, config: StackConfig) -> DiscreteSystem:
     if grid.config != config:
         raise ValueError("grid was not built from this config")
     boundary_g = _boundary_conductance(grid, grid.kz)
-    C = (grid.vhc * grid.voxel_volume).reshape(-1)
-    return DiscreteSystem(boundary_g=boundary_g.reshape(-1), C=C,
-                          grid=grid, correction=_correction(grid, boundary_g))
+    return DiscreteSystem(boundary_g=boundary_g.reshape(-1), grid=grid,
+                          correction=_correction(grid, boundary_g))
 
 
 def _correction(grid: VoxelGrid, boundary_g) -> Correction:

@@ -235,11 +235,12 @@ class VoxelGrid:
     dz_m: np.ndarray            # (nz,) slab thicknesses, m
     kx: np.ndarray              # (nz, ny, nx) lateral conductivity
     kz: np.ndarray              # (nz, ny, nx) vertical conductivity
-    vhc: np.ndarray             # (nz, ny, nx) volumetric heat capacity
+    vhc: np.ndarray             # (nz,) volumetric heat capacity per slab:
+                                # farms change k, not heat capacity
     slab_layer: np.ndarray      # (nz,) physical layer index per slab
     config: StackConfig = field(repr=False)
-    # Lookups derived from the fields above (slabs per layer, voxel
-    # volumes, rasterization weights, sensor voxels, CSV cell text), built
+    # Lookups derived from the fields above (slabs per layer,
+    # rasterization weights, sensor voxels, CSV cell text), built
     # on first use; nothing writes to a grid after discretize, so none goes
     # stale. "power" holds the last source field with the densities it was
     # built from, and power_density_field replaces it when they change.
@@ -277,10 +278,8 @@ class VoxelGrid:
         """(nz, ny, nx) voxel volumes, m^3: a read-only view that
         broadcasts the (nz,) slab volumes, so it takes no memory per
         voxel."""
-        def build():
-            vol = (self.dx_m * self.dy_m) * self.dz_m
-            return np.broadcast_to(vol[:, None, None], self.shape)
-        return self.cached("voxel_volume", build)
+        vol = (self.dx_m * self.dy_m) * self.dz_m
+        return np.broadcast_to(vol[:, None, None], self.shape)
 
     def x_centers_m(self) -> np.ndarray:
         return (np.arange(self.nx) + 0.5) * self.dx_m
@@ -329,8 +328,10 @@ def discretize(config: StackConfig, nx: int, ny: int,
     sub = sub_slabs_per_layer
     dz = np.repeat([layer.thickness_um * 1e-6 / sub
                     for layer in config.layers], sub)
+    vhc = np.repeat([layer.material.volumetric_heat_capacity
+                     for layer in config.layers], sub)
     slab_layer = np.repeat(np.arange(len(config.layers)), sub)
-    kx, kz, vhc = (np.empty((len(dz), ny, nx)) for _ in range(3))
+    kx, kz = (np.empty((len(dz), ny, nx)) for _ in range(2))
     grid = VoxelGrid(nx=nx, ny=ny, dx_m=dx, dy_m=dy, dz_m=dz,
                      kx=kx, kz=kz, vhc=vhc, slab_layer=slab_layer,
                      config=config)
@@ -340,7 +341,6 @@ def discretize(config: StackConfig, nx: int, ny: int,
         slabs = slice(i * sub, (i + 1) * sub)
         kx[slabs] = layer.material.kxy
         kz[slabs] = layer.material.kz
-        vhc[slabs] = layer.material.volumetric_heat_capacity
         for farm in layer.tsv_farms:
             eff = effective_conductivity(farm, layer.material)
             fmask = grid.farm_mask(farm)

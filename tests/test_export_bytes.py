@@ -64,8 +64,7 @@ def lateral_slice(grid, nx, ny):
     """The grid cut to its first ny x nx cells (discretize needs >= 2)."""
     return dataclasses.replace(grid, nx=nx, ny=ny,
                                kx=grid.kx[:, :ny, :nx],
-                               kz=grid.kz[:, :ny, :nx],
-                               vhc=grid.vhc[:, :ny, :nx])
+                               kz=grid.kz[:, :ny, :nx])
 
 
 def assert_same_csv(grid, rng, tmp_path):

@@ -1,6 +1,8 @@
 import inspect
 import os
 import re
+import subprocess
+import sys
 from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
@@ -170,6 +172,13 @@ def test_policy_validation():
     with pytest.raises(ValueError, match="disjoint"):
         CoreSwapPolicy(trigger_t=30.0, release_t=28.0,
                        pairing=(((0, 0, 0), (0, 0, 0)),))
+
+
+@pytest.mark.parametrize("period", [0, -3, 2.5, 5.0, True])
+def test_policy_period_must_be_a_positive_integer(period):
+    """As the YAML schema's "integer": an int, not 5.0 or True."""
+    with pytest.raises(ValueError, match="policy_period"):
+        make_scenario(policy_period=period)
 
 
 def test_compare_2l_cooler_than_4l():
@@ -742,3 +751,25 @@ def test_pyproject_version_is_the_package_version():
     with open(path) as fh:
         match = re.search(r'^version\s*=\s*"([^"]+)"', fh.read(), re.M)
     assert match and match.group(1) == stackemu.__version__
+
+
+def test_failing_hypothesis_test_does_not_abort_the_session(tmp_path):
+    """Under the repository's pytest settings (warnings are errors), a
+    failing @given test is reported as one failure and the tests after it
+    still run."""
+    (tmp_path / "test_probe.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n\n"
+        "@settings(database=None)\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n\n"
+        "def test_passes():\n"
+        "    pass\n")
+    config = os.path.join(os.path.dirname(__file__), "..", "pyproject.toml")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", config, "-q",
+         "-p", "no:cacheprovider", str(tmp_path / "test_probe.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert done.returncode == 1
+    assert "1 failed, 1 passed" in done.stdout

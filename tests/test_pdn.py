@@ -10,6 +10,14 @@ from stackemu.solver import SolveOptions
 from stackemu.stack import preset_stack, with_layer
 
 
+def supply_conductance(params, n_planes):
+    """(n,) conductance to the Vdd rail, built from the parameters alone:
+    the package path 1 / (r_c4 + r_pkg) under every node of plane 0."""
+    g = np.zeros((n_planes, params.ny * params.nx))
+    g[0] = 1.0 / (params.r_c4 + params.r_pkg)
+    return g.reshape(-1)
+
+
 @pytest.fixture
 def pdn2():
     return build_pdn(preset_stack(2))
@@ -73,7 +81,8 @@ def test_current_conservation(pdn2):
     rng = np.random.default_rng(13)
     currents = rng.uniform(0, 0.3, (2, 8, 16))
     drop = solve_ir_drop(pdn2, currents).reshape(-1)
-    supply_current = float((pdn2.supply_g * drop).sum())
+    supply_g = supply_conductance(pdn2.params, pdn2.n_planes)
+    supply_current = float((supply_g * drop).sum())
     assert supply_current == pytest.approx(float(currents.sum()), rel=1e-3)
 
 
@@ -272,6 +281,7 @@ def test_ir_drop_matches_dense_oracle(seed, n_layers, nx, ny):
     currents = rng.uniform(0, 0.2, (n_layers, ny, nx))
     drop = solve_ir_drop(pdn, currents, SolveOptions(tolerance=1e-12))
     v = np.linalg.solve(pdn.G.toarray(),
-                        pdn.supply_g * params.vdd - currents.reshape(-1))
+                        supply_conductance(params, n_layers) * params.vdd
+                        - currents.reshape(-1))
     np.testing.assert_allclose(drop.reshape(-1), params.vdd - v,
                                rtol=0, atol=1e-10)

@@ -6,6 +6,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from stackemu.config import scenario_from_document
 from stackemu.materials import (BOND_UNDERFILL, COPPER, SILICON, SIO2,
                                 TUNGSTEN, Material)
 from stackemu.power import BUILTIN_PRESETS, Constant, Periodic, PowerMap, \
@@ -21,6 +22,7 @@ from stackemu.stack import (LayerRole, LayerSpec, StackConfig, TsvFarmSpec,
 
 from conftest import (column_stack, correction_matrix, random_farm_stack,
                       random_power_map, random_stack)
+from test_config import _workloads
 from test_operator import assert_products_match
 
 TIGHT = SolveOptions(tolerance=1e-13)
@@ -176,6 +178,48 @@ def test_step_allocates_its_answer_and_no_field_temporary(farm, limit):
         finally:
             tracemalloc.stop()
         assert peak <= limit * field_t.values.nbytes
+
+
+def test_model_keeps_about_ten_fields():
+    """The grid, the assembled system with its steady operator, the source
+    and the steady answer of the steady_tsv benchmark stack at 64x32
+    (n = 18,432, with farms) hold at most 10.5 field-sized arrays (10.08
+    measured): kx, kz, boundary_g, the operator's two factor arrays,
+    source, answer and E's slot layout (about 1.6 fields at this farm
+    density), and no per-voxel copy of a per-slab value such as the heat
+    capacity, C or the ambient inflow (13.08 fields when the model kept
+    those three)."""
+    scenario = scenario_from_document(_workloads()["steady_tsv"](7)[0])
+    tracemalloc.start()
+    try:
+        grid = discretize(scenario.stack, 64, 32)
+        system = assemble(grid, scenario.stack)
+        source = power_density_field(scenario.power, grid, 0.0)
+        steady = solve_steady(system, source, scenario.solve)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert grid.n == 18_432 and system.operator().E is not None
+    assert held <= 10.5 * steady.values.nbytes
+
+
+def test_heat_capacity_is_stored_per_slab():
+    """On a farm stack the grid keeps one heat capacity per slab, its
+    layer's; C is the per-voxel product the grid used to store, bit for
+    bit, and a step operator's cap is C/dt of each slab with C's bits."""
+    cfg, grid = random_farm_stack(np.random.default_rng(24))
+    per_slab = np.array([cfg.layers[i].material.volumetric_heat_capacity
+                         for i in grid.slab_layer])
+    assert grid.vhc.shape == (grid.nz,) and np.array_equal(grid.vhc, per_slab)
+    per_voxel = np.empty(grid.shape)   # the array discretize used to fill
+    per_voxel[:] = per_slab[:, None, None]
+    system = assemble(grid, cfg)
+    assert system.correction.index.size
+    C = system.C
+    assert np.array_equal(C, (per_voxel * grid.voxel_volume).reshape(-1))
+    for dt in (5e-3, 5e-6):
+        cap = system.operator(dt).cap.reshape(-1)
+        assert np.array_equal(cap, C.reshape(grid.nz, -1)[:, 0] / dt)
 
 
 def test_transient_decays_without_source():
