@@ -2,4 +2,4 @@
 vehicle — thermal fields, supply-noise maps and lifetime-reliability
 screening for configurable stacking scenarios."""
 
-__version__ = "0.2.6"
+__version__ = "0.2.7"

@@ -97,8 +97,8 @@ class TransientSpec:
         if self.n_steps > MAX_STEPS:
             raise ValueError(f"t_end / dt = {self.t_end} / {self.dt} is "
                              f"over {MAX_STEPS = } steps")
-        if self.sample_stride < 1:
-            raise ValueError("sample_stride must be >= 1")
+        if type(self.sample_stride) is not int or self.sample_stride < 1:
+            raise ValueError("sample_stride must be >= 1 and an integer")
 
     @property
     def n_steps(self) -> int:
@@ -297,10 +297,8 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
         if isinstance(network, AutoPlace):
             candidates = tile_center_candidates(scenario.stack)
             sites = place_sensors_greedy(candidates, network.k, [steady])
-            network = SensorNetwork(
-                sensors=tuple(SensorSpec(*site, *astuple(network)[1:])
-                              for site in sites),
-                candidate_sites=tuple(candidates))
+            network = SensorNetwork(sensors=tuple(
+                SensorSpec(*site, *astuple(network)[1:]) for site in sites))
             scenario = replace(scenario, sensors=network)
 
     final_field = None

@@ -49,12 +49,9 @@ class SensorSpec:
 @dataclass(frozen=True)
 class SensorNetwork:
     sensors: tuple[SensorSpec, ...]
-    candidate_sites: tuple[tuple[int, float, float], ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "sensors", tuple(self.sensors))
-        object.__setattr__(self, "candidate_sites",
-                           tuple(map(tuple, self.candidate_sites)))
         sites = [s.site for s in self.sensors]
         if len(set(sites)) != len(sites):
             raise ValueError("two sensors share the same site")

@@ -170,23 +170,23 @@ def _face_conductance(k1, k2, d1, d2, area):
 
 def _face_conductances(grid: VoxelGrid, slabs, faces):
     """Conductances gx, gy inside `slabs` and gz from each of `faces` up."""
+    kx, kz = grid.conductivities(np.concatenate([slabs, faces, faces + 1]))
+    kx, lo, hi = kx[:len(slabs)], *np.split(kz[len(slabs):], 2)
     dx, dy, dz = grid.dx_m, grid.dy_m, grid.dz_m[:, None, None]
-    kx, kz = grid.kx[slabs], grid.kz
     return (_face_conductance(kx[:, :, :-1], kx[:, :, 1:], dx, dx,
                               dy * dz[slabs]),
             _face_conductance(kx[:, :-1], kx[:, 1:], dy, dy, dx * dz[slabs]),
-            _face_conductance(kz[faces], kz[faces + 1], dz[faces],
-                              dz[faces + 1], dx * dy))
+            _face_conductance(lo, hi, dz[faces], dz[faces + 1], dx * dy))
 
 
 def _boundary_conductance(grid: VoxelGrid, kz: np.ndarray) -> np.ndarray:
-    """Per-voxel conductance to ambient for vertical conductivities kz,
-    shape (nz, ...): top face half-voxel conduction in series with the
-    heat sink h, bottom face in series with the areal package R."""
+    """Conductance to ambient per voxel, (nz, ...), from vertical kz whose
+    first and last entries are slabs 0 and nz - 1: top face half-voxel
+    conduction in series with the heat sink h, bottom face with package R."""
     config = grid.config
     dz = grid.dz_m
     a_cell = grid.dx_m * grid.dy_m
-    boundary_g = np.zeros(kz.shape)
+    boundary_g = np.zeros((grid.nz,) + kz.shape[1:])
     # Both add, so a one-slab grid keeps the heat sink and the package.
     boundary_g[-1] += a_cell / (dz[-1] / (2 * kz[-1])
                                 + 1.0 / config.heat_sink_h)
@@ -201,9 +201,7 @@ def _host_slab_conductances(grid: VoxelGrid):
     vertical conductances between slabs iz and iz+1 (nz-1,) and the
     conductance to ambient per voxel (nz,). Equal to the assembled values
     wherever no TSV farm is."""
-    layers = grid.config.layers
-    kxy = np.array([layers[i].material.kxy for i in grid.slab_layer])
-    kz = np.array([layers[i].material.kz for i in grid.slab_layer])
+    kxy, kz = grid.slab_kxy, grid.slab_kz
     dx, dy, dz = grid.dx_m, grid.dy_m, grid.dz_m
     gx = _face_conductance(kxy, kxy, dx, dx, dy * dz)
     gy = _face_conductance(kxy, kxy, dy, dy, dx * dz)
@@ -426,7 +424,8 @@ def lattice_matrix(gx: np.ndarray, gy: np.ndarray, gz: np.ndarray,
 def assemble(grid: VoxelGrid, config: StackConfig) -> DiscreteSystem:
     if grid.config != config:
         raise ValueError("grid was not built from this config")
-    boundary_g = _boundary_conductance(grid, grid.kz)
+    ends = sorted({0, grid.nz - 1})   # one slab if nz = 1
+    boundary_g = _boundary_conductance(grid, grid.conductivities(ends)[1])
     return DiscreteSystem(boundary_g=boundary_g.reshape(-1), grid=grid,
                           correction=_correction(grid, boundary_g))
 

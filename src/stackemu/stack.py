@@ -2,9 +2,9 @@
 
 Layers are ordered bottom (package side) to top (heat sink side). Device
 layers (SP, SN2, SN1, S0) carry activity-tile grids; interface slabs
-(package bumps, micro-C4 bond, BEOL, TIM) are passive. The voxel grid is
-anisotropic: via-farm footprints get homogenized (kxy, kz) from the TSV
-model, everything else carries its layer material.
+(package bumps, micro-C4 bond, BEOL, TIM) are passive. The voxel grid keeps
+per-slab values; its per-voxel conductivities are anisotropic: via-farm
+footprints get homogenized (kxy, kz), the rest carry the layer material.
 """
 
 from __future__ import annotations
@@ -233,8 +233,8 @@ class VoxelGrid:
     dx_m: float
     dy_m: float
     dz_m: np.ndarray            # (nz,) slab thicknesses, m
-    kx: np.ndarray              # (nz, ny, nx) lateral conductivity
-    kz: np.ndarray              # (nz, ny, nx) vertical conductivity
+    slab_kxy: np.ndarray        # (nz,) host lateral conductivity per slab
+    slab_kz: np.ndarray         # (nz,) host vertical conductivity per slab
     vhc: np.ndarray             # (nz,) volumetric heat capacity per slab:
                                 # farms change k, not heat capacity
     slab_layer: np.ndarray      # (nz,) physical layer index per slab
@@ -308,6 +308,23 @@ class VoxelGrid:
             mask |= self.farm_mask(farm)
         return mask
 
+    def conductivities(self, slabs) -> tuple[np.ndarray, np.ndarray]:
+        """Lateral and vertical conductivities (kx, kz) of the given slabs,
+        each (len(slabs), ny, nx): the slab's host value, and each farm's
+        homogenized value inside its footprint (nothing else applies it)."""
+        slabs = np.asarray(slabs, dtype=np.intp)
+        kx, kz = (np.repeat(k[slabs], self.ny * self.nx).reshape(
+            -1, self.ny, self.nx) for k in (self.slab_kxy, self.slab_kz))
+        for i, layer in enumerate(self.config.layers):
+            at = np.flatnonzero(self.slab_layer[slabs] == i)[:, None]
+            if not at.size:   # no slab of this layer asked for
+                continue
+            for farm in layer.tsv_farms:
+                eff = effective_conductivity(farm, layer.material)
+                fmask = self.farm_mask(farm)
+                kx[at, fmask], kz[at, fmask] = eff.kxy, eff.kz
+        return kx, kz
+
 
 def discretize(config: StackConfig, nx: int, ny: int,
                sub_slabs_per_layer: int = 1) -> VoxelGrid:
@@ -326,27 +343,14 @@ def discretize(config: StackConfig, nx: int, ny: int,
     dy = config.die_length_mm * 1e-3 / ny
 
     sub = sub_slabs_per_layer
-    dz = np.repeat([layer.thickness_um * 1e-6 / sub
-                    for layer in config.layers], sub)
-    vhc = np.repeat([layer.material.volumetric_heat_capacity
-                     for layer in config.layers], sub)
-    slab_layer = np.repeat(np.arange(len(config.layers)), sub)
-    kx, kz = (np.empty((len(dz), ny, nx)) for _ in range(2))
-    grid = VoxelGrid(nx=nx, ny=ny, dx_m=dx, dy_m=dy, dz_m=dz,
-                     kx=kx, kz=kz, vhc=vhc, slab_layer=slab_layer,
-                     config=config)
-
-    # Layer i is the slabs [i * sub, (i + 1) * sub).
-    for i, layer in enumerate(config.layers):
-        slabs = slice(i * sub, (i + 1) * sub)
-        kx[slabs] = layer.material.kxy
-        kz[slabs] = layer.material.kz
-        for farm in layer.tsv_farms:
-            eff = effective_conductivity(farm, layer.material)
-            fmask = grid.farm_mask(farm)
-            kx[slabs, fmask] = eff.kxy
-            kz[slabs, fmask] = eff.kz
-    return grid
+    layers, materials = config.layers, [l.material for l in config.layers]
+    return VoxelGrid(
+        nx=nx, ny=ny, dx_m=dx, dy_m=dy,
+        dz_m=np.repeat([l.thickness_um * 1e-6 / sub for l in layers], sub),
+        slab_kxy=np.repeat([m.kxy for m in materials], sub),
+        slab_kz=np.repeat([m.kz for m in materials], sub),
+        vhc=np.repeat([m.volumetric_heat_capacity for m in materials], sub),
+        slab_layer=np.repeat(np.arange(len(layers)), sub), config=config)
 
 
 def with_layer(config: StackConfig, index: int, **changes) -> StackConfig:

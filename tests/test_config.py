@@ -527,4 +527,4 @@ def test_benchmark_documents_map_to_the_same_scenarios(workload, seed):
 
 def test_demo_report_config_hash_is_pinned():
     assert scenario_hash(run_scenario(load_scenario(DEMO)).scenario) == \
-        "ca77b9ad019045eb"
+        "4a9470b38d27db18"

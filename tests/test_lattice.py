@@ -40,20 +40,21 @@ def coo_thermal_matrix(grid):
     nz, ny, nx = grid.shape
     idx = np.arange(grid.n).reshape(grid.shape)
     dx, dy, dz = grid.dx_m, grid.dy_m, grid.dz_m
+    kx, kz = grid.conductivities(range(nz))
     faces = []
     if nx > 1:
         faces.append((idx[:, :, :-1], idx[:, :, 1:], _face_conductance(
-            grid.kx[:, :, :-1], grid.kx[:, :, 1:], dx, dx,
+            kx[:, :, :-1], kx[:, :, 1:], dx, dx,
             dy * dz[:, None, None])))
     if ny > 1:
         faces.append((idx[:, :-1, :], idx[:, 1:, :], _face_conductance(
-            grid.kx[:, :-1, :], grid.kx[:, 1:, :], dy, dy,
+            kx[:, :-1, :], kx[:, 1:, :], dy, dy,
             dx * dz[:, None, None])))
     if nz > 1:
         faces.append((idx[:-1], idx[1:], _face_conductance(
-            grid.kz[:-1], grid.kz[1:], dz[:-1, None, None],
+            kz[:-1], kz[1:], dz[:-1, None, None],
             dz[1:, None, None], dx * dy)))
-    return coo_lattice(idx, faces, _boundary_conductance(grid, grid.kz))
+    return coo_lattice(idx, faces, _boundary_conductance(grid, kz))
 
 
 def coo_pdn_matrix(config, params):
@@ -111,8 +112,9 @@ def test_thermal_matrix_matches_coo_reference(seed):
     rng = np.random.default_rng(seed)
     for cfg, grid in (random_stack(rng), random_farm_stack(rng)):
         kx, kz = reference_conductivities(grid)
-        assert kx.tobytes() == grid.kx.tobytes()
-        assert kz.tobytes() == grid.kz.tobytes()
+        got_kx, got_kz = grid.conductivities(range(grid.nz))
+        assert kx.tobytes() == got_kx.tobytes()
+        assert kz.tobytes() == got_kz.tobytes()
         assert_same_csr(assemble(grid, cfg).G, coo_thermal_matrix(grid))
 
 

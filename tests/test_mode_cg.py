@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from stackemu.materials import COPPER, Material, SILICON, SIO2, TUNGSTEN
+from stackemu.materials import (BOND_UNDERFILL, COPPER, Material, SILICON,
+                               SIO2, TUNGSTEN)
 from stackemu.power import Constant, PowerMap, power_density_field
 from stackemu.solver import (ConvergenceError, Correction, LayeredOperator,
                              NumericalError, SolveOptions,
@@ -283,7 +284,7 @@ def correction_triplets(grid):
     z = np.arange(nz)
     gx, gy, gz = _face_conductances(grid, z, z[:-1])
     hx, hy, hz, hb = _host_slab_conductances(grid)
-    boundary = _boundary_conductance(grid, grid.kz)
+    boundary = _boundary_conductance(grid, grid.conductivities(z)[1])
     rows, cols, vals = [], [], []
 
     def faces(g, host, first, step, voxel=lambda f: f):
@@ -319,6 +320,30 @@ def test_correction_is_scipys_csr_of_its_triplets_bit_for_bit(seed):
     cfg, grid = random_farm_stack(rng)
     if seed == 0:
         grid = discretize(cfg, 64, 32, 2)
+    assert_scipys_csr_of_its_triplets(grid, cfg, rng)
+
+
+@pytest.mark.parametrize("sub_slabs", [1, 2])
+def test_correction_triplets_of_a_farm_die_on_the_package_face(sub_slabs):
+    """The same bit-for-bit check where a farm die is the bottom layer, so
+    E holds boundary entries: the package conductance of slab 0's farm
+    voxels differs from the host slab's (the farm die of
+    test_solver::test_farm_die_on_the_package_face)."""
+    farms = (TsvFarmSpec(1.0, 1.0, 3.0, 3.0, 5.0, 10.0, COPPER),
+             TsvFarmSpec(7.0, 2.0, 9.0, 4.0, 5.0, 10.0, TUNGSTEN, 0.5, SIO2))
+    cfg = StackConfig(12.0, 6.0, (
+        LayerSpec(LayerRole.SP, 50.0, SILICON, has_tsvs=True,
+                  tsv_farms=farms),
+        LayerSpec(LayerRole.BOND_INTERFACE, 20.0, BOND_UNDERFILL),
+        LayerSpec(LayerRole.S0, 500.0, SILICON)))
+    grid = discretize(cfg, 24, 12, sub_slabs)
+    E = correction_matrix(assemble(grid, cfg).correction)
+    assert (np.abs(E.sum(axis=1)) > 1e-12).any()   # boundary entries
+    assert_scipys_csr_of_its_triplets(grid, cfg,
+                                      np.random.default_rng(sub_slabs))
+
+
+def assert_scipys_csr_of_its_triplets(grid, cfg, rng):
     correction = assemble(grid, cfg).correction
     rows, cols, vals = correction_triplets(grid)
     np.testing.assert_array_equal(np.unique(rows), correction.index)

@@ -83,11 +83,11 @@ def run_python(code: str, *args) -> subprocess.CompletedProcess:
 # them, and it says so.
 REPORT_DIGESTS = {
     "demo": {
-        "stdout": "d6ffa52ead8acf06",
+        "stdout": "dc07c75531f1535c",
         "run_final_field.csv": "05e3b0c27b312c6f",
         "run_pdn_drop_P0.pgm": "640978b8f6b477cd",
         "run_pdn_drop_P1.pgm": "d9a60ef92adf023a",
-        "run_report.txt": "d6ffa52ead8acf06",
+        "run_report.txt": "dc07c75531f1535c",
         "run_sensors.csv": "a4d68146e6315b1d",
         "run_steady_L1.pgm": "808f654bef840a42",
         "run_steady_L3.pgm": "520c1ce208aa11f9",
@@ -95,11 +95,11 @@ REPORT_DIGESTS = {
         "run_stress_hotspots.csv": "dc0387aebd68a92f",
     },
     "farm": {
-        "stdout": "a5c1fddf5ab2147d",
+        "stdout": "05243563c091cd92",
         "run_final_field.csv": "db4004255a3d6d7d",
         "run_pdn_drop_P0.pgm": "d32a5651df561b8f",
         "run_pdn_drop_P1.pgm": "2ebf9e089a54d79f",
-        "run_report.txt": "a5c1fddf5ab2147d",
+        "run_report.txt": "05243563c091cd92",
         "run_sensors.csv": "86638343cd836e22",
         "run_steady_L1.pgm": "e262dc97823e2990",
         "run_steady_L3.pgm": "0c60718096ccb504",

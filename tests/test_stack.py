@@ -144,8 +144,9 @@ def test_discretize_voxel_count():
 
 def test_discretize_uniform_layer_is_homogeneous(single_layer_stack):
     grid = discretize(single_layer_stack, 4, 4, 3)
-    assert np.all(grid.kx == SILICON.k)
-    assert np.all(grid.kz == SILICON.k)
+    kx, kz = grid.conductivities(range(grid.nz))
+    assert np.all(kx == SILICON.k)
+    assert np.all(kz == SILICON.k)
     assert np.all(grid.vhc == SILICON.volumetric_heat_capacity)
 
 
@@ -163,11 +164,12 @@ def test_discretize_farm_voxels_match_homogenization():
     grid = discretize(cfg, 4, 4, 1)
     eff = effective_conductivity(farm, SILICON)
     sp_slab = grid.layer_slabs(1)[0]
+    (kx,), (kz,) = grid.conductivities([sp_slab])
     # farm covers x < 6 mm, y < 3 mm: lower-left quadrant of voxel centers
-    assert grid.kz[sp_slab, 0, 0] == pytest.approx(eff.kz)
-    assert grid.kx[sp_slab, 0, 0] == pytest.approx(eff.kxy)
+    assert kz[0, 0] == pytest.approx(eff.kz)
+    assert kx[0, 0] == pytest.approx(eff.kxy)
     assert eff.kz > SILICON.k
-    assert grid.kz[sp_slab, 3, 3] == SILICON.k
+    assert kz[3, 3] == SILICON.k
     # heat capacity untouched by conductivity homogenization
     assert np.all(grid.vhc[sp_slab] == SILICON.volumetric_heat_capacity)
 

@@ -83,6 +83,14 @@ def test_invalid_march_raises_the_transient_spec_message(kwargs, message):
         stackemu.scenario.TransientSpec(**kwargs)
 
 
+@pytest.mark.parametrize("stride", [2.5, 3.0, True])
+def test_sample_stride_must_be_an_integer(stride):
+    """As the YAML schema's "integer": an int, not 3.0 or True."""
+    with pytest.raises(ValueError, match="sample_stride must be >= 1"):
+        stackemu.scenario.TransientSpec(t_end=0.05, dt=0.005,
+                                        sample_stride=stride)
+
+
 @pytest.mark.parametrize("t_end, dt, steps", [
     (0.07, 0.01, 7), (0.14, 0.005, 28), (0.875, 0.125, 7), (0.5, 0.005, 100),
     (0.05, 0.02, 3)])
