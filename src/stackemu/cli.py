@@ -91,6 +91,7 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     from dataclasses import replace
 
+    from .pdn import check_connected
     from .scenario import (AutoPlace, compare_scenarios, export,
                            render_comparison, render_report, run_scenario,
                            write_targets, write_text)
@@ -104,6 +105,8 @@ def _dispatch(args) -> int:
             for v in violations:
                 print(f"layer {v.layer_index}: [{v.code}] {v.message}")
             return EXIT_VALIDATION
+        if scenario.pdn is not None:
+            check_connected(scenario.stack, scenario.pdn)
         print("ok")
         return EXIT_OK
 

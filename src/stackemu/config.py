@@ -192,8 +192,6 @@ def scenario_from_document(doc: dict, base_dir: str = ".") -> Scenario:
             scenario["policy_period"] = policy.pop("period_steps")
         scenario["policy"] = _build("policy", _POLICIES[policy.pop("kind")],
                                     **policy)
-        for tile in (t for pair in policy.get("pairing", ()) for t in pair):
-            _build("policy/pairing", power.check_tile, *tile)
     return Scenario(**scenario)
 
 

@@ -185,7 +185,7 @@ def field_to_csv(field_t: TemperatureField, path) -> None:
 
 
 def field_from_csv(path, grid: VoxelGrid,
-                   time: float | None = None) -> TemperatureField:
+                   time: float = 0.0) -> TemperatureField:
     values = np.empty(grid.shape)
     seen = np.zeros(grid.shape, dtype=bool)
     with open(path, newline="") as fh:

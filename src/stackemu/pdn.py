@@ -79,13 +79,26 @@ class PdnGrid:
             np.broadcast_to(p.ground[:, None, None], (planes, ny, nx)))
 
 
-def build_pdn(config: StackConfig, params: PdnParams = PdnParams()) -> PdnGrid:
-    """Set up the nodal conductance operator and verify that every node
-    has a resistive path to the supply."""
+def check_connected(config: StackConfig, params: PdnParams) -> None:
+    """Raise PdnConfigError naming the nodes with no resistive path to the
+    supply. Each plane is a connected lattice and plane 0 is all supplied,
+    so plane p+1 reaches the supply iff every die below it has TSVs."""
     device = config.device_layers
     if not device:
         raise PdnConfigError("stack has no device layers")
-    n_planes = len(device)
+    cut = [p for p, layer in enumerate(device[:-1]) if not layer.has_tsvs]
+    if cut:
+        coords = [(p, y, x) for p in range(cut[0] + 1, len(device))
+                  for y in range(params.ny) for x in range(params.nx)]
+        raise PdnConfigError(
+            f"{len(coords)} PDN nodes have no path to the supply",
+            nodes=coords)
+
+
+def build_pdn(config: StackConfig, params: PdnParams = PdnParams()) -> PdnGrid:
+    """Set up the nodal conductance operator of a connected PDN."""
+    check_connected(config, params)
+    n_planes = len(config.device_layers)
     nx, ny = params.nx, params.ny
 
     # Lateral sheet resistors; cell aspect ratio sets squares per segment.
@@ -94,10 +107,8 @@ def build_pdn(config: StackConfig, params: PdnParams = PdnParams()) -> PdnGrid:
     g_x = 1.0 / (params.sheet_ohm_sq * pitch_x / pitch_y)
     g_y = 1.0 / (params.sheet_ohm_sq * pitch_y / pitch_x)
 
-    # Vertical uC4+TSV resistors where the lower die has TSVs.
-    g_vert = np.array([1.0 / (params.r_uc4 + params.r_tsv)
-                       if layer.has_tsvs else 0.0 for layer in device[:-1]])
-    _check_connected(g_vert, ny, nx)
+    # Vertical uC4+TSV resistors: every die under the top one has TSVs.
+    g_vert = np.full(n_planes - 1, 1.0 / (params.r_uc4 + params.r_tsv))
 
     # Package supply under the bottom die, every node: A's ground per plane.
     supply_g = np.zeros(n_planes)
@@ -106,19 +117,6 @@ def build_pdn(config: StackConfig, params: PdnParams = PdnParams()) -> PdnGrid:
                         g_vert, supply_g, ny, nx)
     return PdnGrid(n_planes=n_planes, nx=nx, ny=ny, params=params,
                    config=config, A=A)
-
-
-def _check_connected(g_vert: np.ndarray, ny: int, nx: int) -> None:
-    """Each plane is a connected lattice and plane 0 is all supplied, so
-    plane p+1 reaches the supply iff every die below it has TSVs."""
-    cut = np.nonzero(g_vert == 0.0)[0]
-    if len(cut):
-        first, n_planes = int(cut[0]) + 1, len(g_vert) + 1
-        coords = [(p, y, x) for p in range(first, n_planes)
-                  for y in range(ny) for x in range(nx)]
-        raise PdnConfigError(
-            f"{len(coords)} PDN nodes have no path to the supply",
-            nodes=coords)
 
 
 def currents_from_power(pmap: PowerMap, pdn: PdnGrid, t: float) -> np.ndarray:

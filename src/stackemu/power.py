@@ -26,15 +26,21 @@ class Profile:
         raise NotImplementedError
 
 
+def _check_profile(densities, others=()) -> None:
+    """Every profile's rule: its densities and other values (times,
+    duty) are finite, and its densities are >= 0."""
+    if not all(map(math.isfinite, (*densities, *others))):
+        raise ValueError("power profile values must be finite")
+    if min(densities) < 0:
+        raise ValueError("power densities must be >= 0")
+
+
 @dataclass(frozen=True)
 class Constant(Profile):
     p: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.p):
-            raise ValueError("power density must be finite")
-        if self.p < 0:
-            raise ValueError("power density must be >= 0")
+        _check_profile((self.p,))
 
     def power_at(self, t: float) -> float:
         return self.p
@@ -47,10 +53,7 @@ class Step(Profile):
     t_switch: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.p0, self.p1, self.t_switch))):
-            raise ValueError("power densities and t_switch must be finite")
-        if self.p0 < 0 or self.p1 < 0:
-            raise ValueError("power densities must be >= 0")
+        _check_profile((self.p0, self.p1), (self.t_switch,))
 
     def power_at(self, t: float) -> float:
         return self.p0 if t < self.t_switch else self.p1
@@ -66,12 +69,7 @@ class Periodic(Profile):
     duty: float = 0.5
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.p_low, self.p_high, self.period,
-                                        self.duty))):
-            raise ValueError("power densities, period and duty must be "
-                             "finite")
-        if self.p_low < 0 or self.p_high < 0:
-            raise ValueError("power densities must be >= 0")
+        _check_profile((self.p_low, self.p_high), (self.period, self.duty))
         if self.period <= 0:
             raise ValueError("period must be positive")
         if not 0.0 <= self.duty <= 1.0:
@@ -92,13 +90,10 @@ class Trace(Profile):
         object.__setattr__(self, "samples", tuple(map(tuple, self.samples)))
         if not self.samples:
             raise ValueError("trace needs at least one sample")
-        if not all(math.isfinite(v) for s in self.samples for v in s):
-            raise ValueError("trace samples must be finite")
-        ts = [s[0] for s in self.samples]
+        ts, densities = zip(*self.samples)
+        _check_profile(densities, ts)
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("trace timestamps must be strictly increasing")
-        if any(s[1] < 0 for s in self.samples):
-            raise ValueError("power densities must be >= 0")
 
     def power_at(self, t: float) -> float:
         if t <= self.samples[0][0]:
@@ -300,8 +295,6 @@ def power_density_field(pmap: PowerMap, grid: VoxelGrid,
     in device slabs. Tile areal density spreads through the full die
     thickness. The grid's last field comes back while the densities at t
     have the same bits, all it depends on once the stacks match."""
-    if t < 0:
-        raise ValueError("time must be >= 0")
     if grid.config is not pmap.config and grid.config != pmap.config:
         raise ValueError("power map and grid come from different stacks")
     weights, slabs, thickness = grid.cached("raster",

@@ -188,18 +188,19 @@ def reliability_report(layer_stats: list[LayerStats],
     """Aggregate EM, cycling and stress scores per device layer.
 
     layer_traces maps physical layer index -> time series of that layer's
-    max temperature (missing, empty or flat in steady-only runs). The
-    min-MTTF layer is the highest-AF layer; ties go to the layer farthest
-    from the heat sink (lowest index)."""
+    max temperature; one of under 2 samples (steady-only, one-step runs)
+    scores 0. The min-MTTF layer is the highest-AF layer; ties go to the layer
+    farthest from the heat sink (lowest index)."""
     layers = []
     for stats in layer_stats:
-        trace = layer_traces.get(stats.layer_index) or [stats.max, stats.max]
+        trace = layer_traces.get(stats.layer_index, ())
         layers.append(LayerReliability(
             layer_index=stats.layer_index,
             role=stats.role,
             max_t_c=stats.max,
             em_af=em_acceleration(stats.max, params),
-            cycling_damage=cycling_damage(trace, params)))
+            cycling_damage=(cycling_damage(trace, params)
+                            if len(trace) > 1 else 0.0)))
     best = max(range(len(layers)),
                key=lambda i: (layers[i].em_af, -layers[i].layer_index))
     hotspots = stress_proxy(field_t, params)

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import __version__
 from .fields_io import field_to_csv, layer_to_pgm, plane_to_pgm
-from .pdn import (PdnParams, build_pdn, currents_from_power, droop_from_drop,
-                  solve_ir_drop)
+from .pdn import (PdnParams, build_pdn, check_connected, currents_from_power,
+                  droop_from_drop, solve_ir_drop)
 from .power import PowerMap, power_density_field, total_power
 from .reliability import (ReliabilityParams, ReliabilityReport,
                           reliability_report)
@@ -50,28 +50,34 @@ def _stage(name: str):
 
 
 @dataclass(frozen=True)
-class ThrottlePolicy:
+class _Hysteresis:
+    """A DTM policy acts at trigger_t and undoes it below release_t."""
+
     trigger_t: float
     release_t: float
-    throttle_factor: float = 0.5
 
     def __post_init__(self):
         if not self.release_t < self.trigger_t:
             raise ValueError("release_T must be below trigger_T (hysteresis)")
+
+
+@dataclass(frozen=True)
+class ThrottlePolicy(_Hysteresis):
+    throttle_factor: float = 0.5
+
+    def __post_init__(self):
+        super().__post_init__()
         if not 0.0 < self.throttle_factor < 1.0:
             raise ValueError("throttle_factor must be in (0, 1)")
 
 
 @dataclass(frozen=True)
-class CoreSwapPolicy:
-    trigger_t: float
-    release_t: float
+class CoreSwapPolicy(_Hysteresis):
     # pairs of (device layer, row, col) tiles whose profiles get swapped
     pairing: tuple[tuple[tuple[int, int, int], tuple[int, int, int]], ...] = ()
 
     def __post_init__(self):
-        if not self.release_t < self.trigger_t:
-            raise ValueError("release_T must be below trigger_T (hysteresis)")
+        super().__post_init__()
         object.__setattr__(self, "pairing", tuple(
             (tuple(a), tuple(b)) for a, b in self.pairing))
         tiles = [t for pair in self.pairing for t in pair]
@@ -160,6 +166,11 @@ class Scenario:
         elif network is not None:
             for sensor in network.sensors:
                 check_site(sensor.site, self.stack)
+        try:   # every swap tile is a tile of the power map
+            for tile in sum(getattr(self.policy, "pairing", ()), ()):
+                self.power.check_tile(*tile)
+        except IndexError as e:
+            raise ValueError(f"policy/pairing: {e}") from None
 
 
 @dataclass(frozen=True)
@@ -272,8 +283,7 @@ def solve_transient(system: DiscreteSystem, t0_field: TemperatureField,
     field_t = t0_field
     for step in range(spec.n_steps):
         step_map = pmap(step, field_t) if callable(pmap) else pmap
-        source = power_density_field(step_map, system.grid,
-                                     field_t.time or 0.0)
+        source = power_density_field(step_map, system.grid, field_t.time)
         field_t = step_transient(system, field_t, source, spec.dt, options)
         if on_step is not None:
             on_step(step, field_t)
@@ -284,6 +294,8 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
     with _stage("stack"):
         grid = discretize(scenario.stack, scenario.grid.nx, scenario.grid.ny,
                           scenario.grid.sub_slabs_per_layer)
+        if scenario.pdn is not None:   # before any solve
+            check_connected(scenario.stack, scenario.pdn)
 
     with _stage("steady-solve"):
         system = assemble(grid, scenario.stack)
@@ -326,8 +338,7 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
                     maxima.append(float(field_t.values[s[0]:s[-1] + 1].max()))
 
             t0 = TemperatureField(
-                values=np.full(grid.shape, scenario.stack.ambient_c),
-                grid=grid, time=0.0)
+                np.full(grid.shape, scenario.stack.ambient_c), grid)
             final_field = solve_transient(system, t0, pmap, spec,
                                           scenario.solve, observe)
             final_stats = tuple(layer_summary(final_field))
@@ -459,12 +470,13 @@ class ComparisonRow:
 
 
 def compare_scenarios(scenarios: list[Scenario]) -> list[ComparisonRow]:
-    """Run every scenario and return aligned rows sorted by name."""
+    """Rows of steady values, sorted by name: each run is steady-only."""
     if len(scenarios) < 2:
         raise ValueError("need at least two scenarios to compare")
     rows = []
     for sc in scenarios:
-        rep = run_scenario(sc)
+        rep = run_scenario(replace(sc, transient=None, policy=None,
+                                   sensors=None))
         pdn_max = None
         if rep.pdn_summary is not None:
             pdn_max = max(rep.pdn_summary.max_drop_per_plane)

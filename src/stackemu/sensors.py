@@ -97,14 +97,11 @@ def read_sensors(network: SensorNetwork, field_t: TemperatureField,
                  seed: int = 0) -> list[float]:
     """Quantized noisy readings at the field's own time (0 for a steady
     field) on its own grid, one per sensor, deg C; seed is the scenario's."""
-    t = field_t.time or 0.0
-    if t < 0:
-        raise ValueError("time must be >= 0")
     readings = []
     for s_idx, sensor in enumerate(network.sensors):
         true_t = float(field_t.values[_site_voxel(sensor.site, field_t.grid)])
         if sensor.noise_sigma > 0:
-            sample_idx = int(t // sensor.sample_period)
+            sample_idx = int(field_t.time // sensor.sample_period)
             rng = default_rng([seed, s_idx, sample_idx])
             true_t += float(rng.standard_normal()) * sensor.noise_sigma
         readings.append(quantize(true_t, sensor.quantization_step))

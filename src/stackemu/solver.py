@@ -72,13 +72,15 @@ class SolveOptions:
 
 @dataclass(frozen=True)
 class TemperatureField:
-    """Per-voxel temperatures in deg C; time=None marks steady state."""
+    """Per-voxel temperatures in deg C at time s; a steady field's is 0."""
 
     values: np.ndarray           # (nz, ny, nx)
     grid: VoxelGrid = field(repr=False)
-    time: float | None = None
+    time: float = 0.0
 
     def __post_init__(self):
+        if not 0 <= self.time < np.inf:
+            raise ValueError("time must be >= 0 and finite")
         if self.values.shape != self.grid.shape:
             raise ValueError("field shape does not match grid")
         if not np.all(np.isfinite(self.values)):
@@ -599,12 +601,12 @@ def energy_balance_error(system: DiscreteSystem, source: np.ndarray,
 
 def solve_steady(system: DiscreteSystem, source: np.ndarray,
                  options: SolveOptions = SolveOptions()) -> TemperatureField:
-    """Steady temperatures in deg C; relative residual <= tolerance, and
-    the boundary outflux balances the power put in to
-    ENERGY_BALANCE_LIMIT (else NumericalError)."""
+    """Steady temperatures in deg C, as the field at t = 0; relative
+    residual <= tolerance, and the boundary outflux balances the power
+    put in to ENERGY_BALANCE_LIMIT (else NumericalError)."""
     x = solve_cg(system.operator(), system.rhs(source), options)
     field_t = TemperatureField(values=x.reshape(system.grid.shape),
-                               grid=system.grid, time=None)
+                               grid=system.grid)
     gap = energy_balance_error(system, source, x)
     if not gap <= ENERGY_BALANCE_LIMIT:
         raise NumericalError(f"steady energy balance off by {gap:.3e} "
@@ -658,7 +660,7 @@ def step_transient(system: DiscreteSystem, field_t: TemperatureField,
         x.flags.writeable = False
         A.field = x
     return TemperatureField(values=x, grid=system.grid,
-                            time=(field_t.time or 0.0) + dt)
+                            time=field_t.time + dt)
 
 
 @dataclass(frozen=True)

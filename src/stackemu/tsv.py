@@ -71,11 +71,6 @@ def effective_conductivity(farm: "TsvFarmSpec", base: Material) -> EffectiveCond
     d = farm.via_diameter_um
     t = farm.liner_thickness_um
     pitch = farm.via_pitch_um
-    if pitch <= d + 2.0 * t:
-        raise ValueError(
-            f"degenerate via geometry: pitch {pitch} um must exceed "
-            f"diameter + 2*liner = {d + 2.0 * t} um"
-        )
     r_core = d / 2.0
     r_outer = r_core + t
     cell = pitch * pitch

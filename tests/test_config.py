@@ -483,6 +483,51 @@ def test_step_count_over_the_cap_fails_validate(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_one_step_transient_reports_reliability(tmp_path, capsys):
+    """A one-step march gives each layer trace a single sample: a flat
+    trace, as in a steady-only run, so the cycling damage is 0."""
+    doc = {"name": "one-step", "stack": {"preset": 2},
+           "grid": {"nx": 16, "ny": 8},
+           "power": {"assignments": [{"layer": 0, "preset": "cpu_core"}]},
+           "reliability": {}, "transient": {"t_end": 0.005, "dt": 0.005}}
+    code, out, err = _report(tmp_path, doc, capsys)
+    assert code == 0, err
+    damage = [line for line in out.splitlines() if "cycling_damage=" in line]
+    assert len(damage) == 2
+    assert all(line.endswith(" cycling_damage=0.0") for line in damage)
+
+
+@pytest.mark.parametrize("command", ["validate", "report"])
+def test_disconnected_pdn_fails_before_any_solve(tmp_path, capsys,
+                                                 monkeypatch, command):
+    """The demo with an SP die without TSVs leaves its upper PDN plane with
+    no path to the supply: `validate` and `report` both exit 1 naming it,
+    before the steady solve, and nothing is written."""
+    import stackemu.scenario
+
+    solves = []
+    monkeypatch.setattr(stackemu.scenario, "solve_steady",
+                        lambda *args: solves.append(args))
+    doc = demo_doc()
+    doc["stack"] = {"die_width_mm": 12.0, "die_length_mm": 6.0, "layers": [
+        {"role": role, "thickness_um": um, "material": material}
+        for role, um, material in (
+            ("package_interface", 80.0, "package_bumps"),
+            ("SP", 50.0, "silicon"),
+            ("bond_interface", 20.0, "bond_underfill"),
+            ("S0", 500.0, "silicon"), ("heat_sink_interface", 30.0, "tim"))]}
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    code = main(["--config", str(path), "--out", str(tmp_path / "run"),
+                 command])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert "128 PDN nodes have no path to the supply" in err
+    assert "Traceback" not in err
+    assert solves == []
+    assert os.listdir(tmp_path) == ["scenario.yaml"]
+
+
 def _workloads():
     """perfbench/workloads.py, imported from its file and only read."""
     spec = importlib.util.spec_from_file_location(

@@ -146,3 +146,10 @@ def test_csv_rejects_wrong_layer(grid, csv_path):
     csv_path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="layer"):
         field_from_csv(csv_path, grid)
+
+
+def test_layer_pgm_rejects_an_unknown_layer(grid, tmp_path):
+    field = TemperatureField(np.full(grid.shape, 25.0), grid)
+    with pytest.raises(ValueError, match="layer 99 has no slabs"):
+        layer_to_pgm(field, 99, tmp_path / "l99.pgm")
+    assert not (tmp_path / "l99.pgm").exists()

@@ -18,11 +18,11 @@ from stackemu.pdn import PdnParams
 from stackemu.power import (Constant, Periodic, PowerMap, Step,
                             load_trace_csv)
 from stackemu.reliability import ReliabilityParams
-from stackemu.scenario import (AutoPlace, CoreSwapPolicy, ExportError,
-                               GridSpec, Scenario, StageError, ThrottlePolicy,
-                               TransientSpec, compare_scenarios, export,
-                               render_comparison, render_report, run_scenario,
-                               scenario_hash)
+from stackemu.scenario import (AutoPlace, ComparisonRow, CoreSwapPolicy,
+                               ExportError, GridSpec, Scenario, StageError,
+                               ThrottlePolicy, TransientSpec,
+                               compare_scenarios, export, render_comparison,
+                               render_report, run_scenario, scenario_hash)
 from stackemu.sensors import (SensorNetwork, SensorSpec, place_sensors_greedy,
                               tile_center_candidates)
 from stackemu.solver import SolveOptions
@@ -169,9 +169,26 @@ def test_policy_validation():
         ThrottlePolicy(trigger_t=30.0, release_t=30.0, throttle_factor=0.5)
     with pytest.raises(ValueError, match="throttle_factor"):
         ThrottlePolicy(trigger_t=30.0, release_t=28.0, throttle_factor=1.5)
+    with pytest.raises(ValueError, match="hysteresis"):
+        CoreSwapPolicy(trigger_t=30.0, release_t=31.0)
     with pytest.raises(ValueError, match="disjoint"):
         CoreSwapPolicy(trigger_t=30.0, release_t=28.0,
                        pairing=(((0, 0, 0), (0, 0, 0)),))
+
+
+@pytest.mark.parametrize("tile, message", [
+    ((0, 9, 9), "policy/pairing: tile (9, 9) out of range for 4x8 grid"),
+    ((5, 0, 0), "policy/pairing: device layer 5 out of range")],
+    ids=["tile", "layer"])
+def test_swap_tile_off_the_power_map_fails_when_built(tile, message):
+    """A library Scenario is held to the rule a loaded document is: every
+    swap tile is a tile of its power map, checked before anything runs."""
+    policy = CoreSwapPolicy(trigger_t=30.0, release_t=28.0,
+                            pairing=((tile, (0, 0, 0)),))
+    with pytest.raises(ValueError) as exc:
+        make_scenario(transient=TransientSpec(t_end=0.02, dt=0.01),
+                      policy=policy, sensors=hot_sensor_net())
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("period", [0, -3, 2.5, 5.0, True])
@@ -196,6 +213,34 @@ def test_compare_2l_cooler_than_4l():
     text = render_comparison(rows)
     assert text.startswith("scenario\t")
     assert len(text.splitlines()) == 3
+
+
+def test_compare_marches_no_transient(monkeypatch):
+    """Every column of a comparison is a steady value, so each scenario
+    runs steady-only: the rows are those of the full runs, and no
+    transient step is taken."""
+    import stackemu.scenario
+
+    scenarios = [make_scenario(
+        name=f"{n}layer", n_layers=n, p=30.0,
+        transient=TransientSpec(t_end=0.02, dt=0.01),
+        policy=ThrottlePolicy(trigger_t=26.0, release_t=25.5),
+        sensors=hot_sensor_net(), pdn=PdnParams(nx=8, ny=4),
+        reliability=ReliabilityParams()) for n in (4, 2)]
+    want = []
+    for sc in scenarios:
+        rep = run_scenario(sc)
+        assert rep.final_field is not None
+        want.append(ComparisonRow(
+            sc.name, tuple(s.max for s in rep.steady_stats),
+            max(rep.pdn_summary.max_drop_per_plane),
+            rep.reliability.min_mttf_layer))
+
+    def step(*args, **kw):
+        raise AssertionError("compare took a transient step")
+
+    monkeypatch.setattr(stackemu.scenario, "step_transient", step)
+    assert compare_scenarios(scenarios) == want[::-1]
 
 
 def test_compare_requires_two():

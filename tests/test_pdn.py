@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stackemu.materials import SILICON
 from stackemu.pdn import (PdnConfigError, PdnParams, build_pdn,
                           coupling_report, currents_from_power,
                           droop_from_drop, solve_ir_drop)
 from stackemu.power import Constant, PowerMap, total_power
 from stackemu.solver import SolveOptions
-from stackemu.stack import preset_stack, with_layer
+from stackemu.stack import (LayerRole, LayerSpec, StackConfig, preset_stack,
+                            with_layer)
 
 
 def supply_conductance(params, n_planes):
@@ -285,3 +287,17 @@ def test_ir_drop_matches_dense_oracle(seed, n_layers, nx, ny):
                         - currents.reshape(-1))
     np.testing.assert_allclose(drop.reshape(-1), params.vdd - v,
                                rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda pdn: build_pdn(StackConfig(12.0, 6.0, (
+        LayerSpec(LayerRole.BEOL, 10.0, SILICON),))),
+     "stack has no device layers"),
+    (lambda pdn: solve_ir_drop(pdn, np.zeros(pdn.n - 1)),
+     "current map size does not match PDN"),
+    (lambda pdn: coupling_report(pdn, 0, -1.0), "step must be >= 0"),
+], ids=["no-device-layers", "current-map-size", "negative-step"])
+def test_pdn_rules(pdn2, call, fragment):
+    with pytest.raises(ValueError) as exc:
+        call(pdn2)
+    assert fragment in str(exc.value)

@@ -250,3 +250,30 @@ def test_map_of_another_stack_rejected(cfg):
 def test_profiles_reject_non_finite(make, value):
     with pytest.raises(ValueError, match="finite"):
         make(value)
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda cfg: Constant(-1.0), "must be >= 0"),
+    (lambda cfg: Step(-1.0, 1.0, 0.1), "must be >= 0"),
+    (lambda cfg: Step(1.0, -1.0, 0.1), "must be >= 0"),
+    (lambda cfg: Periodic(-1.0, 1.0, 0.1), "must be >= 0"),
+    (lambda cfg: Periodic(1.0, -1.0, 0.1), "must be >= 0"),
+    (lambda cfg: Trace(((0.0, 1.0), (0.1, -1.0))), "must be >= 0"),
+    (lambda cfg: Periodic(1.0, 2.0, 0.0), "period must be positive"),
+    (lambda cfg: Periodic(1.0, 2.0, 0.1, 1.5), "duty must be in [0, 1]"),
+    (lambda cfg: Trace(()), "trace needs at least one sample"),
+    (lambda cfg: CoreProxyPreset("p", ((1.0, -1.0),), 10.0),
+     "pattern multipliers must be >= 0"),
+    (lambda cfg: CoreProxyPreset("p", ((0.0, 0.0),), 10.0),
+     "pattern needs at least one positive entry"),
+    (lambda cfg: PowerMap.zeros(cfg).densities(0, -1.0), "time must be >= 0"),
+    (lambda cfg: power_density_field(PowerMap.zeros(cfg),
+                                     discretize(cfg, 4, 4), -1.0),
+     "time must be >= 0"),
+], ids=["constant", "step-p0", "step-p1", "periodic-low", "periodic-high",
+        "trace", "period", "duty", "empty-trace", "negative-pattern",
+        "zero-pattern", "densities-time", "field-time"])
+def test_power_rules(cfg, call, fragment):
+    with pytest.raises(ValueError) as exc:
+        call(cfg)
+    assert fragment in str(exc.value)

@@ -270,3 +270,20 @@ def test_greedy_keeps_earlier_candidate_within_tolerance(grid):
     chosen = place_sensors_greedy(candidates, 2, fields)
     assert chosen == reference_greedy(candidates, 2, fields)
     assert chosen[0] == candidates[0]
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda grid: read_sensors(
+        SensorNetwork((SensorSpec(0, 6.0, 3.0),)),
+        TemperatureField(np.full(grid.shape, 25.0), grid, time=-1.0)),
+     "time must be >= 0"),
+    (lambda grid: placement_objective([], [gaussian_field(grid, 0, 6.0, 3.0,
+                                                          10.0)]),
+     "placement is empty"),
+    (lambda grid: hotspot_error([(0, 6.0, 3.0)], []),
+     "need at least one evaluation field"),
+], ids=["negative-time", "empty-placement", "no-fields"])
+def test_sensor_rules(grid, call, fragment):
+    with pytest.raises(ValueError) as exc:
+        call(grid)
+    assert fragment in str(exc.value)

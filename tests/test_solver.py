@@ -577,3 +577,38 @@ def test_preconditioner_inverts_farm_free_operator(seed):
         product = np.column_stack([op(col) for col in A.toarray()])
         np.testing.assert_allclose(product, np.eye(system.n),
                                    rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda system: SolveOptions(0.0), "tolerance must be in (0, 1)"),
+    (lambda system: SolveOptions(1.0), "tolerance must be in (0, 1)"),
+    (lambda system: system.rhs(np.zeros(system.n - 1)),
+     "source length does not match system size"),
+    (lambda system: system.rhs(np.full(system.n, -1.0)),
+     "volumetric sources must be >= 0"),
+    (lambda system: assemble(system.grid, preset_stack(3)),
+     "grid was not built from this config"),
+], ids=["tolerance-0", "tolerance-1", "source-length", "negative-source",
+        "config-mismatch"])
+def test_solver_rules(call, fragment):
+    system = assemble(discretize(preset_stack(2), 4, 4), preset_stack(2))
+    with pytest.raises(ValueError) as exc:
+        call(system)
+    assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("time", [-1.0, -1e-300, float("nan"), float("inf")])
+def test_field_time_is_finite_and_non_negative(time):
+    grid = discretize(preset_stack(2), 4, 4)
+    with pytest.raises(ValueError, match="time must be >= 0"):
+        TemperatureField(np.full(grid.shape, 25.0), grid, time)
+
+
+def test_steady_field_is_the_field_at_time_zero():
+    cfg = preset_stack(2)
+    grid = discretize(cfg, 4, 4)
+    pmap = PowerMap.zeros(cfg).set_uniform(0, Constant(10.0))
+    steady = solve_steady(assemble(grid, cfg),
+                          power_density_field(pmap, grid, 0.0))
+    assert steady.time == 0.0
+    assert TemperatureField(steady.values, grid).time == 0.0

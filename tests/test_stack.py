@@ -1,11 +1,12 @@
 import itertools
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stackemu.materials import COPPER, SILICON, SIO2, TUNGSTEN
+from stackemu.materials import COPPER, SILICON, SIO2, TUNGSTEN, Material
 from stackemu.stack import (LayerRole, LayerSpec, StackConfig, TsvFarmSpec,
                             _device_order_ok, discretize, preset_stack,
                             validate_stack, with_layer)
@@ -231,3 +232,51 @@ def test_grid_lookups_built_once_and_read_only():
     coarse = dataclasses.replace(grid, dx_m=2 * grid.dx_m)
     assert coarse.layer_slabs(3) is not slabs
     assert np.array_equal(coarse.voxel_volume, 2 * vol)
+
+
+@pytest.mark.parametrize("build, fragment", [
+    (lambda: Material("m", 0.0, 1.6e6), "k must be > 0"),
+    (lambda: Material("m", 150.0, 0.0),
+     "volumetric_heat_capacity must be > 0"),
+    (lambda: Material("m", 150.0, 1.6e6, k_lateral=-1.0),
+     "k_lateral must be > 0"),
+], ids=["k", "heat-capacity", "k-lateral"])
+def test_material_rules(build, fragment):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("build, fragment", [
+    (lambda: TsvFarmSpec(1.0, 0.0, 1.0, 1.0, 5.0, 10.0, COPPER),
+     "farm footprint must have positive area"),
+    (lambda: TsvFarmSpec(0.0, 0.0, 1.0, 1.0, 0.0, 10.0, COPPER),
+     "via diameter and pitch must be positive"),
+    (lambda: TsvFarmSpec(0.0, 0.0, 1.0, 1.0, 5.0, -10.0, COPPER),
+     "via diameter and pitch must be positive"),
+    (lambda: TsvFarmSpec(0.0, 0.0, 1.0, 1.0, 5.0, 10.0, COPPER, -0.5, SIO2),
+     "liner thickness must be >= 0"),
+    (lambda: TsvFarmSpec(0.0, 0.0, 1.0, 1.0, 5.0, 10.0, TUNGSTEN, 0.5),
+     "liner material required"),
+    (lambda: LayerSpec(LayerRole.SP, 0.0, SILICON),
+     "layer thickness must be positive"),
+    (lambda: LayerSpec(LayerRole.SP, 50.0, SILICON, tile_rows=0),
+     "tile grid must be at least 1x1"),
+    (lambda: discretize(replace(preset_stack(2), die_width_mm=0.0), 4, 4),
+     "die-size"),
+    (lambda: discretize(replace(preset_stack(2), heat_sink_h=0.0), 4, 4),
+     "heat-sink-h"),
+    (lambda: discretize(replace(preset_stack(2), package_resistance=-1e-4),
+                        4, 4), "package-resistance"),
+    (lambda: discretize(preset_stack(2), 1, 4), "nx and ny must be >= 2"),
+    (lambda: discretize(preset_stack(2), 4, 4, 0),
+     "sub_slabs_per_layer must be >= 1"),
+], ids=["farm-area", "via-diameter", "via-pitch", "liner-thickness",
+        "liner-material", "layer-thickness", "tile-grid", "die-size",
+        "heat-sink-h", "package-resistance", "grid-size", "sub-slabs"])
+def test_stack_rules(build, fragment):
+    """Each rule of the stack's types raises ValueError naming itself;
+    `discretize` names the broken `validate_stack` rule by its code."""
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert fragment in str(exc.value)

@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from stackemu.materials import COPPER, Material, SILICON, SIO2, TUNGSTEN
 from stackemu.stack import TsvFarmSpec
-from stackemu.tsv import effective_conductivity
+from stackemu.tsv import (EffectiveConductivity, coated_cylinder_k,
+                         effective_conductivity, maxwell_eucken_cylinders)
 
 
 def farm(d=5.0, pitch=10.0, fill=COPPER, liner=0.0, liner_mat=None):
@@ -109,8 +110,22 @@ def test_mixture_bounds(d, pitch_margin, liner, k_fill, k_liner):
         assert min(ks) * (1 - 1e-9) <= k_eff <= max(ks) * (1 + 1e-9)
 
 
-def test_degenerate_geometry_rejected():
-    f = farm(d=5.0, pitch=10.0, fill=TUNGSTEN, liner=0.5, liner_mat=SIO2)
-    object.__setattr__(f, "via_pitch_um", 5.9)
-    with pytest.raises(ValueError, match="degenerate"):
-        effective_conductivity(f, SILICON)
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: coated_cylinder_k(400.0, 1.4, 0.0, 1.0),
+     "need 0 < r_core <= r_outer"),
+    (lambda: coated_cylinder_k(400.0, 1.4, 2.0, 1.0),
+     "need 0 < r_core <= r_outer"),
+    (lambda: maxwell_eucken_cylinders(150.0, 400.0, 1.0),
+     "inclusion fraction must be in [0, 1)"),
+    (lambda: maxwell_eucken_cylinders(150.0, 400.0, -0.1),
+     "inclusion fraction must be in [0, 1)"),
+    (lambda: EffectiveConductivity(0.0, 150.0, 0.1, 0.0),
+     "effective conductivities must be positive"),
+    (lambda: EffectiveConductivity(150.0, -1.0, 0.1, 0.0),
+     "effective conductivities must be positive"),
+], ids=["r-core-zero", "r-core-outside", "phi-one", "phi-negative",
+        "kz", "kxy"])
+def test_tsv_rules(call, fragment):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert fragment in str(exc.value)
