@@ -128,7 +128,8 @@ def currents_from_power(pmap: PowerMap, pdn: PdnGrid, t: float) -> np.ndarray:
     l_m = config.die_length_mm * 1e-3
     cell_area = (w_m / pdn.nx) * (l_m / pdn.ny)
     weights = tile_weights(config, pdn.nx, pdn.ny)
-    for ordinal, areal in areal_density(pmap, weights, t):
+    densities = [pmap.densities(o, t) for o in range(len(weights))]
+    for ordinal, areal in areal_density(densities, weights):
         out[ordinal] = areal * cell_area / pdn.params.vdd
     return out
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -85,6 +85,7 @@ class Trace(Profile):
     """Piecewise-constant samples (t, p); holds the last value forever."""
 
     samples: tuple[tuple[float, float], ...]
+    _times: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "samples", tuple(map(tuple, self.samples)))
@@ -94,11 +95,12 @@ class Trace(Profile):
         _check_profile(densities, ts)
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("trace timestamps must be strictly increasing")
+        object.__setattr__(self, "_times", np.array(ts))
 
     def power_at(self, t: float) -> float:
         if t <= self.samples[0][0]:
             return self.samples[0][1]
-        idx = np.searchsorted([s[0] for s in self.samples], t, side="right") - 1
+        idx = np.searchsorted(self._times, t, side="right") - 1
         return self.samples[idx][1]
 
 
@@ -224,27 +226,11 @@ class PowerMap:
         return self._edit(layer, lambda r, c, p: profile)
 
     def densities(self, layer: int, t: float) -> np.ndarray:
-        """(rows, cols) array of densities at time t, W/cm^2."""
+        """(rows, cols) float array of densities at time t, W/cm^2."""
         if t < 0:
             raise ValueError("time must be >= 0")
         return np.array([[p.power_at(t) for p in row]
-                         for row in self.profiles[layer]])
-
-    def scaled(self, layer_factors: dict[int, float]) -> "PowerMap":
-        """Return a map with whole device layers scaled (DTM throttling)."""
-        pmap = self
-        for layer, f in layer_factors.items():
-            pmap = pmap._edit(layer, lambda r, c, p, f=f: _Scaled(p, f))
-        return pmap
-
-
-@dataclass(frozen=True)
-class _Scaled(Profile):
-    inner: Profile
-    factor: float
-
-    def power_at(self, t: float) -> float:
-        return self.factor * self.inner.power_at(t)
+                         for row in self.profiles[layer]], dtype=float)
 
 
 def _overlap_weights(n_cells: int, cell_size: float, n_tiles: int,
@@ -270,12 +256,13 @@ def tile_weights(config: StackConfig, nx: int,
                  for layer in config.device_layers)
 
 
-def areal_density(pmap: PowerMap, weights, t: float):
+def areal_density(densities, weights):
     """Yield (device ordinal, (ny, nx) areal power density in W/m^2) for
-    every device layer that draws power at time t; weights come from
-    tile_weights."""
-    for ordinal, (wy, wx) in enumerate(weights):
-        dens = pmap.densities(ordinal, t) * 1e4  # W/cm^2 -> W/m^2
+    every device layer that draws power; densities holds each layer's
+    (rows, cols) tile densities in W/cm^2 at one time, and weights come
+    from tile_weights."""
+    for ordinal, (dens, (wy, wx)) in enumerate(zip(densities, weights)):
+        dens = dens * 1e4  # W/cm^2 -> W/m^2
         if dens.any():
             yield ordinal, wy @ dens @ wx.T
 
@@ -293,18 +280,20 @@ def power_density_field(pmap: PowerMap, grid: VoxelGrid,
                         t: float) -> np.ndarray:
     """Volumetric heat source (nz, ny, nx), W/m^3, read-only; nonzero only
     in device slabs. Tile areal density spreads through the full die
-    thickness. The grid's last field comes back while the densities at t
-    have the same bits, all it depends on once the stacks match."""
+    thickness. pmap has a PowerMap's `config` and `densities(layer, t)`.
+    The grid's last field comes back while the densities at t have the
+    same bits, all it depends on once the stacks match."""
     if grid.config is not pmap.config and grid.config != pmap.config:
         raise ValueError("power map and grid come from different stacks")
     weights, slabs, thickness = grid.cached("raster",
                                             lambda: _raster_plan(grid))
-    key = [pmap.densities(o, t).tobytes() for o in range(len(weights))]
+    densities = [pmap.densities(o, t) for o in range(len(weights))]
+    key = [dens.tobytes() for dens in densities]
     last = grid.cached("power", lambda: [None, None])   # key, field
     if last[0] == key:
         return last[1]
     field = np.zeros(grid.shape)
-    for ordinal, areal in areal_density(pmap, weights, t):
+    for ordinal, areal in areal_density(densities, weights):
         field[slabs[ordinal]] += areal / thickness[ordinal]
     field.setflags(write=False)
     last[:] = key, field

@@ -211,42 +211,44 @@ def scenario_hash(scenario: Scenario) -> str:
 
 
 class _PolicyState:
-    """The march's step -> power-map function under a DTM policy. Every
-    period-th step it reads the sensors and applies one hysteresis rule per
-    key: a device ordinal (its layer's hottest sensor) for throttling, -1
-    (the hottest sensor overall) for coreswap; the first index wins a tie.
-    The readings' noise comes from the scenario seed. It holds one current
-    map, rebuilt on each event."""
+    """The march's power map under a DTM policy. Called as (step, field),
+    every period-th step it reads the sensors and applies one hysteresis
+    rule per key: a device ordinal (its layer's hottest sensor) for
+    throttling, -1 (the hottest sensor overall) for coreswap; the first
+    index wins a tie. The readings' noise comes from the scenario seed.
+    It returns itself, with live densities: read them before the next
+    call."""
 
     def __init__(self, policy, base_map: PowerMap,
                  network: SensorNetwork, period: int, seed: int = 0):
         self.policy = policy
         self.base_map = base_map
+        self.config = base_map.config
         self.network = network
         self.period = period
         self.seed = seed
         self.on: set[int] = set()
         self.events: list[PolicyEvent] = []
-        self.map = base_map
 
-    def __call__(self, step: int, field_t: TemperatureField) -> PowerMap:
+    def __call__(self, step: int, field_t: TemperatureField):
         if step % self.period == 0:
             self.evaluate(field_t.time,
                           read_sensors(self.network, field_t, self.seed))
-        return self.map
+        return self
 
-    def _build_map(self) -> PowerMap:
-        pmap = self.base_map
-        if not self.on:
-            return pmap
-        if isinstance(self.policy, ThrottlePolicy):
-            return pmap.scaled(dict.fromkeys(self.on,
-                                             self.policy.throttle_factor))
-        for a, b in self.policy.pairing:
-            pa = pmap.profile(*a)
-            pb = pmap.profile(*b)
-            pmap = pmap.set_tile_power(*a, pb).set_tile_power(*b, pa)
-        return pmap
+    def densities(self, layer: int, t: float) -> np.ndarray:
+        """The base map's densities at t, a throttled layer's times the
+        factor and each swapped pair's two tiles exchanged."""
+        base, p = self.base_map, self.policy
+        dens = base.densities(layer, t)
+        if isinstance(p, ThrottlePolicy):
+            return dens * p.throttle_factor if layer in self.on else dens
+        if self.on:
+            for a, b in p.pairing:
+                for (ordinal, row, col), other in ((a, b), (b, a)):
+                    if ordinal == layer:
+                        dens[row, col] = base.profile(*other).power_at(t)
+        return dens
 
     def evaluate(self, t: float, readings: list[float]):
         p = self.policy
@@ -266,7 +268,6 @@ class _PolicyState:
             else:
                 continue
             self.events.append(PolicyEvent(t, action, key, i, readings[i]))
-            self.map = self._build_map()
 
 
 def solve_transient(system: DiscreteSystem, t0_field: TemperatureField,
@@ -276,10 +277,11 @@ def solve_transient(system: DiscreteSystem, t0_field: TemperatureField,
     """March backward Euler from t0_field to spec.t_end in spec.n_steps
     steps of spec.dt; returns the final field.
 
-    pmap is a PowerMap, or a function (step, field) -> PowerMap called at
-    each step start with the field so far, which is how thermal-management
-    policies (_PolicyState) act. The source is the map's power at the step
-    start time. on_step(step, field) is called with every new field."""
+    pmap is a PowerMap, or a function (step, field) -> map called at each
+    step start with the field so far, which is how thermal-management
+    policies (_PolicyState) act; that step's map is read before the next
+    call. The source is the map's power at the step start time.
+    on_step(step, field) is called with every new field."""
     field_t = t0_field
     for step in range(spec.n_steps):
         step_map = pmap(step, field_t) if callable(pmap) else pmap

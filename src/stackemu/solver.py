@@ -23,12 +23,13 @@ keeps each residual as a multiple of its round's first residual plus a
 vector on E's voxels: an iteration transforms only those, around one
 Thomas sweep, and a round the whole die once each way. After a steady
 solve the boundary outflux must balance the injected power.
-One `LayeredOperator` per system and dt holds A_L's per-slab scalars and
-factorization and E: `op @ x` applies A without a matrix and `op(r)`
-A_L^-1. `solve_cg(op, b)` is the cold solve of steady and PDN systems
-and `step_transient` the warm one; both finish in `_cg_rounds`, and a
-step of either stack kind reuses its source's rhs. `lattice_matrix`
-builds the matrix oracle.
+A `LayeredOperator` holds A_L's per-slab scalars and factorization and
+E: `op @ x` applies A without a matrix and `op(r)` A_L^-1. A system
+keeps one per step size dt and builds the steady one per solve.
+`solve_cg(op, b)` is the cold solve of steady and PDN systems and
+`step_transient` the warm one; both finish in `_cg_rounds`, and a step
+of either stack kind reuses its source's rhs. `lattice_matrix` builds
+the matrix oracle.
 """
 
 from __future__ import annotations
@@ -120,8 +121,8 @@ class DiscreteSystem:
     boundary_g: np.ndarray = field(repr=False)   # (n,) W/K to ambient
     grid: VoxelGrid = field(repr=False)
     correction: Correction = field(repr=False)
-    # dt (None for steady) -> LayeredOperator; filled on first use, so
-    # each backward-Euler step size is set up once per system.
+    # dt -> step LayeredOperator; filled on first use, so each
+    # backward-Euler step size is set up once per system.
     _operators: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)
 
@@ -153,16 +154,19 @@ class DiscreteSystem:
         return np.add(q, self.boundary_g * self.grid.config.ambient_c, out=q)
 
     def operator(self, dt: float | None = None) -> LayeredOperator:
-        """A = G for steady (dt None), or G + C/dt with work buffers for
-        backward-Euler steps of size dt; built on the first call per dt,
-        with C/dt per slab as the grid stores heat capacity."""
-        if dt not in self._operators:
+        """A = G for steady (dt None), built per call, as a run solves
+        the steady system once; or G + C/dt with work buffers for
+        backward-Euler steps of size dt, built on the first call per dt
+        and kept, with C/dt per slab as the grid stores heat capacity."""
+        op = self._operators.get(dt)
+        if op is None:
             cap = None if dt is None else (
                 self.grid.vhc * self.grid.voxel_volume[:, 0, 0] / dt)
-            self._operators[dt] = LayeredOperator(
-                *_host_slab_conductances(self.grid), *self.grid.shape[1:],
-                self.correction, cap)
-        return self._operators[dt]
+            op = LayeredOperator(*_host_slab_conductances(self.grid),
+                                 *self.grid.shape[1:], self.correction, cap)
+            if dt is not None:
+                self._operators[dt] = op
+        return op
 
 
 def _face_conductance(k1, k2, d1, d2, area):

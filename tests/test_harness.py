@@ -16,7 +16,7 @@ from stackemu.fields_io import field_from_csv
 from stackemu.materials import Material
 from stackemu.pdn import PdnParams
 from stackemu.power import (Constant, Periodic, PowerMap, Step,
-                            load_trace_csv)
+                            load_trace_csv, power_density_field)
 from stackemu.reliability import ReliabilityParams
 from stackemu.scenario import (AutoPlace, ComparisonRow, CoreSwapPolicy,
                                ExportError, GridSpec, Scenario, StageError,
@@ -131,24 +131,32 @@ def test_invalid_stack_fails_in_the_stack_stage():
     assert type(info.value.cause) is ValueError
 
 
-def test_policy_map_rebuilt_only_when_state_changes():
+def test_policy_densities_follow_the_state():
     from stackemu.scenario import _PolicyState
     stack = preset_stack(2)
-    pmap = PowerMap.zeros(stack).set_uniform(0, Constant(9.0))
+    pmap = PowerMap.zeros(stack).set_uniform(0, Constant(9.0)) \
+        .set_uniform(1, Constant(4.0))
     policy = ThrottlePolicy(trigger_t=30.0, release_t=28.0,
                             throttle_factor=0.5)
     state = _PolicyState(policy, pmap, hot_sensor_net(), 1)
-    assert state.map is pmap
+
+    def densities():
+        return [state.densities(o, 0.0) for o in range(2)]
+
+    base = [pmap.densities(o, 0.0) for o in range(2)]
+    assert state.config is pmap.config
+    np.testing.assert_array_equal(densities(), base)
     state.evaluate(0.0, [29.0])          # below trigger: no event
-    assert not state.events and state.map is pmap
+    assert not state.events
+    np.testing.assert_array_equal(densities(), base)
     state.evaluate(0.1, [31.0])          # throttle
-    throttled = state.map
-    assert throttled == pmap.scaled({0: 0.5})
+    throttled = [base[0] * 0.5, base[1]]
+    np.testing.assert_array_equal(densities(), throttled)
     state.evaluate(0.2, [29.0])          # in the hysteresis band
-    assert state.map is throttled
+    np.testing.assert_array_equal(densities(), throttled)
     state.evaluate(0.3, [27.0])          # release
     assert [e.action for e in state.events] == ["throttle", "release"]
-    assert state.map == pmap
+    np.testing.assert_array_equal(densities(), base)
 
 
 def test_coreswap_swaps_profiles():
@@ -159,9 +167,80 @@ def test_coreswap_swaps_profiles():
     pmap = PowerMap.zeros(stack).set_tile_power(0, 0, 0, Constant(9.0))
     state = _PolicyState(policy, pmap, hot_sensor_net(), 1)
     state.evaluate(0.0, [31.0])
-    eff = state.map
-    assert eff.profile(0, 0, 0) == Constant(0.0)
-    assert eff.profile(0, 3, 7) == Constant(9.0)
+    dens = state.densities(0, 0.0)
+    assert dens[0, 0] == 0.0 and dens[3, 7] == 9.0
+    assert dens.sum() == 9.0
+
+
+def test_swapped_source_matches_a_hand_swapped_map():
+    """While swapped, the policy's source field has the bits of a map
+    whose paired profiles were exchanged by hand, at times where a
+    periodic tile is high and low, for a pair on one layer and a pair
+    across layers; swapped back, the base map's. A layer of integer
+    densities is what a YAML `uniform` with `p: 7` loads."""
+    from stackemu.scenario import _PolicyState
+    stack = preset_stack(2)
+    pmap = PowerMap.zeros(stack) \
+        .set_tile_power(0, 0, 0, Periodic(2.0, 30.0, period=0.05)) \
+        .set_tile_power(0, 3, 7, Step(1.5, 12.25, t_switch=0.06)) \
+        .set_tile_power(0, 2, 4, Constant(2.5)) \
+        .set_uniform(1, Constant(7))
+    pairing = (((0, 0, 0), (0, 3, 7)), ((0, 2, 4), (1, 1, 2)))
+    hand = pmap
+    for a, b in pairing:
+        hand = hand.set_tile_power(*a, pmap.profile(*b)) \
+            .set_tile_power(*b, pmap.profile(*a))
+    network = SensorNetwork(sensors=(SensorSpec(0, 6.0, 3.0),))
+    state = _PolicyState(CoreSwapPolicy(trigger_t=30.0, release_t=28.0,
+                                        pairing=pairing), pmap, network, 1)
+    state.evaluate(0.0, [31.0])
+    assert [e.action for e in state.events] == ["swap"]
+    # one grid per map, so neither is served the other's cached field
+    grids = [discretize(stack, 8, 4) for _ in range(3)]
+    for t in (0.0, 0.01, 0.03, 0.05, 0.07, 0.085):
+        got = power_density_field(state, grids[0], t)
+        assert got.tobytes() == power_density_field(hand, grids[1],
+                                                    t).tobytes()
+        assert got.tobytes() != power_density_field(pmap, grids[2],
+                                                    t).tobytes()
+    state.evaluate(0.1, [27.0])
+    assert [e.action for e in state.events] == ["swap", "swap_back"]
+    assert power_density_field(state, grids[0], 0.1).tobytes() == \
+        power_density_field(pmap, grids[2], 0.1).tobytes()
+
+
+def test_throttled_layer_is_base_times_factor():
+    """A throttled layer's densities are the base map's times the factor,
+    bit for bit as the former per-tile product factor * power_at(t); the
+    other layer keeps the base map's, and the hysteresis events are the
+    rule's."""
+    from stackemu.scenario import _PolicyState
+    stack = preset_stack(2)
+    pmap = PowerMap.zeros(stack) \
+        .set_uniform(0, Periodic(3.3, 41.7, period=0.05, duty=0.3)) \
+        .set_tile_power(0, 1, 1, Step(0.7, 19.1, t_switch=0.02)) \
+        .set_uniform(1, Constant(5.9))
+    network = SensorNetwork(sensors=(SensorSpec(0, 6.0, 3.0),
+                                     SensorSpec(1, 6.0, 3.0)))
+    policy = ThrottlePolicy(trigger_t=30.0, release_t=28.0,
+                            throttle_factor=0.3)
+    state = _PolicyState(policy, pmap, network, 1)
+    state.evaluate(0.0, [31.0, 29.0])
+    state.evaluate(0.01, [29.0, 28.5])
+    assert [(e.action, e.layer) for e in state.events] == [("throttle", 0)]
+    for t in (0.0, 0.01, 0.02, 0.04, 0.13):
+        per_tile = np.array([[0.3 * p.power_at(t) for p in row]
+                             for row in pmap.profiles[0]])
+        throttled = state.densities(0, t)
+        assert throttled.tobytes() == per_tile.tobytes()
+        assert throttled.tobytes() == (pmap.densities(0, t) * 0.3).tobytes()
+        assert state.densities(1, t).tobytes() == \
+            pmap.densities(1, t).tobytes()
+    state.evaluate(0.2, [27.0, 31.0])
+    assert [(e.action, e.layer) for e in state.events] == [
+        ("throttle", 0), ("release", 0), ("throttle", 1)]
+    assert state.densities(0, 0.2).tobytes() == \
+        pmap.densities(0, 0.2).tobytes()
 
 
 def test_policy_validation():

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -187,6 +189,29 @@ def test_trace_holds_last_value():
     tr = Trace(((0.0, 1.0), (1.0, 4.0)))
     assert tr.power_at(5.0) == 4.0
     assert tr.power_at(1e9) == 4.0
+
+
+def test_long_trace_lookup_is_one_search():
+    """A 100,000-sample trace answers as a search over its timestamps:
+    at random times, at every sample time and before the first sample;
+    the timestamps are searched, not rebuilt, so 1,000 lookups take
+    well under a second. The stored array is not part of the value."""
+    rng = np.random.default_rng(58)
+    ts = np.cumsum(rng.uniform(1e-3, 1.0, 100_000))
+    ps = rng.uniform(0.0, 50.0, ts.size)
+    trace = Trace(tuple(zip(ts.tolist(), ps.tolist())))
+    times = np.concatenate([rng.uniform(ts[0], ts[-1] + 1.0, 500), ts,
+                            [ts[0] - 1.0, 0.0, ts[0]]])
+    idx = np.maximum(np.searchsorted(ts, times, side="right") - 1, 0)
+    assert [trace.power_at(t) for t in times] == ps[idx].tolist()
+    start = time.perf_counter()
+    for t in times[:1000]:
+        trace.power_at(t)
+    assert time.perf_counter() - start < 0.5
+    short = Trace(((0.0, 1.0), (1.0, 4.0)))
+    assert repr(short) == "Trace(samples=((0.0, 1.0), (1.0, 4.0)))"
+    assert short == Trace(((0.0, 1.0), (1.0, 4.0)))
+    assert hash(short) == hash(Trace(((0.0, 1.0), (1.0, 4.0))))
 
 
 def test_trace_rejects_nonmonotone_time():

@@ -8,6 +8,8 @@ import pytest
 from stackemu.pdn import PdnParams, build_pdn, currents_from_power
 from stackemu.power import (Constant, Periodic, PowerMap, Step, Trace,
                             _overlap_weights, power_density_field)
+from stackemu.scenario import ThrottlePolicy, _PolicyState
+from stackemu.sensors import SensorNetwork, SensorSpec
 from stackemu.stack import discretize
 
 from conftest import random_farm_stack, random_stack
@@ -101,10 +103,15 @@ def test_source_field_matches_reference(make, seed):
             got = power_density_field(pmap, g, t)
             ref = reference_power_density_field(pmap, g, t)
             assert np.array_equal(got, ref), (g.shape, t)
-    # a scaled map (the throttle path) through the same cached weights
-    scaled = pmap.scaled({0: 0.6})
-    assert np.array_equal(power_density_field(scaled, grid, 0.05),
-                          reference_power_density_field(scaled, grid, 0.05))
+    # a throttled layer (the policy path) through the same cached weights
+    policy = ThrottlePolicy(trigger_t=30.0, release_t=28.0,
+                            throttle_factor=0.6)
+    network = SensorNetwork(sensors=(SensorSpec(0, 0.0, 0.0),))
+    state = _PolicyState(policy, pmap, network, 1)
+    state.evaluate(0.0, [31.0])
+    assert state.on == {0}
+    assert np.array_equal(power_density_field(state, grid, 0.05),
+                          reference_power_density_field(state, grid, 0.05))
 
 
 @pytest.mark.parametrize("make, seed", list(_draws()))

@@ -180,16 +180,17 @@ def test_step_allocates_its_answer_and_no_field_temporary(farm, limit):
         assert peak <= limit * field_t.values.nbytes
 
 
-def test_model_keeps_about_eight_fields():
-    """The grid, the assembled system with its steady operator, the source
-    and the steady answer of the steady_tsv benchmark stack at 64x32
-    (n = 18,432, with farms) hold at most 8.5 field-sized arrays (8.09
-    measured): boundary_g, the operator's two factor arrays, source,
-    answer and E's slot layout (about 1.6 fields at this farm density),
-    and no per-voxel copy of a per-slab value such as the conductivities,
-    the heat capacity, C or the ambient inflow (10.08 fields when the grid
-    kept per-voxel kx and kz, 13.08 when the model also kept the other
-    three)."""
+def test_model_keeps_about_five_fields():
+    """The grid, the assembled system, the source and the steady answer
+    of the steady_tsv benchmark stack at 64x32 (n = 18,432, with farms)
+    hold at most 5.5 field-sized arrays (4.95 measured): boundary_g,
+    source, answer and E's slot layout (about 1.6 fields at this farm
+    density). The system keeps no steady operator, whose two factor
+    arrays the one steady solve of a run used (8.09 fields when it was
+    kept), and no per-voxel copy of a per-slab value such as the
+    conductivities, the heat capacity, C or the ambient inflow (10.08
+    fields when the grid kept per-voxel kx and kz, 13.08 when the model
+    also kept the other three)."""
     scenario = scenario_from_document(_workloads()["steady_tsv"](7)[0])
     tracemalloc.start()
     try:
@@ -201,7 +202,7 @@ def test_model_keeps_about_eight_fields():
     finally:
         tracemalloc.stop()
     assert grid.n == 18_432 and system.operator().E is not None
-    assert held <= 8.5 * steady.values.nbytes
+    assert held <= 5.5 * steady.values.nbytes
 
 
 def test_heat_capacity_is_stored_per_slab():

@@ -39,7 +39,7 @@ def small():
 def test_function_pmap_and_on_step_match_a_hand_loop(small):
     grid, system, base, t0 = small
     options = SolveOptions(tolerance=1e-10)
-    halved = base.scaled({0: 0.5})
+    halved = base.set_uniform(0, Constant(10.0))
     seen_at = []
 
     def pmap(step, field_t):
