@@ -52,17 +52,6 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load(args):
-    from dataclasses import replace
-
-    from .config import load_scenario
-
-    scenario = load_scenario(args.config)
-    if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
-    return scenario
-
-
 def main(argv=None) -> int:
     _apply_thread_cap()
     args = _parser().parse_args(argv)
@@ -88,16 +77,26 @@ def main(argv=None) -> int:
         return EXIT_IO
 
 
+# The sections each run command clears before its one run.
+_CLEARS = {"steady": ("transient", "policy"),
+           "pdn": ("transient", "policy", "sensors", "reliability"),
+           "place-sensors": ("transient", "policy", "pdn", "reliability")}
+
+
 def _dispatch(args) -> int:
     from dataclasses import replace
 
+    from .config import load_scenario
     from .pdn import check_connected
     from .scenario import (AutoPlace, compare_scenarios, export,
                            render_comparison, render_report, run_scenario,
                            write_targets, write_text)
+    from .sensors import placement_to_csv
     from .stack import validate_stack
 
-    scenario = _load(args)
+    scenario = load_scenario(args.config)
+    if args.seed is not None:
+        scenario = replace(scenario, seed=args.seed)
 
     if args.command == "validate":
         violations = validate_stack(scenario.stack)
@@ -110,48 +109,7 @@ def _dispatch(args) -> int:
         print("ok")
         return EXIT_OK
 
-    if args.command in ("steady", "transient", "report"):
-        if args.command == "steady":
-            scenario = replace(scenario, transient=None, policy=None)
-        elif args.command == "transient" and scenario.transient is None:
-            print("validation error: scenario has no transient section",
-                  file=sys.stderr)
-            return EXIT_VALIDATION
-        report = run_scenario(scenario)
-        export(report, ("text", "csv", "pgm") if args.command == "report"
-               else ("text", "csv"), args.out, args.force)
-        print(render_report(report), end="")
-        return EXIT_OK
-
-    if args.command == "place-sensors":
-        from .sensors import placement_to_csv
-
-        scenario = replace(scenario, sensors=AutoPlace(args.k),
-                           transient=None, policy=None, pdn=None,
-                           reliability=None)
-        report = run_scenario(scenario)
-        chosen = [s.site for s in report.scenario.sensors.sensors]
-        write_targets([(f"{args.out}_placement.csv",
-                        lambda p: placement_to_csv(chosen, p))], args.force)
-        for layer, x, y in chosen:
-            print(f"layer={layer} x_mm={x:.3f} y_mm={y:.3f}")
-        return EXIT_OK
-
-    if args.command == "pdn":
-        if scenario.pdn is None:
-            print("validation error: scenario has no pdn section",
-                  file=sys.stderr)
-            return EXIT_VALIDATION
-        scenario = replace(scenario, transient=None, policy=None,
-                           sensors=None, reliability=None)
-        report = run_scenario(scenario)
-        export(report, ("text", "pgm"), args.out, args.force)
-        for p, d in enumerate(report.pdn_summary.max_drop_per_plane):
-            print(f"plane {p}: max_drop_v={d!r}")
-        return EXIT_OK
-
     if args.command == "compare":
-        from .config import load_scenario
         scenarios = [scenario] + [load_scenario(p) for p in args.others]
         rows = compare_scenarios(scenarios)
         text = render_comparison(rows)
@@ -160,7 +118,30 @@ def _dispatch(args) -> int:
         print(text, end="")
         return EXIT_OK
 
-    raise AssertionError(f"unhandled command {args.command}")
+    # steady, transient, report, pdn, place-sensors
+    if args.command in ("transient", "pdn") and \
+            getattr(scenario, args.command) is None:
+        raise ValueError(f"scenario has no {args.command} section")
+    changes = dict.fromkeys(_CLEARS.get(args.command, ()))
+    if args.command == "place-sensors":
+        changes["sensors"] = AutoPlace(args.k)
+    report = run_scenario(replace(scenario, **changes))
+
+    if args.command == "place-sensors":
+        chosen = [s.site for s in report.scenario.sensors.sensors]
+        write_targets([(f"{args.out}_placement.csv",
+                        lambda p: placement_to_csv(chosen, p))], args.force)
+        for layer, x, y in chosen:
+            print(f"layer={layer} x_mm={x:.3f} y_mm={y:.3f}")
+    elif args.command == "pdn":
+        export(report, ("text", "pgm"), args.out, args.force)
+        for p, d in enumerate(report.pdn_summary.max_drop_per_plane):
+            print(f"plane {p}: max_drop_v={d!r}")
+    else:
+        export(report, ("text", "csv", "pgm") if args.command == "report"
+               else ("text", "csv"), args.out, args.force)
+        print(render_report(report), end="")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

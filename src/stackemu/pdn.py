@@ -12,8 +12,9 @@ simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from functools import cached_property
+import math
 
 import numpy as np
 
@@ -42,13 +43,15 @@ class PdnParams:
     l_loop_proxy: float = 1e-12      # H
 
     def __post_init__(self):
+        if not all(map(math.isfinite, astuple(self))):
+            raise ValueError("PDN parameters must be finite")
         for name in ("sheet_ohm_sq", "r_c4", "r_uc4", "r_tsv", "vdd",
                      "decap_per_node", "l_loop_proxy"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.r_pkg < 0:
+        if not self.r_pkg >= 0:
             raise ValueError("r_pkg must be >= 0")
-        if self.nx < 1 or self.ny < 1:
+        if not (self.nx >= 1 and self.ny >= 1):
             raise ValueError("node grid must be at least 1x1")
 
 

@@ -9,7 +9,7 @@ unitless gradient-times-mismatch proxy, not MPa.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 import math
 
 import numpy as np
@@ -30,12 +30,18 @@ class ReliabilityParams:
     stress_percentile: float = 99.0
 
     def __post_init__(self):
-        if self.ea_ev <= 0:
+        if not all(map(math.isfinite, astuple(self))):
+            raise ValueError("reliability parameters must be finite")
+        if not self.ea_ev > 0:
             raise ValueError("activation energy must be positive")
-        if self.cycling_exponent <= 0:
+        if not self.reference_t_c > -ZERO_C_IN_K:
+            raise ValueError("reference_t_c must be above -273.15 C")
+        if not self.cycling_exponent > 0:
             raise ValueError("cycling exponent must be positive")
-        if self.delta_t_ref <= 0:
+        if not self.delta_t_ref > 0:
             raise ValueError("delta_t_ref must be positive")
+        if not self.stress_cte_weight > 0:
+            raise ValueError("stress_cte_weight must be positive")
         if not 0 <= self.stress_percentile <= 100:
             raise ValueError("stress percentile must be in [0, 100]")
 

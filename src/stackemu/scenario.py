@@ -196,7 +196,7 @@ class ScenarioReport:
     final_stats: tuple[LayerStats, ...] | None
     steady_field: TemperatureField = field(repr=False)
     final_field: TemperatureField | None = field(repr=False)
-    # kept only while perfbench/check.py reads it (ROADMAP items 4 and 8)
+    # kept only while perfbench/check.py reads it (ROADMAP items 7 and 8)
     sampled_fields: tuple[TemperatureField, ...] = field(repr=False)
     sensor_readings: list[float] | None
     sensor_hotspot_error: tuple[float | None, float | None] | None

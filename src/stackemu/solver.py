@@ -25,7 +25,7 @@ Thomas sweep, and a round the whole die once each way. After a steady
 solve the boundary outflux must balance the injected power.
 A `LayeredOperator` holds A_L's per-slab scalars and factorization and
 E: `op @ x` applies A without a matrix and `op(r)` A_L^-1. A system
-keeps one per step size dt and builds the steady one per solve.
+keeps the last dt's step operator and builds the steady one per solve.
 `solve_cg(op, b)` is the cold solve of steady and PDN systems and
 `step_transient` the warm one; both finish in `_cg_rounds`, and a step
 of either stack kind reuses its source's rhs. `lattice_matrix` builds
@@ -64,6 +64,9 @@ class SolveOptions:
     def __post_init__(self):
         if not 0.0 < self.tolerance < 1.0:
             raise ValueError("tolerance must be in (0, 1)")
+        if self.max_iterations is not None and not (
+                type(self.max_iterations) is int and self.max_iterations >= 1):
+            raise ValueError("max_iterations must be None or an integer >= 1")
 
     def iteration_cap(self, n: int) -> int:
         if self.max_iterations is not None:
@@ -121,8 +124,8 @@ class DiscreteSystem:
     boundary_g: np.ndarray = field(repr=False)   # (n,) W/K to ambient
     grid: VoxelGrid = field(repr=False)
     correction: Correction = field(repr=False)
-    # dt -> step LayeredOperator; filled on first use, so each
-    # backward-Euler step size is set up once per system.
+    # {dt: step LayeredOperator} for the last dt asked for: a march steps
+    # at one dt, so its step operator is set up once.
     _operators: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)
 
@@ -156,8 +159,9 @@ class DiscreteSystem:
     def operator(self, dt: float | None = None) -> LayeredOperator:
         """A = G for steady (dt None), built per call, as a run solves
         the steady system once; or G + C/dt with work buffers for
-        backward-Euler steps of size dt, built on the first call per dt
-        and kept, with C/dt per slab as the grid stores heat capacity."""
+        backward-Euler steps of size dt, kept while the next call asks
+        for the same dt, with C/dt per slab as the grid stores heat
+        capacity."""
         op = self._operators.get(dt)
         if op is None:
             cap = None if dt is None else (
@@ -165,6 +169,7 @@ class DiscreteSystem:
             op = LayeredOperator(*_host_slab_conductances(self.grid),
                                  *self.grid.shape[1:], self.correction, cap)
             if dt is not None:
+                self._operators.clear()
                 self._operators[dt] = op
         return op
 

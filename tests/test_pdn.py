@@ -301,3 +301,16 @@ def test_pdn_rules(pdn2, call, fragment):
     with pytest.raises(ValueError) as exc:
         call(pdn2)
     assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(decap_per_node=float("nan")), dict(l_loop_proxy=float("inf")),
+    dict(vdd=float("inf")), dict(sheet_ohm_sq=float("nan")),
+    dict(r_pkg=float("nan")), dict(r_tsv=float("inf"))],
+    ids=["decap-nan", "loop-inf", "vdd-inf", "sheet-nan", "r_pkg-nan",
+         "r_tsv-inf"])
+def test_params_reject_non_finite(kwargs):
+    """A non-finite parameter would reach the report as a nan droop or
+    drop; it fails when the parameters are built."""
+    with pytest.raises(ValueError, match="PDN parameters must be finite"):
+        PdnParams(**kwargs)

@@ -361,3 +361,28 @@ def test_params_validation():
         ReliabilityParams(delta_t_ref=0.0)
     with pytest.raises(ValueError):
         ReliabilityParams(stress_percentile=101.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("kwargs, fragment", [
+    (dict(ea_ev=NAN), "must be finite"),
+    (dict(reference_t_c=NAN), "must be finite"),
+    (dict(reference_t_c=INF), "must be finite"),
+    (dict(cycling_exponent=NAN), "must be finite"),
+    (dict(delta_t_ref=INF), "must be finite"),
+    (dict(stress_cte_weight=NAN), "must be finite"),
+    (dict(reference_t_c=-300.0), "reference_t_c must be above -273.15"),
+    (dict(reference_t_c=-273.15), "reference_t_c must be above -273.15"),
+    (dict(stress_cte_weight=0.0), "stress_cte_weight must be positive"),
+    (dict(stress_cte_weight=-1.0), "stress_cte_weight must be positive"),
+], ids=["ea-nan", "reference-nan", "reference-inf", "exponent-nan",
+        "delta-inf", "weight-nan", "reference-300", "reference-zero-k",
+        "weight-0", "weight-negative"])
+def test_params_reject_non_finite_and_out_of_range(kwargs, fragment):
+    """Every field is finite, the reference temperature is above absolute
+    zero and the stress weight is positive, checked when the parameters
+    are built rather than in the report they would otherwise reach."""
+    with pytest.raises(ValueError, match=fragment):
+        ReliabilityParams(**kwargs)

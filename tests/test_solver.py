@@ -598,6 +598,31 @@ def test_solver_rules(call, fragment):
     assert fragment in str(exc.value)
 
 
+@pytest.mark.parametrize("max_iterations", [0, -3, 2.5, 1.0, True])
+def test_max_iterations_is_none_or_a_positive_integer(max_iterations):
+    with pytest.raises(ValueError, match="max_iterations must be None or "
+                       "an integer >= 1"):
+        SolveOptions(max_iterations=max_iterations)
+
+
+def test_system_keeps_only_the_last_step_operator():
+    """A system keeps one step operator: the last dt's. Asking again for
+    that dt returns the same operator."""
+    cfg = preset_stack(2)
+    grid = discretize(cfg, 8, 4)
+    system = assemble(grid, cfg)
+    source = power_density_field(
+        PowerMap.zeros(cfg).set_uniform(0, Constant(10.0)), grid, 0.0)
+    field = TemperatureField(np.full(grid.shape, cfg.ambient_c), grid)
+    for dt in (1e-3, 2e-3, 5e-3):
+        field = step_transient(system, field, source, dt)
+        assert list(system._operators) == [dt]
+    op = system.operator(5e-3)
+    step_transient(system, field, source, 5e-3)
+    assert list(system._operators) == [5e-3]
+    assert system.operator(5e-3) is op
+
+
 @pytest.mark.parametrize("time", [-1.0, -1e-300, float("nan"), float("inf")])
 def test_field_time_is_finite_and_non_negative(time):
     grid = discretize(preset_stack(2), 4, 4)
