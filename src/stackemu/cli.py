@@ -2,28 +2,20 @@
 
 Subcommands: validate, steady, transient, place-sensors, pdn, compare,
 report. Exit codes: 0 success, 1 validation failure, 2 numerical
-failure, 3 IO failure. STACKEMU_THREADS caps BLAS worker count and
-overrides an already-set OMP_NUM_THREADS and the like (0 = auto).
+failure, 3 IO failure. OPENBLAS_NUM_THREADS or OMP_NUM_THREADS caps the
+BLAS thread count; answers do not depend on it on grids whose nx is a
+multiple of 8 (see the README on determinism).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 EXIT_IO = 3
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("STACKEMU_THREADS")
-    if cap and cap != "0":
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ[var] = cap
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -53,7 +45,6 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     args = _parser().parse_args(argv)
 
     from .scenario import ExportError, StageError
@@ -111,8 +102,7 @@ def _dispatch(args) -> int:
 
     if args.command == "compare":
         scenarios = [scenario] + [load_scenario(p) for p in args.others]
-        rows = compare_scenarios(scenarios)
-        text = render_comparison(rows)
+        text = render_comparison(compare_scenarios(scenarios))
         write_targets([(f"{args.out}_comparison.tsv",
                         lambda p: write_text(p, text))], args.force)
         print(text, end="")

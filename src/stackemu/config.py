@@ -34,7 +34,7 @@ from .scenario import (AutoPlace, CoreSwapPolicy, GridSpec, Scenario,
                        SolveOptions, ThrottlePolicy, TransientSpec)
 from .sensors import SensorNetwork, SensorSpec
 from .stack import LayerRole, LayerSpec, StackConfig, TsvFarmSpec, \
-    preset_stack
+    is_int, preset_stack
 
 
 class ConfigError(ValueError):
@@ -58,8 +58,7 @@ def _validator():
     types = base.TYPE_CHECKER.redefine_many({
         "number": lambda _, x: is_type(x, "number") and (
             isinstance(x, int) or math.isfinite(x)),
-        "integer": lambda _, x: isinstance(x, int) and not isinstance(
-            x, bool)})
+        "integer": lambda _, x: is_int(x)})
     return jsonschema.validators.extend(base, type_checker=types)(schema)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .power import PowerMap, areal_density, tile_weights
 from .solver import LayeredOperator, SolveOptions, lattice_matrix, solve_cg
-from .stack import StackConfig
+from .stack import StackConfig, is_int
 
 
 class PdnConfigError(ValueError):
@@ -51,6 +51,8 @@ class PdnParams:
                 raise ValueError(f"{name} must be positive")
         if not self.r_pkg >= 0:
             raise ValueError("r_pkg must be >= 0")
+        if not (is_int(self.nx) and is_int(self.ny)):
+            raise ValueError("node grid nx and ny must be integers")
         if not (self.nx >= 1 and self.ny >= 1):
             raise ValueError("node grid must be at least 1x1")
 

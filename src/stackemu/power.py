@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .stack import StackConfig, VoxelGrid
+from .stack import StackConfig, VoxelGrid, is_int
 
 
 class Profile:
@@ -192,6 +192,8 @@ class PowerMap:
         return self.profiles[layer][row][col]
 
     def check_tile(self, layer: int, row: int, col: int):
+        if not all(map(is_int, (layer, row, col))):
+            raise IndexError(f"tile ({layer}, {row}, {col}) needs integers")
         if not 0 <= layer < self.n_device_layers:
             raise IndexError(f"device layer {layer} out of range")
         rows, cols = self.tile_shape(layer)
@@ -304,8 +306,7 @@ def total_power(pmap: PowerMap, t: float) -> float:
     """Total injected power of the map's own stack at time t, W."""
     config = pmap.config
     total = 0.0
-    for ordinal, layer_index in enumerate(config.device_layer_indices):
-        layer = config.layers[layer_index]
+    for ordinal, layer in enumerate(config.device_layers):
         tile_area_cm2 = (config.die_width_mm / 10.0 / layer.tile_cols) * \
                         (config.die_length_mm / 10.0 / layer.tile_rows)
         total += float(pmap.densities(ordinal, t).sum()) * tile_area_cm2

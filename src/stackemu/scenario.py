@@ -30,7 +30,7 @@ from .sensors import (SensorNetwork, SensorSpec, check_k, check_site,
 from .solver import (DiscreteSystem, LayerStats, SolveOptions,
                      TemperatureField, assemble, layer_summary, solve_steady,
                      step_transient)
-from .stack import StackConfig, discretize
+from .stack import StackConfig, discretize, is_int
 
 
 class StageError(RuntimeError):
@@ -57,6 +57,8 @@ class _Hysteresis:
     release_t: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.trigger_t, self.release_t))):
+            raise ValueError("trigger_T and release_T must be finite")
         if not self.release_t < self.trigger_t:
             raise ValueError("release_T must be below trigger_T (hysteresis)")
 
@@ -103,7 +105,7 @@ class TransientSpec:
         if self.n_steps > MAX_STEPS:
             raise ValueError(f"t_end / dt = {self.t_end} / {self.dt} is "
                              f"over {MAX_STEPS = } steps")
-        if type(self.sample_stride) is not int or self.sample_stride < 1:
+        if not is_int(self.sample_stride) or self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1 and an integer")
 
     @property
@@ -120,6 +122,10 @@ class GridSpec:
     ny: int = 16
     sub_slabs_per_layer: int = 1
 
+    def __post_init__(self):   # their ranges are discretize's
+        if not all(map(is_int, astuple(self))):
+            raise ValueError("nx, ny and sub_slabs_per_layer must be integers")
+
 
 @dataclass(frozen=True)
 class AutoPlace:
@@ -133,6 +139,8 @@ class AutoPlace:
     sample_period: float = SensorSpec.sample_period
 
     def __post_init__(self):   # the placed sensors' checks, at load
+        if not is_int(self.k):
+            raise ValueError("k must be an integer")
         SensorSpec(0, 0.0, 0.0, *astuple(self)[1:])
 
 
@@ -154,9 +162,11 @@ class Scenario:
     def __post_init__(self):
         if self.policy is not None and self.transient is None:
             raise ValueError("a DTM policy needs a transient section")
+        if not is_int(self.seed):
+            raise ValueError("seed must be an integer")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if type(self.policy_period) is not int or self.policy_period < 1:
+        if not is_int(self.policy_period) or self.policy_period < 1:
             raise ValueError("policy_period must be an integer >= 1")
         network = self.sensors
         if isinstance(network, AutoPlace):
@@ -315,8 +325,7 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
                 SensorSpec(*site, *astuple(network)[1:]) for site in sites))
             scenario = replace(scenario, sensors=network)
 
-    final_field = None
-    final_stats = None
+    final_field = final_stats = None
     sampled: list[TemperatureField] = []
     layer_traces: dict[int, list[float]] = {   # kept for reliability only
         idx: [] for idx in grid.config.device_layer_indices
@@ -347,8 +356,7 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
             if scenario.policy is not None:
                 events = tuple(pmap.events)
 
-    readings = None
-    hs_error = None
+    readings = hs_error = None
     if network is not None:
         with _stage("sensors"):
             observe_field = final_field if final_field is not None else steady
@@ -406,60 +414,48 @@ def _layer_rows(title: str, stats: tuple[LayerStats, ...]) -> list[str]:
 def render_report(report: ScenarioReport) -> str:
     """Deterministic text report; byte-identical for identical
     (scenario, seed). Section order is stable."""
-    lines = []
-    lines.append("== provenance ==")
-    lines.append(f"scenario: {report.scenario.name}")
-    lines.append(f"config_hash: {scenario_hash(report.scenario)}")
-    lines.append(f"seed: {report.scenario.seed}")
-    lines.append(f"version: {__version__}")
-    lines.append("")
-    lines.append("== power ==")
-    lines.append(f"total_power_w: {_fmt(report.total_power_w)}")
+    lines = ["== provenance ==",
+             f"scenario: {report.scenario.name}",
+             f"config_hash: {scenario_hash(report.scenario)}",
+             f"seed: {report.scenario.seed}",
+             f"version: {__version__}",
+             "", "== power ==",
+             f"total_power_w: {_fmt(report.total_power_w)}"]
     lines += _layer_rows("steady state", report.steady_stats)
     if report.final_stats is not None:
         lines += _layer_rows("transient final", report.final_stats)
     if report.sensor_readings is not None:
-        lines.append("")
-        lines.append("== sensors ==")
+        lines += ["", "== sensors =="]
         net = report.scenario.sensors
         for sensor, r in zip(net.sensors, report.sensor_readings):
             lines.append(f"sensor layer={sensor.layer} "
                          f"x={_fmt(sensor.x_mm)} y={_fmt(sensor.y_mm)}: "
                          f"{_fmt(r)}")
         mean_e, max_e = report.sensor_hotspot_error
-        if mean_e is None:
-            lines.append("hotspot_error: unobserved")
-        else:
-            lines.append(f"hotspot_error: mean={_fmt(mean_e)} "
-                         f"max={_fmt(max_e)}")
+        lines.append("hotspot_error: unobserved" if mean_e is None else
+                     f"hotspot_error: mean={_fmt(mean_e)} max={_fmt(max_e)}")
     if report.pdn_summary is not None:
-        lines.append("")
-        lines.append("== pdn ==")
+        lines += ["", "== pdn =="]
         for p, (drop, droop) in enumerate(zip(
                 report.pdn_summary.max_drop_per_plane,
                 report.pdn_summary.droop_per_plane)):
             lines.append(f"plane {p}: max_drop_v={_fmt(drop)} "
                          f"droop_v={_fmt(droop)}")
     if report.reliability is not None:
-        lines.append("")
-        lines.append("== reliability ==")
+        lines += ["", "== reliability =="]
         for lr in report.reliability.layers:
             lines.append(f"layer {lr.layer_index} ({lr.role}): "
                          f"max_t_c={_fmt(lr.max_t_c)} em_af={_fmt(lr.em_af)} "
                          f"cycling_damage={_fmt(lr.cycling_damage)}")
-        lines.append(
-            f"min_mttf_layer: {report.reliability.min_mttf_layer}")
+        lines.append(f"min_mttf_layer: {report.reliability.min_mttf_layer}")
         lines.append(
             f"stress_hotspots: {len(report.reliability.stress_hotspots)}")
         for h in report.reliability.stress_hotspots[:10]:
             lines.append(f"  voxel={h.voxel} score={_fmt(h.score)}")
-    lines.append("")
-    lines.append("== policy events ==")
-    if not report.events:
-        lines.append("(none)")
-    for e in report.events:
-        lines.append(f"t={_fmt(e.t)} action={e.action} layer={e.layer} "
-                     f"sensor={e.sensor_index} reading={_fmt(e.reading)}")
+    lines += ["", "== policy events =="]
+    lines += [f"t={_fmt(e.t)} action={e.action} layer={e.layer} "
+              f"sensor={e.sensor_index} reading={_fmt(e.reading)}"
+              for e in report.events] or ["(none)"]
     return "\n".join(lines) + "\n"
 
 
@@ -479,9 +475,8 @@ def compare_scenarios(scenarios: list[Scenario]) -> list[ComparisonRow]:
     for sc in scenarios:
         rep = run_scenario(replace(sc, transient=None, policy=None,
                                    sensors=None))
-        pdn_max = None
-        if rep.pdn_summary is not None:
-            pdn_max = max(rep.pdn_summary.max_drop_per_plane)
+        pdn_max = (max(rep.pdn_summary.max_drop_per_plane)
+                   if rep.pdn_summary is not None else None)
         mttf = rep.reliability.min_mttf_layer if rep.reliability else None
         rows.append(ComparisonRow(
             name=sc.name,

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.random import default_rng   # loaded here, not inside a run
 
 from .solver import TemperatureField
-from .stack import StackConfig, VoxelGrid
+from .stack import StackConfig, VoxelGrid, is_int
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,8 @@ class SensorSpec:
     sample_period: float = 1e-3      # s
 
     def __post_init__(self):
+        if not is_int(self.layer):
+            raise ValueError("sensor layer must be an integer")
         if not all(map(math.isfinite, (self.x_mm, self.y_mm, self.noise_sigma,
                                         self.quantization_step,
                                         self.sample_period))):

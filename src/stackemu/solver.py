@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .stack import StackConfig, VoxelGrid
+from .stack import StackConfig, VoxelGrid, is_int
 
 
 class ConvergenceError(RuntimeError):
@@ -65,7 +65,7 @@ class SolveOptions:
         if not 0.0 < self.tolerance < 1.0:
             raise ValueError("tolerance must be in (0, 1)")
         if self.max_iterations is not None and not (
-                type(self.max_iterations) is int and self.max_iterations >= 1):
+                is_int(self.max_iterations) and self.max_iterations >= 1):
             raise ValueError("max_iterations must be None or an integer >= 1")
 
     def iteration_cap(self, n: int) -> int:
@@ -290,9 +290,11 @@ class LayeredOperator:
         self.source = self.field = None
 
     def _plane_blocks(self, index):
-        """Per plane of E's voxels: its rows of qy and columns of qx, the
-        positions of the voxels in the rows x columns block, and the order
-        of the two products that costs fewer operations."""
+        """Per plane of E's voxels: its rows of qy and columns of qx, each
+        padded with zero rows to a multiple of 8, the order of the two
+        products that costs fewer operations, and the flat positions of
+        the voxels in the rows x columns block, or in its transpose if
+        the rows go first."""
         nz, ny, nx = self.inv_pivot.shape
         iz, iy, ix = np.unravel_index(index, (nz, ny, nx))
         bounds = np.searchsorted(iz, np.arange(nz + 1))
@@ -303,13 +305,16 @@ class LayeredOperator:
             y, x = iy[part], ix[part]
             in_rows = np.bincount(y, minlength=ny) > 0
             in_cols = np.bincount(x, minlength=nx) > 0
-            rows, cols = np.flatnonzero(in_rows), np.flatnonzero(in_cols)
+            r, c = in_rows.sum(), in_cols.sum()
+            cols_first = c * ny * (nx + r) <= r * nx * (ny + c)
+            qy, qx = (np.concatenate([q[used], np.zeros((-k % 8, len(q)))])
+                      for q, used, k in ((self.qy, in_rows, r),
+                                         (self.qx, in_cols, c)))
             at_row = (np.cumsum(in_rows) - 1)[y]
             at_col = (np.cumsum(in_cols) - 1)[x]
-            cols_first = (len(cols) * ny * (nx + len(rows))
-                          <= len(rows) * nx * (ny + len(cols)))
-            self.blocks.append((z, part, at_row * len(cols) + at_col,
-                                self.qy[rows], self.qx[cols], cols_first))
+            at = (at_row * len(qx) + at_col if cols_first
+                  else at_col * len(qy) + at_row)
+            self.blocks.append((z, part, at, qy, qx, cols_first))
 
     def forward(self, r: np.ndarray, out=None, tmp=None) -> np.ndarray:
         """Mode coefficients Q^T r, (nz, ny, nx), of a flat r, via tmp."""
@@ -336,24 +341,25 @@ class LayeredOperator:
 
     def gather(self, y: np.ndarray) -> np.ndarray:
         """(Q y)[index] of mode coefficients y: per plane, Q at E's rows
-        and columns only."""
+        and columns only. Every product has rows a multiple of 8 long,
+        which OpenBLAS computed to the same bits at 1 and 2 threads."""
         v = np.empty(len(self.index))
         for z, part, at, qy, qx, cols_first in self.blocks:
-            block = qy @ (y[z] @ qx.T) if cols_first else (qy @ y[z]) @ qx.T
+            block = (qy @ (y[z] @ qx.T) if cols_first
+                     else qx @ (y[z].T @ qy.T))   # the block's transpose
             v[part] = block.reshape(-1)[at]
         return v
 
     def scatter(self, w: np.ndarray, out=None) -> np.ndarray:
         """Q^T of the flat vector that is w on E's voxels and 0 elsewhere,
         as mode coefficients (nz, ny, nx)."""
-        y = np.zeros(self.inv_pivot.shape) if out is None else out
-        if out is not None:
-            y.fill(0.0)
+        y = np.empty(self.inv_pivot.shape) if out is None else out
+        y.fill(0.0)
         for z, part, at, qy, qx, cols_first in self.blocks:
-            block = np.zeros(len(qy) * len(qx))
-            block[at] = w[part]
-            block = block.reshape(len(qy), len(qx))
-            y[z] = (qy.T @ block) @ qx if cols_first else qy.T @ (block @ qx)
+            block = np.zeros((len(qy), len(qx)) if cols_first
+                             else (len(qx), len(qy)))   # the transpose
+            np.put(block, at, w[part])
+            y[z] = (qy.T @ block) @ qx if cols_first else qy.T @ (block.T @ qx)
         return y
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
@@ -512,14 +518,21 @@ def solve_cg(A: LayeredOperator, b,
     return x
 
 
+def _dot(a: np.ndarray, b: np.ndarray | None = None) -> float:
+    """<a, b>, or <a, a> without b, for arrays of one size: summed by
+    numpy's own loop, not by BLAS, which splits a sum across threads."""
+    a = a.reshape(-1)
+    return float(np.einsum("i,i->", a, a if b is None else b.reshape(-1)))
+
+
 def _cg_rounds(A: LayeredOperator, b, x: np.ndarray, options: SolveOptions,
                cold: bool = False) -> int:
     """`solve_cg`'s rounds from x, in place; the number of rounds run, 0
     when x passes its first true-residual check. Cold: x is 0 and the
-    first round starts from b itself."""
+    first round starts from b itself. Every reduction is a `_dot`."""
     tol = options.tolerance
     max_iter = options.iteration_cap(len(b))
-    bnorm = np.linalg.norm(b) or 1.0
+    bnorm = np.sqrt(_dot(b)) or 1.0
     if not np.isfinite(bnorm):
         raise NumericalError("non-finite right-hand side")
     E, index, work = A.E, A.index, A.work.get   # work(name): buffer or None
@@ -528,28 +541,28 @@ def _cg_rounds(A: LayeredOperator, b, x: np.ndarray, options: SolveOptions,
         from_b = cold and not rounds
         if not from_b:
             r = A.residual(b, x, work("residual"))
-            res = np.linalg.norm(r) / bnorm
+            res = np.sqrt(_dot(r)) / bnorm
             if not np.isfinite(res):
                 raise NumericalError("non-finite residual")
             # After a round, a residual within the rounding error of its
             # evaluation (rows of at most 7 entries, plus b) is final.
             if res <= tol or (rounds and res * bnorm <= 8 * np.finfo(float).eps
-                              * np.linalg.norm(A.abs_matmul(np.abs(x))
-                                               + np.abs(b))):
+                              * np.sqrt(_dot(A.abs_matmul(np.abs(x))
+                                             + np.abs(b)))):
                 return rounds
         rounds += 1
         # The round's r0, y0 = Q^T r0 and z0 = T^-1 y0.
         r0 = b if from_b else r
         y0 = A.forward(r0, work("modes2"), work("modes"))
         z0 = A.solve_modes(np.positive(y0, out=work("modes")))   # a copy
-        sigma = float(np.vdot(y0, z0))           # <r0, A_L^-1 r0>
+        sigma = _dot(y0, z0)                     # <r0, A_L^-1 r0>
         m, r0_s = A.gather(z0), r0[index]        # A_L^-1 r0 and r0 on S
-        off2 = max(float(np.vdot(r0, r0)) - float(r0_s @ r0_s), 0.0)
+        off2 = max(_dot(r0) - _dot(r0_s), 0.0)
         del y0
         # Residual gamma r0 + s; the update is A_L^-1 (big_gamma r0 + u).
         if from_b:
             gamma, s, big_gamma = 0.0, -(E @ m), 1.0
-            res = np.linalg.norm(s) / bnorm
+            res = np.sqrt(_dot(s)) / bnorm
         else:
             gamma, s, big_gamma = 1.0, np.zeros(len(index)), 0.0
         u = gamma_p = w = p_s = 0.0   # A_L p = gamma_p r0 + w
@@ -560,13 +573,12 @@ def _cg_rounds(A: LayeredOperator, b, x: np.ndarray, options: SolveOptions,
             z_s = gamma * m                      # (A_L^-1 r)|S
             if s.any():
                 z_s += A.gather(A.solve_modes(A.scatter(s, work("modes2"))))
-            rz_new = gamma * (gamma * sigma + float(m @ s)) + float(s @ z_s)
+            rz_new = gamma * (gamma * sigma + _dot(m, s)) + _dot(s, z_s)
             beta, rz = rz_new / rz, rz_new
             gamma_p, w, p_s = (gamma + beta * gamma_p, s + beta * w,
                                z_s + beta * p_s)
             ap_s = w if E is None else w + E @ p_s  # A p = gamma_p r0 + ap_s
-            pAp = (gamma_p * (gamma_p * sigma + float(m @ w))
-                   + float(p_s @ ap_s))
+            pAp = gamma_p * (gamma_p * sigma + _dot(m, w)) + _dot(p_s, ap_s)
             if not np.isfinite(pAp) or pAp <= 0.0:
                 raise NumericalError(
                     "CG breakdown: non-SPD or non-finite system")
@@ -577,7 +589,7 @@ def _cg_rounds(A: LayeredOperator, b, x: np.ndarray, options: SolveOptions,
             u += alpha * w
             # ||r||^2 off S plus on S; the true residual decides.
             r_s = gamma * r0_s + s
-            res = np.sqrt(gamma * gamma * off2 + float(r_s @ r_s)) / bnorm
+            res = np.sqrt(gamma * gamma * off2 + _dot(r_s)) / bnorm
             if not np.isfinite(res):
                 raise NumericalError("CG produced non-finite residual")
             it += 1
@@ -602,9 +614,8 @@ def energy_balance_error(system: DiscreteSystem, source: np.ndarray,
     injected = float(np.sum(np.reshape(source, grid.shape)
                             * grid.voxel_volume))
     t = np.reshape(values, -1)
-    outflux = float(np.dot(system.boundary_g, t - ambient))
-    scale = injected or float(np.dot(system.boundary_g,
-                                     np.abs(t) + abs(ambient)))
+    outflux = _dot(system.boundary_g, t - ambient)
+    scale = injected or _dot(system.boundary_g, np.abs(t) + abs(ambient))
     return abs(injected - outflux) / scale if scale else 0.0
 
 

@@ -39,6 +39,11 @@ class LayerRole(enum.Enum):
 DEVICE_ROLES = (LayerRole.SP, LayerRole.SN2, LayerRole.SN1, LayerRole.S0)
 
 
+def is_int(value) -> bool:
+    """The rule for every count and index field: an int, not a bool."""
+    return type(value) is int
+
+
 @dataclass(frozen=True)
 class TsvFarmSpec:
     """Axis-aligned rectangular farm footprint in die coordinates (mm)."""
@@ -89,6 +94,8 @@ class LayerSpec:
     def __post_init__(self):
         if self.thickness_um <= 0:
             raise ValueError("layer thickness must be positive")
+        if not (is_int(self.tile_rows) and is_int(self.tile_cols)):
+            raise ValueError("tile_rows and tile_cols must be integers")
         if self.tile_rows < 1 or self.tile_cols < 1:
             raise ValueError("tile grid must be at least 1x1")
         object.__setattr__(self, "tsv_farms", tuple(self.tsv_farms))
@@ -129,16 +136,9 @@ class Violation:
 def _device_order_ok(roles: list[LayerRole]) -> bool:
     # Bottom -> top: SN layers in any order under the one S0, on top, and
     # an SP at the bottom if there is one (a second SP is sp-count's).
-    if not roles:
-        return False
-    if roles[-1] != LayerRole.S0:
-        return False
     inner = roles[:-1]
-    if LayerRole.S0 in inner:
-        return False
-    if LayerRole.SP in inner and inner[0] != LayerRole.SP:
-        return False
-    return True
+    return (roles[-1:] == [LayerRole.S0] and LayerRole.S0 not in inner
+            and (LayerRole.SP not in inner or inner[0] == LayerRole.SP))
 
 
 def validate_stack(config: StackConfig) -> list[Violation]:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import stackemu
-from stackemu.cli import _apply_thread_cap, main
+from stackemu.cli import main
 from stackemu.config import (ConfigError, _schema, load_scenario,
                              scenario_from_document)
 from stackemu.fields_io import field_from_csv
@@ -275,6 +275,54 @@ def test_policy_period_must_be_a_positive_integer(period):
     """As the YAML schema's "integer": an int, not 5.0 or True."""
     with pytest.raises(ValueError, match="policy_period"):
         make_scenario(policy_period=period)
+
+
+@pytest.mark.parametrize("policy", [ThrottlePolicy, CoreSwapPolicy])
+@pytest.mark.parametrize("trigger, release", [
+    (np.inf, 50.0), (50.0, -np.inf), (np.inf, -np.inf)])
+def test_policy_thresholds_must_be_finite(policy, trigger, release):
+    """A policy that can never fire or never release is refused when built,
+    as the YAML schema refuses it."""
+    with pytest.raises(ValueError, match="must be finite"):
+        policy(trigger_t=trigger, release_t=release)
+
+
+def test_tile_indices_must_be_integers():
+    """A fractional tile index is refused, not matched to no tile."""
+    pmap = PowerMap.zeros(preset_stack(2))
+    with pytest.raises(IndexError, match=r"tile \(0, 1.5, 0\) needs integers"):
+        pmap.set_tile_power(0, 1.5, 0, Constant(500.0))
+    with pytest.raises(IndexError, match="needs integers"):
+        pmap.set_uniform(1.0, Constant(5.0))
+    policy = CoreSwapPolicy(trigger_t=30.0, release_t=28.0,
+                            pairing=(((0, 1.5, 0), (0, 0, 0)),))
+    with pytest.raises(ValueError, match="policy/pairing: tile .* needs"):
+        make_scenario(transient=TransientSpec(t_end=0.02, dt=0.01),
+                      policy=policy, sensors=hot_sensor_net())
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda v: GridSpec(nx=v), "nx, ny and sub_slabs_per_layer"),
+    (lambda v: GridSpec(ny=v), "nx, ny and sub_slabs_per_layer"),
+    (lambda v: GridSpec(sub_slabs_per_layer=v),
+     "nx, ny and sub_slabs_per_layer"),
+    (lambda v: with_layer(preset_stack(2), 1, tile_rows=v),
+     "tile_rows and tile_cols"),
+    (lambda v: with_layer(preset_stack(2), 1, tile_cols=v),
+     "tile_rows and tile_cols"),
+    (lambda v: PdnParams(nx=v), "node grid nx and ny"),
+    (lambda v: PdnParams(ny=v), "node grid nx and ny"),
+    (lambda v: AutoPlace(k=v), "k must be an integer"),
+    (lambda v: SensorSpec(layer=v, x_mm=1.0, y_mm=1.0), "sensor layer"),
+    (lambda v: make_scenario(seed=v), "seed must be an integer")],
+    ids=["grid-nx", "grid-ny", "grid-sub-slabs", "tile-rows", "tile-cols",
+         "pdn-nx", "pdn-ny", "auto-place-k", "sensor-layer", "seed"])
+@pytest.mark.parametrize("value", [2.5, 1.0, True])
+def test_count_fields_must_be_integers(build, message, value):
+    """Every count field takes an int, as the YAML schema's "integer" does:
+    not 2.5, not 1.0 and not True, refused when the type is built."""
+    with pytest.raises(ValueError, match=message):
+        build(value)
 
 
 def test_compare_2l_cooler_than_4l():
@@ -803,17 +851,6 @@ def test_transient_spec_rejects_non_finite():
                       (float("nan"), 0.1), (float("inf"), 0.1)):
         with pytest.raises(ValueError, match="finite"):
             TransientSpec(t_end=t_end, dt=dt)
-
-
-def test_stackemu_threads_overrides_blas_variables(monkeypatch):
-    monkeypatch.setenv("OMP_NUM_THREADS", "4")
-    monkeypatch.setenv("STACKEMU_THREADS", "1")
-    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    _apply_thread_cap()
-    assert [os.environ[var] for var in ("OMP_NUM_THREADS",
-                                        "OPENBLAS_NUM_THREADS",
-                                        "MKL_NUM_THREADS")] == ["1", "1", "1"]
 
 
 def test_cli_seed_override_changes_hash(tmp_path, capsys):

@@ -3,7 +3,8 @@ matrix oracles (`lattice_matrix`), and no module at all between loading a
 scenario and the end of its export. Each check runs in a fresh
 interpreter, so that what earlier tests imported cannot hide an import.
 On the numeric host the digests were recorded on, the report's bytes are
-pinned too, so a refactor that moves any answer fails here."""
+pinned too, so a refactor that moves any answer fails here. On any host
+they must not depend on the BLAS thread count."""
 
 import ctypes
 import glob
@@ -18,6 +19,7 @@ import numpy as np
 
 import pytest
 import yaml
+from test_config import _workloads
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMO = os.path.join(ROOT, "scenarios", "demo_2layer.yaml")
@@ -67,20 +69,20 @@ sys.meta_path.insert(0, BlockScipy())
 """
 
 
-def run_python(code: str, *args) -> subprocess.CompletedProcess:
+def run_python(code: str, *args, **env) -> subprocess.CompletedProcess:
     """Run code in a fresh interpreter that imports stackemu from src,
-    with STACKEMU_THREADS=1 (the command line's one BLAS thread)."""
+    with env added to the environment."""
     src = os.path.join(ROOT, "src")
     prelude = f"import sys\nsys.path.insert(0, {src!r})\n"
     return subprocess.run([sys.executable, "-c", prelude + code, *args],
                           capture_output=True, text=True, timeout=300,
-                          env=dict(os.environ, STACKEMU_THREADS="1"))
+                          env=dict(os.environ, **env))
 
 
 # The first 16 hex digits of the SHA-256 of `stackemu report`'s stdout and
-# of each artifact (output prefix "run"), per document, at one BLAS thread
-# on REPORT_HOST. Only a change that moves an answer or config_hash changes
-# them, and it says so.
+# of each artifact (output prefix "run"), per document, on REPORT_HOST.
+# Only a change that moves an answer or config_hash changes them, and it
+# says so.
 REPORT_DIGESTS = {
     "demo": {
         "stdout": "dc07c75531f1535c",
@@ -95,16 +97,16 @@ REPORT_DIGESTS = {
         "run_stress_hotspots.csv": "dc0387aebd68a92f",
     },
     "farm": {
-        "stdout": "05243563c091cd92",
-        "run_final_field.csv": "db4004255a3d6d7d",
+        "stdout": "bb730727f70d5b2e",
+        "run_final_field.csv": "761f6458ffb3c9ef",
         "run_pdn_drop_P0.pgm": "d32a5651df561b8f",
         "run_pdn_drop_P1.pgm": "2ebf9e089a54d79f",
-        "run_report.txt": "05243563c091cd92",
+        "run_report.txt": "bb730727f70d5b2e",
         "run_sensors.csv": "86638343cd836e22",
         "run_steady_L1.pgm": "e262dc97823e2990",
         "run_steady_L3.pgm": "0c60718096ccb504",
-        "run_steady_field.csv": "80487edd1b6d6b39",
-        "run_stress_hotspots.csv": "ec0859996f86a4cf",
+        "run_steady_field.csv": "6250a0204d4bcb46",
+        "run_stress_hotspots.csv": "604a8b5e1148b468",
     },
 }
 
@@ -112,10 +114,10 @@ REPORT_DIGESTS = {
 
 
 def _numeric_host() -> dict:
-    """What the last bits of a report depend on besides the code and the
-    thread count: numpy's version and the CPU features its own kernels
-    dispatch on, the OpenBLAS build and the core kernel it picked for
-    this CPU (at run time), and the C library."""
+    """What the last bits of a report depend on besides the code: numpy's
+    version and the CPU features its own kernels dispatch on, the
+    OpenBLAS build and the core kernel it picked for this CPU (at run
+    time), and the C library."""
     from numpy._core._multiarray_umath import (__cpu_dispatch__,
                                                __cpu_features__)
     openblas = None
@@ -149,11 +151,11 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def _document(name: str, directory) -> str:
+def _document(name: str, directory, doc: dict = FARM_TRANSIENT) -> str:
     if name == "demo":
         return DEMO
-    path = directory / "farm.yaml"
-    path.write_text(yaml.safe_dump(FARM_TRANSIENT))
+    path = directory / f"{name}.yaml"
+    path.write_text(yaml.safe_dump(doc))
     return str(path)
 
 
@@ -203,8 +205,8 @@ def test_report_runs_with_scipy_blocked(reports):
 @pytest.mark.skipif(_numeric_host() != REPORT_HOST,
                     reason="REPORT_DIGESTS belong to another numeric host")
 def test_report_bytes_match_their_digests(reports):
-    """On REPORT_HOST at one BLAS thread, the report's stdout and every
-    artifact have the bytes of REPORT_DIGESTS."""
+    """On REPORT_HOST the report's stdout and every artifact have the
+    bytes of REPORT_DIGESTS."""
     name, outputs = reports
     assert {p: _digest(data) for p, data in outputs[True].items()} == \
         REPORT_DIGESTS[name]
@@ -224,3 +226,32 @@ def test_nothing_is_imported_while_a_scenario_runs(document, tmp_path):
         document, str(tmp_path / "run"))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+@pytest.mark.parametrize("name, doc", [
+    ("farm", dict(FARM_TRANSIENT, grid={"nx": 64, "ny": 32})),
+    ("steady_tsv", _workloads()["steady_tsv"](7)[0]),
+    ("steady_tsv", _workloads()["steady_tsv"](2)[0])],
+    ids=["farm-64x32", "steady_tsv-7-256x128", "steady_tsv-2-256x128"])
+def test_report_bytes_do_not_depend_on_the_blas_thread_count(name, doc,
+                                                             tmp_path):
+    """`stackemu report` writes the same stdout and artifacts at 1 and 2
+    OpenBLAS threads: on a farm transient at 64x32, and on two seeds of
+    the steady_tsv benchmark document at 256x128x9, whose farm blocks
+    have rows and columns of many lengths, in products that OpenBLAS
+    splits across threads."""
+    document = _document(name, tmp_path, doc)
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        proc = run_python("from stackemu.cli import main\n"
+                          "sys.exit(main(sys.argv[1:]))\n",
+                          "--config", document, "--out", str(out / "run"),
+                          "report", OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({p: (out / p).read_bytes() for p in os.listdir(out)})
+        outputs[-1]["stdout"] = proc.stdout.encode()
+    one, two = outputs
+    assert len(one) >= 10 and one.keys() == two.keys()
+    assert [p for p in one if one[p] != two[p]] == []
