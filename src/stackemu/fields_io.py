@@ -8,15 +8,16 @@ temperature's text is `repr(float(v))` byte for byte, but `repr` is
 called only off the fast path. The fast path takes finite 1 <= v < 1e13
 that are not powers of two and finds the shortest digit string that
 reads back as v, which is the rule `repr` follows (Steele & White 1990),
-in exact array arithmetic: for p = 14..17 digits it rounds v * 10**s,
-with s = p - 1 - floor(log10 v), to an integer D_p (Dekker's
-two-product makes the product exact), tests whether D_p / 10**s reads
-back as v, and writes the digits of the smallest p in 15..17 that does,
-with the point after floor(log10 v) + 1 of them. A value goes to `repr`
-when p = 14 reads back (its repr is shorter), when a rounding was an
-exact tie, or when no p reads back; so does every value outside the
-domain: zero, negatives, powers of two, subnormals, >= 1e13, nan and
-inf."""
+in exact array arithmetic with one rounding per value: it rounds
+X = v * 10**(16 - floor(log10 v)) once, to the 17-digit integer D17
+(Dekker's two-product makes the product exact and keeps f = X - D17),
+derives the 16-, 15- and 14-digit roundings D_p from D17's last one to
+three digits and the sign of f, tests whether each D_p reads back as v,
+and writes the digits of the smallest p in 15..17 that does (17 always
+does), with the point after floor(log10 v) + 1 of them. A value goes to
+`repr` when p = 14 reads back (its repr is shorter) or when a rounding
+was an exact tie; so does every value outside the domain: zero,
+negatives, powers of two, subnormals, >= 1e13, nan and inf."""
 
 from __future__ import annotations
 
@@ -28,8 +29,10 @@ from .solver import TemperatureField
 from .stack import VoxelGrid
 
 FIELD_CSV_HEADER = ["layer", "z", "y", "x", "temperature_c"]
-# str(v) for every PGM pixel value, looked up per row instead of formatted.
-_PIXEL_TEXT = np.array([str(v) for v in range(256)], dtype=object)
+# f"{v} " for every PGM pixel value, and f"{v}\n" for a row's last one,
+# NUL-padded: a plane's text is one lookup, not a format per pixel.
+_PIXELS, _ROW_ENDS = (np.array([f"{v}{end}" for v in range(256)], dtype="S4")
+                      .view(np.uint8).reshape(256, 4) for end in " \n")
 # The longest repr of a double: -1.2345678901234567e-308.
 _TEXT_WIDTH = 24
 _SPLIT = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
@@ -55,65 +58,57 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, a - hi
 
 
-def _round_scaled(x, x_hi, x_lo, half_ulp, even, scale):
-    """(D, reads_back, tie): D is x * scale rounded to an integer, where
-    scale = 10**s makes x * scale >= 1e13. reads_back is D / scale
-    reading back as x, tie an exact half-way rounding."""
-    # x * scale = hi + lo exactly (Dekker's two-product)
-    s_hi, s_lo = _split(scale)
-    hi = x * scale
-    lo = x_hi * s_hi - hi
-    lo = lo + x_hi * s_lo
-    lo = lo + x_lo * s_hi
-    lo = lo + x_lo * s_lo
-    # = d + lo_int + frac_hi + frac_lo, both fractions in [-1/2, 1/2].
-    # hi >= 1e13 has no bits below 2**-9 and w none below 2**-40, so
-    # frac_hi and the sums with 1/2 and with w below are exact: every
-    # comparison is exact.
-    d = np.rint(hi)
-    frac_hi = hi - d
-    lo_int = np.rint(lo)
-    frac_lo = lo - lo_int
-    up_at = 0.5 - frac_hi
-    down_at = -0.5 - frac_hi
-    k = (frac_lo > up_at).astype(np.float64) - (frac_lo < down_at)
-    tie = (frac_lo == up_at) | (frac_lo == down_at)
-    # D - x * scale = gap - frac_lo. D reads back if that is under
-    # w = (half x's ulp) * scale, or equal to it with x's mantissa even.
-    gap = k - frac_hi
-    w = half_ulp * scale
-    low = gap - w
-    high = gap + w
-    reads_back = (frac_lo > low) & (frac_lo < high)
-    reads_back |= even & ((frac_lo == low) | (frac_lo == high))
-    return d.astype(np.int64) + (lo_int + k).astype(np.int64), reads_back, tie
-
-
 def _shortest_digits(x: np.ndarray,
                      e10: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For x in [1, 1e13), not a power of two, and e10 = floor(log10 x):
     (digits, ok). digits is D_p for the smallest p in 15..17 that reads
     back, padded with zeros to 17 digits. ok is False where that is not
-    the repr: p = 14 reads back, a rounding was a tie, or no p does."""
+    the repr: p = 14 reads back or a rounding was a tie."""
     bits = x.view(np.uint64)
     even = (bits & np.uint64(1)) == 0
     # 2**(q-1) for x = c * 2**q: x's exponent less 53, zero mantissa
     exponent = bits >> np.uint64(52)
     half_ulp = ((exponent - np.uint64(53)) << np.uint64(52)).view(np.float64)
+    # X = x * scale = hi + lo exactly (Dekker's two-product). X >= 1e16 >
+    # 2**53, so hi is an integer: D17 = hi + rint(lo), and f = X - D17 =
+    # lo - rint(lo) exactly.
+    scale = _POW10[16 - e10]
     x_hi, x_lo = _split(x)
-    digits = np.zeros(x.size, dtype=np.int64)
-    found = np.zeros(x.size, dtype=bool)
-    tie = np.zeros(x.size, dtype=bool)
-    for p in (17, 16, 15):
-        d_p, reads_back, p_tie = _round_scaled(x, x_hi, x_lo, half_ulp, even,
-                                               _POW10[p - 1 - e10])
-        digits = np.where(reads_back, d_p * 10 ** (17 - p), digits)
-        found |= reads_back
-        tie |= p_tie
-    # p = 14 reading back means a shorter repr, which is not written here
-    _, shorter, p_tie = _round_scaled(x, x_hi, x_lo, half_ulp, even,
-                                      _POW10[13 - e10])
-    return digits, found & ~shorter & ~(tie | p_tie)
+    s_hi, s_lo = _split(scale)
+    hi = x * scale
+    lo = x_hi * s_hi - hi
+    lo += x_hi * s_lo
+    lo += x_lo * s_hi
+    lo += x_lo * s_lo
+    lo_int = np.rint(lo)
+    f = lo - lo_int
+    d17 = hi.astype(np.int64)
+    d17 += lo_int.astype(np.int64)
+    tie = np.abs(f) == 0.5
+    # With u = 10**(17 - p), D_p reads back where |D_p * u - X| < w, or
+    # = w with x's mantissa even. w > X / 2**54 > 1/2 >= |f|: D17 always
+    # reads back.
+    w = half_ulp * scale
+    # D17 mod 1000 (int64 % is slower), exact as a double
+    r = (d17 - (d17 // 1000) * 1000).astype(np.float64)
+    g_best = np.zeros(x.size)
+    for u in (10.0, 100.0, 1000.0):
+        # m = D17 mod u. D_p = (D17 - m) / u + up, so D_p * u - X = g - f
+        # with g = u * up - m. |g| <= 1000 and w has at most 38
+        # significant bits: every operation and comparison is exact.
+        m = r - np.floor(r / u) * u
+        half = m == u / 2
+        up = (m > u / 2) | (half & (f > 0))
+        tie |= half & (f == 0)
+        g = up * u - m
+        gap = np.abs(g - f)
+        reads_back = (gap < w) | (even & (gap == w))
+        # the smallest p that reads back wins, 15 over 16 over 17; p = 14
+        # reading back means a shorter repr, which is not written here
+        if u < 1000:
+            g_best += (g - g_best) * reads_back
+    d17 += g_best.astype(np.int64)
+    return d17, ~(reads_back | tie)
 
 
 def _repr_bytes(values) -> np.ndarray:
@@ -164,6 +159,27 @@ def _text_rows(texts: list[str]) -> np.ndarray:
     return np.array(texts, dtype=bytes).view(np.uint8).reshape(len(texts), -1)
 
 
+def _write_rows(fh, columns: list[np.ndarray]) -> None:
+    """Write one CRLF-ended line per row of the NUL-padded uint8 text
+    columns, set side by side, with the NULs dropped."""
+    rows = np.concatenate(
+        [*columns, np.broadcast_to(_CRLF, (len(columns[0]), 2))], axis=1)
+    fh.write(rows[rows != 0].tobytes())
+
+
+def rows_to_csv(path, header: list[str], ints: np.ndarray, floats) -> None:
+    """Write a CSV as csv.writer does (CRLF line ends): the header, then
+    one row per row of the (n, k) non-negative ints followed by the
+    repr of the matching float."""
+    columns = []
+    for c in np.asarray(ints, dtype=np.int64).T:
+        table = _text_rows([f"{i}," for i in range(c.max(initial=0) + 1)])
+        columns.append(np.take(table, c, axis=0))
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + b"\r\n")
+        _write_rows(fh, [*columns, _repr_bytes(floats)])
+
+
 def field_to_csv(field_t: TemperatureField, path) -> None:
     grid = field_t.grid
     cells = grid.cached("csv_cells", lambda: _text_rows(
@@ -175,13 +191,9 @@ def field_to_csv(field_t: TemperatureField, path) -> None:
         fh.write(",".join(FIELD_CSV_HEADER).encode() + b"\r\n")
         for z0 in range(0, grid.nz, per_block):
             block = slabs[z0:z0 + per_block]
-            n = len(block) * len(cells)
-            rows = np.concatenate(
-                [np.repeat(block, len(cells), axis=0),
-                 np.tile(cells, (len(block), 1)),
-                 _repr_bytes(field_t.values[z0:z0 + per_block]),
-                 np.broadcast_to(_CRLF, (n, 2))], axis=1)
-            fh.write(rows[rows != 0].tobytes())
+            _write_rows(fh, [np.repeat(block, len(cells), axis=0),
+                             np.tile(cells, (len(block), 1)),
+                             _repr_bytes(field_t.values[z0:z0 + per_block])])
 
 
 def field_from_csv(path, grid: VoxelGrid,
@@ -226,11 +238,11 @@ def plane_to_pgm(plane: np.ndarray, path, floor: float,
     else:
         pix = np.clip(np.rint((plane - floor) / span * 255), 0, 255).astype(int)
     ny, nx = plane.shape
-    lines = [f"P2", f"# max={vmax!r} floor={floor!r} unit={unit}",
-             f"{nx} {ny}", "255"]
-    lines.extend(" ".join(row) for row in _PIXEL_TEXT[pix].tolist())
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    text = np.take(_PIXELS, pix, axis=0)
+    text[:, -1] = np.take(_ROW_ENDS, pix[:, -1], axis=0)
+    with open(path, "wb") as fh:
+        fh.write(f"P2\n# max={vmax!r} floor={floor!r} unit={unit}\n"
+                 f"{nx} {ny}\n255\n".encode() + text[text != 0].tobytes())
 
 
 def layer_to_pgm(field_t: TemperatureField, layer_index: int, path) -> None:

@@ -8,7 +8,6 @@ temperatures, so placement quality is visible in management outcomes.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 import os
@@ -18,7 +17,7 @@ from dataclasses import astuple, dataclass, field, replace
 import numpy as np
 
 from . import __version__
-from .fields_io import field_to_csv, layer_to_pgm, plane_to_pgm
+from .fields_io import field_to_csv, layer_to_pgm, plane_to_pgm, rows_to_csv
 from .pdn import (PdnParams, build_pdn, check_connected, currents_from_power,
                   droop_from_drop, solve_ir_drop)
 from .power import PowerMap, power_density_field, total_power
@@ -573,8 +572,7 @@ def write_text(path, text):
 
 
 def _stress_csv(report: ScenarioReport, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["z", "y", "x", "score"])
-        for h in report.reliability.stress_hotspots:
-            writer.writerow([*h.voxel, repr(h.score)])
+    hotspots = report.reliability.stress_hotspots
+    rows_to_csv(path, ["z", "y", "x", "score"],
+                np.reshape([h.voxel for h in hotspots], (-1, 3)),
+                [h.score for h in hotspots])

@@ -4,11 +4,14 @@ equal byte for byte."""
 
 import csv
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from stackemu.fields_io import field_to_csv, layer_to_pgm, plane_to_pgm
+from stackemu.reliability import ReliabilityParams, stress_proxy
+from stackemu.scenario import _stress_csv
 from stackemu.solver import TemperatureField
 from stackemu.stack import discretize, preset_stack
 
@@ -32,6 +35,14 @@ def reference_field_to_csv(field_t, path):
                 for ix in range(grid.nx):
                     writer.writerow([layer, iz, iy, ix,
                                      repr(float(field_t.values[iz, iy, ix]))])
+
+
+def reference_stress_csv(hotspots, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["z", "y", "x", "score"])
+        for h in hotspots:
+            writer.writerow([*h.voxel, repr(h.score)])
 
 
 def reference_plane_to_pgm(plane, path, floor, unit="C"):
@@ -109,11 +120,48 @@ def test_csv_matches_reference_with_sub_slabs(tmp_path):
     assert_same_csv(grid, np.random.default_rng(2), tmp_path)
 
 
+def assert_same_stress_csv(field, tmp_path, percentile=90.0):
+    hotspots = stress_proxy(field, ReliabilityParams(
+        stress_percentile=percentile))
+    report = SimpleNamespace(reliability=SimpleNamespace(
+        stress_hotspots=tuple(hotspots)))
+    _stress_csv(report, tmp_path / "got.csv")
+    reference_stress_csv(hotspots, tmp_path / "want.csv")
+    assert ((tmp_path / "got.csv").read_bytes()
+            == (tmp_path / "want.csv").read_bytes())
+    return hotspots
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stress_csv_matches_reference_on_random_farm_stacks(seed, tmp_path):
+    rng = np.random.default_rng(200 + seed)
+    _, grid = random_farm_stack(rng, int(rng.choice([60, 400, 3000])))
+    field = TemperatureField(values=random_values(rng, grid.shape),
+                             grid=grid)
+    for percentile in (0.0, 50.0, 99.0):
+        assert assert_same_stress_csv(field, tmp_path, percentile)
+
+
+def test_stress_csv_of_an_isothermal_field_is_its_header(tmp_path):
+    grid = discretize(preset_stack(2), 4, 3, 1)
+    field = TemperatureField(values=np.full(grid.shape, 25.0), grid=grid)
+    assert not assert_same_stress_csv(field, tmp_path)
+    assert (tmp_path / "got.csv").read_bytes() == b"z,y,x,score\r\n"
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_pgm_matches_reference_on_random_planes(seed, tmp_path):
     rng = np.random.default_rng(100 + seed)
     ny, nx = int(rng.integers(1, 40)), int(rng.integers(1, 40))
     plane = random_values(rng, (ny, nx))
+    assert_same_pgm(plane, 25.0, "C", tmp_path)
+    assert_same_pgm(plane * 1e-3, 0.0, "mV", tmp_path)
+
+
+@pytest.mark.parametrize("ny, nx", [(1, 7), (6, 1), (1, 1)])
+def test_pgm_matches_reference_on_one_pixel_wide_planes(ny, nx, tmp_path):
+    """The last pixel of every row comes from the end-of-row table."""
+    plane = random_values(np.random.default_rng(ny * 10 + nx), (ny, nx))
     assert_same_pgm(plane, 25.0, "C", tmp_path)
     assert_same_pgm(plane * 1e-3, 0.0, "mV", tmp_path)
 

@@ -33,9 +33,17 @@ POWERS_OF_TEN = with_neighbours([float(f"1e{k}") for k in range(-323, 309)])
 # the ends of the fast path and of its point positions
 DOMAIN_ENDS = with_neighbours([1.0, 1e13, 2.0, 9.999999999999998, 10.0,
                                99.99999999999999, 1e12, 2.0**43])
-# exact binary fractions ending in 5: half-way in their last decimal
-DECIMAL_TIES = [100.125, 0.5, 2.5, 1.5, 1.25, 10.375, 1234.5, 85.0625,
-                4503599627370495.5, 1e12 + 0.5, 25.5, 1.0000152587890625]
+# exact binary fractions ending in 5: half-way in their last decimal.
+# From 1.0000152587890625 on they are exact at 17 digits, which end in 5,
+# 50 or 500: ties of the 16-, 15- and 14-digit roundings derived from
+# them. At 8.0000152587890625 and 8.0000457763671875 both 16-digit
+# neighbours read back, and repr takes the even one.
+DECIMAL_TIES = with_neighbours([
+    100.125, 0.5, 2.5, 1.5, 1.25, 10.375, 1234.5, 85.0625,
+    4503599627370495.5, 1e12 + 0.5, 25.5, 1.0000152587890625,
+    4096.0001220703125, 123456.00048828125, 1.000030517578125,
+    1234.000244140625, 85.00006103515625, 1.00006103515625,
+    7.00006103515625, 8.0000152587890625, 8.0000457763671875])
 ODD = [0.0, -0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
        1e-05, 1.5e-07, 1e+16, 2.5e+16, 1e+22, 1.7976931348623157e+308,
        123456789012345.67, 9999999999999.998, 0.1, 0.3, 2.0 / 3.0,
