@@ -15,9 +15,9 @@ derives the 16-, 15- and 14-digit roundings D_p from D17's last one to
 three digits and the sign of f, tests whether each D_p reads back as v,
 and writes the digits of the smallest p in 15..17 that does (17 always
 does), with the point after floor(log10 v) + 1 of them. A value goes to
-`repr` when p = 14 reads back (its repr is shorter) or when a rounding
-was an exact tie; so does every value outside the domain: zero,
-negatives, powers of two, subnormals, >= 1e13, nan and inf."""
+`repr` when p = 14 reads back (its repr is shorter) or X is a 16-digit
+tie; so does every value outside the domain: zero, negatives, powers of
+two, subnormals, >= 1e13, nan and inf."""
 
 from __future__ import annotations
 
@@ -63,15 +63,15 @@ def _shortest_digits(x: np.ndarray,
     """For x in [1, 1e13), not a power of two, and e10 = floor(log10 x):
     (digits, ok). digits is D_p for the smallest p in 15..17 that reads
     back, padded with zeros to 17 digits. ok is False where that is not
-    the repr: p = 14 reads back or a rounding was a tie."""
+    the repr: p = 14 reads back or X is a 16-digit tie."""
     bits = x.view(np.uint64)
     even = (bits & np.uint64(1)) == 0
     # 2**(q-1) for x = c * 2**q: x's exponent less 53, zero mantissa
     exponent = bits >> np.uint64(52)
     half_ulp = ((exponent - np.uint64(53)) << np.uint64(52)).view(np.float64)
     # X = x * scale = hi + lo exactly (Dekker's two-product). X >= 1e16 >
-    # 2**53, so hi is an integer: D17 = hi + rint(lo), and f = X - D17 =
-    # lo - rint(lo) exactly.
+    # 2**53, so hi is an even integer: D17 = hi + rint(lo), a tie rounded
+    # to even as repr rounds it, and f = X - D17 = lo - rint(lo) exactly.
     scale = _POW10[16 - e10]
     x_hi, x_lo = _split(x)
     s_hi, s_lo = _split(scale)
@@ -84,7 +84,6 @@ def _shortest_digits(x: np.ndarray,
     f = lo - lo_int
     d17 = hi.astype(np.int64)
     d17 += lo_int.astype(np.int64)
-    tie = np.abs(f) == 0.5
     # With u = 10**(17 - p), D_p reads back where |D_p * u - X| < w, or
     # = w with x's mantissa even. w > X / 2**54 > 1/2 >= |f|: D17 always
     # reads back.
@@ -99,7 +98,8 @@ def _shortest_digits(x: np.ndarray,
         m = r - np.floor(r / u) * u
         half = m == u / 2
         up = (m > u / 2) | (half & (f > 0))
-        tie |= half & (f == 0)
+        if u == 10.0:   # both candidates may read back; repr picks one
+            tie = half & (f == 0)
         g = up * u - m
         gap = np.abs(g - f)
         reads_back = (gap < w) | (even & (gap == w))
@@ -170,14 +170,16 @@ def _write_rows(fh, columns: list[np.ndarray]) -> None:
 def rows_to_csv(path, header: list[str], ints: np.ndarray, floats) -> None:
     """Write a CSV as csv.writer does (CRLF line ends): the header, then
     one row per row of the (n, k) non-negative ints followed by the
-    repr of the matching float."""
+    reprs of the matching row of the (n, m) floats."""
     columns = []
     for c in np.asarray(ints, dtype=np.int64).T:
         table = _text_rows([f"{i}," for i in range(c.max(initial=0) + 1)])
         columns.append(np.take(table, c, axis=0))
+    for c in np.asarray(floats, dtype=np.float64).T:
+        columns += [_repr_bytes(c), np.full((len(c), 1), ord(","), np.uint8)]
     with open(path, "wb") as fh:
         fh.write(",".join(header).encode() + b"\r\n")
-        _write_rows(fh, [*columns, _repr_bytes(floats)])
+        _write_rows(fh, columns[:-1])
 
 
 def field_to_csv(field_t: TemperatureField, path) -> None:

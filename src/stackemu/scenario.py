@@ -354,6 +354,7 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
             final_stats = tuple(layer_summary(final_field))
             if scenario.policy is not None:
                 events = tuple(pmap.events)
+    del system   # the last solve is done: free its kept step operator
 
     readings = hs_error = None
     if network is not None:
@@ -575,4 +576,4 @@ def _stress_csv(report: ScenarioReport, path):
     hotspots = report.reliability.stress_hotspots
     rows_to_csv(path, ["z", "y", "x", "score"],
                 np.reshape([h.voxel for h in hotspots], (-1, 3)),
-                [h.score for h in hotspots])
+                np.reshape([h.score for h in hotspots], (-1, 1)))

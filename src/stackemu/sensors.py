@@ -8,13 +8,13 @@ storing streams.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import default_rng   # loaded here, not inside a run
 
+from .fields_io import rows_to_csv
 from .solver import TemperatureField
 from .stack import StackConfig, VoxelGrid, is_int
 
@@ -194,8 +194,5 @@ def tile_center_candidates(config: StackConfig
 
 
 def placement_to_csv(placement, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["layer", "x_mm", "y_mm"])
-        for layer, x, y in placement:
-            writer.writerow([layer, repr(float(x)), repr(float(y))])
+    sites = np.reshape(placement, (-1, 3))   # (layer, x_mm, y_mm) rows
+    rows_to_csv(path, ["layer", "x_mm", "y_mm"], sites[:, :1], sites[:, 1:])

@@ -379,6 +379,9 @@ MALFORMED = {
     "pairing-tile-out-of-range": (lambda d: _coreswap(
         d, [[[0, 9, 9], [1, 0, 0]]]),
         None, "policy/pairing: tile (9, 9) out of range for 4x8 grid"),
+    "assignment-with-only-layer": (_add_assignment, None,
+        "config invalid at power/assignments/3: needs one of 'preset', "
+        "'uniform' or 'profile'"),
     "short-trace-row": (lambda d: _add_assignment(
         d, uniform={"kind": "trace_csv", "path": "trace.csv"}),
         "t_seconds,power_w_per_cm2\n0.0,1.0\n0.1\n",

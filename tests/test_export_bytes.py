@@ -12,6 +12,7 @@ import pytest
 from stackemu.fields_io import field_to_csv, layer_to_pgm, plane_to_pgm
 from stackemu.reliability import ReliabilityParams, stress_proxy
 from stackemu.scenario import _stress_csv
+from stackemu.sensors import placement_to_csv
 from stackemu.solver import TemperatureField
 from stackemu.stack import discretize, preset_stack
 
@@ -43,6 +44,14 @@ def reference_stress_csv(hotspots, path):
         writer.writerow(["z", "y", "x", "score"])
         for h in hotspots:
             writer.writerow([*h.voxel, repr(h.score)])
+
+
+def reference_placement_to_csv(placement, path):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["layer", "x_mm", "y_mm"])
+        for layer, x, y in placement:
+            writer.writerow([layer, repr(float(x)), repr(float(y))])
 
 
 def reference_plane_to_pgm(plane, path, floor, unit="C"):
@@ -147,6 +156,34 @@ def test_stress_csv_of_an_isothermal_field_is_its_header(tmp_path):
     field = TemperatureField(values=np.full(grid.shape, 25.0), grid=grid)
     assert not assert_same_stress_csv(field, tmp_path)
     assert (tmp_path / "got.csv").read_bytes() == b"z,y,x,score\r\n"
+
+
+def assert_same_placement_csv(placement, tmp_path):
+    placement_to_csv(placement, tmp_path / "got.csv")
+    reference_placement_to_csv(placement, tmp_path / "want.csv")
+    assert ((tmp_path / "got.csv").read_bytes()
+            == (tmp_path / "want.csv").read_bytes())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_placement_csv_matches_reference_on_random_sites(seed, tmp_path):
+    rng = np.random.default_rng(300 + seed)
+    n = int(rng.integers(1, 40))
+    coords = np.concatenate([
+        rng.uniform(0.0, 1.0, n),              # below 1 mm: repr's text
+        np.floor(rng.uniform(0.0, 20.0, n)),   # whole numbers of mm
+        (rng.integers(0, 8, n) + 0.5) * 1.5,   # tile centres
+        rng.uniform(1.0, 20.0, n)])
+    x, y = rng.choice(coords, (2, n)).tolist()
+    placement = list(zip(rng.integers(0, 4, n).tolist(), x, y))
+    # a site read from YAML keeps its whole numbers as ints
+    placement.append((1, int(rng.integers(0, 20)), 3))
+    assert_same_placement_csv(placement, tmp_path)
+
+
+def test_placement_csv_of_no_sensors_is_its_header(tmp_path):
+    assert_same_placement_csv([], tmp_path)
+    assert (tmp_path / "got.csv").read_bytes() == b"layer,x_mm,y_mm\r\n"
 
 
 @pytest.mark.parametrize("seed", range(6))

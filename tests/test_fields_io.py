@@ -25,6 +25,18 @@ def test_csv_round_trip_bit_exact(grid, tmp_path):
     assert back.time == 1.25
 
 
+def test_csv_round_trip_skips_blank_lines(grid, tmp_path):
+    rng = np.random.default_rng(4)
+    field = TemperatureField(values=rng.uniform(25, 90, grid.shape),
+                             grid=grid)
+    path = tmp_path / "field.csv"
+    field_to_csv(field, path)
+    lines = path.read_bytes().split(b"\r\n")
+    path.write_bytes(b"\r\n".join(lines[:5] + [b""] + lines[5:]) + b"\r\n")
+    back = field_from_csv(path, grid)
+    np.testing.assert_array_equal(back.values, field.values)
+
+
 def test_csv_header_and_layer_column(grid, tmp_path):
     field = TemperatureField(values=np.full(grid.shape, 30.0), grid=grid)
     path = tmp_path / "field.csv"

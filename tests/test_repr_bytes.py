@@ -2,6 +2,8 @@
 byte for byte on every double, and `field_to_csv` must write the same
 bytes as the csv.writer reference on fields made of its edge cases."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -89,6 +91,26 @@ def test_random_doubles_in_the_fast_path_domain_match_repr(seed):
     temps = rng.uniform(25.0, 85.0, 20000)
     assert_reprs(temps)
     assert_reprs([np.round(temps[:2000], d) for d in range(16)])
+
+
+def test_tie_rich_binary_fractions_match_repr():
+    """m * 2**-k, m < 2**40 and k < 30, is exact in few decimal digits:
+    about one in twenty is a 16-digit tie (17 significant digits, the last
+    a 5), which goes to repr, and as many a 17-digit tie (18 digits),
+    which the fast path rounds to even."""
+    rng = np.random.default_rng(32)
+    m = rng.integers(1, 2**40, 200_000)
+    k = rng.integers(0, 30, 200_000)
+    values = np.ldexp(m.astype(np.float64), -k)
+    keep = (values >= 1.0) & (values < 1e13)
+    digits = Counter()
+    for mm, kk in zip(m[keep].tolist(), k[keep].tolist()):
+        while kk and mm % 2 == 0:   # lowest terms
+            mm, kk = mm // 2, kk - 1
+        if kk:   # exactly mm * 5**kk / 10**kk, whose last digit is a 5
+            digits[len(str(mm * 5**kk))] += 1
+    assert min(digits[17], digits[18]) > 0.04 * keep.sum()
+    assert_reprs(values[keep])
 
 
 def test_any_shape_and_float32_widen_like_float():

@@ -13,7 +13,7 @@ from stackemu.power import BUILTIN_PRESETS, Constant, Periodic, PowerMap, \
     power_density_field, total_power
 from stackemu.solver import (ENERGY_BALANCE_LIMIT, ConvergenceError,
                              LayerStats, NumericalError, SolveOptions,
-                             TemperatureField, assemble,
+                             TemperatureField, _cg_rounds, assemble,
                              energy_balance_error, layer_summary, solve_cg,
                              solve_steady, step_transient)
 from stackemu.scenario import TransientSpec, solve_transient
@@ -489,6 +489,20 @@ def test_non_finite_inputs_rejected():
     for dt in (np.nan, np.inf, 0.0):
         with pytest.raises(ValueError, match="dt"):
             step_transient(system, t0, np.zeros(grid.shape), dt)
+
+
+def test_non_finite_start_rejected():
+    """A warm start from a guess holding inf fails its first residual
+    check, on a farm-free stack and on one with farms."""
+    cfg = preset_stack(2)
+    for cfg, grid in ((cfg, discretize(cfg, 4, 3, 1)),
+                      random_farm_stack(np.random.default_rng(11))):
+        system = assemble(grid, cfg)
+        b = system.rhs(np.full(grid.shape, 1e7))
+        x = np.full(grid.n, 25.0)
+        x[5] = np.inf
+        with pytest.raises(NumericalError, match="^non-finite residual$"):
+            _cg_rounds(system.operator(), b, x, SolveOptions())
 
 
 @settings(max_examples=25, deadline=None)

@@ -6,6 +6,7 @@ names it wraps."""
 import importlib
 import importlib.util
 import os
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -207,6 +208,27 @@ def test_benchmark_wrapped_names_see_every_step(monkeypatch):
     # The policy reads at the start of every 5th step, then the report
     # reads the final field.
     np.testing.assert_allclose(read_at, 0.025 * np.arange(21), rtol=1e-12)
+
+
+def test_the_thermal_model_is_freed_when_the_march_ends(monkeypatch):
+    """The system, and with it the kept step operator, is gone before the
+    reliability stage runs."""
+    systems, alive = [], []
+    real_report = stackemu.scenario.reliability_report
+
+    def kept(*args, **kwargs):
+        system = assemble(*args, **kwargs)
+        systems.append(weakref.ref(system))
+        return system
+
+    def checked(*args, **kwargs):
+        alive.append(systems[0]() is not None)
+        return real_report(*args, **kwargs)
+    monkeypatch.setattr(stackemu.scenario, "assemble", kept)
+    monkeypatch.setattr(stackemu.scenario, "reliability_report", checked)
+    report = run_scenario(load_scenario(DEMO))
+    assert report.final_field is not None and report.reliability is not None
+    assert len(systems) == 1 and alive == [False]
 
 
 def test_benchmark_wrapped_targets_resolve():
