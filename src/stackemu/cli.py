@@ -55,9 +55,6 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ConvergenceError, NumericalError) as e:
-        print(f"numerical error: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except StageError as e:
         kind = EXIT_NUMERICAL if isinstance(
             e.cause, (ConvergenceError, NumericalError)) else EXIT_VALIDATION

@@ -148,7 +148,7 @@ def solve_ir_drop(pdn: PdnGrid, currents: np.ndarray,
     if (i_draw < 0).any():
         raise ValueError("currents must be >= 0")
     b = np.repeat(pdn.A.ground * pdn.params.vdd, pdn.ny * pdn.nx) - i_draw
-    v = solve_cg(pdn.A, b, options)
+    v, _ = solve_cg(pdn.A, b, options)
     return (pdn.params.vdd - v).reshape(pdn.n_planes, pdn.ny, pdn.nx)
 
 
@@ -169,13 +169,14 @@ def coupling_report(pdn: PdnGrid, aggressor_plane: int, step: float,
                     options: SolveOptions = SolveOptions()) -> np.ndarray:
     """Max induced drop per victim plane for a uniform current step
     (A per node) on the aggressor plane; pure superposition."""
-    if not 0 <= aggressor_plane < pdn.n_planes:
-        raise ValueError(f"aggressor plane {aggressor_plane} out of range")
-    if step < 0:
-        raise ValueError("step must be >= 0")
+    if not (is_int(aggressor_plane) and 0 <= aggressor_plane < pdn.n_planes):
+        raise ValueError(f"aggressor plane {aggressor_plane!r} out of range "
+                         f"(an int in [0, {pdn.n_planes}))")
+    if not 0 <= step < math.inf:
+        raise ValueError("step must be >= 0 and finite")
     # The drop is linear in the draw and A (Vdd - v) = I, so the induced
     # drop solves A d = dI.
     delta = np.zeros((pdn.n_planes, pdn.ny, pdn.nx))
     delta[aggressor_plane] = step
-    drop = solve_cg(pdn.A, delta.reshape(-1), options) if step > 0 else delta
+    drop = solve_cg(pdn.A, delta.reshape(-1), options)[0] if step else delta
     return drop.reshape(pdn.n_planes, -1).max(axis=1)

@@ -24,10 +24,10 @@ vector on E's voxels: an iteration transforms only those, around one
 Thomas sweep, and a round the whole die once each way. After a steady
 solve the boundary outflux must balance the injected power.
 A `LayeredOperator` holds A_L's per-slab scalars and factorization and
-E: `op @ x` applies A without a matrix and `op(r)` A_L^-1. A system
-keeps the last dt's step operator and builds the steady one per solve.
-`solve_cg(op, b)` is the cold solve of steady and PDN systems and
-`step_transient` the warm one; both finish in `_cg_rounds`, and a step
+E: `op @ x` applies A without a matrix, and its transforms around a
+Thomas sweep apply A_L^-1. A system keeps the last dt's step operator and
+builds the steady one per solve. Every solve is one `solve_cg`: steady
+and PDN systems from x = 0, `step_transient` from its start, and a step
 of either stack kind reuses its source's rhs. `lattice_matrix` builds
 the matrix oracle.
 """
@@ -236,16 +236,17 @@ class LayeredOperator:
     iz has diag[iz] to ground. E = A - A_L is a sparse symmetric
     correction on the voxels `index`, or None (then A = A_L).
 
-    `op @ x` applies A and `op.abs_matmul(x)` |A|, matrix-free; `op(r)`
-    applies A_L^-1 exactly. The cosine basis Q diagonalizes each plane,
-    leaving one tridiagonal system per (ky, kx) mode, factored once here
-    and solved by a Thomas sweep vectorized over the modes. CG's
-    transforms at E's voxels, `gather` (Q at them) and `scatter` (Q^T
-    from them), need Q only at their rows and columns in each plane.
+    `op @ x` applies A and `op.abs_matmul(x)` |A|, matrix-free;
+    `inverse(solve_modes(forward(r)))` applies A_L^-1 exactly. The cosine
+    basis Q diagonalizes each plane, leaving one tridiagonal system per
+    (ky, kx) mode, factored once here and solved by a Thomas sweep
+    vectorized over the modes. CG's transforms at E's voxels, `gather`
+    (Q at them) and `scatter` (Q^T from them), need Q only at their rows
+    and columns in each plane.
 
     A backward-Euler step operator also has cap[iz] = C/dt in each node's
     diag, and `work`: its arrays for `step_transient` and, with E, for
-    `_cg_rounds`. `source` and `field` are the arrays whose rhs and mode
+    `solve_cg`. `source` and `field` are the arrays whose rhs and mode
     coefficients work holds (see `step_transient`), or None. A method
     returns a new array unless given `out`."""
 
@@ -361,11 +362,6 @@ class LayeredOperator:
             np.put(block, at, w[part])
             y[z] = (qy.T @ block) @ qx if cols_first else qy.T @ (block.T @ qx)
         return y
-
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        """A_L^-1 r for a flat r, as a new flat array."""
-        y = self.forward(r, self.work.get("modes2"), self.work.get("modes"))
-        return self.inverse(self.solve_modes(y), None, self.work.get("modes"))
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """A x for a flat x."""
@@ -493,31 +489,6 @@ def _correction(grid: VoxelGrid, boundary_g) -> Correction:
     return Correction(index, cols, data, data[3])
 
 
-def solve_cg(A: LayeredOperator, b,
-             options: SolveOptions = SolveOptions()) -> np.ndarray:
-    """Solve the SPD system A x = b cold to relative residual
-    options.tolerance. The one operator A = A_L + E gives every product:
-    A @ x, A(r) = A_L^-1 r, its transforms, and E = A.E on the voxels
-    S = A.index. With E None, x = A(b) passes its true-residual check.
-
-    Otherwise CG preconditioned by A_L^-1 runs in rounds, each from a true
-    residual r, or cold from x = A_L^-1 b, whose residual -E (A_L^-1 b)|S
-    lies on S. As A p = A_L p + E p_S, every residual is gamma r + s and
-    every direction A_L^-1 (gamma' r + w), s and w on S: an iteration is
-    a `scatter` (Q^T from S), a Thomas sweep and a `gather` (Q at S), with
-    dot products on S and the round's <r, A_L^-1 r> and (A_L^-1 r)|S. A
-    round transforms the full field once each way, then checks the true
-    residual; CG restarts from a failing one within the same iteration
-    cap, unless it is within the rounding error of its own evaluation.
-    Row-major, so bit-reproducible. Non-finite input raises."""
-    # A farm solve starts inside its first round, at A_L^-1 b; its x is
-    # made first, so that the round's temporaries free above it.
-    cold = A.E is not None
-    x = np.zeros_like(b) if cold else A(b)
-    _cg_rounds(A, b, x, options, cold)
-    return x
-
-
 def _dot(a: np.ndarray, b: np.ndarray | None = None) -> float:
     """<a, b>, or <a, a> without b, for arrays of one size: summed by
     numpy's own loop, not by BLAS, which splits a sum across threads."""
@@ -525,32 +496,52 @@ def _dot(a: np.ndarray, b: np.ndarray | None = None) -> float:
     return float(np.einsum("i,i->", a, a if b is None else b.reshape(-1)))
 
 
-def _cg_rounds(A: LayeredOperator, b, x: np.ndarray, options: SolveOptions,
-               cold: bool = False) -> int:
-    """`solve_cg`'s rounds from x, in place; the number of rounds run, 0
-    when x passes its first true-residual check. Cold: x is 0 and the
-    first round starts from b itself. Every reduction is a `_dot`."""
+def solve_cg(A: LayeredOperator, b, options: SolveOptions = SolveOptions(),
+             x: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+    """Solve the SPD system A x = b to relative residual options.tolerance,
+    from x = 0, or from the given x, which it corrects in place. Returns x
+    and the number of rounds run from a failed true-residual check: 0 when
+    the first check passes. The one operator A = A_L + E gives every
+    product: A @ x, A_L^-1 as its transforms around a Thomas sweep, and
+    E = A.E on the voxels S = A.index.
+
+    CG preconditioned by A_L^-1 runs in rounds, each from a true residual
+    r, or, without x, from b at x = 0: that round's residual after
+    x = A_L^-1 b is -E (A_L^-1 b)|S, on S, and with E None it is 0, so the
+    round runs no iteration. As A p = A_L p + E p_S, every residual is
+    gamma r + s and every direction A_L^-1 (gamma' r + w), s and w on S:
+    an iteration is a `scatter` (Q^T from S), a Thomas sweep and a
+    `gather` (Q at S), with dot products on S and the round's
+    <r, A_L^-1 r> and (A_L^-1 r)|S. A round transforms the full field once
+    each way, then checks the true residual; CG restarts from a failing
+    one within the same iteration cap, unless it is within the rounding
+    error of its own evaluation. Every reduction is a `_dot`, row-major,
+    so bit-reproducible. Non-finite input raises."""
     tol = options.tolerance
     max_iter = options.iteration_cap(len(b))
     bnorm = np.sqrt(_dot(b)) or 1.0
     if not np.isfinite(bnorm):
         raise NumericalError("non-finite right-hand side")
     E, index, work = A.E, A.index, A.work.get   # work(name): buffer or None
+    # Without a start, x is made first, so that the round's temporaries
+    # free above it.
+    from_b = x is None
+    if from_b:
+        x = np.zeros_like(b)
     it = rounds = 0
     while True:
-        from_b = cold and not rounds
         if not from_b:
             r = A.residual(b, x, work("residual"))
             res = np.sqrt(_dot(r)) / bnorm
             if not np.isfinite(res):
                 raise NumericalError("non-finite residual")
-            # After a round, a residual within the rounding error of its
-            # evaluation (rows of at most 7 entries, plus b) is final.
-            if res <= tol or (rounds and res * bnorm <= 8 * np.finfo(float).eps
+            # After an iteration, a residual within the rounding error of
+            # its evaluation (rows of at most 7 entries, plus b) is final.
+            if res <= tol or (it and res * bnorm <= 8 * np.finfo(float).eps
                               * np.sqrt(_dot(A.abs_matmul(np.abs(x))
                                              + np.abs(b)))):
-                return rounds
-        rounds += 1
+                return x, rounds
+            rounds += 1
         # The round's r0, y0 = Q^T r0 and z0 = T^-1 y0.
         r0 = b if from_b else r
         y0 = A.forward(r0, work("modes2"), work("modes"))
@@ -561,7 +552,7 @@ def _cg_rounds(A: LayeredOperator, b, x: np.ndarray, options: SolveOptions,
         del y0
         # Residual gamma r0 + s; the update is A_L^-1 (big_gamma r0 + u).
         if from_b:
-            gamma, s, big_gamma = 0.0, -(E @ m), 1.0
+            gamma, s, big_gamma = 0.0, -m if E is None else -(E @ m), 1.0
             res = np.sqrt(_dot(s)) / bnorm
         else:
             gamma, s, big_gamma = 1.0, np.zeros(len(index)), 0.0
@@ -598,6 +589,7 @@ def _cg_rounds(A: LayeredOperator, b, x: np.ndarray, options: SolveOptions,
             z0 += A.solve_modes(A.scatter(u, work("modes2")))
         # r0 is spent: the update goes where the residual was.
         x += A.inverse(z0, work("residual"), work("modes2"))
+        from_b = False
 
 
 # Relative gap between the power put in and the boundary outflux above
@@ -624,7 +616,7 @@ def solve_steady(system: DiscreteSystem, source: np.ndarray,
     """Steady temperatures in deg C, as the field at t = 0; relative
     residual <= tolerance, and the boundary outflux balances the power
     put in to ENERGY_BALANCE_LIMIT (else NumericalError)."""
-    x = solve_cg(system.operator(), system.rhs(source), options)
+    x, _ = solve_cg(system.operator(), system.rhs(source), options)
     field_t = TemperatureField(values=x.reshape(system.grid.shape),
                                grid=system.grid)
     gap = energy_balance_error(system, source, x)
@@ -638,7 +630,7 @@ def step_transient(system: DiscreteSystem, field_t: TemperatureField,
                    source: np.ndarray, dt: float,
                    options: SolveOptions = SolveOptions()) -> TemperatureField:
     """One backward-Euler step: (G + C/dt) T' = b = C/dt T + q, where
-    q = rhs(source), from a start that `_cg_rounds` corrects if it fails
+    q = rhs(source), from a start that `solve_cg` corrects if it fails
     the true-residual check. With TSV farms the start is T.
 
     On a farm-free stack A_L^-1 is exact, and C/dt, uniform per slab,
@@ -674,7 +666,7 @@ def step_transient(system: DiscreteSystem, field_t: TemperatureField,
         x = A.inverse(A.solve_modes(y), None, work["residual"])
     else:
         x = field_t.flat().copy()
-    rounds = _cg_rounds(A, b, x, options)
+    x, rounds = solve_cg(A, b, options, x)
     x = x.reshape(system.grid.shape)
     if farm_free and not rounds:
         x.flags.writeable = False

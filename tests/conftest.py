@@ -127,13 +127,11 @@ def correction_from_matrix(index, E):
 
 class Counted:
     """A layered operator that counts, by name, its true residuals b - A x
-    ("matvec"), applications of A_L^-1 ("apply"), full-size transforms
-    ("forward", "inverse"), Thomas sweeps ("solve_modes") and transforms
-    at E's voxels ("gather", "scatter"), and keeps the last application's
-    input and output."""
+    ("matvec"), full-size transforms ("forward", "inverse"), Thomas sweeps
+    ("solve_modes") and transforms at E's voxels ("gather", "scatter")."""
 
     def __init__(self, inner):
-        self.inner, self.counts, self.last = inner, Counter(), None
+        self.inner, self.counts = inner, Counter()
 
     def __getattr__(self, name):
         attr = getattr(self.inner, name)
@@ -149,9 +147,3 @@ class Counted:
     def residual(self, *args):
         self.counts["matvec"] += 1
         return self.inner.residual(*args)
-
-    def __call__(self, r):
-        self.counts["apply"] += 1
-        out = self.inverse(self.solve_modes(self.forward(r)))
-        self.last = (r, out)
-        return out

@@ -91,6 +91,49 @@ def test_run_command_makes_one_run_and_writes_its_files(
     assert capsys.readouterr().err == ""
 
 
+# A TSV farm makes the steady solve iterate, which one iteration cannot
+# finish.
+FARM_DOC = """\
+name: cli-farm
+seed: 3
+stack:
+  die_width_mm: 12.0
+  die_length_mm: 6.0
+  layers:
+    - {role: package_interface, thickness_um: 80.0, material: package_bumps}
+    - role: SP
+      thickness_um: 50.0
+      material: silicon
+      has_tsvs: true
+      tsv_farms:
+        - {x0_mm: 1.0, y0_mm: 1.0, x1_mm: 3.0, y1_mm: 3.0,
+           via_diameter_um: 5.0, via_pitch_um: 10.0, fill_material: copper}
+    - {role: bond_interface, thickness_um: 20.0, material: bond_underfill}
+    - {role: S0, thickness_um: 500.0, material: silicon}
+    - {role: heat_sink_interface, thickness_um: 30.0, material: tim}
+grid: {nx: 32, ny: 16}
+power:
+  assignments:
+    - {layer: 0, preset: cpu_core}
+    - {layer: 1, preset: cache}
+pdn: {}
+solve: {max_iterations: 1}
+"""
+
+
+def test_unconverged_solve_exits_2_and_writes_nothing(tmp_path, capsys):
+    """A solve that runs out of iterations fails its stage: exit 2, the
+    stage and the cause on stderr, and no report."""
+    config = tmp_path / "scenario.yaml"
+    config.write_text(FARM_DOC)
+    assert main(["--config", str(config), "--out", str(tmp_path / "run"),
+                 "steady"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: scenario failed in stage 'steady-solve': "
+        "linear solve did not converge")
+    assert os.listdir(tmp_path) == ["scenario.yaml"]
+
+
 def test_reference_temperature_at_or_below_absolute_zero_exits_1(
         tmp_path, capsys):
     """The bound sits in the schema too, so the error names the key."""

@@ -816,7 +816,7 @@ def test_cli_unbalanced_steady_field_exit_2(tmp_path, capsys,
     import stackemu.solver as solver
     real = solver.solve_cg
     monkeypatch.setattr(solver, "solve_cg",
-                        lambda *args, **kw: real(*args, **kw) + 1e-3)
+                        lambda *args, **kw: (real(*args, **kw)[0] + 1e-3, 0))
     path = _demo_with_p_high(tmp_path, "60.0")
     out = str(tmp_path / "run")
     assert main(["--config", path, "--out", out, "steady"]) == 2

@@ -91,15 +91,15 @@ def test_operator_with_correction_matches_lattice(shape):
 
 
 def test_step_operator_returns_no_work_buffer():
-    """A step operator holds work buffers, and op(r), op @ x, |A| x,
-    forward, inverse and scatter still return new arrays: a later call
-    leaves an earlier answer as it was."""
+    """A step operator holds work buffers, and op @ x, |A| x, forward,
+    inverse and scatter still return new arrays: a later call leaves an
+    earlier answer as it was."""
     rng = np.random.default_rng(5)
     cfg, grid = random_farm_stack(rng)
     system = assemble(grid, cfg)
     op = system.operator(5e-3)
     assert op.work and not system.operator().work
-    calls = {"op(r)": op, "op @ x": op.__matmul__, "|A| x": op.abs_matmul,
+    calls = {"op @ x": op.__matmul__, "|A| x": op.abs_matmul,
              "forward": op.forward,
              "inverse": lambda v: op.inverse(v.reshape(grid.shape)),
              "scatter": lambda v: op.scatter(v[:len(op.index)])}

@@ -233,6 +233,22 @@ def test_coupling_zero_step(pdn2):
     assert np.all(coupling_report(pdn2, 0, 0.0) == 0.0)
 
 
+@pytest.mark.parametrize("step", [float("nan"), float("inf")])
+def test_coupling_step_must_be_finite_and_non_negative(pdn2, step):
+    """A NaN step once gave zero coupling on every victim plane."""
+    with pytest.raises(ValueError, match="step must be >= 0 and finite"):
+        coupling_report(pdn2, 0, step)
+
+
+@pytest.mark.parametrize("plane", [1.5, True])
+def test_coupling_aggressor_must_be_an_int(pdn2, plane):
+    """A plane index is an int: not a float (1.5 once raised numpy's
+    IndexError) or a bool (True once meant plane 1)."""
+    with pytest.raises(ValueError,
+                       match=r"out of range \(an int in \[0, 2\)\)"):
+        coupling_report(pdn2, plane, 0.1)
+
+
 def test_coupling_linear_in_step(pdn2):
     a = coupling_report(pdn2, 1, 0.05)
     b = coupling_report(pdn2, 1, 0.10)

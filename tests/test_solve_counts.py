@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import stackemu.pdn
 from stackemu.config import load_scenario
 from stackemu.pdn import (build_pdn, coupling_report, currents_from_power,
                           solve_ir_drop)
 from stackemu.power import Periodic, power_density_field
 from stackemu.solver import (DiscreteSystem, SolveOptions, TemperatureField,
-                             _cg_rounds, _host_slab_conductances, assemble,
+                             _host_slab_conductances, assemble, solve_cg,
                              solve_steady, step_transient)
 from stackemu.stack import discretize
 
@@ -43,13 +44,17 @@ def count_operators(monkeypatch, system):
     return counted
 
 
-def assert_one_exact_application(op, matrix, options):
-    """One application of A_L^-1 (one transform each way and one Thomas
-    sweep), one product with A and no CG iteration, and that
-    application's answer meets the tolerance against the real matrix."""
-    assert op.counts == Counter(apply=1, forward=1, solve_modes=1,
+def assert_one_exact_application(op, matrix, options, b, x):
+    """The solve of b that returned x was one application of A_L^-1 (one
+    transform each way and one Thomas sweep; its gather is at E's voxels,
+    which are none), one product with A, no scatter and no CG iteration.
+    x is that application's answer, and it meets the tolerance against
+    the real matrix."""
+    assert op.counts == Counter(forward=1, solve_modes=1, gather=1,
                                 inverse=1, matvec=1)
-    b, x = op.last
+    assert len(op.index) == 0
+    np.testing.assert_array_equal(
+        x, op.inner.inverse(op.inner.solve_modes(op.inner.forward(b))))
     residual = np.linalg.norm(b - matrix @ x) / np.linalg.norm(b)
     assert residual <= options.tolerance
 
@@ -71,8 +76,8 @@ def test_farm_free_steady_is_one_application(monkeypatch, demo):
     field = solve_steady(system, source, scenario.solve)
     op = ops[None]
     assert op.E is None
-    assert_one_exact_application(op, system.G, scenario.solve)
-    np.testing.assert_array_equal(field.flat(), op.last[1])
+    assert_one_exact_application(op, system.G, scenario.solve,
+                                 system.rhs(source), field.flat())
 
 
 def test_farm_free_step_is_one_application(monkeypatch, demo):
@@ -109,9 +114,17 @@ def test_farm_free_step_is_one_application(monkeypatch, demo):
     assert sum(a is not b for a, b in zip(sources, sources[1:])) == 1
 
 
-def test_pdn_solves_are_one_application(demo):
+def test_pdn_solves_are_one_application(monkeypatch, demo):
     scenario = demo[0]
     pdn = build_pdn(scenario.stack, scenario.pdn)
+    solves = []
+
+    def recorded(A, b, *args):
+        x, rounds = solve_cg(A, b, *args)
+        solves.append((b, x))
+        return x, rounds
+
+    monkeypatch.setattr(stackemu.pdn, "solve_cg", recorded)
     for solve in (
             lambda p: solve_ir_drop(
                 p, currents_from_power(scenario.power, p, 0.0),
@@ -119,7 +132,52 @@ def test_pdn_solves_are_one_application(demo):
             lambda p: coupling_report(p, 1, 0.1, scenario.solve)):
         counted = dataclasses.replace(pdn, A=Counted(pdn.A))
         solve(counted)
-        assert_one_exact_application(counted.A, pdn.G, scenario.solve)
+        (b, x), = solves
+        assert_one_exact_application(counted.A, pdn.G, scenario.solve, b, x)
+        solves.clear()
+
+
+def test_cold_farm_free_solve_is_the_layered_inverse(demo):
+    """Without a start, a farm-free solve (the demo's steady and step
+    operators, and its PDN) returns A_L^-1 b with the bits of the
+    operator's own transforms and Thomas sweep, and runs no round from a
+    true residual."""
+    scenario, grid, system = demo
+    dt, rng = scenario.transient.dt, np.random.default_rng(1)
+    q = system.rhs(power_density_field(scenario.power, grid, 0.0))
+    pdn = build_pdn(scenario.stack, scenario.pdn)
+    for A, b in ((system.operator(), q),
+                 (system.operator(dt),
+                  q + system.C / dt * rng.uniform(25.0, 90.0, grid.n)),
+                 (pdn.A, rng.uniform(0.0, 1.0, pdn.n))):
+        assert A.E is None
+        x, rounds = solve_cg(A, b, scenario.solve)
+        assert rounds == 0
+        np.testing.assert_array_equal(
+            x, A.inverse(A.solve_modes(A.forward(b))))
+
+
+@pytest.mark.parametrize("farms", [False, True], ids=["farm-free", "farm"])
+def test_solve_cg_writes_only_x(demo, farms):
+    """Cold and warm, on steady and step operators: solve_cg never writes
+    b, and a warm start comes back as the very array it was given."""
+    rng = np.random.default_rng(2)
+    if farms:
+        cfg, grid = random_farm_stack(rng)
+        system = assemble(grid, cfg)
+    else:
+        _, grid, system = demo
+    for dt in (None, 5e-3):
+        A = system.operator(dt)
+        assert (A.E is not None) == farms
+        b = rng.uniform(0.0, 1.0, grid.n)
+        kept = b.copy()
+        b.flags.writeable = False
+        cold, _ = solve_cg(A, b)
+        start = rng.uniform(25.0, 90.0, grid.n)
+        warm, _ = solve_cg(A, b, SolveOptions(), start)
+        assert warm is start and cold is not b
+        np.testing.assert_array_equal(b, kept)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -141,7 +199,7 @@ def test_farm_steps_cost_no_more_than_starting_from_previous_field(
     for _ in range(40):
         b = system.rhs(source) + system.C / dt * field_t.flat()
         expected = field_t.flat().copy()
-        _cg_rounds(reference, b, expected, options)
+        solve_cg(reference, b, options, expected)
         field_t = step_transient(system, field_t, source, dt, options)
         np.testing.assert_allclose(field_t.flat(), expected, rtol=1e-7)
     assert ops[dt].counts["solve_modes"] \
