@@ -208,22 +208,25 @@ def field_from_csv(path, grid: VoxelGrid,
         if header != FIELD_CSV_HEADER:
             raise ValueError(f"{path}: expected header "
                              f"{','.join(FIELD_CSV_HEADER)}")
-        for row in reader:
-            if not row:
-                continue
-            layer, iz, iy, ix, t = row
-            voxel = (int(iz), int(iy), int(ix))
-            if not all(0 <= i < n for i, n in zip(voxel, grid.shape)):
-                raise ValueError(f"{path}: voxel {voxel} is outside the "
-                                 f"grid {grid.shape}")
-            if seen[voxel]:
-                raise ValueError(f"{path}: duplicate voxel {voxel}")
-            if int(layer) != grid.slab_layer[voxel[0]]:
-                raise ValueError(f"{path}: voxel {voxel} has layer {layer}, "
-                                 f"slab {voxel[0]} is layer "
-                                 f"{grid.slab_layer[voxel[0]]}")
-            values[voxel] = float(t)
-            seen[voxel] = True
+        try:
+            for row in reader:
+                if not row:
+                    continue
+                layer, iz, iy, ix, t = row
+                voxel = (int(iz), int(iy), int(ix))
+                if not all(0 <= i < n for i, n in zip(voxel, grid.shape)):
+                    raise ValueError(f"voxel {voxel} is outside the grid "
+                                     f"{grid.shape}")
+                if seen[voxel]:
+                    raise ValueError(f"duplicate voxel {voxel}")
+                if int(layer) != grid.slab_layer[voxel[0]]:
+                    raise ValueError(f"voxel {voxel} has layer {layer}, "
+                                     f"slab {voxel[0]} is layer "
+                                     f"{grid.slab_layer[voxel[0]]}")
+                values[voxel] = float(t)
+                seen[voxel] = True
+        except ValueError as e:
+            raise ValueError(f"{path} line {reader.line_num}: {e}") from None
     if not seen.all():
         raise ValueError(f"{path}: field is missing voxels")
     return TemperatureField(values=values, grid=grid, time=time)

@@ -114,11 +114,13 @@ def load_trace_csv(path) -> Trace:
             raise ValueError(
                 f"{path}: expected header 't_seconds,power_w_per_cm2'")
         samples = []
-        for row in filter(None, reader):
-            if len(row) != 2:
-                raise ValueError(f"{path} line {reader.line_num}: expected "
-                                 f"2 fields, got {len(row)}")
-            samples.append((float(row[0]), float(row[1])))
+        try:
+            for row in filter(None, reader):
+                if len(row) != 2:
+                    raise ValueError(f"expected 2 fields, got {len(row)}")
+                samples.append((float(row[0]), float(row[1])))
+        except ValueError as e:
+            raise ValueError(f"{path} line {reader.line_num}: {e}") from None
     return Trace(tuple(samples))
 
 

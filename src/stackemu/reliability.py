@@ -4,12 +4,13 @@ Electromigration acceleration uses the thermal Arrhenius term only (no
 per-wire current densities exist in this model). Thermal-cycling damage
 uses simplified three-point rainflow over the extrema sequence with a
 Coffin-Manson power law. Thermomechanical stress near via farms is a
-unitless gradient-times-mismatch proxy, not MPa.
+unitless gradient-times-mismatch proxy, not MPa; its hotspots stay two
+arrays, (k, 3) voxels and their (k,) scores, from the gradient to the CSV.
 """
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, field
 import math
 
 import numpy as np
@@ -123,19 +124,14 @@ def percentile(values: np.ndarray, q: float) -> float:
     return float(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
 
 
-@dataclass(frozen=True)
-class StressHotspot:
-    voxel: tuple[int, int, int]   # (iz, iy, ix)
-    score: float                  # |grad T| (K/mm) x mismatch weight
-
-
 def stress_proxy(field_t: TemperatureField,
                  params: ReliabilityParams = ReliabilityParams()
-                 ) -> list[StressHotspot]:
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient-magnitude stress scores on the field's own grid, weighted
     up inside and one voxel ring around the via-farm footprints of its
-    stack. Returns voxels whose score exceeds the configured percentile,
-    sorted descending, ties by linear index."""
+    stack. Returns (voxels, scores) above the configured percentile, sorted
+    descending, ties by linear index: a (k, 3) intp array of (iz, iy, ix)
+    and their (k,) float64 |grad T| (K/mm) x mismatch weight."""
     grid = field_t.grid
     # |grad T|^2 = (gx^2 + gy^2) + gz^2 accumulated in one buffer, one
     # gradient alive at a time; nz == 1 has gz = 0, which adds nothing.
@@ -165,9 +161,7 @@ def stress_proxy(field_t: TemperatureField,
     # floor filters gradient roundoff on (near-)isothermal fields
     above = np.flatnonzero(flat > max(threshold, 1e-9))
     order = above[np.argsort(-flat[above], kind="stable")]
-    zs, ys, xs = (c.tolist() for c in np.unravel_index(order, grid.shape))
-    return [StressHotspot(voxel=(z, y, x), score=s)
-            for z, y, x, s in zip(zs, ys, xs, flat[order].tolist())]
+    return np.column_stack(np.unravel_index(order, grid.shape)), flat[order]
 
 
 @dataclass(frozen=True)
@@ -181,8 +175,10 @@ class LayerReliability:
 
 @dataclass(frozen=True)
 class ReliabilityReport:
+    """stress_voxels and stress_scores are stress_proxy's two arrays."""
     layers: tuple[LayerReliability, ...]
-    stress_hotspots: tuple[StressHotspot, ...]
+    stress_voxels: np.ndarray = field(repr=False)
+    stress_scores: np.ndarray = field(repr=False)
     min_mttf_layer: int   # physical layer index of the worst (hottest) die
 
 
@@ -209,7 +205,5 @@ def reliability_report(layer_stats: list[LayerStats],
                             if len(trace) > 1 else 0.0)))
     best = max(range(len(layers)),
                key=lambda i: (layers[i].em_af, -layers[i].layer_index))
-    hotspots = stress_proxy(field_t, params)
-    return ReliabilityReport(layers=tuple(layers),
-                             stress_hotspots=tuple(hotspots),
+    return ReliabilityReport(tuple(layers), *stress_proxy(field_t, params),
                              min_mttf_layer=layers[best].layer_index)

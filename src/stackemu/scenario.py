@@ -441,17 +441,17 @@ def render_report(report: ScenarioReport) -> str:
                 report.pdn_summary.droop_per_plane)):
             lines.append(f"plane {p}: max_drop_v={_fmt(drop)} "
                          f"droop_v={_fmt(droop)}")
-    if report.reliability is not None:
+    rel = report.reliability
+    if rel is not None:
         lines += ["", "== reliability =="]
-        for lr in report.reliability.layers:
+        for lr in rel.layers:
             lines.append(f"layer {lr.layer_index} ({lr.role}): "
                          f"max_t_c={_fmt(lr.max_t_c)} em_af={_fmt(lr.em_af)} "
                          f"cycling_damage={_fmt(lr.cycling_damage)}")
-        lines.append(f"min_mttf_layer: {report.reliability.min_mttf_layer}")
-        lines.append(
-            f"stress_hotspots: {len(report.reliability.stress_hotspots)}")
-        for h in report.reliability.stress_hotspots[:10]:
-            lines.append(f"  voxel={h.voxel} score={_fmt(h.score)}")
+        lines.append(f"min_mttf_layer: {rel.min_mttf_layer}")
+        lines.append(f"stress_hotspots: {len(rel.stress_scores)}")
+        for v, s in zip(rel.stress_voxels[:10].tolist(), rel.stress_scores):
+            lines.append(f"  voxel={tuple(v)} score={_fmt(s)}")
     lines += ["", "== policy events =="]
     lines += [f"t={_fmt(e.t)} action={e.action} layer={e.layer} "
               f"sensor={e.sensor_index} reading={_fmt(e.reading)}"
@@ -573,7 +573,6 @@ def write_text(path, text):
 
 
 def _stress_csv(report: ScenarioReport, path):
-    hotspots = report.reliability.stress_hotspots
-    rows_to_csv(path, ["z", "y", "x", "score"],
-                np.reshape([h.voxel for h in hotspots], (-1, 3)),
-                np.reshape([h.score for h in hotspots], (-1, 1)))
+    rel = report.reliability
+    rows_to_csv(path, ["z", "y", "x", "score"], rel.stress_voxels,
+                rel.stress_scores[:, None])

@@ -386,13 +386,18 @@ MALFORMED = {
         d, uniform={"kind": "trace_csv", "path": "trace.csv"}),
         "t_seconds,power_w_per_cm2\n0.0,1.0\n0.1\n",
         "trace.csv line 3: expected 2 fields, got 1"),
+    "non-numeric-trace-cell": (lambda d: _add_assignment(
+        d, uniform={"kind": "trace_csv", "path": "trace.csv"}),
+        "t_seconds,power_w_per_cm2\n0.0,1.0\n0.1,abc\n",
+        "trace.csv line 3: could not convert string to float: 'abc'"),
 }
 
 
 @pytest.mark.parametrize("case", MALFORMED)
 def test_malformed_section_exits_1_at_load(tmp_path, capsys, case):
     """A key of another kind, a missing required key, an out-of-range
-    tile, a step count that is not finite or a short trace row: exit 1
+    tile, a step count that is not finite, a short trace row or a trace
+    cell that is not a number: exit 1
     naming the problem, no traceback and no output file."""
     edit, trace, fragment = MALFORMED[case]
     doc = demo_doc()

@@ -11,12 +11,14 @@ import pytest
 
 from stackemu.fields_io import field_to_csv, layer_to_pgm, plane_to_pgm
 from stackemu.reliability import ReliabilityParams, stress_proxy
-from stackemu.scenario import _stress_csv
+from stackemu.scenario import (GridSpec, Scenario, _stress_csv, export,
+                               run_scenario)
 from stackemu.sensors import placement_to_csv
 from stackemu.solver import TemperatureField
 from stackemu.stack import discretize, preset_stack
 
-from conftest import column_stack, random_farm_stack, random_stack
+from conftest import (column_stack, random_farm_stack, random_power_map,
+                      random_stack)
 
 FIELD_CSV_HEADER = ["layer", "z", "y", "x", "temperature_c"]
 
@@ -38,12 +40,12 @@ def reference_field_to_csv(field_t, path):
                                      repr(float(field_t.values[iz, iy, ix]))])
 
 
-def reference_stress_csv(hotspots, path):
+def reference_stress_csv(voxels, scores, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["z", "y", "x", "score"])
-        for h in hotspots:
-            writer.writerow([*h.voxel, repr(h.score)])
+        for voxel, score in zip(voxels, scores):
+            writer.writerow([*(int(v) for v in voxel), repr(float(score))])
 
 
 def reference_placement_to_csv(placement, path):
@@ -130,15 +132,15 @@ def test_csv_matches_reference_with_sub_slabs(tmp_path):
 
 
 def assert_same_stress_csv(field, tmp_path, percentile=90.0):
-    hotspots = stress_proxy(field, ReliabilityParams(
+    voxels, scores = stress_proxy(field, ReliabilityParams(
         stress_percentile=percentile))
     report = SimpleNamespace(reliability=SimpleNamespace(
-        stress_hotspots=tuple(hotspots)))
+        stress_voxels=voxels, stress_scores=scores))
     _stress_csv(report, tmp_path / "got.csv")
-    reference_stress_csv(hotspots, tmp_path / "want.csv")
+    reference_stress_csv(voxels, scores, tmp_path / "want.csv")
     assert ((tmp_path / "got.csv").read_bytes()
             == (tmp_path / "want.csv").read_bytes())
-    return hotspots
+    return len(scores)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -225,3 +227,40 @@ def test_layer_pgm_matches_reference_on_multi_slab_layer(tmp_path):
                                tmp_path / "want.pgm", floor=25.0)
         assert ((tmp_path / "got.pgm").read_bytes()
                 == (tmp_path / "want.pgm").read_bytes())
+
+
+def farm_report(seed, percentile, tmp_path):
+    """The run of a random farm stack at the given stress percentile,
+    its text report's lines and its stress CSV's bytes."""
+    rng = np.random.default_rng(seed)
+    cfg, grid = random_farm_stack(rng)
+    report = run_scenario(Scenario(
+        name="farms", stack=cfg, power=random_power_map(rng, cfg),
+        grid=GridSpec(grid.nx, grid.ny, grid.nz // len(cfg.layers)),
+        reliability=ReliabilityParams(stress_percentile=percentile)))
+    export(report, ("text", "csv"), str(tmp_path / "run"))
+    return (report, (tmp_path / "run_report.txt").read_text().splitlines(),
+            (tmp_path / "run_stress_hotspots.csv").read_bytes())
+
+
+def test_no_hotspot_above_the_100th_percentile(tmp_path):
+    """Nothing exceeds the maximum: empty (0, 3) and (0,) arrays, a
+    report of 0 hotspots and a CSV of its header only."""
+    report, text, stress_csv = farm_report(31, 100.0, tmp_path)
+    assert report.reliability.stress_voxels.shape == (0, 3)
+    assert report.reliability.stress_scores.shape == (0,)
+    assert "stress_hotspots: 0" in text
+    assert stress_csv == b"z,y,x,score\r\n"
+
+
+def test_report_lists_the_first_ten_csv_rows(tmp_path):
+    """At percentile 0 the report's ten hotspot lines are the CSV's first
+    ten rows, and the CSV has one row per hotspot under its header."""
+    report, text, stress_csv = farm_report(32, 0.0, tmp_path)
+    k = len(report.reliability.stress_scores)
+    assert k > 10
+    rows = list(csv.reader(stress_csv.decode().splitlines()))
+    assert len(rows) == k + 1
+    at = text.index(f"stress_hotspots: {k}")
+    assert text[at + 1:at + 11] == [
+        f"  voxel=({z}, {y}, {x}) score={s}" for z, y, x, s in rows[1:11]]

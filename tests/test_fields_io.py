@@ -160,6 +160,25 @@ def test_csv_rejects_wrong_layer(grid, csv_path):
         field_from_csv(csv_path, grid)
 
 
+@pytest.mark.parametrize("row, message", [
+    ("0,0,0,2", r"not enough values to unpack \(expected 5, got 4\)"),
+    ("0,0,0,zero,30.0", "invalid literal for int"),
+    ("0,0,0,2,warm", "could not convert string to float"),
+    ("0,0,0,0,30.0", r"duplicate voxel \(0, 0, 0\)")],
+    ids=["short-row", "non-integer-index", "non-numeric-temperature",
+         "duplicate-voxel"])
+def test_csv_row_errors_name_the_file_and_line(grid, csv_path, row,
+                                               message):
+    """A bad row on line 4, where voxel (0, 0, 2) was: the error names
+    the file and the line, whatever the row's fault."""
+    lines = csv_path.read_text().splitlines()
+    assert lines[3] == "0,0,0,2,30.0"
+    lines[3] = row
+    csv_path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"field.csv line 4: {message}"):
+        field_from_csv(csv_path, grid)
+
+
 def test_layer_pgm_rejects_an_unknown_layer(grid, tmp_path):
     field = TemperatureField(np.full(grid.shape, 25.0), grid)
     with pytest.raises(ValueError, match="layer 99 has no slabs"):

@@ -242,6 +242,14 @@ def test_trace_csv_requires_header(tmp_path):
         load_trace_csv(path)
 
 
+def test_trace_csv_non_numeric_cell_names_the_file_and_line(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("t_seconds,power_w_per_cm2\n0.0,1.5\n0.1,abc\n")
+    with pytest.raises(ValueError, match="trace.csv line 3: could not "
+                                         "convert string to float: 'abc'"):
+        load_trace_csv(path)
+
+
 def test_negative_time_rejected(cfg):
     grid = discretize(cfg, 4, 2, 1)
     with pytest.raises(ValueError):

@@ -1,17 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stackemu.config import scenario_from_document
+from stackemu.power import power_density_field
 from stackemu.reliability import (ReliabilityParams, cycling_damage,
                                   em_acceleration, extract_extrema,
                                   percentile, rainflow_cycles,
-                                  reliability_report, StressHotspot,
-                                  stress_proxy)
-from stackemu.solver import LayerStats, TemperatureField
+                                  reliability_report, stress_proxy)
+from stackemu.solver import (LayerStats, TemperatureField, assemble,
+                             layer_summary, solve_steady)
 from stackemu.stack import TsvFarmSpec, discretize, preset_stack, with_layer
 from stackemu.materials import COPPER
 
 from conftest import random_farm_stack, random_stack
+from test_config import _workloads
 
 
 def rainflow_oracle(extrema):
@@ -157,7 +162,8 @@ def farm_grid():
 def test_stress_uniform_field_no_hotspots(farm_grid):
     cfg, grid = farm_grid
     field = TemperatureField(values=np.full(grid.shape, 60.0), grid=grid)
-    assert stress_proxy(field) == []
+    voxels, scores = stress_proxy(field)
+    assert voxels.shape == (0, 3) and scores.shape == (0,)
 
 
 def test_stress_farm_voxels_outrank_equal_gradient_far_away(farm_grid):
@@ -172,11 +178,10 @@ def test_stress_farm_voxels_outrank_equal_gradient_far_away(farm_grid):
     values = np.broadcast_to(40.0 + bump_on_farm + bump_far,
                              grid.shape).copy()
     field = TemperatureField(values=values, grid=grid)
-    hotspots = stress_proxy(field,
-                            ReliabilityParams(stress_percentile=90))
-    assert hotspots, "expected hotspots above the percentile"
+    voxels, _ = stress_proxy(field, ReliabilityParams(stress_percentile=90))
+    assert len(voxels), "expected hotspots above the percentile"
     mask = grid.farm_lateral_mask(1)
-    top_iz, top_iy, top_ix = hotspots[0].voxel
+    top_iz, top_iy, top_ix = voxels[0]
     assert top_iz in grid.layer_slabs(1)
     near = mask.copy()
     near[1:, :] |= mask[:-1, :]
@@ -193,11 +198,11 @@ def test_stress_scores_linear_in_field(farm_grid):
     params = ReliabilityParams(stress_percentile=95)
     f1 = TemperatureField(values=40.0 + bump, grid=grid)
     f2 = TemperatureField(values=40.0 + 2 * bump, grid=grid)
-    h1 = stress_proxy(f1, params)
-    h2 = stress_proxy(f2, params)
-    assert [h.voxel for h in h1] == [h.voxel for h in h2]
-    for a, b in zip(h1, h2):
-        assert b.score == pytest.approx(2 * a.score, rel=1e-12)
+    v1, s1 = stress_proxy(f1, params)
+    v2, s2 = stress_proxy(f2, params)
+    assert np.array_equal(v1, v2)
+    for a, b in zip(s1, s2):
+        assert b == pytest.approx(2 * a, rel=1e-12)
 
 
 def test_stress_invariant_to_constant_shift(farm_grid):
@@ -205,17 +210,19 @@ def test_stress_invariant_to_constant_shift(farm_grid):
     rng = np.random.default_rng(6)
     bump = rng.uniform(0, 10, grid.shape)
     params = ReliabilityParams(stress_percentile=95)
-    h1 = stress_proxy(TemperatureField(values=40.0 + bump, grid=grid), params)
-    h2 = stress_proxy(TemperatureField(values=65.0 + bump, grid=grid), params)
-    assert [h.voxel for h in h1] == [h.voxel for h in h2]
-    np.testing.assert_allclose([h.score for h in h1],
-                               [h.score for h in h2], rtol=1e-9)
+    v1, s1 = stress_proxy(TemperatureField(values=40.0 + bump, grid=grid),
+                          params)
+    v2, s2 = stress_proxy(TemperatureField(values=65.0 + bump, grid=grid),
+                          params)
+    assert np.array_equal(v1, v2)
+    np.testing.assert_allclose(s1, s2, rtol=1e-9)
 
 
 def reference_stress_proxy(field_t, grid, config,
                            params=ReliabilityParams()):
     """stress_proxy with its former tail: a Python sort keyed on
-    (-score, linear index) and one unravel_index per hotspot."""
+    (-score, linear index) and one unravel_index per hotspot, gathered
+    into the same two arrays."""
     z_mm = grid.z_centers_m() * 1e3
     y_mm = grid.y_centers_m() * 1e3
     x_mm = grid.x_centers_m() * 1e3
@@ -243,17 +250,18 @@ def reference_stress_proxy(field_t, grid, config,
     threshold = np.percentile(flat, params.stress_percentile)
     above = np.nonzero((flat > threshold) & (flat > 1e-9))[0]
     order = sorted(above, key=lambda i: (-flat[i], i))
-    return [StressHotspot(
-        voxel=tuple(int(v) for v in np.unravel_index(i, grid.shape)),
-        score=float(flat[i])) for i in order]
+    voxels = np.array([np.unravel_index(i, grid.shape) for i in order],
+                      dtype=np.intp).reshape(-1, 3)
+    return voxels, np.array([flat[i] for i in order], dtype=np.float64)
 
 
 def assert_same_hotspots(got, want):
-    assert got == want
-    for h in got:
-        assert type(h.voxel) is tuple
-        assert all(type(v) is int for v in h.voxel)
-        assert type(h.score) is float
+    (got_v, got_s), (want_v, want_s) = got, want
+    k = len(want_s)
+    assert got_v.dtype == np.intp and got_v.shape == (k, 3)
+    assert got_s.dtype == np.float64 and got_s.shape == (k,)
+    assert np.array_equal(got_v, want_v)
+    assert np.array_equal(got_s, want_s)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -265,7 +273,7 @@ def test_stress_order_matches_reference_on_random_fields(seed):
         for pct in (50.0, 99.0):
             params = ReliabilityParams(stress_percentile=pct)
             got = stress_proxy(field, params)
-            assert got
+            assert len(got[1])
             assert_same_hotspots(
                 got, reference_stress_proxy(field, grid, cfg, params))
 
@@ -281,8 +289,8 @@ def test_stress_ties_keep_linear_index_order(seed):
         grid=grid)
     params = ReliabilityParams(stress_percentile=20.0)
     got = stress_proxy(field, params)
-    scores = [h.score for h in got]
-    assert len(set(scores)) < len(scores), "expected tied scores"
+    scores = got[1]
+    assert len(set(scores.tolist())) < len(scores), "expected tied scores"
     assert_same_hotspots(
         got, reference_stress_proxy(field, grid, cfg, params))
 
@@ -386,3 +394,30 @@ def test_params_reject_non_finite_and_out_of_range(kwargs, fragment):
     are built rather than in the report they would otherwise reach."""
     with pytest.raises(ValueError, match=fragment):
         ReliabilityParams(**kwargs)
+
+
+def test_report_keeps_its_hotspots_as_two_arrays():
+    """On the steady_tsv benchmark stack at 64x32 (n = 18,432, with
+    farms), a report at percentile 0 keeps every scored voxel, nearly all
+    n of them, as a (k, 3) intp array and a (k,) float64 array: at most 5
+    field-sized arrays held after it returns (4.0 measured) and 12 at its
+    peak (10.1 measured). One record per hotspot held 23.0 and peaked at
+    31.1."""
+    scenario = scenario_from_document(_workloads()["steady_tsv"](7)[0])
+    grid = discretize(scenario.stack, 64, 32)
+    steady = solve_steady(assemble(grid, scenario.stack),
+                          power_density_field(scenario.power, grid, 0.0),
+                          scenario.solve)
+    stats = layer_summary(steady)
+    params = ReliabilityParams(stress_percentile=0.0)
+    tracemalloc.start()
+    try:
+        report = reliability_report(stats, {}, steady, params)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    k = len(report.stress_scores)
+    assert grid.n == 18_432 and k > 0.9 * grid.n
+    assert report.stress_voxels.shape == (k, 3)
+    assert held <= 5 * steady.values.nbytes
+    assert peak <= 12 * steady.values.nbytes
