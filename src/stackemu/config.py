@@ -124,10 +124,15 @@ _POLICIES = {"throttle": ThrottlePolicy, "coreswap": CoreSwapPolicy}
 
 
 def _profile(where: str, spec: dict, base_dir: str):
+    """The profile of spec; any error of its own rules, or of a row of
+    its trace file, names where."""
     spec = dict(spec)
     if "path" in spec:
         spec["path"] = os.path.join(base_dir, spec["path"])
-    return _build(where, _PROFILES[spec.pop("kind")], **spec)
+    try:
+        return _PROFILES[spec.pop("kind")](**spec)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"config invalid at {where}: {e}") from None
 
 
 def _power(spec: dict | None, stack: StackConfig, base_dir: str) -> PowerMap:

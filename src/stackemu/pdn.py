@@ -12,7 +12,7 @@ simulation.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, replace
 from functools import cached_property
 import math
 
@@ -140,15 +140,19 @@ def currents_from_power(pmap: PowerMap, pdn: PdnGrid, t: float) -> np.ndarray:
 
 
 def solve_ir_drop(pdn: PdnGrid, currents: np.ndarray,
-                  options: SolveOptions = SolveOptions()) -> np.ndarray:
-    """Static drop Vdd - v per node, shape (n_planes, ny, nx)."""
+                  options: SolveOptions = SolveOptions(),
+                  solves: list | None = None) -> np.ndarray:
+    """Static drop Vdd - v per node, shape (n_planes, ny, nx). The
+    solve's SolveStats is appended to `solves` if given."""
     i_draw = np.asarray(currents).reshape(-1)
     if i_draw.shape[0] != pdn.n:
         raise ValueError("current map size does not match PDN")
     if (i_draw < 0).any():
         raise ValueError("currents must be >= 0")
     b = np.repeat(pdn.A.ground * pdn.params.vdd, pdn.ny * pdn.nx) - i_draw
-    v, _ = solve_cg(pdn.A, b, options)
+    v, stats = solve_cg(pdn.A, b, options)
+    if solves is not None:
+        solves.append(replace(stats, kind="pdn"))
     return (pdn.params.vdd - v).reshape(pdn.n_planes, pdn.ny, pdn.nx)
 
 

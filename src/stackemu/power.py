@@ -80,6 +80,9 @@ class Periodic(Profile):
         return self.p_high if phase < self.duty else self.p_low
 
 
+_NOT_INCREASING = "trace timestamps must be strictly increasing"
+
+
 @dataclass(frozen=True)
 class Trace(Profile):
     """Piecewise-constant samples (t, p); holds the last value forever."""
@@ -94,7 +97,7 @@ class Trace(Profile):
         ts, densities = zip(*self.samples)
         _check_profile(densities, ts)
         if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("trace timestamps must be strictly increasing")
+            raise ValueError(_NOT_INCREASING)
         object.__setattr__(self, "_times", np.array(ts))
 
     def power_at(self, t: float) -> float:
@@ -105,7 +108,9 @@ class Trace(Profile):
 
 
 def load_trace_csv(path) -> Trace:
-    """Two columns `t_seconds,power_w_per_cm2`, header required."""
+    """Two columns `t_seconds,power_w_per_cm2`, header required. Each row
+    is checked as it is read, by Trace's rules, so an error names its
+    line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -118,7 +123,11 @@ def load_trace_csv(path) -> Trace:
             for row in filter(None, reader):
                 if len(row) != 2:
                     raise ValueError(f"expected 2 fields, got {len(row)}")
-                samples.append((float(row[0]), float(row[1])))
+                t, p = float(row[0]), float(row[1])
+                _check_profile((p,), (t,))
+                if samples and t <= samples[-1][0]:
+                    raise ValueError(_NOT_INCREASING)
+                samples.append((t, p))
         except ValueError as e:
             raise ValueError(f"{path} line {reader.line_num}: {e}") from None
     return Trace(tuple(samples))

@@ -26,7 +26,7 @@ from .reliability import (ReliabilityParams, ReliabilityReport,
 from .sensors import (SensorNetwork, SensorSpec, check_k, check_site,
                       hotspot_error, place_sensors_greedy, placement_to_csv,
                       read_sensors, tile_center_candidates)
-from .solver import (DiscreteSystem, LayerStats, SolveOptions,
+from .solver import (DiscreteSystem, LayerStats, SolveOptions, SolveStats,
                      TemperatureField, assemble, layer_summary, solve_steady,
                      step_transient)
 from .stack import StackConfig, discretize, is_int
@@ -213,6 +213,8 @@ class ScenarioReport:
     reliability: ReliabilityReport | None
     events: tuple[PolicyEvent, ...]
     total_power_w: float
+    # one record per linear solve, in run order: steady, steps, PDN
+    solves: tuple[SolveStats, ...] = field(repr=False)
 
 
 def scenario_hash(scenario: Scenario) -> str:
@@ -313,6 +315,7 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
         source0 = power_density_field(scenario.power, grid, 0.0)
         steady = solve_steady(system, source0, scenario.solve)
         steady_stats = tuple(layer_summary(steady))
+    solves = [steady.solve]
 
     # The scenario seed governs all stochastic behavior, including sensor noise.
     network = scenario.sensors
@@ -340,6 +343,7 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
                                     scenario.policy_period, scenario.seed)
 
             def observe(step, field_t):   # layer maxima: LayerStats.max bits
+                solves.append(field_t.solve)
                 if (step + 1) % spec.sample_stride == 0 \
                         or step == spec.n_steps - 1:
                     sampled.append(field_t)
@@ -369,7 +373,7 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
         with _stage("pdn"):
             pdn = build_pdn(scenario.stack, scenario.pdn)
             currents = currents_from_power(scenario.power, pdn, 0.0)
-            drop = solve_ir_drop(pdn, currents, scenario.solve)
+            drop = solve_ir_drop(pdn, currents, scenario.solve, solves)
             droop = droop_from_drop(drop, np.zeros_like(currents), currents,
                                     pdn.params)
             pdn_summary = PdnSummary(
@@ -396,7 +400,8 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
         pdn_summary=pdn_summary,
         reliability=rel,
         events=events,
-        total_power_w=total_power(scenario.power, 0.0))
+        total_power_w=total_power(scenario.power, 0.0),
+        solves=tuple(solves))
 
 
 def _fmt(x: float) -> str:

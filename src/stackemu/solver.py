@@ -23,18 +23,22 @@ keeps each residual as a multiple of its round's first residual plus a
 vector on E's voxels: an iteration transforms only those, around one
 Thomas sweep, and a round the whole die once each way. After a steady
 solve the boundary outflux must balance the injected power.
-A `LayeredOperator` holds A_L's per-slab scalars and factorization and
-E: `op @ x` applies A without a matrix, and its transforms around a
-Thomas sweep apply A_L^-1. A system keeps the last dt's step operator and
-builds the steady one per solve. Every solve is one `solve_cg`: steady
-and PDN systems from x = 0, `step_transient` from its start, and a step
-of either stack kind reuses its source's rhs. `lattice_matrix` builds
-the matrix oracle.
+A `LayeredOperator` holds A_L's per-slab scalars, its factorization (one
+field-sized array, the inverse pivots) and E: `op @ x` applies A without
+a matrix, and its transforms around a Thomas sweep apply A_L^-1. A
+system keeps the last dt's step operator and builds the steady one per
+solve. Every solve is one `solve_cg`: steady and PDN systems from x = 0,
+`step_transient` from its start, and a step of either stack kind reuses
+its source's rhs. Its working set is fixed: x, and two mode-shaped
+buffers that a step operator lends from its work and that a steady or
+PDN solve allocates once, after x; only CG's vectors on E's voxels come
+on top. It returns x and a `SolveStats`, which `run_scenario` keeps, one
+per solve. `lattice_matrix` builds the matrix oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -75,12 +79,28 @@ class SolveOptions:
 
 
 @dataclass(frozen=True)
+class SolveStats:
+    """What one `solve_cg` did: its rounds from a failed true-residual
+    check (0 when the first check passes), the Thomas sweeps it ran and
+    the final true relative residual. The caller adds kind ("steady",
+    "step" or "pdn") and a step's dt."""
+
+    rounds: int
+    sweeps: int
+    residual: float
+    kind: str = ""
+    dt: float | None = None
+
+
+@dataclass(frozen=True)
 class TemperatureField:
-    """Per-voxel temperatures in deg C at time s; a steady field's is 0."""
+    """Per-voxel temperatures in deg C at time s; a steady field's is 0.
+    `solve` is the record of the solve that made the field, if any."""
 
     values: np.ndarray           # (nz, ny, nx)
     grid: VoxelGrid = field(repr=False)
     time: float = 0.0
+    solve: SolveStats | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 <= self.time < np.inf:
@@ -107,9 +127,15 @@ class Correction(NamedTuple):
     diag: np.ndarray
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """E x for x on S, each row summed from 0 left to right as scipy's
-        CSR product does ("clip" skips the bounds check: cols are valid)."""
-        out, term = np.zeros(len(self.diag)), np.empty(len(self.diag))
+        return self.apply(x)
+
+    def apply(self, x: np.ndarray, out=None, term=None) -> np.ndarray:
+        """E x for x on S, into out, via term if given (both |S|-sized),
+        each row summed from 0 left to right as scipy's CSR product does
+        ("clip" skips the bounds check: cols are valid)."""
+        out = np.empty(len(self.diag)) if out is None else out
+        term = np.empty(len(self.diag)) if term is None else term
+        out.fill(0.0)
         for cols, data in zip(self.cols, self.data):
             out += np.multiply(data, np.take(x, cols, out=term, mode="clip"),
                                out=term)
@@ -119,9 +145,12 @@ class Correction(NamedTuple):
 @dataclass(frozen=True)
 class DiscreteSystem:
     """G*T = b with G SPD: interior 7-point conductances plus boundary
-    diagonal; b = source*volume + boundary_g*T_amb, C = vhc[slab]*volume."""
+    diagonal; b = source*volume + boundary_g*T_amb, C = vhc[slab]*volume.
+    Only slabs 0 and nz - 1 reach ambient, so the system keeps the
+    boundary conductance of those planes, `ends` of an (nz, ...) array."""
 
-    boundary_g: np.ndarray = field(repr=False)   # (n,) W/K to ambient
+    # (2, ny, nx), or (1, ny, nx) if nz = 1: W/K to ambient per voxel
+    boundary_planes: np.ndarray = field(repr=False)
     grid: VoxelGrid = field(repr=False)
     correction: Correction = field(repr=False)
     # {dt: step LayeredOperator} for the last dt asked for: a march steps
@@ -132,6 +161,19 @@ class DiscreteSystem:
     @property
     def n(self) -> int:
         return self.grid.n
+
+    @property
+    def ends(self) -> slice:
+        """Slabs 0 and nz - 1, as a slice of an (nz, ...) array: a view."""
+        return np.s_[::max(self.grid.nz - 1, 1)]
+
+    @property
+    def boundary_g(self) -> np.ndarray:
+        """(n,) W/K to ambient per voxel, read-only, built per read."""
+        g = np.zeros(self.grid.shape)
+        g[self.ends] = self.boundary_planes
+        g.flags.writeable = False
+        return g.reshape(-1)
 
     @cached_property
     def G(self) -> "scipy.sparse.csr_matrix":
@@ -153,8 +195,9 @@ class DiscreteSystem:
         if src.min() < 0:
             raise ValueError("volumetric sources must be >= 0")
         q = np.multiply(src.reshape(self.grid.shape), self.grid.voxel_volume,
-                        out=out).reshape(-1)
-        return np.add(q, self.boundary_g * self.grid.config.ambient_c, out=q)
+                        out=out)
+        q[self.ends] += self.boundary_planes * self.grid.config.ambient_c
+        return q.reshape(-1)
 
     def operator(self, dt: float | None = None) -> LayeredOperator:
         """A = G for steady (dt None), built per call, as a run solves
@@ -191,13 +234,14 @@ def _face_conductances(grid: VoxelGrid, slabs, faces):
 
 
 def _boundary_conductance(grid: VoxelGrid, kz: np.ndarray) -> np.ndarray:
-    """Conductance to ambient per voxel, (nz, ...), from vertical kz whose
-    first and last entries are slabs 0 and nz - 1: top face half-voxel
-    conduction in series with the heat sink h, bottom face with package R."""
+    """Conductance to ambient per voxel, shaped as the vertical kz whose
+    first and last entries are slabs 0 and nz - 1 (all slabs, or those
+    two only): top face half-voxel conduction in series with the heat
+    sink h, bottom face with package R, and 0 between."""
     config = grid.config
     dz = grid.dz_m
     a_cell = grid.dx_m * grid.dy_m
-    boundary_g = np.zeros((grid.nz,) + kz.shape[1:])
+    boundary_g = np.zeros(kz.shape)
     # Both add, so a one-slab grid keeps the heat sink and the package.
     boundary_g[-1] += a_cell / (dz[-1] / (2 * kz[-1])
                                 + 1.0 / config.heat_sink_h)
@@ -240,15 +284,19 @@ class LayeredOperator:
     `inverse(solve_modes(forward(r)))` applies A_L^-1 exactly. The cosine
     basis Q diagonalizes each plane, leaving one tridiagonal system per
     (ky, kx) mode, factored once here and solved by a Thomas sweep
-    vectorized over the modes. CG's transforms at E's voxels, `gather`
-    (Q at them) and `scatter` (Q^T from them), need Q only at their rows
-    and columns in each plane.
+    vectorized over the modes. The factorization is one field-sized
+    array, the LDL^T inverse pivots: a sweep forms each plane's
+    sub-diagonal factor from them and the per-slab off-diagonal, in one
+    plane buffer. CG's transforms at E's voxels, `gather` (Q at them) and
+    `scatter` (Q^T from them), need Q only at their rows and columns in
+    each plane.
 
     A backward-Euler step operator also has cap[iz] = C/dt in each node's
-    diag, and `work`: its arrays for `step_transient` and, with E, for
-    `solve_cg`. `source` and `field` are the arrays whose rhs and mode
-    coefficients work holds (see `step_transient`), or None. A method
-    returns a new array unless given `out`."""
+    diag, and `work`: its field-sized arrays for `step_transient`, among
+    them the two mode-shaped buffers, "residual" and "modes", that it
+    lends to every `solve_cg` round. `source` and `field` are the arrays
+    whose rhs and mode coefficients work holds (see `step_transient`), or
+    None. A method returns a new array unless given `out`."""
 
     def __init__(self, gx, gy, gz, diag, ny: int, nx: int,
                  correction: Correction | None = None,
@@ -261,19 +309,19 @@ class LayeredOperator:
         self.gx, self.gy, upper = gx, gy, -gz   # upper: off-diagonal
         self.ground, self.gz = diag, np.append(gz, 0.0)   # 0: no plane above
         center = diag + (self.gz + np.append(0.0, gz))
-        # LDL^T of each mode's tridiagonal: pivots and sub-diagonal factors.
-        # main(z), the (ny, nx) diagonal of plane z's, is built per use, so
-        # the operator stores two arrays of the field's size, not three.
+        # LDL^T of each mode's tridiagonal: its inverse pivots. main(z),
+        # the (ny, nx) diagonal of plane z's, and the sub-diagonal factors
+        # are built per use, so the operator stores one array of the
+        # field's size, not three.
         def main(z):
             return gx[z] * lam_x + gy[z] * lam_y[:, None] + center[z]
         nz = len(diag)
         self.inv_pivot = np.empty((nz, ny, nx))
-        self.factor = np.empty((nz - 1, ny, nx))
         self.inv_pivot[0] = 1.0 / main(0)
+        factor = np.empty((ny, nx))
         for i in range(1, nz):
-            self.factor[i - 1] = upper[i - 1] * self.inv_pivot[i - 1]
-            self.inv_pivot[i] = 1.0 / (main(i)
-                                       - self.factor[i - 1] * upper[i - 1])
+            self.inv_pivot[i] = 1.0 / (
+                main(i) - self._factor(i - 1, factor) * upper[i - 1])
         self.index, self.E = np.zeros(0, dtype=np.intp), None
         self.blocks = []
         if correction is not None and len(correction.index):
@@ -281,9 +329,9 @@ class LayeredOperator:
             self._plane_blocks(correction.index)
         self.chunk = max(1, 2 ** 16 // (ny * nx))   # planes, ~0.5 MB
         self.work = {}
-        if cap is not None:   # a step's b, residual and q, then its modes
-            modes = (("source_modes", "field_modes") if self.E is None
-                     else ("modes", "modes2"))   # farm: the CG rounds'
+        if cap is not None:   # a step's b, residual and q, then its modes:
+            # farm-free, q^ and T'^; "residual" and "modes" are solve_cg's
+            modes = ("source_modes", "modes") if self.E is None else ("modes",)
             self.work = {name: np.empty((nz, ny, nx))
                          for name in ("rhs", "residual", "source") + modes}
             # the stencil's face differences of one chunk
@@ -331,20 +379,27 @@ class LayeredOperator:
         return np.matmul(y.reshape(nz * ny, nx), self.qx.T, out=None if out
                          is None else out.reshape(nz * ny, nx)).reshape(-1)
 
+    def _factor(self, i: int, out: np.ndarray) -> np.ndarray:
+        """Plane i's LDL^T sub-diagonal factor, upper[i] * inv_pivot[i]
+        with upper = -gz, into the plane-shaped out."""
+        return np.multiply(-self.gz[i], self.inv_pivot[i], out=out)
+
     def solve_modes(self, y: np.ndarray) -> np.ndarray:
-        """A_L^-1 in mode space: the Thomas sweep, in place on y."""
+        """A_L^-1 in mode space: the Thomas sweep, in place on y. Each
+        plane's factor, then its product with y, goes to one buffer."""
+        f = np.empty(y.shape[1:])
         for i in range(1, len(y)):
-            y[i] -= self.factor[i - 1] * y[i - 1]
+            y[i] -= np.multiply(self._factor(i - 1, f), y[i - 1], out=f)
         y *= self.inv_pivot
         for i in range(len(y) - 2, -1, -1):
-            y[i] -= self.factor[i] * y[i + 1]
+            y[i] -= np.multiply(self._factor(i, f), y[i + 1], out=f)
         return y
 
-    def gather(self, y: np.ndarray) -> np.ndarray:
+    def gather(self, y: np.ndarray, out=None) -> np.ndarray:
         """(Q y)[index] of mode coefficients y: per plane, Q at E's rows
         and columns only. Every product has rows a multiple of 8 long,
         which OpenBLAS computed to the same bits at 1 and 2 threads."""
-        v = np.empty(len(self.index))
+        v = np.empty(len(self.index)) if out is None else out
         for z, part, at, qy, qx, cols_first in self.blocks:
             block = (qy @ (y[z] @ qx.T) if cols_first
                      else qx @ (y[z].T @ qy.T))   # the block's transpose
@@ -385,6 +440,9 @@ class LayeredOperator:
         plane, combine = ny * nx, np.add if absolute else np.subtract
         out = np.empty(nz * plane) if out is None else out.reshape(-1)
         x3, out3, k = x.reshape(nz, plane), out.reshape(nz, plane), self.chunk
+        faces = self.work.get("faces")   # a step operator's, or one per call
+        if faces is None:
+            faces = np.empty(min(nz, k + 1) * plane)
         for z in range(0, nz, k):
             np.multiply(x3[z:z + k], self.ground[z:z + k, None],
                         out=out3[z:z + k])
@@ -393,8 +451,7 @@ class LayeredOperator:
                                       (nx, self.gy, np.s_[:, -1], z),
                                       (plane, self.gz, -1, max(z - 1, 0))):
                 xc, oc = x3[lo:z + k].reshape(-1), out3[lo:z + k].reshape(-1)
-                d = (self.work["faces"][:len(xc)] if self.work
-                     else np.empty(len(xc)))
+                d = faces[:len(xc)]
                 combine(xc[:-step], xc[step:], out=d[:-step])
                 d.reshape(-1, ny, nx)[wrap] = 0.0   # also covers d[-step:]
                 d.reshape(-1, plane)[:] *= g[lo:z + k, None]
@@ -438,14 +495,15 @@ def assemble(grid: VoxelGrid, config: StackConfig) -> DiscreteSystem:
     if grid.config != config:
         raise ValueError("grid was not built from this config")
     ends = sorted({0, grid.nz - 1})   # one slab if nz = 1
-    boundary_g = _boundary_conductance(grid, grid.conductivities(ends)[1])
-    return DiscreteSystem(boundary_g=boundary_g.reshape(-1), grid=grid,
-                          correction=_correction(grid, boundary_g))
+    planes = _boundary_conductance(grid, grid.conductivities(ends)[1])
+    return DiscreteSystem(boundary_planes=planes, grid=grid,
+                          correction=_correction(grid, planes))
 
 
-def _correction(grid: VoxelGrid, boundary_g) -> Correction:
+def _correction(grid: VoxelGrid, boundary_planes) -> Correction:
     """E = G - G_L from the face and boundary conductances that differ
-    from the host slab's. Only TSV-farm slabs and the faces and
+    from the host slab's, given the boundary conductances of slabs 0 and
+    nz - 1. Only TSV-farm slabs and the faces and
     boundaries that touch them can differ, so only theirs are computed;
     elsewhere both come from one expression and the same conductivities.
     A face i -> j = i + step along axis k = 1, 2, 3 puts -d in rows i and
@@ -470,7 +528,7 @@ def _correction(grid: VoxelGrid, boundary_g) -> Correction:
         differ(gx[i], hx[z], z * plane, 1, 1, lambda f: f + f // (nx - 1))
         differ(gy[i], hy[z], z * plane, 2, nx)
         if z in (0, nz - 1):
-            differ(boundary_g[z], hb[z], z * plane)
+            differ(boundary_planes[-1 if z else 0], hb[z], z * plane)
     for i, z in enumerate(faces):
         differ(gz[i], hz[z], z * plane, 3, plane)
     in_e = np.zeros(grid.n, dtype=bool)
@@ -497,41 +555,42 @@ def _dot(a: np.ndarray, b: np.ndarray | None = None) -> float:
 
 
 def solve_cg(A: LayeredOperator, b, options: SolveOptions = SolveOptions(),
-             x: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+             x: np.ndarray | None = None) -> tuple[np.ndarray, SolveStats]:
     """Solve the SPD system A x = b to relative residual options.tolerance,
     from x = 0, or from the given x, which it corrects in place. Returns x
-    and the number of rounds run from a failed true-residual check: 0 when
-    the first check passes. The one operator A = A_L + E gives every
-    product: A @ x, A_L^-1 as its transforms around a Thomas sweep, and
-    E = A.E on the voxels S = A.index.
+    and its SolveStats: the rounds run from a failed true-residual check
+    (0 when the first check passes), the Thomas sweeps and the final
+    residual. The one operator A = A_L + E gives every product: A @ x,
+    A_L^-1 as its transforms around a Thomas sweep, and E = A.E on the
+    voxels S = A.index.
 
-    CG preconditioned by A_L^-1 runs in rounds, each from a true residual
-    r, or, without x, from b at x = 0: that round's residual after
-    x = A_L^-1 b is -E (A_L^-1 b)|S, on S, and with E None it is 0, so the
-    round runs no iteration. As A p = A_L p + E p_S, every residual is
-    gamma r + s and every direction A_L^-1 (gamma' r + w), s and w on S:
-    an iteration is a `scatter` (Q^T from S), a Thomas sweep and a
-    `gather` (Q at S), with dot products on S and the round's
-    <r, A_L^-1 r> and (A_L^-1 r)|S. A round transforms the full field once
-    each way, then checks the true residual; CG restarts from a failing
-    one within the same iteration cap, unless it is within the rounding
-    error of its own evaluation. Every reduction is a `_dot`, row-major,
-    so bit-reproducible. Non-finite input raises."""
+    CG preconditioned by A_L^-1 runs in rounds (`_cg_round`), each from a
+    true residual r, or, without x, from b at x = 0. A round ends with
+    one update of x; then the true residual is checked, and CG restarts
+    from a failing one within the same iteration cap, unless it is within
+    the rounding error of its own evaluation. Every reduction is a `_dot`,
+    row-major, so bit-reproducible. Non-finite input raises.
+
+    The rounds work in two mode-shaped buffers, which a step operator
+    lends from its work and which are otherwise allocated once per call,
+    after x."""
     tol = options.tolerance
     max_iter = options.iteration_cap(len(b))
     bnorm = np.sqrt(_dot(b)) or 1.0
     if not np.isfinite(bnorm):
         raise NumericalError("non-finite right-hand side")
-    E, index, work = A.E, A.index, A.work.get   # work(name): buffer or None
-    # Without a start, x is made first, so that the round's temporaries
-    # free above it.
     from_b = x is None
     if from_b:
         x = np.zeros_like(b)
-    it = rounds = 0
+    if A.work:
+        buffers = A.work["residual"], A.work["modes"]
+    else:
+        buffers = np.empty((2,) + A.inv_pivot.shape)
+    it = rounds = sweeps = 0
+    r, res = b, None
     while True:
         if not from_b:
-            r = A.residual(b, x, work("residual"))
+            r = A.residual(b, x, buffers[0])
             res = np.sqrt(_dot(r)) / bnorm
             if not np.isfinite(res):
                 raise NumericalError("non-finite residual")
@@ -540,56 +599,88 @@ def solve_cg(A: LayeredOperator, b, options: SolveOptions = SolveOptions(),
             if res <= tol or (it and res * bnorm <= 8 * np.finfo(float).eps
                               * np.sqrt(_dot(A.abs_matmul(np.abs(x))
                                              + np.abs(b)))):
-                return x, rounds
+                return x, SolveStats(rounds, sweeps, float(res))
             rounds += 1
-        # The round's r0, y0 = Q^T r0 and z0 = T^-1 y0.
-        r0 = b if from_b else r
-        y0 = A.forward(r0, work("modes2"), work("modes"))
-        z0 = A.solve_modes(np.positive(y0, out=work("modes")))   # a copy
-        sigma = _dot(y0, z0)                     # <r0, A_L^-1 r0>
-        m, r0_s = A.gather(z0), r0[index]        # A_L^-1 r0 and r0 on S
-        off2 = max(_dot(r0) - _dot(r0_s), 0.0)
-        del y0
-        # Residual gamma r0 + s; the update is A_L^-1 (big_gamma r0 + u).
-        if from_b:
-            gamma, s, big_gamma = 0.0, -m if E is None else -(E @ m), 1.0
-            res = np.sqrt(_dot(s)) / bnorm
-        else:
-            gamma, s, big_gamma = 1.0, np.zeros(len(index)), 0.0
-        u = gamma_p = w = p_s = 0.0   # A_L p = gamma_p r0 + w
-        rz = np.inf                   # the first beta is 0
-        while res > tol:
-            if it >= max_iter:
-                raise ConvergenceError(res, it)
-            z_s = gamma * m                      # (A_L^-1 r)|S
-            if s.any():
-                z_s += A.gather(A.solve_modes(A.scatter(s, work("modes2"))))
-            rz_new = gamma * (gamma * sigma + _dot(m, s)) + _dot(s, z_s)
-            beta, rz = rz_new / rz, rz_new
-            gamma_p, w, p_s = (gamma + beta * gamma_p, s + beta * w,
-                               z_s + beta * p_s)
-            ap_s = w if E is None else w + E @ p_s  # A p = gamma_p r0 + ap_s
-            pAp = gamma_p * (gamma_p * sigma + _dot(m, w)) + _dot(p_s, ap_s)
-            if not np.isfinite(pAp) or pAp <= 0.0:
-                raise NumericalError(
-                    "CG breakdown: non-SPD or non-finite system")
-            alpha = rz / pAp
-            gamma -= alpha * gamma_p
-            s -= alpha * ap_s
-            big_gamma += alpha * gamma_p
-            u += alpha * w
-            # ||r||^2 off S plus on S; the true residual decides.
-            r_s = gamma * r0_s + s
-            res = np.sqrt(gamma * gamma * off2 + _dot(r_s)) / bnorm
-            if not np.isfinite(res):
-                raise NumericalError("CG produced non-finite residual")
-            it += 1
-        z0 *= big_gamma
-        if np.any(u):
-            z0 += A.solve_modes(A.scatter(u, work("modes2")))
-        # r0 is spent: the update goes where the residual was.
-        x += A.inverse(z0, work("residual"), work("modes2"))
+        it, swept = _cg_round(A, x, r, res, buffers, tol, bnorm,
+                              it, max_iter)
+        sweeps += swept
         from_b = False
+
+
+def _cg_round(A: LayeredOperator, x, r0, res: float | None, buffers,
+              tol: float, bnorm: float, it: int,
+              max_iter: int) -> tuple[int, int]:
+    """One round of `solve_cg` from the true residual r0, whose relative
+    size is res, or, with res None, from r0 = b at x = 0: x += its
+    update. Returns the iteration count so far and the round's Thomas
+    sweeps; its vectors on S free on return, before the next true
+    residual.
+
+    With x = 0 the residual after x = A_L^-1 b is -E (A_L^-1 b)|S, on S,
+    and with E None it is 0, so the round runs no iteration. As
+    A p = A_L p + E p_S, every residual is gamma r0 + s and every
+    direction A_L^-1 (gamma' r0 + w), s and w on S: an iteration is a
+    `scatter` (Q^T from S), a Thomas sweep and a `gather` (Q at S), with
+    dot products on S and the round's <r0, A_L^-1 r0> and
+    (A_L^-1 r0)|S. The round transforms the full field once each way: r0
+    in, over its buffer, which then takes every scatter, and the update
+    out, over the buffer of A_L^-1 r0. Its vectors on S are updated in
+    place, each in its own buffer."""
+    E, index = A.E, A.index
+    rbuf, zbuf = buffers
+    # r0 on S and ||r0||^2 off S, before Q^T r0 overwrites a residual.
+    r0_s = r0[index]
+    off2 = max(_dot(r0) - _dot(r0_s), 0.0)
+    y0 = A.forward(r0, rbuf, zbuf)
+    z0 = A.solve_modes(np.positive(y0, out=zbuf))   # a copy
+    sigma = _dot(y0, z0)                     # <r0, A_L^-1 r0>
+    m = A.gather(z0)                         # (A_L^-1 r0)|S
+    sweeps, k = 1, len(index)
+    # Residual gamma r0 + s; the update is A_L^-1 (big_gamma r0 + u).
+    if res is None:
+        gamma, big_gamma = 0.0, 1.0
+        s = np.negative(m if E is None else E @ m)
+        res = np.sqrt(_dot(s)) / bnorm
+    else:
+        gamma, s, big_gamma = 1.0, np.zeros(k), 0.0
+    # A_L p = gamma_p r0 + w. z_s holds (A_L^-1 r)|S, then ap_s, with
+    # A p = gamma_p r0 + ap_s; t holds each alpha product, then r|S.
+    u, w, p_s = np.zeros(k), np.zeros(k), np.zeros(k)
+    z_s, t = np.empty(k), np.empty(k)
+    gamma_p, rz = 0.0, np.inf                # the first beta is 0
+    while res > tol:
+        if it >= max_iter:
+            raise ConvergenceError(res, it)
+        np.multiply(gamma, m, out=z_s)
+        if s.any():
+            z_s += A.gather(A.solve_modes(A.scatter(s, rbuf)), t)
+            sweeps += 1
+        rz_new = gamma * (gamma * sigma + _dot(m, s)) + _dot(s, z_s)
+        beta, rz = rz_new / rz, rz_new
+        gamma_p = gamma + beta * gamma_p
+        np.add(s, np.multiply(beta, w, out=w), out=w)
+        np.add(z_s, np.multiply(beta, p_s, out=p_s), out=p_s)
+        ap_s = w if E is None else np.add(E.apply(p_s, z_s, t), w, out=z_s)
+        pAp = gamma_p * (gamma_p * sigma + _dot(m, w)) + _dot(p_s, ap_s)
+        if not np.isfinite(pAp) or pAp <= 0.0:
+            raise NumericalError("CG breakdown: non-SPD or non-finite system")
+        alpha = rz / pAp
+        gamma -= alpha * gamma_p
+        s -= np.multiply(alpha, ap_s, out=t)
+        big_gamma += alpha * gamma_p
+        u += np.multiply(alpha, w, out=t)
+        # ||r||^2 off S plus on S; the true residual decides.
+        r_s = np.add(np.multiply(gamma, r0_s, out=t), s, out=t)
+        res = np.sqrt(gamma * gamma * off2 + _dot(r_s)) / bnorm
+        if not np.isfinite(res):
+            raise NumericalError("CG produced non-finite residual")
+        it += 1
+    z0 *= big_gamma
+    if np.any(u):
+        z0 += A.solve_modes(A.scatter(u, rbuf))
+        sweeps += 1
+    x += A.inverse(z0, zbuf, rbuf)
+    return it, sweeps
 
 
 # Relative gap between the power put in and the boundary outflux above
@@ -605,9 +696,9 @@ def energy_balance_error(system: DiscreteSystem, source: np.ndarray,
     grid, ambient = system.grid, system.grid.config.ambient_c
     injected = float(np.sum(np.reshape(source, grid.shape)
                             * grid.voxel_volume))
-    t = np.reshape(values, -1)
-    outflux = _dot(system.boundary_g, t - ambient)
-    scale = injected or _dot(system.boundary_g, np.abs(t) + abs(ambient))
+    t, g = np.reshape(values, grid.shape)[system.ends], system.boundary_planes
+    outflux = _dot(g, t - ambient)
+    scale = injected or _dot(g, np.abs(t) + abs(ambient))
     return abs(injected - outflux) / scale if scale else 0.0
 
 
@@ -616,14 +707,14 @@ def solve_steady(system: DiscreteSystem, source: np.ndarray,
     """Steady temperatures in deg C, as the field at t = 0; relative
     residual <= tolerance, and the boundary outflux balances the power
     put in to ENERGY_BALANCE_LIMIT (else NumericalError)."""
-    x, _ = solve_cg(system.operator(), system.rhs(source), options)
-    field_t = TemperatureField(values=x.reshape(system.grid.shape),
-                               grid=system.grid)
+    x, stats = solve_cg(system.operator(), system.rhs(source), options)
     gap = energy_balance_error(system, source, x)
     if not gap <= ENERGY_BALANCE_LIMIT:
         raise NumericalError(f"steady energy balance off by {gap:.3e} "
                              f"(limit {ENERGY_BALANCE_LIMIT:.0e})")
-    return field_t
+    return TemperatureField(values=x.reshape(system.grid.shape),
+                            grid=system.grid,
+                            solve=replace(stats, kind="steady"))
 
 
 def step_transient(system: DiscreteSystem, field_t: TemperatureField,
@@ -657,7 +748,7 @@ def step_transient(system: DiscreteSystem, field_t: TemperatureField,
     b = np.multiply(A.cap, values, out=work["rhs"]).reshape(-1)
     b += work["source"].reshape(-1)
     if farm_free:
-        y = work["field_modes"]
+        y = work["modes"]
         if values is not A.field:
             A.forward(values, y, work["residual"])
         A.field = None   # y becomes T'^
@@ -666,13 +757,14 @@ def step_transient(system: DiscreteSystem, field_t: TemperatureField,
         x = A.inverse(A.solve_modes(y), None, work["residual"])
     else:
         x = field_t.flat().copy()
-    x, rounds = solve_cg(A, b, options, x)
+    x, stats = solve_cg(A, b, options, x)
     x = x.reshape(system.grid.shape)
-    if farm_free and not rounds:
+    if farm_free and not stats.rounds:
         x.flags.writeable = False
         A.field = x
     return TemperatureField(values=x, grid=system.grid,
-                            time=field_t.time + dt)
+                            time=field_t.time + dt,
+                            solve=replace(stats, kind="step", dt=dt))
 
 
 @dataclass(frozen=True)

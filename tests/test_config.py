@@ -413,6 +413,29 @@ def test_malformed_section_exits_1_at_load(tmp_path, capsys, case):
     assert sorted(os.listdir(tmp_path)) == sorted(inputs)
 
 
+@pytest.mark.parametrize("row, message", [
+    ("0.1,nan", "power profile values must be finite"),
+    ("0.1,inf", "power profile values must be finite"),
+    ("0.0,2.0", "trace timestamps must be strictly increasing")],
+    ids=["nan", "inf", "repeated-time"])
+def test_trace_content_error_names_key_file_and_line(tmp_path, capsys, row,
+                                                     message):
+    """A trace cell that is not finite, or a timestamp that does not
+    increase, is a validation error (exit 1, no output file) that names
+    the YAML key, the trace file and its line."""
+    doc = demo_doc()
+    _add_assignment(doc, row=0, col=0,
+                    profile={"kind": "trace_csv", "path": "trace.csv"})
+    trace = tmp_path / "trace.csv"
+    trace.write_text(f"t_seconds,power_w_per_cm2\n0.0,1.0\n{row}\n")
+    code, _, err = _report(tmp_path, doc, capsys)
+    assert code == 1
+    assert (f"validation error: config invalid at power/assignments/3/"
+            f"profile: {trace} line 3: {message}") in err
+    assert "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == ["scenario.yaml", "trace.csv"]
+
+
 @pytest.mark.parametrize("edit", [
     lambda d: None,
     lambda d: _coreswap(d, [[[0, 1, 3], [1, 1, 3]]])],

@@ -13,16 +13,18 @@ import pytest
 import scipy.sparse as sp
 
 import stackemu.pdn
-from stackemu.config import load_scenario
+from stackemu.config import load_scenario, scenario_from_document
 from stackemu.pdn import (build_pdn, coupling_report, currents_from_power,
                           solve_ir_drop)
 from stackemu.power import Periodic, power_density_field
+from stackemu.scenario import render_report, run_scenario
 from stackemu.solver import (DiscreteSystem, SolveOptions, TemperatureField,
                              _host_slab_conductances, assemble, solve_cg,
                              solve_steady, step_transient)
 from stackemu.stack import discretize
 
 from conftest import Counted, random_farm_stack, random_power_map
+from test_run_path import FARM_TRANSIENT
 
 DEMO = os.path.join(os.path.dirname(__file__), "..", "scenarios",
                     "demo_2layer.yaml")
@@ -120,9 +122,9 @@ def test_pdn_solves_are_one_application(monkeypatch, demo):
     solves = []
 
     def recorded(A, b, *args):
-        x, rounds = solve_cg(A, b, *args)
+        x, stats = solve_cg(A, b, *args)
         solves.append((b, x))
-        return x, rounds
+        return x, stats
 
     monkeypatch.setattr(stackemu.pdn, "solve_cg", recorded)
     for solve in (
@@ -151,8 +153,8 @@ def test_cold_farm_free_solve_is_the_layered_inverse(demo):
                   q + system.C / dt * rng.uniform(25.0, 90.0, grid.n)),
                  (pdn.A, rng.uniform(0.0, 1.0, pdn.n))):
         assert A.E is None
-        x, rounds = solve_cg(A, b, scenario.solve)
-        assert rounds == 0
+        x, stats = solve_cg(A, b, scenario.solve)
+        assert (stats.rounds, stats.sweeps) == (0, 1)
         np.testing.assert_array_equal(
             x, A.inverse(A.solve_modes(A.forward(b))))
 
@@ -273,3 +275,64 @@ def test_farm_march_makes_each_sources_rhs_once(monkeypatch):
     assert 2 <= len(new_sources) <= 10
     assert len(made) == len(new_sources)
     assert all(a is b for a, b in zip(made, new_sources))
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_solve_stats_count_the_sweeps(monkeypatch, seed):
+    """A farm steady solve and farm steps each return the SolveStats of
+    their solve_cg: its kind and dt, the Thomas sweeps the operator ran,
+    and the final true relative residual, within the tolerance and equal
+    to the matrix residual's to rounding."""
+    rng = np.random.default_rng(seed)
+    cfg, grid = random_farm_stack(rng)
+    system = assemble(grid, cfg)
+    source = power_density_field(random_power_map(rng, cfg), grid, 0.0)
+    ops = count_operators(monkeypatch, system)
+    options, dt = SolveOptions(), 5e-3
+    field_t = solve_steady(system, source, options)
+    matrix = system.G
+    b = system.rhs(source)
+    for kind, step_dt in [("steady", None)] + [("step", dt)] * 3:
+        stats, op = field_t.solve, ops[step_dt]
+        assert op.E is not None
+        assert (stats.kind, stats.dt) == (kind, step_dt)
+        assert stats.sweeps == op.counts["solve_modes"] >= 1
+        residual = (np.linalg.norm(b - matrix @ field_t.flat())
+                    / np.linalg.norm(b))
+        assert stats.residual <= options.tolerance
+        np.testing.assert_allclose(stats.residual, residual, rtol=1e-3)
+        op.counts.clear()
+        matrix = system.G + sp.diags(system.C / dt)
+        b = system.rhs(2 * source) + system.C / dt * field_t.flat()
+        field_t = step_transient(system, field_t, 2 * source, dt, options)
+
+
+def test_run_keeps_one_solve_stats_per_solve():
+    """run_scenario keeps one SolveStats per linear solve, in run order:
+    the demo's steady solve and PDN solve, one exact application each,
+    and its 100 farm-free steps, whose start in mode space passes the
+    first check, so that solve_cg runs no sweep. Every residual is
+    within the tolerance; the records are in neither the report's repr
+    nor its text."""
+    scenario = load_scenario(DEMO)
+    report = run_scenario(scenario)
+    solves, tol = report.solves, scenario.solve.tolerance
+    assert [s.kind for s in solves] == ["steady"] + ["step"] * 100 + ["pdn"]
+    assert [(s.rounds, s.sweeps, s.dt) for s in solves] == (
+        [(0, 1, None)] + [(0, 0, scenario.transient.dt)] * 100
+        + [(0, 1, None)])
+    assert all(0 <= s.residual <= tol for s in solves)
+    assert "SolveStats" not in repr(report)
+    assert "SolveStats" not in render_report(report)
+
+
+def test_farm_run_sweeps_in_every_step():
+    """In a farm throttle transient every step's solve_cg runs at least
+    one Thomas sweep: A_L^-1 is inexact, so no step ends at its start."""
+    scenario = scenario_from_document(FARM_TRANSIENT)
+    report = run_scenario(scenario)
+    steps = [s for s in report.solves if s.kind == "step"]
+    assert len(steps) == 8 and report.events
+    assert all(s.sweeps >= 1 for s in steps)
+    assert all(s.residual <= scenario.solve.tolerance
+               for s in report.solves)

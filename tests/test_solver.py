@@ -183,14 +183,15 @@ def test_step_allocates_its_answer_and_no_field_temporary(farm, limit):
 def test_model_keeps_about_five_fields():
     """The grid, the assembled system, the source and the steady answer
     of the steady_tsv benchmark stack at 64x32 (n = 18,432, with farms)
-    hold at most 5.5 field-sized arrays (4.95 measured): boundary_g,
-    source, answer and E's slot layout (about 1.6 fields at this farm
-    density). The system keeps no steady operator, whose two factor
-    arrays the one steady solve of a run used (8.09 fields when it was
-    kept), and no per-voxel copy of a per-slab value such as the
-    conductivities, the heat capacity, C or the ambient inflow (10.08
-    fields when the grid kept per-voxel kx and kz, 13.08 when the model
-    also kept the other three)."""
+    hold at most 4.4 field-sized arrays (4.17 measured): source, answer,
+    E's slot layout (about 1.6 fields at this farm density) and the
+    boundary conductance of the two end slabs, 2 of its 9 planes (4.95
+    fields when the system kept it for every slab). The system keeps no
+    steady operator, whose factorization the one steady solve of a run
+    used (8.09 fields when it was kept), and no per-voxel copy of a
+    per-slab value such as the conductivities, the heat capacity, C or
+    the ambient inflow (10.08 fields when the grid kept per-voxel kx and
+    kz, 13.08 when the model also kept the other three)."""
     scenario = scenario_from_document(_workloads()["steady_tsv"](7)[0])
     tracemalloc.start()
     try:
@@ -202,7 +203,66 @@ def test_model_keeps_about_five_fields():
     finally:
         tracemalloc.stop()
     assert grid.n == 18_432 and system.operator().E is not None
-    assert held <= 5.5 * steady.values.nbytes
+    assert system.boundary_planes.shape == (2, 32, 64)
+    assert held <= 4.4 * steady.values.nbytes
+
+
+def _steady_tsv_64x32():
+    """The steady_tsv seed-7 benchmark stack at 64x32 (n = 18,432; E's
+    voxels S are 11 % of n): scenario, grid, system and source."""
+    scenario = scenario_from_document(_workloads()["steady_tsv"](7)[0])
+    grid = discretize(scenario.stack, 64, 32)
+    system = assemble(grid, scenario.stack)
+    return (scenario, grid, system,
+            power_density_field(scenario.power, grid, 0.0))
+
+
+def test_steady_solve_works_in_two_mode_buffers():
+    """The steady solve of the steady_tsv stack at 64x32 peaks at most
+    8.0 fields above its inputs (7.90 measured; tracemalloc): b, x, the
+    operator's one factorization array, the two mode-shaped buffers
+    every CG round works in, and the vectors on S, updated in place
+    (10.37 when the operator also stored its LDL^T factors and each
+    transform and iteration allocated fresh fields). No operator keeps
+    a factor array, and a step operator's work holds only its rhs,
+    residual, source and mode buffers and the stencil's faces."""
+    scenario, grid, system, source = _steady_tsv_64x32()
+    tracemalloc.start()
+    try:
+        steady = solve_steady(system, source, scenario.solve)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert steady.solve.rounds == 0 and steady.solve.sweeps > 2
+    assert peak <= 8.0 * steady.values.nbytes
+    assert not any(hasattr(system.operator(dt), "factor")
+                   for dt in (None, 5e-3))
+    assert set(system.operator(5e-3).work) == {
+        "rhs", "residual", "source", "modes", "faces"}
+
+
+def test_farm_step_updates_its_cg_vectors_in_place():
+    """A farm step on the steady_tsv stack at 64x32, after the first and
+    from far off the steady state, so that each runs a CG round of
+    several iterations, allocates at most 2.25 fields at once (2.18
+    measured; 2.50 when each update of a CG vector on S made a new
+    array): its answer, the round's eight vectors on S, about 0.9 field,
+    and the plane-sized blocks of the transforms at S."""
+    scenario, grid, system, source = _steady_tsv_64x32()
+    field_t = TemperatureField(values=np.full(grid.shape,
+                                              scenario.stack.ambient_c),
+                               grid=grid)
+    field_t = step_transient(system, field_t, source, 5e-3, scenario.solve)
+    for _ in range(3):
+        tracemalloc.start()
+        try:
+            field_t = step_transient(system, field_t, source, 5e-3,
+                                     scenario.solve)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert field_t.solve.rounds == 1 and field_t.solve.sweeps >= 4
+        assert peak <= 2.25 * field_t.values.nbytes
 
 
 def test_heat_capacity_is_stored_per_slab():
