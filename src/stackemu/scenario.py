@@ -283,27 +283,36 @@ class _PolicyState:
 
 def solve_transient(system: DiscreteSystem, t0_field: TemperatureField,
                     pmap, spec: TransientSpec,
-                    options: SolveOptions = SolveOptions(),
-                    on_step=None) -> TemperatureField:
+                    options: SolveOptions = SolveOptions()):
     """March backward Euler from t0_field to spec.t_end in spec.n_steps
-    steps of spec.dt; returns the final field.
+    steps of spec.dt. Returns (fields, solves, layer_maxima): the field
+    after every spec.sample_stride-th step and the final one, each step's
+    SolveStats, and per device layer index its maximum after each step,
+    the bits of `LayerStats.max`.
 
     pmap is a PowerMap, or a function (step, field) -> map called at each
     step start with the field so far, which is how thermal-management
     policies (_PolicyState) act; that step's map is read before the next
-    call. The source is the map's power at the step start time.
-    on_step(step, field) is called with every new field."""
+    call. The source is the map's power at the step start time."""
+    grid, last = system.grid, spec.n_steps - 1
+    slabs = {i: grid.layer_slabs(i) for i in grid.config.device_layer_indices}
+    fields, solves, layer_maxima = [], [], {i: [] for i in slabs}
     field_t = t0_field
     for step in range(spec.n_steps):
         step_map = pmap(step, field_t) if callable(pmap) else pmap
-        source = power_density_field(step_map, system.grid, field_t.time)
+        source = power_density_field(step_map, grid, field_t.time)
         field_t = step_transient(system, field_t, source, spec.dt, options)
-        if on_step is not None:
-            on_step(step, field_t)
-    return field_t
+        solves.append(field_t.solve)
+        if (step + 1) % spec.sample_stride == 0 or step == last:
+            fields.append(field_t)
+        for i, s in slabs.items():
+            layer_maxima[i].append(float(field_t.values[s[0]:s[-1] + 1].max()))
+    return fields, solves, layer_maxima
 
 
 def run_scenario(scenario: Scenario) -> ScenarioReport:
+    """Run the scenario's stages. The sensors read the last field observed:
+    the march's final field or, steady-only, the steady field."""
     with _stage("stack"):
         grid = discretize(scenario.stack, scenario.grid.nx, scenario.grid.ny,
                           scenario.grid.sub_slabs_per_layer)
@@ -328,33 +337,19 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
             scenario = replace(scenario, sensors=network)
 
     final_field = final_stats = None
-    sampled: list[TemperatureField] = []
-    layer_traces: dict[int, list[float]] = {   # kept for reliability only
-        idx: [] for idx in grid.config.device_layer_indices
-        if scenario.reliability is not None}
-    events: tuple[PolicyEvent, ...] = ()
-
+    fields, layer_maxima, events = [], {}, ()
     if scenario.transient is not None:
         with _stage("transient"):
-            spec = scenario.transient
             pmap = scenario.power
             if scenario.policy is not None:
                 pmap = _PolicyState(scenario.policy, scenario.power, network,
                                     scenario.policy_period, scenario.seed)
-
-            def observe(step, field_t):   # layer maxima: LayerStats.max bits
-                solves.append(field_t.solve)
-                if (step + 1) % spec.sample_stride == 0 \
-                        or step == spec.n_steps - 1:
-                    sampled.append(field_t)
-                for idx, maxima in layer_traces.items():
-                    s = grid.layer_slabs(idx)
-                    maxima.append(float(field_t.values[s[0]:s[-1] + 1].max()))
-
             t0 = TemperatureField(
                 np.full(grid.shape, scenario.stack.ambient_c), grid)
-            final_field = solve_transient(system, t0, pmap, spec,
-                                          scenario.solve, observe)
+            fields, step_solves, layer_maxima = solve_transient(
+                system, t0, pmap, scenario.transient, scenario.solve)
+            solves += step_solves
+            final_field = fields[-1]
             final_stats = tuple(layer_summary(final_field))
             if scenario.policy is not None:
                 events = tuple(pmap.events)
@@ -363,10 +358,10 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
     readings = hs_error = None
     if network is not None:
         with _stage("sensors"):
-            observe_field = final_field if final_field is not None else steady
-            readings = read_sensors(network, observe_field, scenario.seed)
+            observed = fields or (steady,)
+            readings = read_sensors(network, observed[-1], scenario.seed)
             placement = [s.site for s in network.sensors]
-            hs_error = hotspot_error(placement, sampled or [steady])
+            hs_error = hotspot_error(placement, observed)
 
     pdn_summary = None
     if scenario.pdn is not None:
@@ -385,8 +380,8 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
     rel = None
     if scenario.reliability is not None:
         with _stage("reliability"):
-            rel = reliability_report(list(steady_stats), layer_traces, steady,
-                                     scenario.reliability)
+            rel = reliability_report(list(steady_stats), layer_maxima,
+                                     steady, scenario.reliability)
 
     return ScenarioReport(
         scenario=scenario,
@@ -394,7 +389,7 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
         final_stats=final_stats,
         steady_field=steady,
         final_field=final_field,
-        sampled_fields=tuple(sampled),
+        sampled_fields=tuple(fields),
         sensor_readings=readings,
         sensor_hotspot_error=hs_error,
         pdn_summary=pdn_summary,

@@ -22,7 +22,8 @@ of Buzbee, Dorr, George & Golub, SIAM J. Numer. Anal. 8, 1971). CG then
 keeps each residual as a multiple of its round's first residual plus a
 vector on E's voxels: an iteration transforms only those, around one
 Thomas sweep, and a round the whole die once each way. After a steady
-solve the boundary outflux must balance the injected power.
+solve the boundary outflux, and after a step the outflux and the heat
+stored, must balance the injected power.
 A `LayeredOperator` holds A_L's per-slab scalars, its factorization (one
 field-sized array, the inverse pivots) and E: `op @ x` applies A without
 a matrix, and its transforms around a Thomas sweep apply A_L^-1. A
@@ -81,15 +82,20 @@ class SolveOptions:
 @dataclass(frozen=True)
 class SolveStats:
     """What one `solve_cg` did: its rounds from a failed true-residual
-    check (0 when the first check passes), the Thomas sweeps it ran and
-    the final true relative residual. The caller adds kind ("steady",
-    "step" or "pdn") and a step's dt."""
+    check (0 when the first check passes), the Thomas sweeps it ran, the
+    final true relative residual and ||b||. The caller adds kind
+    ("steady", "step" or "pdn"), and a step its dt and its energy
+    balance: the gap in W and the limit it was held to (see
+    `step_transient`)."""
 
     rounds: int
     sweeps: int
     residual: float
+    rhs_norm: float
     kind: str = ""
     dt: float | None = None
+    energy_gap_w: float | None = None
+    energy_limit_w: float | None = None
 
 
 @dataclass(frozen=True)
@@ -296,7 +302,8 @@ class LayeredOperator:
     them the two mode-shaped buffers, "residual" and "modes", that it
     lends to every `solve_cg` round. `source` and `field` are the arrays
     whose rhs and mode coefficients work holds (see `step_transient`), or
-    None. A method returns a new array unless given `out`."""
+    None, and `power_in` is the last source's P_in. A method returns a
+    new array unless given `out`."""
 
     def __init__(self, gx, gy, gz, diag, ny: int, nx: int,
                  correction: Correction | None = None,
@@ -337,6 +344,7 @@ class LayeredOperator:
             # the stencil's face differences of one chunk
             self.work["faces"] = np.empty(min(nz, self.chunk + 1) * ny * nx)
         self.source = self.field = None
+        self.power_in = 0.0
 
     def _plane_blocks(self, index):
         """Per plane of E's voxels: its rows of qy and columns of qx, each
@@ -559,10 +567,10 @@ def solve_cg(A: LayeredOperator, b, options: SolveOptions = SolveOptions(),
     """Solve the SPD system A x = b to relative residual options.tolerance,
     from x = 0, or from the given x, which it corrects in place. Returns x
     and its SolveStats: the rounds run from a failed true-residual check
-    (0 when the first check passes), the Thomas sweeps and the final
-    residual. The one operator A = A_L + E gives every product: A @ x,
-    A_L^-1 as its transforms around a Thomas sweep, and E = A.E on the
-    voxels S = A.index.
+    (0 when the first check passes), the Thomas sweeps, the final
+    residual and ||b||. The one operator A = A_L + E gives every product:
+    A @ x, A_L^-1 as its transforms around a Thomas sweep, and E = A.E on
+    the voxels S = A.index.
 
     CG preconditioned by A_L^-1 runs in rounds (`_cg_round`), each from a
     true residual r, or, without x, from b at x = 0. A round ends with
@@ -576,9 +584,10 @@ def solve_cg(A: LayeredOperator, b, options: SolveOptions = SolveOptions(),
     after x."""
     tol = options.tolerance
     max_iter = options.iteration_cap(len(b))
-    bnorm = np.sqrt(_dot(b)) or 1.0
-    if not np.isfinite(bnorm):
+    rhs_norm = float(np.sqrt(_dot(b)))
+    if not np.isfinite(rhs_norm):
         raise NumericalError("non-finite right-hand side")
+    bnorm = rhs_norm or 1.0
     from_b = x is None
     if from_b:
         x = np.zeros_like(b)
@@ -599,7 +608,7 @@ def solve_cg(A: LayeredOperator, b, options: SolveOptions = SolveOptions(),
             if res <= tol or (it and res * bnorm <= 8 * np.finfo(float).eps
                               * np.sqrt(_dot(A.abs_matmul(np.abs(x))
                                              + np.abs(b)))):
-                return x, SolveStats(rounds, sweeps, float(res))
+                return x, SolveStats(rounds, sweeps, float(res), rhs_norm)
             rounds += 1
         it, swept = _cg_round(A, x, r, res, buffers, tol, bnorm,
                               it, max_iter)
@@ -688,18 +697,32 @@ def _cg_round(A: LayeredOperator, x, r0, res: float | None, buffers,
 ENERGY_BALANCE_LIMIT = 1e-6
 
 
+def _power_in(grid: VoxelGrid, source: np.ndarray) -> float:
+    """P_in in W of a source in W/m^3, (nz, ny, nx) or (n,)."""
+    return float(np.einsum("zp,z->", np.reshape(source, (grid.nz, -1)),
+                           grid.voxel_volume[:, 0, 0]))
+
+
+def _energy_gap(system: DiscreteSystem, injected: float, values: np.ndarray,
+                stored: float = 0.0) -> tuple[float, float]:
+    """The power put in that the field `values` (T) neither lets out
+    through the boundary nor stores, P_in - sum g_b (T - T_amb) - stored,
+    in W, and the scale it is judged on: P_in, or with no power in, the
+    boundary terms' sum g_b (|T| + |T_amb|)."""
+    ambient = system.grid.config.ambient_c
+    t = np.reshape(values, system.grid.shape)[system.ends]
+    g = system.boundary_planes
+    gap = injected - _dot(g, t - ambient) - stored
+    return gap, injected or _dot(g, np.abs(t) + abs(ambient))
+
+
 def energy_balance_error(system: DiscreteSystem, source: np.ndarray,
                          values: np.ndarray) -> float:
     """|P_in - sum g_b (T - T_amb)| / P_in for the steady field `values`
-    under `source` (W/m^3); with no power in, relative to the scale of
-    the boundary terms, sum g_b (|T| + |T_amb|)."""
-    grid, ambient = system.grid, system.grid.config.ambient_c
-    injected = float(np.sum(np.reshape(source, grid.shape)
-                            * grid.voxel_volume))
-    t, g = np.reshape(values, grid.shape)[system.ends], system.boundary_planes
-    outflux = _dot(g, t - ambient)
-    scale = injected or _dot(g, np.abs(t) + abs(ambient))
-    return abs(injected - outflux) / scale if scale else 0.0
+    under `source` (W/m^3), which stores no heat; with no power in,
+    relative to the scale of the boundary terms, sum g_b (|T| + |T_amb|)."""
+    gap, scale = _energy_gap(system, _power_in(system.grid, source), values)
+    return abs(gap) / scale if scale else 0.0
 
 
 def solve_steady(system: DiscreteSystem, source: np.ndarray,
@@ -724,6 +747,16 @@ def step_transient(system: DiscreteSystem, field_t: TemperatureField,
     q = rhs(source), from a start that `solve_cg` corrects if it fails
     the true-residual check. With TSV farms the start is T.
 
+    The step then checks its energy balance, as `solve_steady` does, with
+    the heat it stores, sum C/dt (T' - T): the gap P_in - sum g_b (T' -
+    T_amb) - sum C/dt (T' - T), P_in summed from the source, not from b,
+    may not exceed max(ENERGY_BALANCE_LIMIT P_in, sqrt(n) tol ||b||), or
+    NumericalError. The second term bounds |sum r| <= sqrt(n) ||r|| for
+    the final residual r of a converged solve, where tol is the larger
+    of the tolerance and the residual reached; the step's SolveStats
+    keeps the gap and the limit. With no power in, the boundary scale of
+    `energy_balance_error` stands in for P_in.
+
     On a farm-free stack A_L^-1 is exact, and C/dt, uniform per slab,
     commutes with the cosine basis Q: Q^T b = q^ + C/dt T^, with q^ = Q^T q
     and T^ = Q^T T. So the start is one Thomas sweep of that and one
@@ -732,7 +765,8 @@ def step_transient(system: DiscreteSystem, field_t: TemperatureField,
     read-only array that owns its data (`power_density_field` returns the
     same one while the densities are unchanged); farm-free, it keeps T'^
     of the field it returns, whose values it makes read-only, unless CG
-    had to correct it. Any other source or field is transformed afresh."""
+    had to correct it. Any other source or field is transformed afresh.
+    P_in is kept with the source's q."""
     if not 0 < dt < np.inf:
         raise ValueError("dt must be positive and finite")
     A = system.operator(dt)
@@ -740,6 +774,7 @@ def step_transient(system: DiscreteSystem, field_t: TemperatureField,
     if source is not A.source:
         A.source = None
         q = system.rhs(source, work["source"])
+        A.power_in = _power_in(system.grid, source)
         if farm_free:
             A.forward(q, work["source_modes"], work["residual"])
         if (isinstance(source, np.ndarray) and source.flags.owndata
@@ -759,12 +794,23 @@ def step_transient(system: DiscreteSystem, field_t: TemperatureField,
         x = field_t.flat().copy()
     x, stats = solve_cg(A, b, options, x)
     x = x.reshape(system.grid.shape)
+    # The heat stored, C/dt (T' - T) summed per slab, via the free rhs.
+    stored = float(np.einsum("zp,z->", np.subtract(
+        x, values, out=work["rhs"]).reshape(len(A.cap), -1), A.cap[:, 0, 0]))
+    gap, scale = _energy_gap(system, A.power_in, x, stored)
+    limit = max(ENERGY_BALANCE_LIMIT * scale, np.sqrt(system.n) * max(
+        options.tolerance, stats.residual) * stats.rhs_norm)
+    if not abs(gap) <= limit:
+        raise NumericalError(f"step energy balance off by {gap:.3e} W "
+                             f"(limit {limit:.3e} W)")
     if farm_free and not stats.rounds:
         x.flags.writeable = False
         A.field = x
     return TemperatureField(values=x, grid=system.grid,
                             time=field_t.time + dt,
-                            solve=replace(stats, kind="step", dt=dt))
+                            solve=replace(stats, kind="step", dt=dt,
+                                          energy_gap_w=gap,
+                                          energy_limit_w=limit))
 
 
 @dataclass(frozen=True)

@@ -196,7 +196,7 @@ def test_criterion_06_transient_convergence():
     tau = system.C.sum() / system.boundary_g.sum()
     final = solve_transient(system, t0, pmap,
                             TransientSpec(t_end=50 * tau, dt=tau / 2),
-                            options=SolveOptions(tolerance=tol))
+                            options=SolveOptions(tolerance=tol))[0][-1]
     residual = float(np.max(np.abs(final.values - steady.values)))
     long_ok = residual < 10 * tol * max(
         1.0, float(np.max(np.abs(steady.values))))

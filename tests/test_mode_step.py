@@ -55,10 +55,9 @@ def test_march_matches_a_matrix_march(seed, stack):
     # field; a farm-free step is exact, and served from its caches.
     options = SolveOptions(tolerance=1e-10 if stack is random_stack
                            else 1e-12)
-    marched = []
-    solve_transient(system, ambient_field(grid), pmap,
-                    TransientSpec(t_end=20 * dt, dt=dt), options,
-                    lambda step, f: marched.append(f))
+    marched, _, _ = solve_transient(system, ambient_field(grid), pmap,
+                                    TransientSpec(t_end=20 * dt, dt=dt),
+                                    options)
     assert [e.action for e in state.events] == ["throttle"]
     assert len({s.tobytes() for s in sources}) >= 3
 

@@ -1,5 +1,7 @@
-"""The one backward-Euler loop, `scenario.solve_transient`: the runner's
-policies and layer traces go through its per-step hooks, and the
+"""The one backward-Euler loop, `scenario.solve_transient`: it returns
+the fields it samples, each step's solve record and the device layers'
+maxima, which the runner hands to the report, the sensors and
+reliability; a policy acts through its power-map function, and the
 benchmark's span tracer sees every step through the `stackemu.scenario`
 names it wraps."""
 
@@ -19,8 +21,10 @@ from stackemu.power import Constant, PowerMap, power_density_field
 from stackemu.scenario import (MAX_STEPS, TransientSpec, run_scenario,
                                solve_transient)
 from stackemu.solver import (SolveOptions, TemperatureField, assemble,
-                             step_transient)
+                             layer_summary, step_transient)
 from stackemu.stack import discretize, preset_stack
+
+from conftest import random_farm_stack, random_power_map, random_stack
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 DEMO = os.path.join(ROOT, "scenarios", "demo_2layer.yaml")
@@ -37,37 +41,84 @@ def small():
     return grid, assemble(grid, cfg), base, t0
 
 
-def test_function_pmap_and_on_step_match_a_hand_loop(small):
-    grid, system, base, t0 = small
-    options = SolveOptions(tolerance=1e-10)
-    halved = base.set_uniform(0, Constant(10.0))
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("stack", [random_stack, random_farm_stack],
+                         ids=["farm-free", "farms"])
+def test_march_record_matches_a_hand_loop(stack, stride):
+    """17 steps under a power-map function that alternates two maps: the
+    march keeps every stride-th field and the last, bit for bit those of
+    a hand loop of step_transient on a fresh system; one SolveStats per
+    step, the step's field.solve; and each device layer's maximum after
+    every step, the bits of layer_summary(field).max. The function sees
+    each step's index and the field the step starts from."""
+    rng = np.random.default_rng(5)
+    cfg, grid = stack(rng)
+    base = random_power_map(rng, cfg)
+    other = base.set_uniform(0, Constant(5.0))
     seen_at = []
 
     def pmap(step, field_t):
         seen_at.append((step, field_t.time))
-        return halved if step % 2 else base
+        return other if step % 2 else base
 
-    stepped = []
-    final = solve_transient(system, t0, pmap,
-                            TransientSpec(t_end=0.875, dt=0.125),
-                            options=options,
-                            on_step=lambda step, f: stepped.append((step, f)))
+    dt, options = 2e-3, SolveOptions(tolerance=1e-10)
+    system = assemble(grid, cfg)
+    assert (system.operator(dt).E is None) == (stack is random_stack)
+    t0 = TemperatureField(values=np.full(grid.shape, cfg.ambient_c),
+                          grid=grid)
+    spec = TransientSpec(t_end=17 * dt, dt=dt, sample_stride=stride)
+    fields, solves, layer_maxima = solve_transient(system, t0, pmap, spec,
+                                                   options)
 
-    field_t, expected = t0, []
-    for step in range(7):
-        step_map = halved if step % 2 else base
-        source = power_density_field(step_map, grid, field_t.time)
-        field_t = step_transient(system, field_t, source, 0.125, options)
+    hand, field_t = assemble(grid, cfg), t0
+    expected = []
+    for step in range(17):
+        source = power_density_field(other if step % 2 else base, grid,
+                                     field_t.time)
+        field_t = step_transient(hand, field_t, source, dt, options)
         expected.append(field_t)
-    # on_step sees each step once, with its index and the field it made.
-    assert [step for step, _ in stepped] == list(range(7))
-    for (_, got), want in zip(stepped, expected):
-        np.testing.assert_array_equal(got.values, want.values)
-        assert got.time == want.time
-    # Each call sees the field the step starts from.
+    kept = [k for k in range(17) if (k + 1) % stride == 0 or k == 16]
+    assert len(fields) == len(kept)
+    for got, k in zip(fields, kept):
+        np.testing.assert_array_equal(got.values, expected[k].values)
+        assert got.time == expected[k].time
+        assert solves[k] is got.solve
+    assert solves == [f.solve for f in expected]
+    assert all(s.kind == "step" and s.dt == dt for s in solves)
+    assert set(layer_maxima) == set(cfg.device_layer_indices)
+    assert all(len(maxima) == 17 for maxima in layer_maxima.values())
+    for k, f in enumerate(expected):
+        for stats in layer_summary(f):
+            got = layer_maxima[stats.layer_index][k]
+            assert type(got) is float and got == stats.max
     assert seen_at == [(s, f.time) for s, f in
                        enumerate([t0] + expected[:-1])]
-    assert final is stepped[-1][1]
+
+
+def test_report_solves_are_the_steady_the_march_and_the_pdn_records(
+        monkeypatch):
+    """The report keeps the steady solve's record, the march's records
+    as it returned them, then the PDN solve's; its sampled fields are
+    the march's fields, and the final field is the last of them."""
+    marches = []
+    real = stackemu.scenario.solve_transient
+
+    def kept(*args, **kwargs):
+        marches.append(real(*args, **kwargs))
+        return marches[-1]
+    monkeypatch.setattr(stackemu.scenario, "solve_transient", kept)
+    with open(DEMO) as fh:
+        doc = yaml.safe_load(fh)
+    doc["grid"] = {"nx": 8, "ny": 4}
+    doc["transient"]["sample_stride"] = 7
+    report = run_scenario(scenario_from_document(doc))
+    (fields, solves, _), = marches
+    assert len(solves) == 100 and len(fields) == 15
+    assert report.solves[0] is report.steady_field.solve
+    assert all(a is b for a, b in zip(report.solves[1:-1], solves))
+    assert len(report.solves) == 102 and report.solves[-1].kind == "pdn"
+    assert report.sampled_fields == tuple(fields)
+    assert report.final_field is fields[-1]
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -100,12 +151,10 @@ def test_march_ends_at_t_end(small, t_end, dt, steps):
     (0.07 / 0.01 is 7.000000000000001, 0.14 / 0.005 is 28.000000000000004);
     a fractional ratio (0.05 / 0.02 = 2.5) still rounds up."""
     _, system, base, t0 = small
-    stepped = []
-    final = solve_transient(system, t0, base, TransientSpec(t_end, dt),
-                            on_step=lambda step, f: stepped.append(f))
-    assert len(stepped) == steps
-    assert final is stepped[-1]
-    assert final.time == pytest.approx(steps * dt)
+    stepped, solves, _ = solve_transient(system, t0, base,
+                                         TransientSpec(t_end, dt))
+    assert len(stepped) == len(solves) == steps
+    assert stepped[-1].time == pytest.approx(steps * dt)
 
 
 @pytest.mark.parametrize("stride, kept_steps", [
