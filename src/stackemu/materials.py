@@ -1,4 +1,5 @@
-"""Material property table for 3D stack thermal modeling.
+"""Material property table for 3D stack thermal modeling, and the value
+rules every domain type checks its fields with (`stack` exports them).
 
 Conductivities in W/(m K), volumetric heat capacities in J/(m^3 K).
 Values are standard literature defaults; every one of them can be
@@ -7,7 +8,30 @@ overridden by constructing a custom Material in the stack config.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+
+def is_int(value) -> bool:
+    """The rule for every count and index field: an int, not a bool."""
+    return type(value) is int
+
+
+def is_real(value) -> bool:
+    """The rule for every measured value: a finite int or float, not a
+    bool."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def check(obj, names: str, test=is_real, rule="a finite number") -> None:
+    """ValueError("<name> must be <rule>, got <value>") for the first of
+    the fields `names` of obj (keys, if a dict) whose value fails test;
+    config adds the name that starts the message to the error's path."""
+    for name in names.split():
+        value = obj[name] if isinstance(obj, dict) else getattr(obj, name)
+        if not test(value):
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -20,17 +44,11 @@ class Material:
     k_lateral: float | None = None
 
     def __post_init__(self):
-        if self.k <= 0.0:
-            raise ValueError(f"material {self.name!r}: k must be > 0, got {self.k}")
-        if self.volumetric_heat_capacity <= 0.0:
-            raise ValueError(
-                f"material {self.name!r}: volumetric_heat_capacity must be > 0, "
-                f"got {self.volumetric_heat_capacity}"
-            )
-        if self.k_lateral is not None and self.k_lateral <= 0.0:
-            raise ValueError(
-                f"material {self.name!r}: k_lateral must be > 0, got {self.k_lateral}"
-            )
+        check(self, "name", lambda v: isinstance(v, str) and v,
+              "a non-empty string")
+        check(self, "k volumetric_heat_capacity" + (
+            "" if self.k_lateral is None else " k_lateral"),
+            lambda v: is_real(v) and v > 0, "> 0 and finite")
 
     @property
     def kxy(self) -> float:

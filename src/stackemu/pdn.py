@@ -12,15 +12,14 @@ simulation.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-import math
 
 import numpy as np
 
 from .power import PowerMap, areal_density, tile_weights
 from .solver import LayeredOperator, SolveOptions, lattice_matrix, solve_cg
-from .stack import StackConfig, is_int
+from .stack import StackConfig, check, is_int, is_real
 
 
 class PdnConfigError(ValueError):
@@ -43,18 +42,13 @@ class PdnParams:
     l_loop_proxy: float = 1e-12      # H
 
     def __post_init__(self):
-        if not all(map(math.isfinite, astuple(self))):
-            raise ValueError("PDN parameters must be finite")
-        for name in ("sheet_ohm_sq", "r_c4", "r_uc4", "r_tsv", "vdd",
-                     "decap_per_node", "l_loop_proxy"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if not self.r_pkg >= 0:
-            raise ValueError("r_pkg must be >= 0")
-        if not (is_int(self.nx) and is_int(self.ny)):
-            raise ValueError("node grid nx and ny must be integers")
-        if not (self.nx >= 1 and self.ny >= 1):
-            raise ValueError("node grid must be at least 1x1")
+        check(self, "nx ny", lambda v: is_int(v) and v >= 1,
+              "an integer >= 1")
+        positive = "vdd sheet_ohm_sq r_c4 r_uc4 r_tsv decap_per_node " \
+            "l_loop_proxy"
+        check(self, f"{positive} r_pkg")
+        check(self, positive, lambda v: v > 0, "positive")
+        check(self, "r_pkg", lambda v: v >= 0, ">= 0")
 
 
 @dataclass(frozen=True)
@@ -176,7 +170,7 @@ def coupling_report(pdn: PdnGrid, aggressor_plane: int, step: float,
     if not (is_int(aggressor_plane) and 0 <= aggressor_plane < pdn.n_planes):
         raise ValueError(f"aggressor plane {aggressor_plane!r} out of range "
                          f"(an int in [0, {pdn.n_planes}))")
-    if not 0 <= step < math.inf:
+    if not (is_real(step) and step >= 0):
         raise ValueError("step must be >= 0 and finite")
     # The drop is linear in the draw and A (Vdd - v) = I, so the induced
     # drop solves A d = dI.

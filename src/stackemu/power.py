@@ -11,12 +11,12 @@ resolution.
 from __future__ import annotations
 
 import csv
-import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .stack import StackConfig, VoxelGrid, is_int
+from .stack import StackConfig, VoxelGrid, check, is_int
 
 
 class Profile:
@@ -26,13 +26,12 @@ class Profile:
         raise NotImplementedError
 
 
-def _check_profile(densities, others=()) -> None:
+def _check_profile(profile, densities: str, others: str = "") -> None:
     """Every profile's rule: its densities and other values (times,
-    duty) are finite, and its densities are >= 0."""
-    if not all(map(math.isfinite, (*densities, *others))):
-        raise ValueError("power profile values must be finite")
-    if min(densities) < 0:
-        raise ValueError("power densities must be >= 0")
+    duty), named as in check, are finite numbers, and its densities are
+    >= 0."""
+    check(profile, f"{densities} {others}")
+    check(profile, densities, lambda v: v >= 0, ">= 0")
 
 
 @dataclass(frozen=True)
@@ -40,7 +39,7 @@ class Constant(Profile):
     p: float = 0.0
 
     def __post_init__(self):
-        _check_profile((self.p,))
+        _check_profile(self, "p")
 
     def power_at(self, t: float) -> float:
         return self.p
@@ -52,8 +51,8 @@ class Step(Profile):
     p1: float
     t_switch: float
 
-    def __post_init__(self):
-        _check_profile((self.p0, self.p1), (self.t_switch,))
+    def __post_init__(self):   # t_switch is >= 0, as the densities are
+        _check_profile(self, "p0 p1 t_switch")
 
     def power_at(self, t: float) -> float:
         return self.p0 if t < self.t_switch else self.p1
@@ -69,11 +68,9 @@ class Periodic(Profile):
     duty: float = 0.5
 
     def __post_init__(self):
-        _check_profile((self.p_low, self.p_high), (self.period, self.duty))
-        if self.period <= 0:
-            raise ValueError("period must be positive")
-        if not 0.0 <= self.duty <= 1.0:
-            raise ValueError("duty must be in [0, 1]")
+        _check_profile(self, "p_low p_high", "period duty")
+        check(self, "period", lambda v: v > 0, "positive")
+        check(self, "duty", lambda v: 0 <= v <= 1, "in [0, 1]")
 
     def power_at(self, t: float) -> float:
         phase = (t % self.period) / self.period
@@ -94,8 +91,9 @@ class Trace(Profile):
         object.__setattr__(self, "samples", tuple(map(tuple, self.samples)))
         if not self.samples:
             raise ValueError("trace needs at least one sample")
-        ts, densities = zip(*self.samples)
-        _check_profile(densities, ts)
+        for t, p in self.samples:
+            _check_profile({"t": t, "p": p}, "p", "t")
+        ts = [t for t, _ in self.samples]
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError(_NOT_INCREASING)
         object.__setattr__(self, "_times", np.array(ts))
@@ -111,6 +109,8 @@ def load_trace_csv(path) -> Trace:
     """Two columns `t_seconds,power_w_per_cm2`, header required. Each row
     is checked as it is read, by Trace's rules, so an error names its
     line."""
+    if not (isinstance(path, (str, os.PathLike)) and os.path.basename(path)):
+        raise ValueError(f"path must name a file, got {path!r}")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -124,7 +124,8 @@ def load_trace_csv(path) -> Trace:
                 if len(row) != 2:
                     raise ValueError(f"expected 2 fields, got {len(row)}")
                 t, p = float(row[0]), float(row[1])
-                _check_profile((p,), (t,))
+                _check_profile({"t_seconds": t, "power_w_per_cm2": p},
+                               "power_w_per_cm2", "t_seconds")
                 if samples and t <= samples[-1][0]:
                     raise ValueError(_NOT_INCREASING)
                 samples.append((t, p))
@@ -203,8 +204,9 @@ class PowerMap:
         return self.profiles[layer][row][col]
 
     def check_tile(self, layer: int, row: int, col: int):
-        if not all(map(is_int, (layer, row, col))):
-            raise IndexError(f"tile ({layer}, {row}, {col}) needs integers")
+        for name, index in (("layer", layer), ("row", row), ("col", col)):
+            if not is_int(index):
+                raise IndexError(f"{name} must be an integer, got {index!r}")
         if not 0 <= layer < self.n_device_layers:
             raise IndexError(f"device layer {layer} out of range")
         rows, cols = self.tile_shape(layer)
@@ -295,7 +297,8 @@ def power_density_field(pmap: PowerMap, grid: VoxelGrid,
     in device slabs. Tile areal density spreads through the full die
     thickness. pmap has a PowerMap's `config` and `densities(layer, t)`.
     The grid's last field comes back while the densities at t have the
-    same bits, all it depends on once the stacks match."""
+    same bits, all it depends on once the stacks match. A density too
+    large for a float64 in W/m^3 is a ValueError naming its layer and t."""
     if grid.config is not pmap.config and grid.config != pmap.config:
         raise ValueError("power map and grid come from different stacks")
     weights, slabs, thickness = grid.cached("raster",
@@ -306,8 +309,13 @@ def power_density_field(pmap: PowerMap, grid: VoxelGrid,
     if last[0] == key:
         return last[1]
     field = np.zeros(grid.shape)
-    for ordinal, areal in areal_density(densities, weights):
-        field[slabs[ordinal]] += areal / thickness[ordinal]
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        for ordinal, areal in areal_density(densities, weights):
+            density = areal / thickness[ordinal]
+            if not np.isfinite(density).all():
+                raise ValueError(f"device layer {ordinal} power density at "
+                                 f"t = {t} s overflows a float64 in W/m^3")
+            field[slabs[ordinal]] += density
     field.setflags(write=False)
     last[:] = key, field
     return field

@@ -10,12 +10,13 @@ arrays, (k, 3) voxels and their (k,) scores, from the gradient to the CSV.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field, fields
 import math
 
 import numpy as np
 
 from .solver import LayerStats, TemperatureField
+from .stack import check
 
 BOLTZMANN_EV = 8.617333262e-5  # eV/K
 ZERO_C_IN_K = 273.15
@@ -31,20 +32,13 @@ class ReliabilityParams:
     stress_percentile: float = 99.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, astuple(self))):
-            raise ValueError("reliability parameters must be finite")
-        if not self.ea_ev > 0:
-            raise ValueError("activation energy must be positive")
-        if not self.reference_t_c > -ZERO_C_IN_K:
-            raise ValueError("reference_t_c must be above -273.15 C")
-        if not self.cycling_exponent > 0:
-            raise ValueError("cycling exponent must be positive")
-        if not self.delta_t_ref > 0:
-            raise ValueError("delta_t_ref must be positive")
-        if not self.stress_cte_weight > 0:
-            raise ValueError("stress_cte_weight must be positive")
-        if not 0 <= self.stress_percentile <= 100:
-            raise ValueError("stress percentile must be in [0, 100]")
+        check(self, " ".join(f.name for f in fields(self)))
+        check(self, "ea_ev cycling_exponent delta_t_ref stress_cte_weight",
+              lambda v: v > 0, "positive")
+        check(self, "reference_t_c", lambda v: v > -ZERO_C_IN_K,
+              "above -273.15 C")
+        check(self, "stress_percentile", lambda v: 0 <= v <= 100,
+              "in [0, 100]")
 
 
 def em_acceleration(t_c: float,

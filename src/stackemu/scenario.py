@@ -29,7 +29,7 @@ from .sensors import (SensorNetwork, SensorSpec, check_k, check_site,
 from .solver import (DiscreteSystem, LayerStats, SolveOptions, SolveStats,
                      TemperatureField, assemble, layer_summary, solve_steady,
                      step_transient)
-from .stack import StackConfig, discretize, is_int
+from .stack import StackConfig, check, discretize, is_int, is_real
 
 
 class StageError(RuntimeError):
@@ -56,8 +56,7 @@ class _Hysteresis:
     release_t: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.trigger_t, self.release_t))):
-            raise ValueError("trigger_T and release_T must be finite")
+        check(self, "trigger_t release_t")
         if not self.release_t < self.trigger_t:
             raise ValueError("release_T must be below trigger_T (hysteresis)")
 
@@ -68,8 +67,8 @@ class ThrottlePolicy(_Hysteresis):
 
     def __post_init__(self):
         super().__post_init__()
-        if not 0.0 < self.throttle_factor < 1.0:
-            raise ValueError("throttle_factor must be in (0, 1)")
+        check(self, "throttle_factor", lambda v: is_real(v) and 0 < v < 1,
+              "in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -96,8 +95,8 @@ class TransientSpec:
     sample_stride: int = 1
 
     def __post_init__(self):
-        if not (0 < self.t_end < np.inf and 0 < self.dt < np.inf):
-            raise ValueError("t_end and dt must be positive and finite")
+        check(self, "t_end dt")
+        check(self, "t_end dt", lambda v: v > 0, "positive")
         if not self.t_end / self.dt < np.inf:
             raise ValueError(f"t_end / dt = {self.t_end} / {self.dt} is "
                              "not a finite step count")
@@ -121,9 +120,10 @@ class GridSpec:
     ny: int = 16
     sub_slabs_per_layer: int = 1
 
-    def __post_init__(self):   # their ranges are discretize's
-        if not all(map(is_int, astuple(self))):
-            raise ValueError("nx, ny and sub_slabs_per_layer must be integers")
+    def __post_init__(self):   # discretize's ranges, checked at load
+        check(self, "nx ny sub_slabs_per_layer", is_int, "an integer")
+        check(self, "nx ny", lambda v: v >= 2, ">= 2")
+        check(self, "sub_slabs_per_layer", lambda v: v >= 1, ">= 1")
 
 
 @dataclass(frozen=True)
@@ -159,6 +159,8 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
+        check(self, "name", lambda v: isinstance(v, str) and v,
+              "a non-empty string")
         if self.policy is not None and self.transient is None:
             raise ValueError("a DTM policy needs a transient section")
         if not is_int(self.seed):

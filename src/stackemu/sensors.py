@@ -16,7 +16,7 @@ from numpy.random import default_rng   # loaded here, not inside a run
 
 from .fields_io import rows_to_csv
 from .solver import TemperatureField
-from .stack import StackConfig, VoxelGrid, is_int
+from .stack import StackConfig, VoxelGrid, check, is_int
 
 
 @dataclass(frozen=True)
@@ -30,18 +30,11 @@ class SensorSpec:
     quantization_step: float = 0.25  # K
     sample_period: float = 1e-3      # s
 
-    def __post_init__(self):
-        if not is_int(self.layer):
-            raise ValueError("sensor layer must be an integer")
-        if not all(map(math.isfinite, (self.x_mm, self.y_mm, self.noise_sigma,
-                                        self.quantization_step,
-                                        self.sample_period))):
-            raise ValueError("sensor site, noise, quantization and sample "
-                             "period must be finite")
-        if self.noise_sigma < 0 or self.quantization_step < 0:
-            raise ValueError("noise_sigma and quantization_step must be >= 0")
-        if self.sample_period <= 0:
-            raise ValueError("sample_period must be positive")
+    def __post_init__(self):   # the site's range is check_site's
+        check(self, "layer", is_int, "an integer")
+        check(self, "x_mm y_mm noise_sigma quantization_step sample_period")
+        check(self, "noise_sigma quantization_step", lambda v: v >= 0, ">= 0")
+        check(self, "sample_period", lambda v: v > 0, "positive")
 
     @property
     def site(self) -> tuple[int, float, float]:

@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .stack import StackConfig, VoxelGrid, is_int
+from .stack import StackConfig, VoxelGrid, is_int, is_real
 
 
 class ConvergenceError(RuntimeError):
@@ -67,7 +67,7 @@ class SolveOptions:
     max_iterations: int | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.tolerance < 1.0:
+        if not (is_real(self.tolerance) and 0.0 < self.tolerance < 1.0):
             raise ValueError("tolerance must be in (0, 1)")
         if self.max_iterations is not None and not (
                 is_int(self.max_iterations) and self.max_iterations >= 1):
@@ -230,8 +230,9 @@ def _face_conductance(k1, k2, d1, d2, area):
 
 def _face_conductances(grid: VoxelGrid, slabs, faces):
     """Conductances gx, gy inside `slabs` and gz from each of `faces` up."""
-    kx, kz = grid.conductivities(np.concatenate([slabs, faces, faces + 1]))
-    kx, lo, hi = kx[:len(slabs)], *np.split(kz[len(slabs):], 2)
+    kx = grid.conductivities(slabs)[0]
+    lo, hi = np.split(grid.conductivities(
+        np.concatenate([faces, faces + 1]))[1], 2)
     dx, dy, dz = grid.dx_m, grid.dy_m, grid.dz_m[:, None, None]
     return (_face_conductance(kx[:, :, :-1], kx[:, :, 1:], dx, dx,
                               dy * dz[slabs]),

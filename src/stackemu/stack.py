@@ -10,18 +10,12 @@ footprints get homogenized (kxy, kz), the rest carry the layer material.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .materials import (
-    BOND_UNDERFILL,
-    Material,
-    PACKAGE_BUMPS,
-    SILICON,
-    TIM,
-)
+from .materials import (BOND_UNDERFILL, PACKAGE_BUMPS, SILICON, TIM,
+                        Material, check, is_int, is_real)
 from .tsv import effective_conductivity
 
 
@@ -39,11 +33,6 @@ class LayerRole(enum.Enum):
 DEVICE_ROLES = (LayerRole.SP, LayerRole.SN2, LayerRole.SN1, LayerRole.S0)
 
 
-def is_int(value) -> bool:
-    """The rule for every count and index field: an int, not a bool."""
-    return type(value) is int
-
-
 @dataclass(frozen=True)
 class TsvFarmSpec:
     """Axis-aligned rectangular farm footprint in die coordinates (mm)."""
@@ -59,18 +48,13 @@ class TsvFarmSpec:
     liner_material: Material | None = None
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (
-                self.x0_mm, self.y0_mm, self.x1_mm, self.y1_mm,
-                self.via_diameter_um, self.via_pitch_um,
-                self.liner_thickness_um))):
-            raise ValueError("farm footprint and via dimensions must be "
-                             "finite")
+        check(self, "x0_mm y0_mm x1_mm y1_mm via_diameter_um via_pitch_um "
+              "liner_thickness_um")
         if self.x1_mm <= self.x0_mm or self.y1_mm <= self.y0_mm:
             raise ValueError("farm footprint must have positive area")
-        if self.via_diameter_um <= 0 or self.via_pitch_um <= 0:
-            raise ValueError("via diameter and pitch must be positive")
-        if self.liner_thickness_um < 0:
-            raise ValueError("liner thickness must be >= 0")
+        check(self, "via_diameter_um via_pitch_um", lambda v: v > 0,
+              "positive")
+        check(self, "liner_thickness_um", lambda v: v >= 0, ">= 0")
         if self.liner_thickness_um > 0 and self.liner_material is None:
             raise ValueError("liner material required when liner thickness > 0")
         if self.via_pitch_um <= self.via_diameter_um + 2 * self.liner_thickness_um:
@@ -92,12 +76,12 @@ class LayerSpec:
     tile_cols: int = 8
 
     def __post_init__(self):
-        if self.thickness_um <= 0:
-            raise ValueError("layer thickness must be positive")
-        if not (is_int(self.tile_rows) and is_int(self.tile_cols)):
-            raise ValueError("tile_rows and tile_cols must be integers")
-        if self.tile_rows < 1 or self.tile_cols < 1:
-            raise ValueError("tile grid must be at least 1x1")
+        object.__setattr__(self, "role", LayerRole(self.role))
+        check(self, "thickness_um", lambda v: is_real(v) and v > 0,
+              "positive and finite")
+        check(self, "has_tsvs", lambda v: type(v) is bool, "a bool")
+        check(self, "tile_rows tile_cols", lambda v: is_int(v) and v >= 1,
+              "an integer >= 1")
         object.__setattr__(self, "tsv_farms", tuple(self.tsv_farms))
 
     @property
@@ -114,7 +98,9 @@ class StackConfig:
     heat_sink_h: float = 8700.0    # W/(m^2 K), water-cooled sink proxy
     package_resistance: float = 5e-4  # K m^2 / W, areal, bottom face
 
-    def __post_init__(self):
+    def __post_init__(self):   # their ranges are validate_stack's
+        check(self, "die_width_mm die_length_mm ambient_c heat_sink_h "
+              "package_resistance")
         object.__setattr__(self, "layers", tuple(self.layers))
 
     @property
@@ -198,8 +184,9 @@ def preset_stack(n_layers: int) -> StackConfig:
     """Reference 2/3/4-layer stacks: 12 mm x 6 mm dies, thinned 50 um
     SP/SN layers with TSVs, thick S0 under the heat sink, bond slabs
     between dies, C4/package slab below, TIM slab on top."""
-    if n_layers not in (2, 3, 4):
-        raise ValueError(f"n_layers must be 2, 3 or 4, got {n_layers}")
+    if not (is_int(n_layers) and n_layers in (2, 3, 4)):
+        raise ValueError(f"n_layers must be the integer 2, 3 or 4, got "
+                         f"{n_layers!r}")
 
     device_order = {
         2: [LayerRole.SP, LayerRole.S0],

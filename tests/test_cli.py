@@ -136,7 +136,8 @@ def test_unconverged_solve_exits_2_and_writes_nothing(tmp_path, capsys):
 
 def test_reference_temperature_at_or_below_absolute_zero_exits_1(
         tmp_path, capsys):
-    """The bound sits in the schema too, so the error names the key."""
+    """The rule's message starts with its field, so the error names the
+    key."""
     config = tmp_path / "scenario.yaml"
     config.write_text(DOC.replace("reliability: {}",
                                   "reliability: {reference_t_c: -300.0}"))

@@ -1,20 +1,23 @@
 import copy
 import hashlib
 import importlib.util
+import math
 import os
 import subprocess
 import sys
 
-import jsonschema
 import pytest
 import yaml
 
 from stackemu.cli import main
-from stackemu.config import (ConfigError, _schema, _validator,
-                             load_scenario, scenario_from_document,
-                             validate_document)
-from stackemu.materials import Material
-from stackemu.scenario import run_scenario, scenario_hash
+from stackemu.config import (ConfigError, load_scenario,
+                             scenario_from_document, validate_document)
+from stackemu.materials import COPPER, SILICON, Material
+from stackemu.power import Constant, PowerMap, Step
+from stackemu.scenario import (Scenario, ThrottlePolicy, TransientSpec,
+                               run_scenario, scenario_hash)
+from stackemu.sensors import SensorSpec
+from stackemu.stack import LayerRole, LayerSpec, TsvFarmSpec, preset_stack
 
 DEMO = os.path.join(os.path.dirname(__file__), "..", "scenarios",
                     "demo_2layer.yaml")
@@ -57,15 +60,6 @@ def farm_doc() -> dict:
             "transient": "steady-only"}
 
 
-def test_bundled_schema_is_valid_for_its_meta_schema():
-    schema = _schema()
-    jsonschema.validators.validator_for(schema).check_schema(schema)
-
-
-def test_validator_is_built_once():
-    assert _validator() is _validator()
-
-
 @pytest.mark.parametrize("doc", [demo_doc(), farm_doc()],
                          ids=["demo", "farms"])
 def test_valid_documents_load(doc):
@@ -105,23 +99,29 @@ def _farm_negative_diameter(doc):
     doc["stack"]["layers"][1]["tsv_farms"][0]["via_diameter_um"] = -5.0
 
 
-@pytest.mark.parametrize("base, edit", [
-    (demo_doc, _unknown_key), (demo_doc, _wrong_type),
-    (demo_doc, _below_minimum), (demo_doc, _missing_required),
-    (demo_doc, _bad_enum), (demo_doc, _bad_one_of),
-    (farm_doc, _farm_missing_pitch), (farm_doc, _farm_negative_diameter),
-], ids=lambda v: v.__name__.strip("_"))
-def test_messages_match_jsonschema_validate(base, edit):
-    """The cached validator raises the same error jsonschema.validate
-    raises, so every ConfigError message is unchanged."""
+@pytest.mark.parametrize("base, edit, path", [
+    (demo_doc, _unknown_key, "<root>: unknown keys ['bogus_key']"),
+    (demo_doc, _wrong_type, "grid/nx: nx must be an integer, got '32'"),
+    (demo_doc, _below_minimum, "grid/ny: ny must be >= 2, got 1"),
+    (demo_doc, _missing_required, "<root>: missing keys ['grid']"),
+    (demo_doc, _bad_enum, "stack/preset: n_layers must be the integer 2"),
+    (demo_doc, _bad_one_of, "pdn: expected a dict, got 'enabled'"),
+    (farm_doc, _farm_missing_pitch, "stack/layers/3/tsv_farms/1: "),
+    (farm_doc, _farm_negative_diameter,
+     "stack/layers/1/tsv_farms/0/via_diameter_um: "),
+], ids=lambda v: v.__name__.strip("_") if callable(v) else "validate")
+def test_invalid_document_names_its_path(tmp_path, capsys, base, edit,
+                                         path):
+    """A document of the wrong shape, or with a value that its type's
+    rule refuses, fails `validate` with exit 1, naming the key at
+    fault."""
     doc = base()
     edit(doc)
-    with pytest.raises(jsonschema.ValidationError) as ref:
-        jsonschema.validate(doc, _schema())
-    path = "/".join(str(p) for p in ref.value.absolute_path) or "<root>"
-    with pytest.raises(ConfigError) as got:
-        validate_document(doc)
-    assert str(got.value) == f"config invalid at {path}: {ref.value.message}"
+    config = tmp_path / "scenario.yaml"
+    config.write_text(yaml.safe_dump(doc))
+    assert main(["--config", str(config), "validate"]) == 1
+    assert f"validation error: config invalid at {path}" in \
+        capsys.readouterr().err
 
 
 def _numeric_leaves(node, path=()):
@@ -243,7 +243,7 @@ def _assert_float_for_integer_rejected(tmp_path, capsys, doc, leaf):
     assert code == 1
     path = "/".join(map(str, leaf))
     assert f"config invalid at {path}: " in err
-    assert "is not of type 'integer'" in err
+    assert "integer" in err
     assert not os.path.exists(tmp_path / "run_report.txt")
 
 
@@ -253,33 +253,20 @@ def test_float_for_integer_rejected_at_load(tmp_path, capsys, leaf):
     _assert_float_for_integer_rejected(tmp_path, capsys, demo_doc(), leaf)
 
 
-def _schema_type(path):
-    """The type the bundled schema gives the document leaf at path,
-    through its $refs and the object branch of a oneOf."""
-    schema = node = _schema()
-    for key in path + (None,):
-        while "$ref" in node or "oneOf" in node:
-            node = (schema["$defs"][node["$ref"].rsplit("/", 1)[1]]
-                    if "$ref" in node else next(
-                        b for b in node["oneOf"] if b.get("type") == "object"))
-        if key is None:
-            return node["type"]
-        node = node["items"] if isinstance(key, int) \
-            else node["properties"][key]
-
-
-# The farm document writes one number key as an int (S0's thickness_um),
-# so its integer leaves are the schema's, not the ints it holds.
-FARM_INTEGER_LEAVES = [p for p in _numeric_leaves(small_farm_doc())
-                       if _schema_type(p) == "integer"]
+# The farm document's count and index leaves; it also writes one number
+# key as an int, S0's thickness_um.
+FARM_INTEGER_LEAVES = [
+    ("seed",), ("grid", "nx"), ("grid", "ny"),
+    ("power", "assignments", 0, "layer"),
+    ("sensors", "auto_place", "k"), ("pdn", "nx"), ("pdn", "ny")]
 
 
 def test_farm_doc_has_the_integer_leaves_the_fuzz_expects():
-    assert FARM_INTEGER_LEAVES == [
-        ("seed",), ("grid", "nx"), ("grid", "ny"),
-        ("power", "assignments", 0, "layer"),
-        ("sensors", "auto_place", "k"), ("pdn", "nx"), ("pdn", "ny")]
-    assert all(_schema_type(p) == "integer" for p in INTEGER_LEAVES)
+    doc = small_farm_doc()
+    assert [p for p in _numeric_leaves(doc)
+            if isinstance(_leaf(doc, p), int)] == \
+        FARM_INTEGER_LEAVES[:1] + [("stack", "layers", 7, "thickness_um")] \
+        + FARM_INTEGER_LEAVES[1:]
 
 
 @pytest.mark.parametrize("leaf", FARM_INTEGER_LEAVES,
@@ -293,8 +280,9 @@ def test_float_for_integer_farm_leaf_rejected_at_load(tmp_path, capsys,
 def test_bool_is_not_an_integer():
     doc = demo_doc()
     doc["grid"]["sub_slabs_per_layer"] = True
-    with pytest.raises(ConfigError, match="True is not of type 'integer'"):
-        validate_document(doc)
+    with pytest.raises(ConfigError, match="at grid/sub_slabs_per_layer: "
+                       ".* an integer, got True"):
+        scenario_from_document(doc)
 
 
 SIC_YAML = """\
@@ -321,11 +309,45 @@ def test_material_mapping_loads_as_that_material(tmp_path):
 
 def test_exponent_without_sign_is_a_string(tmp_path, capsys):
     """PyYAML reads YAML 1.1, where a float needs a dot and a signed
-    exponent: `2.2e6` loads as a string and fails the schema."""
+    exponent: `2.2e6` loads as a string, which is not a number."""
     path = tmp_path / "scenario.yaml"
     path.write_text(SIC_YAML.replace("2.2e+6", "2.2e6"))
     assert main(["--config", str(path), "validate"]) == 1
-    assert "'2.2e6' is not of type 'number'" in capsys.readouterr().err
+    assert ("config invalid at stack/layers/0/material/"
+            "volumetric_heat_capacity: volumetric_heat_capacity must be > 0 "
+            "and finite, got '2.2e6'") in capsys.readouterr().err
+
+
+def _scenario(name):
+    stack = preset_stack(2)
+    return Scenario(name=name, stack=stack, power=PowerMap.zeros(stack))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Material("m", math.nan, 1.6e6),
+    lambda: Material("m", True, 1.6e6),
+    lambda: Material("m", "2.2e6", 1.6e6),
+    lambda: LayerSpec(LayerRole.SP, math.nan, SILICON),
+    lambda: LayerSpec(LayerRole.SP, 50.0, SILICON, has_tsvs="no"),
+    lambda: TsvFarmSpec(0.0, 0.0, 1.0, 1.0, True, 10.0, COPPER),
+    lambda: Constant(True),
+    lambda: Step(1.0, 2.0, t_switch=-1.0),
+    lambda: SensorSpec(0, True, 1.0),
+    lambda: ThrottlePolicy(trigger_t=True, release_t=0.0),
+    lambda: TransientSpec(t_end=1.0, dt=True),
+    lambda: _scenario(""),
+    lambda: _scenario(5),
+], ids=["material-k-nan", "material-k-bool", "material-k-string",
+        "layer-thickness-nan", "layer-has-tsvs-string", "farm-diameter-bool",
+        "constant-bool", "step-negative-switch", "sensor-x-bool",
+        "throttle-trigger-bool", "transient-dt-bool", "scenario-name-empty",
+        "scenario-name-int"])
+def test_library_types_hold_the_rules_yaml_is_held_to(build):
+    """A value the YAML loader refuses is refused by the type itself, so
+    a library caller gets the same check: no NaN, no bool or string for a
+    number, no negative switch time and no empty or non-string name."""
+    with pytest.raises(ValueError):
+        build()
 
 
 def _add_assignment(doc, **assignment):
@@ -414,8 +436,8 @@ def test_malformed_section_exits_1_at_load(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize("row, message", [
-    ("0.1,nan", "power profile values must be finite"),
-    ("0.1,inf", "power profile values must be finite"),
+    ("0.1,nan", "power_w_per_cm2 must be a finite number, got nan"),
+    ("0.1,inf", "power_w_per_cm2 must be a finite number, got inf"),
     ("0.0,2.0", "trace timestamps must be strictly increasing")],
     ids=["nan", "inf", "repeated-time"])
 def test_trace_content_error_names_key_file_and_line(tmp_path, capsys, row,
@@ -495,7 +517,7 @@ def test_sensor_rules_fail_at_load(tmp_path, capsys, command, sensors, rule):
                  command])
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
-    assert f"validation error: {rule}" in err
+    assert f"validation error: config invalid at <root>: {rule}" in err
     assert "Traceback" not in err
     assert os.listdir(tmp_path) == ["scenario.yaml"]
 

@@ -328,5 +328,6 @@ def test_pdn_rules(pdn2, call, fragment):
 def test_params_reject_non_finite(kwargs):
     """A non-finite parameter would reach the report as a nan droop or
     drop; it fails when the parameters are built."""
-    with pytest.raises(ValueError, match="PDN parameters must be finite"):
+    with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be a "
+                       "finite number"):
         PdnParams(**kwargs)

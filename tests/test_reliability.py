@@ -375,12 +375,12 @@ NAN, INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize("kwargs, fragment", [
-    (dict(ea_ev=NAN), "must be finite"),
-    (dict(reference_t_c=NAN), "must be finite"),
-    (dict(reference_t_c=INF), "must be finite"),
-    (dict(cycling_exponent=NAN), "must be finite"),
-    (dict(delta_t_ref=INF), "must be finite"),
-    (dict(stress_cte_weight=NAN), "must be finite"),
+    (dict(ea_ev=NAN), "ea_ev must be a finite number"),
+    (dict(reference_t_c=NAN), "reference_t_c must be a finite number"),
+    (dict(reference_t_c=INF), "reference_t_c must be a finite number"),
+    (dict(cycling_exponent=NAN), "cycling_exponent must be a finite number"),
+    (dict(delta_t_ref=INF), "delta_t_ref must be a finite number"),
+    (dict(stress_cte_weight=NAN), "stress_cte_weight must be a finite number"),
     (dict(reference_t_c=-300.0), "reference_t_c must be above -273.15"),
     (dict(reference_t_c=-273.15), "reference_t_c must be above -273.15"),
     (dict(stress_cte_weight=0.0), "stress_cte_weight must be positive"),

@@ -59,13 +59,16 @@ FARM_TRANSIENT = {
                "throttle_factor": 0.6, "period_steps": 2},
 }
 
-# Makes every import of scipy or a scipy submodule raise.
-BLOCK_SCIPY = """
-class BlockScipy:
+def block(*packages: str) -> str:
+    """Code that makes every import of the packages, or of a submodule of
+    one, raise. Every run here also blocks jsonschema: the package needs
+    no schema library."""
+    return f"""
+class Block:
     def find_spec(self, name, path=None, target=None):
-        if name == "scipy" or name.startswith("scipy."):
-            raise ImportError(f"{name} is blocked")
-sys.meta_path.insert(0, BlockScipy())
+        if name.split(".")[0] in {("jsonschema", *packages)!r}:
+            raise ImportError(f"{{name}} is blocked")
+sys.meta_path.insert(0, Block())
 """
 
 
@@ -168,14 +171,14 @@ def document(request, tmp_path):
 def reports(request, tmp_path_factory):
     """(name, {blocked: {"stdout" or artifact name: bytes}}) of `stackemu
     report` on the demo or FARM_TRANSIENT, with scipy imports made to
-    raise (blocked True) and free to run."""
+    raise (blocked True) and free to run; jsonschema is blocked in both."""
     tmp = tmp_path_factory.mktemp(request.param)
     document = _document(request.param, tmp)
     outputs = {}
     for blocked in (True, False):
         out = tmp / ("blocked" if blocked else "free")
         out.mkdir()
-        code = (BLOCK_SCIPY if blocked else "") + (
+        code = block(*["scipy"] * blocked) + (
             "from stackemu.cli import main\n"
             "sys.exit(main(sys.argv[1:]))\n")
         proc = run_python(code, "--config", document, "--out",
@@ -188,7 +191,7 @@ def reports(request, tmp_path_factory):
 
 
 def test_importing_the_cli_and_runner_leaves_scipy_out():
-    proc = run_python("import stackemu.cli, stackemu.scenario\n"
+    proc = run_python(block() + "import stackemu.cli, stackemu.scenario\n"
                       "print('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

@@ -251,17 +251,17 @@ def test_material_rules(build, fragment):
     (lambda: TsvFarmSpec(1.0, 0.0, 1.0, 1.0, 5.0, 10.0, COPPER),
      "farm footprint must have positive area"),
     (lambda: TsvFarmSpec(0.0, 0.0, 1.0, 1.0, 0.0, 10.0, COPPER),
-     "via diameter and pitch must be positive"),
+     "via_diameter_um must be positive"),
     (lambda: TsvFarmSpec(0.0, 0.0, 1.0, 1.0, 5.0, -10.0, COPPER),
-     "via diameter and pitch must be positive"),
+     "via_pitch_um must be positive"),
     (lambda: TsvFarmSpec(0.0, 0.0, 1.0, 1.0, 5.0, 10.0, COPPER, -0.5, SIO2),
-     "liner thickness must be >= 0"),
+     "liner_thickness_um must be >= 0"),
     (lambda: TsvFarmSpec(0.0, 0.0, 1.0, 1.0, 5.0, 10.0, TUNGSTEN, 0.5),
      "liner material required"),
     (lambda: LayerSpec(LayerRole.SP, 0.0, SILICON),
-     "layer thickness must be positive"),
+     "thickness_um must be positive and finite"),
     (lambda: LayerSpec(LayerRole.SP, 50.0, SILICON, tile_rows=0),
-     "tile grid must be at least 1x1"),
+     "tile_rows must be an integer >= 1"),
     (lambda: discretize(replace(preset_stack(2), die_width_mm=0.0), 4, 4),
      "die-size"),
     (lambda: discretize(replace(preset_stack(2), heat_sink_h=0.0), 4, 4),

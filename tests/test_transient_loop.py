@@ -122,10 +122,10 @@ def test_report_solves_are_the_steady_the_march_and_the_pdn_records(
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    (dict(t_end=0.0, dt=0.01), "t_end and dt must be positive and finite"),
-    (dict(t_end=np.inf, dt=0.01), "t_end and dt must be positive and finite"),
-    (dict(t_end=0.1, dt=-0.01), "t_end and dt must be positive and finite"),
-    (dict(t_end=0.1, dt=np.nan), "t_end and dt must be positive and finite"),
+    (dict(t_end=0.0, dt=0.01), "t_end must be positive, got 0.0"),
+    (dict(t_end=np.inf, dt=0.01), "t_end must be a finite number, got inf"),
+    (dict(t_end=0.1, dt=-0.01), "dt must be positive, got -0.01"),
+    (dict(t_end=0.1, dt=np.nan), "dt must be a finite number, got nan"),
     (dict(t_end=0.1, dt=0.01, sample_stride=0),
      "sample_stride must be >= 1"),
     (dict(t_end=1.0, dt=1.0e-9), "over MAX_STEPS = 10000000 steps"),
@@ -137,7 +137,7 @@ def test_invalid_march_raises_the_transient_spec_message(kwargs, message):
 
 @pytest.mark.parametrize("stride", [2.5, 3.0, True])
 def test_sample_stride_must_be_an_integer(stride):
-    """As the YAML schema's "integer": an int, not 3.0 or True."""
+    """An int, not 3.0 or True."""
     with pytest.raises(ValueError, match="sample_stride must be >= 1"):
         stackemu.scenario.TransientSpec(t_end=0.05, dt=0.005,
                                         sample_stride=stride)
