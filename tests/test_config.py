@@ -1,6 +1,8 @@
 import copy
+import dataclasses
 import hashlib
 import importlib.util
+import inspect
 import math
 import os
 import subprocess
@@ -10,14 +12,15 @@ import pytest
 import yaml
 
 from stackemu.cli import main
-from stackemu.config import (ConfigError, load_scenario,
+from stackemu.config import (_REQUIRED, _SHAPE, ConfigError, load_scenario,
                              scenario_from_document, validate_document)
 from stackemu.materials import COPPER, SILICON, Material
 from stackemu.power import Constant, PowerMap, Step
-from stackemu.scenario import (Scenario, ThrottlePolicy, TransientSpec,
-                               run_scenario, scenario_hash)
+from stackemu.scenario import (GridSpec, Scenario, ThrottlePolicy,
+                               TransientSpec, run_scenario, scenario_hash)
 from stackemu.sensors import SensorSpec
-from stackemu.stack import LayerRole, LayerSpec, TsvFarmSpec, preset_stack
+from stackemu.stack import (LayerRole, LayerSpec, StackConfig, TsvFarmSpec,
+                            preset_stack)
 
 DEMO = os.path.join(os.path.dirname(__file__), "..", "scenarios",
                     "demo_2layer.yaml")
@@ -122,6 +125,36 @@ def test_invalid_document_names_its_path(tmp_path, capsys, base, edit,
     assert main(["--config", str(config), "validate"]) == 1
     assert f"validation error: config invalid at {path}" in \
         capsys.readouterr().err
+
+
+def _field_names(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def test_shape_sections_are_the_scenario_fields():
+    """The document's top-level keys are Scenario's fields, with
+    `policy/period_steps` standing for policy_period."""
+    assert set(_SHAPE) == _field_names(Scenario) - {"policy_period"}
+
+
+# Each key the shape check names and the keys its type takes: a key the
+# type renamed or dropped would leave the check on a dead key. An
+# assignment's `uniform` is consumed by the loader itself.
+@pytest.mark.parametrize("keys, takes", [
+    (lambda: _REQUIRED[""], _field_names(Scenario)),
+    (lambda: _REQUIRED["grid"], _field_names(GridSpec)),
+    (lambda: _SHAPE["stack"], _field_names(StackConfig)),
+    (lambda: _SHAPE["stack"]["layers"][0], _field_names(LayerSpec)),
+    (lambda: _SHAPE["stack"]["layers"][0]["tsv_farms"][0],
+     _field_names(TsvFarmSpec)),
+    (lambda: _SHAPE["power"]["assignments"][0],
+     set(inspect.signature(PowerMap.set_tile_power).parameters)
+     | {"uniform"}),
+], ids=["root-required", "grid-required", "stack", "layer", "tsv-farm",
+        "assignment"])
+def test_shape_keys_are_keys_of_their_types(keys, takes):
+    assert set(keys()) <= takes
+
 
 
 def _numeric_leaves(node, path=()):
