@@ -80,9 +80,18 @@ class Periodic(Profile):
 _NOT_INCREASING = "trace timestamps must be strictly increasing"
 
 
+class TraceSampleError(ValueError):
+    """A trace sample's index and the rule it breaks."""
+
+    def __init__(self, index: int, reason: str):
+        super().__init__(f"samples[{index}]: {reason}")
+        self.index, self.reason = index, reason
+
+
 @dataclass(frozen=True)
 class Trace(Profile):
-    """Piecewise-constant samples (t, p); holds the last value forever."""
+    """Piecewise-constant samples (t, p); holds the last value forever.
+    The t are finite and strictly increasing, the p finite and >= 0."""
 
     samples: tuple[tuple[float, float], ...]
     _times: np.ndarray = field(init=False, repr=False, compare=False)
@@ -91,12 +100,16 @@ class Trace(Profile):
         object.__setattr__(self, "samples", tuple(map(tuple, self.samples)))
         if not self.samples:
             raise ValueError("trace needs at least one sample")
-        for t, p in self.samples:
-            _check_profile({"t": t, "p": p}, "p", "t")
-        ts = [t for t, _ in self.samples]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError(_NOT_INCREASING)
-        object.__setattr__(self, "_times", np.array(ts))
+        for i, (t, p) in enumerate(self.samples):
+            try:   # worded by the CSV's column names
+                _check_profile({"t_seconds": t, "power_w_per_cm2": p},
+                               "power_w_per_cm2", "t_seconds")
+                if i and t <= self.samples[i - 1][0]:
+                    raise ValueError(_NOT_INCREASING)
+            except ValueError as e:
+                raise TraceSampleError(i, str(e)) from None
+        object.__setattr__(self, "_times",
+                           np.array([t for t, _ in self.samples]))
 
     def power_at(self, t: float) -> float:
         if t <= self.samples[0][0]:
@@ -106,8 +119,8 @@ class Trace(Profile):
 
 
 def load_trace_csv(path) -> Trace:
-    """Two columns `t_seconds,power_w_per_cm2`, header required. Each row
-    is checked as it is read, by Trace's rules, so an error names its
+    """Two columns `t_seconds,power_w_per_cm2`, header required. The rows
+    become Trace's samples, which Trace checks; an error names the row's
     line."""
     if not (isinstance(path, (str, os.PathLike)) and os.path.basename(path)):
         raise ValueError(f"path must name a file, got {path!r}")
@@ -118,20 +131,19 @@ def load_trace_csv(path) -> Trace:
                 ["t_seconds", "power_w_per_cm2"]:
             raise ValueError(
                 f"{path}: expected header 't_seconds,power_w_per_cm2'")
-        samples = []
+        samples, lines = [], []
         try:
             for row in filter(None, reader):
                 if len(row) != 2:
                     raise ValueError(f"expected 2 fields, got {len(row)}")
-                t, p = float(row[0]), float(row[1])
-                _check_profile({"t_seconds": t, "power_w_per_cm2": p},
-                               "power_w_per_cm2", "t_seconds")
-                if samples and t <= samples[-1][0]:
-                    raise ValueError(_NOT_INCREASING)
-                samples.append((t, p))
+                samples.append((float(row[0]), float(row[1])))
+                lines.append(reader.line_num)
         except ValueError as e:
             raise ValueError(f"{path} line {reader.line_num}: {e}") from None
-    return Trace(tuple(samples))
+    try:
+        return Trace(tuple(samples))
+    except TraceSampleError as e:
+        raise ValueError(f"{path} line {lines[e.index]}: {e.reason}") from None
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from .sensors import (SensorNetwork, SensorSpec, check_k, check_site,
 from .solver import (DiscreteSystem, LayerStats, SolveOptions, SolveStats,
                      TemperatureField, assemble, layer_summary, solve_steady,
                      step_transient)
-from .stack import StackConfig, check, discretize, is_int, is_real
+from .stack import GridSpec, StackConfig, check, discretize, is_int, is_real
 
 
 class StageError(RuntimeError):
@@ -112,18 +112,6 @@ class TransientSpec:
         number counting as that number: in floating point 0.07 / 0.01 is
         7.000000000000001, which is 7 steps, not 8."""
         return math.ceil(self.t_end / self.dt * (1.0 - 1e-9))
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    nx: int = 32
-    ny: int = 16
-    sub_slabs_per_layer: int = 1
-
-    def __post_init__(self):   # discretize's ranges, checked at load
-        check(self, "nx ny sub_slabs_per_layer", is_int, "an integer")
-        check(self, "nx ny", lambda v: v >= 2, ">= 2")
-        check(self, "sub_slabs_per_layer", lambda v: v >= 1, ">= 1")
 
 
 @dataclass(frozen=True)

@@ -28,13 +28,14 @@ A `LayeredOperator` holds A_L's per-slab scalars, its factorization (one
 field-sized array, the inverse pivots) and E: `op @ x` applies A without
 a matrix, and its transforms around a Thomas sweep apply A_L^-1. A
 system keeps the last dt's step operator and builds the steady one per
-solve. Every solve is one `solve_cg`: steady and PDN systems from x = 0,
-`step_transient` from its start, and a step of either stack kind reuses
-its source's rhs. Its working set is fixed: x, and two mode-shaped
-buffers that a step operator lends from its work and that a steady or
-PDN solve allocates once, after x; only CG's vectors on E's voxels come
-on top. It returns x and a `SolveStats`, which `run_scenario` keeps, one
-per solve. `lattice_matrix` builds the matrix oracle.
+solve. Every solve is one routine, `solve_cg`, with CG's rounds in its
+restart loop: steady and PDN systems from x = 0, `step_transient` from
+its start, and a step of either stack kind reuses its source's rhs. Its
+working set is fixed: x, and two mode-shaped buffers that a step
+operator lends from its work and that a steady or PDN solve allocates
+once, after x; only a round's vectors on E's voxels come on top. It
+returns x and a `SolveStats`, which `run_scenario` keeps, one per solve.
+`lattice_matrix` builds the matrix oracle.
 """
 
 from __future__ import annotations
@@ -573,16 +574,24 @@ def solve_cg(A: LayeredOperator, b, options: SolveOptions = SolveOptions(),
     A @ x, A_L^-1 as its transforms around a Thomas sweep, and E = A.E on
     the voxels S = A.index.
 
-    CG preconditioned by A_L^-1 runs in rounds (`_cg_round`), each from a
-    true residual r, or, without x, from b at x = 0. A round ends with
-    one update of x; then the true residual is checked, and CG restarts
-    from a failing one within the same iteration cap, unless it is within
-    the rounding error of its own evaluation. Every reduction is a `_dot`,
-    row-major, so bit-reproducible. Non-finite input raises.
+    CG preconditioned by A_L^-1 runs in rounds, each from a true residual
+    r0, or, without x, from r0 = b at x = 0. A round ends with one update
+    of x and frees its vectors on S; then the true residual is checked, and
+    CG restarts from a failing one within the same iteration cap, unless it
+    is within the rounding error of its own evaluation. Every reduction is
+    a `_dot`, row-major, so bit-reproducible. Non-finite input raises.
 
-    The rounds work in two mode-shaped buffers, which a step operator
-    lends from its work and which are otherwise allocated once per call,
-    after x."""
+    With x = 0 the residual after x = A_L^-1 b is -E (A_L^-1 b)|S, on S,
+    and with E None it is 0, so the round runs no iteration. As
+    A p = A_L p + E p_S, every residual is gamma r0 + s and every
+    direction A_L^-1 (gamma' r0 + w), s and w on S: an iteration is a
+    `scatter` (Q^T from S), a Thomas sweep and a `gather` (Q at S), with
+    dot products on S and the round's <r0, A_L^-1 r0> and (A_L^-1 r0)|S.
+    A round transforms the full field once each way, in two mode-shaped
+    buffers, which a step operator lends from its work and which are
+    otherwise allocated once per call, after x: r0 in, over the first,
+    which then takes every scatter, and the update out, over the second,
+    which holds A_L^-1 r0. The vectors on S are updated in place."""
     tol = options.tolerance
     max_iter = options.iteration_cap(len(b))
     rhs_norm = float(np.sqrt(_dot(b)))
@@ -593,15 +602,16 @@ def solve_cg(A: LayeredOperator, b, options: SolveOptions = SolveOptions(),
     if from_b:
         x = np.zeros_like(b)
     if A.work:
-        buffers = A.work["residual"], A.work["modes"]
+        rbuf, zbuf = A.work["residual"], A.work["modes"]
     else:
-        buffers = np.empty((2,) + A.inv_pivot.shape)
+        rbuf, zbuf = np.empty((2,) + A.inv_pivot.shape)
+    E, index, k = A.E, A.index, len(A.index)
     it = rounds = sweeps = 0
-    r, res = b, None
+    r0, res = b, None
     while True:
         if not from_b:
-            r = A.residual(b, x, buffers[0])
-            res = np.sqrt(_dot(r)) / bnorm
+            r0 = A.residual(b, x, rbuf)
+            res = np.sqrt(_dot(r0)) / bnorm
             if not np.isfinite(res):
                 raise NumericalError("non-finite residual")
             # After an iteration, a residual within the rounding error of
@@ -611,86 +621,62 @@ def solve_cg(A: LayeredOperator, b, options: SolveOptions = SolveOptions(),
                                              + np.abs(b)))):
                 return x, SolveStats(rounds, sweeps, float(res), rhs_norm)
             rounds += 1
-        it, swept = _cg_round(A, x, r, res, buffers, tol, bnorm,
-                              it, max_iter)
-        sweeps += swept
-        from_b = False
-
-
-def _cg_round(A: LayeredOperator, x, r0, res: float | None, buffers,
-              tol: float, bnorm: float, it: int,
-              max_iter: int) -> tuple[int, int]:
-    """One round of `solve_cg` from the true residual r0, whose relative
-    size is res, or, with res None, from r0 = b at x = 0: x += its
-    update. Returns the iteration count so far and the round's Thomas
-    sweeps; its vectors on S free on return, before the next true
-    residual.
-
-    With x = 0 the residual after x = A_L^-1 b is -E (A_L^-1 b)|S, on S,
-    and with E None it is 0, so the round runs no iteration. As
-    A p = A_L p + E p_S, every residual is gamma r0 + s and every
-    direction A_L^-1 (gamma' r0 + w), s and w on S: an iteration is a
-    `scatter` (Q^T from S), a Thomas sweep and a `gather` (Q at S), with
-    dot products on S and the round's <r0, A_L^-1 r0> and
-    (A_L^-1 r0)|S. The round transforms the full field once each way: r0
-    in, over its buffer, which then takes every scatter, and the update
-    out, over the buffer of A_L^-1 r0. Its vectors on S are updated in
-    place, each in its own buffer."""
-    E, index = A.E, A.index
-    rbuf, zbuf = buffers
-    # r0 on S and ||r0||^2 off S, before Q^T r0 overwrites a residual.
-    r0_s = r0[index]
-    off2 = max(_dot(r0) - _dot(r0_s), 0.0)
-    y0 = A.forward(r0, rbuf, zbuf)
-    z0 = A.solve_modes(np.positive(y0, out=zbuf))   # a copy
-    sigma = _dot(y0, z0)                     # <r0, A_L^-1 r0>
-    m = A.gather(z0)                         # (A_L^-1 r0)|S
-    sweeps, k = 1, len(index)
-    # Residual gamma r0 + s; the update is A_L^-1 (big_gamma r0 + u).
-    if res is None:
-        gamma, big_gamma = 0.0, 1.0
-        s = np.negative(m if E is None else E @ m)
-        res = np.sqrt(_dot(s)) / bnorm
-    else:
-        gamma, s, big_gamma = 1.0, np.zeros(k), 0.0
-    # A_L p = gamma_p r0 + w. z_s holds (A_L^-1 r)|S, then ap_s, with
-    # A p = gamma_p r0 + ap_s; t holds each alpha product, then r|S.
-    u, w, p_s = np.zeros(k), np.zeros(k), np.zeros(k)
-    z_s, t = np.empty(k), np.empty(k)
-    gamma_p, rz = 0.0, np.inf                # the first beta is 0
-    while res > tol:
-        if it >= max_iter:
-            raise ConvergenceError(res, it)
-        np.multiply(gamma, m, out=z_s)
-        if s.any():
-            z_s += A.gather(A.solve_modes(A.scatter(s, rbuf)), t)
-            sweeps += 1
-        rz_new = gamma * (gamma * sigma + _dot(m, s)) + _dot(s, z_s)
-        beta, rz = rz_new / rz, rz_new
-        gamma_p = gamma + beta * gamma_p
-        np.add(s, np.multiply(beta, w, out=w), out=w)
-        np.add(z_s, np.multiply(beta, p_s, out=p_s), out=p_s)
-        ap_s = w if E is None else np.add(E.apply(p_s, z_s, t), w, out=z_s)
-        pAp = gamma_p * (gamma_p * sigma + _dot(m, w)) + _dot(p_s, ap_s)
-        if not np.isfinite(pAp) or pAp <= 0.0:
-            raise NumericalError("CG breakdown: non-SPD or non-finite system")
-        alpha = rz / pAp
-        gamma -= alpha * gamma_p
-        s -= np.multiply(alpha, ap_s, out=t)
-        big_gamma += alpha * gamma_p
-        u += np.multiply(alpha, w, out=t)
-        # ||r||^2 off S plus on S; the true residual decides.
-        r_s = np.add(np.multiply(gamma, r0_s, out=t), s, out=t)
-        res = np.sqrt(gamma * gamma * off2 + _dot(r_s)) / bnorm
-        if not np.isfinite(res):
-            raise NumericalError("CG produced non-finite residual")
-        it += 1
-    z0 *= big_gamma
-    if np.any(u):
-        z0 += A.solve_modes(A.scatter(u, rbuf))
+        # r0 on S and ||r0||^2 off S, before Q^T r0 overwrites a residual.
+        r0_s = r0[index]
+        off2 = max(_dot(r0) - _dot(r0_s), 0.0)
+        y0 = A.forward(r0, rbuf, zbuf)
+        z0 = A.solve_modes(np.positive(y0, out=zbuf))   # a copy
+        sigma = _dot(y0, z0)                     # <r0, A_L^-1 r0>
+        m = A.gather(z0)                         # (A_L^-1 r0)|S
         sweeps += 1
-    x += A.inverse(z0, zbuf, rbuf)
-    return it, sweeps
+        # Residual gamma r0 + s; the update is A_L^-1 (big_gamma r0 + u).
+        if from_b:
+            gamma, big_gamma = 0.0, 1.0
+            s = np.negative(m if E is None else E @ m)
+            res = np.sqrt(_dot(s)) / bnorm
+        else:
+            gamma, s, big_gamma = 1.0, np.zeros(k), 0.0
+        # A_L p = gamma_p r0 + w. z_s holds (A_L^-1 r)|S, then ap_s, with
+        # A p = gamma_p r0 + ap_s; t holds each alpha product, then r_s.
+        u, w, p_s = np.zeros(k), np.zeros(k), np.zeros(k)
+        z_s = ap_s = np.empty(k)
+        t = r_s = np.empty(k)
+        gamma_p, rz = 0.0, np.inf                # the first beta is 0
+        while res > tol:
+            if it >= max_iter:
+                raise ConvergenceError(res, it)
+            np.multiply(gamma, m, out=z_s)
+            if s.any():
+                z_s += A.gather(A.solve_modes(A.scatter(s, rbuf)), t)
+                sweeps += 1
+            rz_new = gamma * (gamma * sigma + _dot(m, s)) + _dot(s, z_s)
+            beta, rz = rz_new / rz, rz_new
+            gamma_p = gamma + beta * gamma_p
+            np.add(s, np.multiply(beta, w, out=w), out=w)
+            np.add(z_s, np.multiply(beta, p_s, out=p_s), out=p_s)
+            ap_s = w if E is None else np.add(E.apply(p_s, z_s, t), w, out=z_s)
+            pAp = gamma_p * (gamma_p * sigma + _dot(m, w)) + _dot(p_s, ap_s)
+            if not np.isfinite(pAp) or pAp <= 0.0:
+                raise NumericalError(
+                    "CG breakdown: non-SPD or non-finite system")
+            alpha = rz / pAp
+            gamma -= alpha * gamma_p
+            s -= np.multiply(alpha, ap_s, out=t)
+            big_gamma += alpha * gamma_p
+            u += np.multiply(alpha, w, out=t)
+            # ||r||^2 off S plus on S; the true residual decides.
+            r_s = np.add(np.multiply(gamma, r0_s, out=t), s, out=t)
+            res = np.sqrt(gamma * gamma * off2 + _dot(r_s)) / bnorm
+            if not np.isfinite(res):
+                raise NumericalError("CG produced non-finite residual")
+            it += 1
+        z0 *= big_gamma
+        if np.any(u):
+            z0 += A.solve_modes(A.scatter(u, rbuf))
+            sweeps += 1
+        x += A.inverse(z0, zbuf, rbuf)
+        del r0_s, m, s, u, w, p_s, z_s, ap_s, t, r_s
+        from_b = False
 
 
 # Relative gap between the power put in and the boundary outflux above

@@ -313,15 +313,24 @@ class VoxelGrid:
         return kx, kz
 
 
+@dataclass(frozen=True)
+class GridSpec:
+    nx: int = 32
+    ny: int = 16
+    sub_slabs_per_layer: int = 1
+
+    def __post_init__(self):   # checked at load and by every discretize
+        check(self, "nx ny sub_slabs_per_layer", is_int, "an integer")
+        check(self, "nx ny", lambda v: v >= 2, ">= 2")
+        check(self, "sub_slabs_per_layer", lambda v: v >= 1, ">= 1")
+
+
 def discretize(config: StackConfig, nx: int, ny: int,
                sub_slabs_per_layer: int = 1) -> VoxelGrid:
     """Build the voxel grid: nx x ny lateral cells, each physical layer
-    split into sub_slabs_per_layer equal slabs. Rejects invalid configs
-    with the violation list."""
-    if nx < 2 or ny < 2:
-        raise ValueError("nx and ny must be >= 2")
-    if sub_slabs_per_layer < 1:
-        raise ValueError("sub_slabs_per_layer must be >= 1")
+    split into sub_slabs_per_layer equal slabs. Rejects sizes that
+    `GridSpec` rejects, and invalid configs with the violation list."""
+    GridSpec(nx, ny, sub_slabs_per_layer)
     violations = validate_stack(config)
     if violations:
         raise ValueError(f"invalid stack config: {violations}")

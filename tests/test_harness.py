@@ -848,12 +848,21 @@ def test_cli_report_full_pipeline(tmp_path, capsys):
 
 
 def test_pyproject_version_is_the_package_version():
-    """Both are bumped by hand whenever reported values move; a regex, not
-    tomllib, so the test runs on Python 3.10."""
+    """`stackemu.__version__` is the one version, bumped by hand whenever
+    reported values move: pyproject.toml declares the version dynamic
+    and reads it from that attribute, and states no version of its own.
+    A regex, not tomllib, so the test runs on Python 3.10."""
     path = os.path.join(os.path.dirname(__file__), "..", "pyproject.toml")
     with open(path) as fh:
-        match = re.search(r'^version\s*=\s*"([^"]+)"', fh.read(), re.M)
-    assert match and match.group(1) == stackemu.__version__
+        text = fh.read()
+    assert re.search(r'^dynamic\s*=\s*\[\s*"version"\s*\]', text, re.M)
+    tables = re.split(r"^\[", text, flags=re.M)
+    dynamic = [t for t in tables if t.startswith("tool.setuptools.dynamic]")]
+    assert len(dynamic) == 1 and re.search(
+        r'^version\s*=\s*\{\s*attr\s*=\s*"stackemu\.__version__"\s*\}',
+        dynamic[0], re.M)
+    assert sum(bool(re.match(r"^version\s*=", line))
+               for line in text.splitlines()) == 1
 
 
 def test_failing_hypothesis_test_does_not_abort_the_session(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stackemu import power
 from stackemu.power import (BUILTIN_PRESETS, Constant, CoreProxyPreset,
                             Periodic, PowerMap, Step, Trace, _overlap_weights,
                             load_trace_csv, power_density_field, total_power)
@@ -248,6 +249,58 @@ def test_trace_csv_non_numeric_cell_names_the_file_and_line(tmp_path):
     with pytest.raises(ValueError, match="trace.csv line 3: could not "
                                          "convert string to float: 'abc'"):
         load_trace_csv(path)
+
+
+def _write_trace(path, rows):
+    path.write_text("t_seconds,power_w_per_cm2\n" + "".join(
+        f"{t!r},{p!r}\n" if t is not None else "\n" for t, p in rows))
+
+
+def test_valid_trace_csv_checks_each_sample_once(tmp_path, monkeypatch):
+    """A valid 1,000-row trace is checked once per sample, in Trace: the
+    loader only converts the rows."""
+    calls = []
+    check = power._check_profile
+    monkeypatch.setattr(power, "_check_profile",
+                        lambda *a: calls.append(a) or check(*a))
+    rows = [(0.001 * i, 0.5 * (i % 7)) for i in range(1000)]
+    _write_trace(tmp_path / "trace.csv", rows)
+    trace = load_trace_csv(tmp_path / "trace.csv")
+    assert trace.samples == tuple(rows) and len(calls) == 1000
+
+
+def test_bad_sample_is_named_by_its_file_line(tmp_path):
+    """Blank lines are skipped, so sample and line numbers part: a bad
+    sample deep in a long trace, after a blank line, is named by its
+    line in the file."""
+    rows = [(0.001 * i, 1.0) for i in range(5000)]
+    rows.insert(10, (None, None))          # line 12, blank
+    rows[4000] = (rows[4000][0], -2.0)     # sample 3999, line 4002
+    _write_trace(tmp_path / "trace.csv", rows)
+    with pytest.raises(ValueError) as exc:
+        load_trace_csv(tmp_path / "trace.csv")
+    assert str(exc.value) == (f"{tmp_path / 'trace.csv'} line 4002: "
+                              "power_w_per_cm2 must be >= 0, got -2.0")
+
+
+@pytest.mark.parametrize("rows, index", [
+    ([(0.0, 1.0), (0.1, float("nan"))], 1),
+    ([(0.0, 1.0), (0.1, 2.0), (0.2, -1.0)], 2),
+    ([(float("inf"), 1.0)], 0),
+    ([(0.0, 1.0), (0.1, 2.0), (0.1, 3.0)], 2),
+], ids=["nan-power", "negative-power", "inf-time", "repeated-time"])
+def test_trace_and_loader_word_a_bad_sample_alike(tmp_path, rows, index):
+    """Trace built directly names a bad sample by its index, the loader
+    by its line; past that prefix the two messages are the same."""
+    with pytest.raises(ValueError) as direct:
+        Trace(tuple(rows))
+    _write_trace(tmp_path / "trace.csv", rows)
+    with pytest.raises(ValueError) as loaded:
+        load_trace_csv(tmp_path / "trace.csv")
+    line = f"{tmp_path / 'trace.csv'} line {index + 2}: "
+    assert str(loaded.value).startswith(line)
+    reason = str(loaded.value)[len(line):]
+    assert str(direct.value) == f"samples[{index}]: {reason}"
 
 
 def test_negative_time_rejected(cfg):

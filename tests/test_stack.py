@@ -268,7 +268,7 @@ def test_material_rules(build, fragment):
      "heat-sink-h"),
     (lambda: discretize(replace(preset_stack(2), package_resistance=-1e-4),
                         4, 4), "package-resistance"),
-    (lambda: discretize(preset_stack(2), 1, 4), "nx and ny must be >= 2"),
+    (lambda: discretize(preset_stack(2), 1, 4), "nx must be >= 2"),
     (lambda: discretize(preset_stack(2), 4, 4, 0),
      "sub_slabs_per_layer must be >= 1"),
 ], ids=["farm-area", "via-diameter", "via-pitch", "liner-thickness",
@@ -280,3 +280,16 @@ def test_stack_rules(build, fragment):
     with pytest.raises(ValueError) as exc:
         build()
     assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("sizes, fragment", [
+    ((4.0, 4), "nx must be an integer, got 4.0"),
+    ((4, 4, 1.0), "sub_slabs_per_layer must be an integer, got 1.0"),
+    ((np.int64(32), 16), "nx must be an integer, got "),
+], ids=["float-nx", "float-sub-slabs", "numpy-int-nx"])
+def test_discretize_takes_the_grid_rules(sizes, fragment):
+    """`discretize` checks its sizes through `GridSpec`, the integer rule
+    too: a float size is rejected, not turned into a grid of float
+    shape, and so is a numpy integer (pass `int(n)` from a sweep)."""
+    with pytest.raises(ValueError, match=re.escape(fragment)):
+        discretize(preset_stack(2), *sizes)
